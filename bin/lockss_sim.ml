@@ -902,50 +902,30 @@ let check_trace_cmd =
          framing, a bad intern reference or trailing garbage — either
          way the file is invalid. *)
       | Error msg -> fail ("invalid record: " ^ msg)
-      | Ok json ->
-        (match Lockss.Trace.of_json json with
-        | Error msg -> fail ("not a trace event: " ^ msg)
-        | Ok (time, event) ->
-          incr events;
-          let kind = Lockss.Trace.kind event in
-          (* The typed event must survive re-serialization: compare
-             events, not JSON values, because the float writer may
-             legitimately narrow 4320.0 to the literal 4320. *)
-          (match
-             Obs.Json.of_string (Obs.Json.to_string (Lockss.Trace.to_json ~time event))
-           with
-          | Error msg -> fail ("re-serialized event does not parse: " ^ msg)
-          | Ok json' -> (
-            match Lockss.Trace.of_json json' with
-            | Error msg -> fail ("re-serialized event does not round-trip: " ^ msg)
-            | Ok (time', event') ->
-              if not (Float.equal time' time && event' = event) then
-                fail ("event changed across JSON round-trip: " ^ kind)));
-          (* Poll-scoped events must carry the full correlation key
-             so the span builder and ledger can attribute them. *)
-          let require_int name =
-            match Option.bind (Obs.Json.member name json) Obs.Json.to_int with
-            | Some _ -> ()
-            | None -> fail (Printf.sprintf "missing correlation field %S on %s" name kind)
-          in
-          (match kind with
-          | "poll_started" | "solicitation_sent" | "invitation_refused"
-          | "invitation_accepted" | "vote_sent" | "evaluation_started"
-          | "repair_applied" | "poll_concluded" ->
-            List.iter require_int [ "poller"; "au"; "poll_id" ]
-          | "invitation_dropped" ->
-            List.iter require_int [ "voter"; "claimed"; "au"; "poll_id" ]
-          | "invitation_admitted" ->
-            (* poll_id stays optional: garbage invitations carry none *)
-            List.iter require_int [ "voter"; "claimed"; "au" ]
-          | "poll_sampled" -> List.iter require_int [ "poller"; "au"; "poll_id" ]
-          | "effort_received" -> List.iter require_int [ "peer"; "from"; "au"; "poll_id" ]
-          | _ -> ());
-          Hashtbl.replace by_kind kind
-            (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind kind)))
+      (* Typed decoding checks every field the kind requires, so a
+         decoded poll-scoped event carries its full correlation key. *)
+      | Ok (Error msg) -> fail ("not a trace event: " ^ msg)
+      | Ok (Ok (time, event)) ->
+        incr events;
+        let kind = Lockss.Trace.kind event in
+        (* The typed event must survive re-serialization: compare
+           events, not JSON values, because the float writer may
+           legitimately narrow 4320.0 to the literal 4320. *)
+        (match
+           Obs.Json.of_string (Obs.Json.to_string (Lockss.Trace.to_json ~time event))
+         with
+        | Error msg -> fail ("re-serialized event does not parse: " ^ msg)
+        | Ok json' -> (
+          match Lockss.Trace.of_json json' with
+          | Error msg -> fail ("re-serialized event does not round-trip: " ^ msg)
+          | Ok (time', event') ->
+            if not (Float.equal time' time && event' = event) then
+              fail ("event changed across JSON round-trip: " ^ kind)));
+        Hashtbl.replace by_kind kind
+          (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind kind))
     in
     let format =
-      try Obs.Trace_file.iter path ~f:check
+      try Lockss.Trace.iter_file path ~f:check
       with Sys_error msg ->
         Printf.eprintf "cannot open %s: %s\n" path msg;
         exit 2
@@ -1148,13 +1128,13 @@ let audit_cmd =
         decay_period = decay;
       }
     in
-    let jsons =
+    let records =
       let acc = ref [] in
       (try
          ignore
-           (Obs.Trace_file.iter path ~f:(fun ~line result ->
+           (Lockss.Trace.iter_file path ~f:(fun ~line result ->
                 match result with
-                | Ok json -> acc := json :: !acc
+                | Ok decoded -> acc := decoded :: !acc
                 | Error msg ->
                   Printf.eprintf "%s:%d: invalid record: %s\n" path line msg;
                   exit 2))
@@ -1166,19 +1146,18 @@ let audit_cmd =
     let auditor = Check.Auditor.create ~params () in
     (match mutate with
     | None ->
-      (* Stream the file as-is; malformed event lines become
+      (* Stream the file as-is; records that are not events become
          trace-format violations. *)
-      List.iter (fun json -> ignore (Check.Auditor.feed_json auditor json)) jsons
+      List.iter (fun decoded -> ignore (Check.Auditor.feed_decoded auditor decoded)) records
     | Some id ->
       let events =
         List.map
-          (fun json ->
-            match Lockss.Trace.of_json json with
+          (function
             | Ok te -> te
             | Error msg ->
               Printf.eprintf "%s: cannot mutate a malformed trace: %s\n" path msg;
               exit 2)
-          jsons
+          records
       in
       (match Check.Mutation.apply ~params ~id events with
       | Error msg ->

@@ -59,8 +59,7 @@ let record_violation t v =
   t.violations := v :: !(t.violations);
   match !(t.on_violation) with None -> () | Some f -> f v
 
-let feed_json t json =
-  match Trace.of_json json with
+let feed_decoded t = function
   | Ok (time, event) ->
     feed t ~time event;
     Ok ()

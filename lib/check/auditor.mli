@@ -7,8 +7,8 @@
       sees every event (including [Debug] ones, below the sink's
       severity filter) and re-emits each violation onto the bus as a
       {!Lockss.Trace.Invariant_violated} event so sinks record it.
-    - {e offline} — replay a JSONL trace through {!feed_json} and call
-      {!finish} at end of file.
+    - {e offline} — replay a trace file ({!Lockss.Trace.iter_file})
+      through {!feed_decoded} and call {!finish} at end of file.
 
     Feeding is re-entrancy safe: [Invariant_violated] events are
     ignored on input, so the live re-emission cannot loop. *)
@@ -26,9 +26,11 @@ val params : t -> Invariant.params
     internal {!Obs.Analyze} so {!finish} can reconcile the ledger. *)
 val feed : t -> time:float -> Lockss.Trace.event -> unit
 
-(** Parse one JSONL object and feed it. A malformed line is itself a
+(** Feed one decoded trace record. A record that is not an event
+    ([Error], as {!Lockss.Trace.of_json} reports it) is itself a
     violation (invariant ["trace-format"]) and is returned as [Error]. *)
-val feed_json : t -> Obs.Json.t -> (unit, string) result
+val feed_decoded :
+  t -> (float * Lockss.Trace.event, string) result -> (unit, string) result
 
 (** Run every invariant's end-of-stream check. Pass the run's metrics
     [summary] when available (live runs) to enable the conservation

@@ -1,15 +1,37 @@
 module Json = Obs.Json
+module Btrace = Obs.Btrace
+
+(* -- Enumerations -------------------------------------------------------- *)
+
+(* A closed set of payload tokens: every encoding spells a value the same
+   way, and the binary encoding resolves each spelling to an atom
+   registered once here. The lookup runs per event on the binary sink's
+   hot path: spellings are string literals, so comparing addresses finds
+   the atom without a string comparison, and the loops are top-level
+   functions, not closures. *)
+type 'a enum = { values : 'a list; spell : 'a -> string; atoms : (string * Btrace.atom) list }
+
+let enum values spell =
+  { values; spell; atoms = List.map (fun v -> (spell v, Btrace.atom (spell v))) values }
+
+let parse e s = List.find_opt (fun v -> String.equal (e.spell v) s) e.values
+
+let rec atom_by_value s = function
+  | (s', a) :: rest -> if String.equal s s' then a else atom_by_value s rest
+  | [] -> invalid_arg ("Trace: unregistered token " ^ s)
+
+let rec atom_by_address s atoms = function
+  | (s', a) :: rest -> if s == s' then a else atom_by_address s atoms rest
+  | [] -> atom_by_value s atoms
+
+let enum_atom e v = atom_by_address (e.spell v) e.atoms e.atoms
 
 (* -- Effort taxonomy ---------------------------------------------------- *)
 
 type effort_role = Loyal | Adversary
 
 let effort_role_to_string = function Loyal -> "loyal" | Adversary -> "adversary"
-
-let effort_role_of_string = function
-  | "loyal" -> Some Loyal
-  | "adversary" -> Some Adversary
-  | _ -> None
+let role_enum = enum [ Loyal; Adversary ] effort_role_to_string
 
 type effort_phase = Admission | Solicitation | Voting | Evaluation | Repair
 
@@ -20,15 +42,8 @@ let effort_phase_to_string = function
   | Evaluation -> "evaluation"
   | Repair -> "repair"
 
-let effort_phase_of_string = function
-  | "admission" -> Some Admission
-  | "solicitation" -> Some Solicitation
-  | "voting" -> Some Voting
-  | "evaluation" -> Some Evaluation
-  | "repair" -> Some Repair
-  | _ -> None
-
 let all_effort_phases = [ Admission; Solicitation; Voting; Evaluation; Repair ]
+let phase_enum = enum all_effort_phases effort_phase_to_string
 
 (* -- Admission paths ---------------------------------------------------- *)
 
@@ -49,13 +64,17 @@ let admission_path_to_string = function
   | Admitted_known Grade.Even -> "known_even"
   | Admitted_known Grade.Credit -> "known_credit"
 
-let admission_path_of_string = function
-  | "introduced" -> Some Admitted_introduced
-  | "unknown" -> Some Admitted_unknown
-  | "known_debt" -> Some (Admitted_known Grade.Debt)
-  | "known_even" -> Some (Admitted_known Grade.Even)
-  | "known_credit" -> Some (Admitted_known Grade.Credit)
-  | _ -> None
+let path_enum =
+  enum
+    [
+      Admitted_introduced;
+      Admitted_unknown;
+      Admitted_known Grade.Debt;
+      Admitted_known Grade.Even;
+      Admitted_known Grade.Credit;
+    ]
+    admission_path_to_string
+
 
 (* -- Reject reasons ------------------------------------------------------ *)
 
@@ -81,30 +100,27 @@ let reject_reason_to_string = function
   | Stale_closed -> "stale_closed"
   | Bad_block -> "bad_block"
 
-let reject_reason_of_string = function
-  | "bad_au" -> Some Bad_au
-  | "not_held" -> Some Not_held
-  | "unknown_poll" -> Some Unknown_poll
-  | "uninvited" -> Some Uninvited
-  | "wrong_state" -> Some Wrong_state
-  | "wrong_phase" -> Some Wrong_phase
-  | "unknown_session" -> Some Unknown_session
-  | "stale_closed" -> Some Stale_closed
-  | "bad_block" -> Some Bad_block
-  | _ -> None
-
 let all_reject_reasons =
-  [
-    Bad_au;
-    Not_held;
-    Unknown_poll;
-    Uninvited;
-    Wrong_state;
-    Wrong_phase;
-    Unknown_session;
-    Stale_closed;
-    Bad_block;
-  ]
+  [ Bad_au; Not_held; Unknown_poll; Uninvited; Wrong_state; Wrong_phase; Unknown_session;
+    Stale_closed; Bad_block ]
+
+let reject_enum = enum all_reject_reasons reject_reason_to_string
+
+let drop_enum =
+  enum
+    [ Admission.Refractory; Admission.Random_drop; Admission.Known_rate_limited ]
+    (function
+      | Admission.Refractory -> "refractory"
+      | Admission.Random_drop -> "random_drop"
+      | Admission.Known_rate_limited -> "known_rate_limited")
+
+let outcome_enum =
+  enum
+    [ Metrics.Success; Metrics.Inquorate; Metrics.Alarmed ]
+    (function
+      | Metrics.Success -> "success"
+      | Metrics.Inquorate -> "inquorate"
+      | Metrics.Alarmed -> "alarmed")
 
 type event =
   | Poll_started of { poller : Ids.Identity.t; au : Ids.Au_id.t; poll_id : int; inner_candidates : int }
@@ -212,6 +228,11 @@ type event =
 type severity = Debug | Info | Warn
 
 let severity_rank = function Debug -> 0 | Info -> 1 | Warn -> 2
+let severity_to_string = function Debug -> "debug" | Info -> "info" | Warn -> "warn"
+let severity_enum = enum [ Debug; Info; Warn ] severity_to_string
+
+let severity_of_string s =
+  match String.lowercase_ascii s with "warning" -> Some Warn | s -> parse severity_enum s
 
 type t = {
   mutable subscribers : (time:float -> event -> unit) list;
@@ -244,837 +265,688 @@ let emit ?(bound = Warn) t ~now thunk =
       List.iter (fun f -> f ~time:now event) subscribers
     end
 
+(* -- The schema ---------------------------------------------------------- *)
+
+(* Every kind is described once, in [schemas], as a list of typed
+   fields. Each codec — JSON value, JSON text, binary, decoding, the
+   analyzer view — and the [involves]/[au_of] projections walk that
+   description; none names a kind. The field order is the encoding
+   order. *)
+
+(* What an integer names: [involves] matches identities, [au_of] reads
+   the AU. *)
+type role = Num | Peer | Au
+
+type _ ty =
+  | Int : role -> int ty
+  | Float : float ty
+  | Bool : bool ty
+  | Text : string ty  (** free text, escaped in JSON *)
+  | Enum : 'a enum -> 'a ty  (** a token from a closed set *)
+  | Peers : Ids.Identity.t list ty
+
+(* An optional field is omitted from every encoding when [None]. *)
+type _ shape = Req : 'a ty -> 'a shape | Opt : 'a ty -> 'a option shape
+
+type 'a field = {
+  key : string;
+  shape : 'a shape;
+  get : event -> 'a;
+  jsonl_key : string;  (* [,"key":] pre-rendered for the text writer *)
+  atom : Btrace.atom;
+}
+
+(* A kind's field list, typed by the curried constructor it feeds:
+   [F.[ a; b ]] is a list literal over these constructors. *)
+module F = struct
+  type 'k t = [] : event t | ( :: ) : 'a field * 'k t -> ('a -> 'k) t
+end
+
+type schema =
+  | Schema : {
+      name : string;
+      atom : Btrace.atom;
+      severity : event -> severity;
+      fields : 'k F.t;
+      make : 'k;
+    }
+      -> schema
+
+let kind name severity fields make =
+  Schema { name; atom = Btrace.atom name; severity; fields; make }
+
+let field shape key get =
+  { key; shape; get; jsonl_key = ",\"" ^ key ^ "\":"; atom = Btrace.atom key }
+
+let req ty = field (Req ty)
+let opt ty = field (Opt ty)
+let int key get = req (Int Num) key get
+let peer key get = req (Int Peer) key get
+let au get = req (Int Au) "au" get
+let always severity _ = severity
+let wrong () = invalid_arg "Trace: field read from another kind"
+
+(* The eight message-fault kinds share two shapes. *)
+let link name src dst make = kind name (always Debug) F.[ peer "src" src; peer "dst" dst ] make
+
+let delayed name src dst extra make =
+  kind name (always Debug) F.[ peer "src" src; peer "dst" dst; req Float "extra" extra ] make
+
+let schemas =
+  [|
+    kind "poll_started" (always Info)
+      F.
+        [
+          peer "poller" (function Poll_started r -> r.poller | _ -> wrong ());
+          au (function Poll_started r -> r.au | _ -> wrong ());
+          int "poll_id" (function Poll_started r -> r.poll_id | _ -> wrong ());
+          int "inner_candidates" (function Poll_started r -> r.inner_candidates | _ -> wrong ());
+        ]
+      (fun poller au poll_id inner_candidates ->
+        Poll_started { poller; au; poll_id; inner_candidates });
+    kind "solicitation_sent" (always Debug)
+      F.
+        [
+          peer "poller" (function Solicitation_sent r -> r.poller | _ -> wrong ());
+          peer "voter" (function Solicitation_sent r -> r.voter | _ -> wrong ());
+          au (function Solicitation_sent r -> r.au | _ -> wrong ());
+          int "poll_id" (function Solicitation_sent r -> r.poll_id | _ -> wrong ());
+          int "attempt" (function Solicitation_sent r -> r.attempt | _ -> wrong ());
+        ]
+      (fun poller voter au poll_id attempt ->
+        Solicitation_sent { poller; voter; au; poll_id; attempt });
+    kind "invitation_dropped" (always Info)
+      F.
+        [
+          peer "voter" (function Invitation_dropped r -> r.voter | _ -> wrong ());
+          peer "claimed" (function Invitation_dropped r -> r.claimed | _ -> wrong ());
+          au (function Invitation_dropped r -> r.au | _ -> wrong ());
+          int "poll_id" (function Invitation_dropped r -> r.poll_id | _ -> wrong ());
+          req (Enum drop_enum) "reason" (function Invitation_dropped r -> r.reason | _ -> wrong ());
+        ]
+      (fun voter claimed au poll_id reason ->
+        Invitation_dropped { voter; claimed; au; poll_id; reason });
+    kind "invitation_admitted" (always Debug)
+      F.
+        [
+          peer "voter" (function Invitation_admitted r -> r.voter | _ -> wrong ());
+          peer "claimed" (function Invitation_admitted r -> r.claimed | _ -> wrong ());
+          au (function Invitation_admitted r -> r.au | _ -> wrong ());
+          opt (Int Num) "poll_id" (function Invitation_admitted r -> r.poll_id | _ -> wrong ());
+          req (Enum path_enum) "path" (function Invitation_admitted r -> r.path | _ -> wrong ());
+        ]
+      (fun voter claimed au poll_id path ->
+        Invitation_admitted { voter; claimed; au; poll_id; path });
+    kind "invitation_refused" (always Debug)
+      F.
+        [
+          peer "voter" (function Invitation_refused r -> r.voter | _ -> wrong ());
+          peer "poller" (function Invitation_refused r -> r.poller | _ -> wrong ());
+          au (function Invitation_refused r -> r.au | _ -> wrong ());
+          int "poll_id" (function Invitation_refused r -> r.poll_id | _ -> wrong ());
+        ]
+      (fun voter poller au poll_id -> Invitation_refused { voter; poller; au; poll_id });
+    kind "invitation_accepted" (always Debug)
+      F.
+        [
+          peer "voter" (function Invitation_accepted r -> r.voter | _ -> wrong ());
+          peer "poller" (function Invitation_accepted r -> r.poller | _ -> wrong ());
+          au (function Invitation_accepted r -> r.au | _ -> wrong ());
+          int "poll_id" (function Invitation_accepted r -> r.poll_id | _ -> wrong ());
+        ]
+      (fun voter poller au poll_id -> Invitation_accepted { voter; poller; au; poll_id });
+    kind "vote_sent" (always Debug)
+      F.
+        [
+          peer "voter" (function Vote_sent r -> r.voter | _ -> wrong ());
+          peer "poller" (function Vote_sent r -> r.poller | _ -> wrong ());
+          au (function Vote_sent r -> r.au | _ -> wrong ());
+          int "poll_id" (function Vote_sent r -> r.poll_id | _ -> wrong ());
+        ]
+      (fun voter poller au poll_id -> Vote_sent { voter; poller; au; poll_id });
+    kind "poll_sampled" (always Debug)
+      F.
+        [
+          peer "poller" (function Poll_sampled r -> r.poller | _ -> wrong ());
+          au (function Poll_sampled r -> r.au | _ -> wrong ());
+          int "poll_id" (function Poll_sampled r -> r.poll_id | _ -> wrong ());
+          req Peers "invited" (function Poll_sampled r -> r.invited | _ -> wrong ());
+          req Peers "reference" (function Poll_sampled r -> r.reference | _ -> wrong ());
+        ]
+      (fun poller au poll_id invited reference ->
+        Poll_sampled { poller; au; poll_id; invited; reference });
+    kind "evaluation_started" (always Debug)
+      F.
+        [
+          peer "poller" (function Evaluation_started r -> r.poller | _ -> wrong ());
+          au (function Evaluation_started r -> r.au | _ -> wrong ());
+          int "poll_id" (function Evaluation_started r -> r.poll_id | _ -> wrong ());
+          int "votes" (function Evaluation_started r -> r.votes | _ -> wrong ());
+        ]
+      (fun poller au poll_id votes -> Evaluation_started { poller; au; poll_id; votes });
+    kind "repair_applied" (always Info)
+      F.
+        [
+          peer "poller" (function Repair_applied r -> r.poller | _ -> wrong ());
+          au (function Repair_applied r -> r.au | _ -> wrong ());
+          int "poll_id" (function Repair_applied r -> r.poll_id | _ -> wrong ());
+          int "block" (function Repair_applied r -> r.block | _ -> wrong ());
+          int "version" (function Repair_applied r -> r.version | _ -> wrong ());
+          req Bool "clean" (function Repair_applied r -> r.clean | _ -> wrong ());
+        ]
+      (fun poller au poll_id block version clean ->
+        Repair_applied { poller; au; poll_id; block; version; clean });
+    kind "poll_concluded"
+      (function Poll_concluded { outcome = Metrics.Success; _ } -> Info | _ -> Warn)
+      F.
+        [
+          peer "poller" (function Poll_concluded r -> r.poller | _ -> wrong ());
+          au (function Poll_concluded r -> r.au | _ -> wrong ());
+          int "poll_id" (function Poll_concluded r -> r.poll_id | _ -> wrong ());
+          req (Enum outcome_enum) "outcome" (function
+            | Poll_concluded r -> r.outcome
+            | _ -> wrong ());
+        ]
+      (fun poller au poll_id outcome -> Poll_concluded { poller; au; poll_id; outcome });
+    kind "effort_charged" (always Debug)
+      F.
+        [
+          peer "peer" (function Effort_charged r -> r.peer | _ -> wrong ());
+          req (Enum role_enum) "role" (function Effort_charged r -> r.role | _ -> wrong ());
+          req (Enum phase_enum) "phase" (function Effort_charged r -> r.phase | _ -> wrong ());
+          opt (Int Peer) "poller" (function Effort_charged r -> r.poller | _ -> wrong ());
+          opt (Int Au) "au" (function Effort_charged r -> r.au | _ -> wrong ());
+          opt (Int Num) "poll_id" (function Effort_charged r -> r.poll_id | _ -> wrong ());
+          req Float "seconds" (function Effort_charged r -> r.seconds | _ -> wrong ());
+        ]
+      (fun peer role phase poller au poll_id seconds ->
+        Effort_charged { peer; role; phase; poller; au; poll_id; seconds });
+    kind "effort_received" (always Debug)
+      F.
+        [
+          peer "peer" (function Effort_received r -> r.peer | _ -> wrong ());
+          peer "from" (function Effort_received r -> r.from_ | _ -> wrong ());
+          req (Enum phase_enum) "phase" (function Effort_received r -> r.phase | _ -> wrong ());
+          au (function Effort_received r -> r.au | _ -> wrong ());
+          int "poll_id" (function Effort_received r -> r.poll_id | _ -> wrong ());
+          req Float "seconds" (function Effort_received r -> r.seconds | _ -> wrong ());
+        ]
+      (fun peer from_ phase au poll_id seconds ->
+        Effort_received { peer; from_; phase; au; poll_id; seconds });
+    kind "message_rejected" (always Debug)
+      F.
+        [
+          peer "peer" (function Message_rejected r -> r.peer | _ -> wrong ());
+          peer "from" (function Message_rejected r -> r.from_ | _ -> wrong ());
+          au (function Message_rejected r -> r.au | _ -> wrong ());
+          opt (Int Num) "poll_id" (function Message_rejected r -> r.poll_id | _ -> wrong ());
+          req Text "msg_kind" (function Message_rejected r -> r.msg_kind | _ -> wrong ());
+          req (Enum reject_enum) "reason" (function Message_rejected r -> r.reason | _ -> wrong ());
+        ]
+      (fun peer from_ au poll_id msg_kind reason ->
+        Message_rejected { peer; from_; au; poll_id; msg_kind; reason });
+    link "fault_dropped"
+      (function Fault_dropped r -> r.src | _ -> wrong ())
+      (function Fault_dropped r -> r.dst | _ -> wrong ())
+      (fun src dst -> Fault_dropped { src; dst });
+    link "fault_duplicated"
+      (function Fault_duplicated r -> r.src | _ -> wrong ())
+      (function Fault_duplicated r -> r.dst | _ -> wrong ())
+      (fun src dst -> Fault_duplicated { src; dst });
+    delayed "fault_delayed"
+      (function Fault_delayed r -> r.src | _ -> wrong ())
+      (function Fault_delayed r -> r.dst | _ -> wrong ())
+      (function Fault_delayed r -> r.extra | _ -> wrong ())
+      (fun src dst extra -> Fault_delayed { src; dst; extra });
+    link "partition_dropped"
+      (function Partition_dropped r -> r.src | _ -> wrong ())
+      (function Partition_dropped r -> r.dst | _ -> wrong ())
+      (fun src dst -> Partition_dropped { src; dst });
+    link "fault_corrupted"
+      (function Fault_corrupted r -> r.src | _ -> wrong ())
+      (function Fault_corrupted r -> r.dst | _ -> wrong ())
+      (fun src dst -> Fault_corrupted { src; dst });
+    delayed "fault_replayed"
+      (function Fault_replayed r -> r.src | _ -> wrong ())
+      (function Fault_replayed r -> r.dst | _ -> wrong ())
+      (function Fault_replayed r -> r.extra | _ -> wrong ())
+      (fun src dst extra -> Fault_replayed { src; dst; extra });
+    delayed "fault_stale"
+      (function Fault_stale r -> r.src | _ -> wrong ())
+      (function Fault_stale r -> r.dst | _ -> wrong ())
+      (function Fault_stale r -> r.extra | _ -> wrong ())
+      (fun src dst extra -> Fault_stale { src; dst; extra });
+    link "fault_stray"
+      (function Fault_stray r -> r.src | _ -> wrong ())
+      (function Fault_stray r -> r.dst | _ -> wrong ())
+      (fun src dst -> Fault_stray { src; dst });
+    kind "node_crashed" (always Info)
+      F.[ peer "node" (function Node_crashed r -> r.node | _ -> wrong ()) ]
+      (fun node -> Node_crashed { node });
+    kind "node_restarted" (always Info)
+      F.[ peer "node" (function Node_restarted r -> r.node | _ -> wrong ()) ]
+      (fun node -> Node_restarted { node });
+    kind "invariant_violated" (always Warn)
+      F.
+        [
+          req Text "invariant" (function Invariant_violated r -> r.invariant | _ -> wrong ());
+          opt (Int Peer) "peer" (function Invariant_violated r -> r.peer | _ -> wrong ());
+          opt (Int Au) "au" (function Invariant_violated r -> r.au | _ -> wrong ());
+          opt (Int Num) "poll_id" (function Invariant_violated r -> r.poll_id | _ -> wrong ());
+          req Text "detail" (function Invariant_violated r -> r.detail | _ -> wrong ());
+        ]
+      (fun invariant peer au poll_id detail ->
+        Invariant_violated { invariant; peer; au; poll_id; detail });
+  |]
+
+(* The one per-kind dispatch outside the schema: the match is exhaustive,
+   so a new constructor cannot be forgotten here, and the suites'
+   all-kinds round-trips fail on an entry out of order. *)
+let index = function
+  | Poll_started _ -> 0
+  | Solicitation_sent _ -> 1
+  | Invitation_dropped _ -> 2
+  | Invitation_admitted _ -> 3
+  | Invitation_refused _ -> 4
+  | Invitation_accepted _ -> 5
+  | Vote_sent _ -> 6
+  | Poll_sampled _ -> 7
+  | Evaluation_started _ -> 8
+  | Repair_applied _ -> 9
+  | Poll_concluded _ -> 10
+  | Effort_charged _ -> 11
+  | Effort_received _ -> 12
+  | Message_rejected _ -> 13
+  | Fault_dropped _ -> 14
+  | Fault_duplicated _ -> 15
+  | Fault_delayed _ -> 16
+  | Partition_dropped _ -> 17
+  | Fault_corrupted _ -> 18
+  | Fault_replayed _ -> 19
+  | Fault_stale _ -> 20
+  | Fault_stray _ -> 21
+  | Node_crashed _ -> 22
+  | Node_restarted _ -> 23
+  | Invariant_violated _ -> 24
+
+let schema_of event = Array.unsafe_get schemas (index event)
+
+(* -- Pretty-printing ----------------------------------------------------- *)
+
+let pp_peer = Ids.Identity.pp
+let pp_au = Ids.Au_id.pp
+let pp_duration = Repro_prelude.Duration.pp
+
 let pp_correlation ppf (poller, au, poll_id) =
-  (match poll_id with
-  | Some id -> Format.fprintf ppf " poll %d" id
-  | None -> ());
-  (match poller with
-  | Some p -> Format.fprintf ppf " by %a" Ids.Identity.pp p
-  | None -> ());
-  match au with Some a -> Format.fprintf ppf " on %a" Ids.Au_id.pp a | None -> ()
+  Option.iter (Format.fprintf ppf " poll %d") poll_id;
+  Option.iter (Format.fprintf ppf " by %a" pp_peer) poller;
+  Option.iter (Format.fprintf ppf " on %a" pp_au) au
 
 let pp_event ppf = function
   | Poll_started { poller; au; poll_id; inner_candidates } ->
-    Format.fprintf ppf "poll %d started by %a on %a (%d inner candidates)" poll_id
-      Ids.Identity.pp poller Ids.Au_id.pp au inner_candidates
+    Format.fprintf ppf "poll %d started by %a on %a (%d inner candidates)" poll_id pp_peer
+      poller pp_au au inner_candidates
   | Solicitation_sent { poller; voter; au; poll_id; attempt } ->
-    Format.fprintf ppf "poll %d: %a solicits %a on %a (attempt %d)" poll_id
-      Ids.Identity.pp poller Ids.Identity.pp voter Ids.Au_id.pp au attempt
+    Format.fprintf ppf "poll %d: %a solicits %a on %a (attempt %d)" poll_id pp_peer poller
+      pp_peer voter pp_au au attempt
   | Invitation_dropped { voter; claimed; au; poll_id; reason } ->
-    let reason =
-      match reason with
+    Format.fprintf ppf "poll %d: %a drops invitation claimed by %a on %a (%s)" poll_id pp_peer
+      voter pp_peer claimed pp_au au
+      (match reason with
       | Admission.Refractory -> "refractory"
       | Admission.Random_drop -> "random drop"
-      | Admission.Known_rate_limited -> "per-peer rate limit"
-    in
-    Format.fprintf ppf "poll %d: %a drops invitation claimed by %a on %a (%s)" poll_id
-      Ids.Identity.pp voter Ids.Identity.pp claimed Ids.Au_id.pp au reason
+      | Admission.Known_rate_limited -> "per-peer rate limit")
   | Invitation_admitted { voter; claimed; au; poll_id; path } ->
     Format.fprintf ppf "%s: %a admits invitation claimed by %a on %a (%s)"
       (match poll_id with Some id -> Printf.sprintf "poll %d" id | None -> "garbage")
-      Ids.Identity.pp voter Ids.Identity.pp claimed Ids.Au_id.pp au
-      (admission_path_to_string path)
+      pp_peer voter pp_peer claimed pp_au au (admission_path_to_string path)
   | Invitation_refused { voter; poller; au; poll_id } ->
-    Format.fprintf ppf "poll %d: %a refuses %a on %a (busy)" poll_id Ids.Identity.pp
-      voter Ids.Identity.pp poller Ids.Au_id.pp au
+    Format.fprintf ppf "poll %d: %a refuses %a on %a (busy)" poll_id pp_peer voter pp_peer
+      poller pp_au au
   | Invitation_accepted { voter; poller; au; poll_id } ->
-    Format.fprintf ppf "poll %d: %a accepts %a on %a" poll_id Ids.Identity.pp voter
-      Ids.Identity.pp poller Ids.Au_id.pp au
+    Format.fprintf ppf "poll %d: %a accepts %a on %a" poll_id pp_peer voter pp_peer poller
+      pp_au au
   | Vote_sent { voter; poller; au; poll_id } ->
-    Format.fprintf ppf "poll %d: %a votes for %a on %a" poll_id Ids.Identity.pp voter
-      Ids.Identity.pp poller Ids.Au_id.pp au
+    Format.fprintf ppf "poll %d: %a votes for %a on %a" poll_id pp_peer voter pp_peer poller
+      pp_au au
   | Poll_sampled { poller; au; poll_id; invited; reference } ->
-    Format.fprintf ppf "poll %d: %a samples %d of %d reference peers on %a" poll_id
-      Ids.Identity.pp poller (List.length invited) (List.length reference) Ids.Au_id.pp
-      au
+    Format.fprintf ppf "poll %d: %a samples %d of %d reference peers on %a" poll_id pp_peer
+      poller (List.length invited) (List.length reference) pp_au au
   | Evaluation_started { poller; au; poll_id; votes } ->
-    Format.fprintf ppf "poll %d: %a evaluates %d votes on %a" poll_id Ids.Identity.pp
-      poller votes Ids.Au_id.pp au
+    Format.fprintf ppf "poll %d: %a evaluates %d votes on %a" poll_id pp_peer poller votes
+      pp_au au
   | Repair_applied { poller; au; poll_id; block; version; clean } ->
-    Format.fprintf ppf "poll %d: %a repairs %a block %d to version %d%s" poll_id
-      Ids.Identity.pp poller Ids.Au_id.pp au block version
+    Format.fprintf ppf "poll %d: %a repairs %a block %d to version %d%s" poll_id pp_peer poller
+      pp_au au block version
       (if clean then " (replica clean)" else "")
   | Poll_concluded { poller; au; poll_id; outcome } ->
-    let outcome =
-      match outcome with
+    Format.fprintf ppf "poll %d: %a concludes on %a: %s" poll_id pp_peer poller pp_au au
+      (match outcome with
       | Metrics.Success -> "success"
       | Metrics.Inquorate -> "inquorate"
-      | Metrics.Alarmed -> "ALARM"
-    in
-    Format.fprintf ppf "poll %d: %a concludes on %a: %s" poll_id Ids.Identity.pp poller
-      Ids.Au_id.pp au outcome
+      | Metrics.Alarmed -> "ALARM")
   | Effort_charged { peer; role; phase; poller; au; poll_id; seconds } ->
-    Format.fprintf ppf "effort: %a (%s) spends %a on %s%a" Ids.Identity.pp peer
-      (effort_role_to_string role) Repro_prelude.Duration.pp seconds
-      (effort_phase_to_string phase) pp_correlation (poller, au, poll_id)
+    Format.fprintf ppf "effort: %a (%s) spends %a on %s%a" pp_peer peer
+      (effort_role_to_string role) pp_duration seconds (effort_phase_to_string phase)
+      pp_correlation (poller, au, poll_id)
   | Effort_received { peer; from_; phase; au; poll_id; seconds } ->
-    Format.fprintf ppf "effort: %a proves %a of %s effort to %a%a" Ids.Identity.pp from_
-      Repro_prelude.Duration.pp seconds (effort_phase_to_string phase) Ids.Identity.pp
-      peer pp_correlation (None, Some au, Some poll_id)
+    Format.fprintf ppf "effort: %a proves %a of %s effort to %a%a" pp_peer from_ pp_duration
+      seconds (effort_phase_to_string phase) pp_peer peer pp_correlation
+      (None, Some au, Some poll_id)
   | Message_rejected { peer; from_; au; poll_id; msg_kind; reason } ->
-    Format.fprintf ppf "%a rejects %s from %a (%s)%a" Ids.Identity.pp peer msg_kind
-      Ids.Identity.pp from_
-      (reject_reason_to_string reason)
-      pp_correlation (None, Some au, poll_id)
+    Format.fprintf ppf "%a rejects %s from %a (%s)%a" pp_peer peer msg_kind pp_peer from_
+      (reject_reason_to_string reason) pp_correlation (None, Some au, poll_id)
   | Fault_dropped { src; dst } ->
-    Format.fprintf ppf "fault: message %a -> %a dropped" Ids.Identity.pp src
-      Ids.Identity.pp dst
+    Format.fprintf ppf "fault: message %a -> %a dropped" pp_peer src pp_peer dst
   | Fault_duplicated { src; dst } ->
-    Format.fprintf ppf "fault: message %a -> %a duplicated" Ids.Identity.pp src
-      Ids.Identity.pp dst
+    Format.fprintf ppf "fault: message %a -> %a duplicated" pp_peer src pp_peer dst
   | Fault_delayed { src; dst; extra } ->
-    Format.fprintf ppf "fault: message %a -> %a delayed by %a" Ids.Identity.pp src
-      Ids.Identity.pp dst Repro_prelude.Duration.pp extra
+    Format.fprintf ppf "fault: message %a -> %a delayed by %a" pp_peer src pp_peer dst
+      pp_duration extra
   | Partition_dropped { src; dst } ->
-    Format.fprintf ppf "partition: message %a -> %a blocked" Ids.Identity.pp src
-      Ids.Identity.pp dst
+    Format.fprintf ppf "partition: message %a -> %a blocked" pp_peer src pp_peer dst
   | Fault_corrupted { src; dst } ->
-    Format.fprintf ppf "fault: message %a -> %a corrupted" Ids.Identity.pp src
-      Ids.Identity.pp dst
+    Format.fprintf ppf "fault: message %a -> %a corrupted" pp_peer src pp_peer dst
   | Fault_replayed { src; dst; extra } ->
-    Format.fprintf ppf "fault: message %a -> %a replayed after %a" Ids.Identity.pp src
-      Ids.Identity.pp dst Repro_prelude.Duration.pp extra
+    Format.fprintf ppf "fault: message %a -> %a replayed after %a" pp_peer src pp_peer dst
+      pp_duration extra
   | Fault_stale { src; dst; extra } ->
-    Format.fprintf ppf "fault: message %a -> %a replayed stale after %a" Ids.Identity.pp
-      src Ids.Identity.pp dst Repro_prelude.Duration.pp extra
+    Format.fprintf ppf "fault: message %a -> %a replayed stale after %a" pp_peer src pp_peer
+      dst pp_duration extra
   | Fault_stray { src; dst } ->
-    Format.fprintf ppf "fault: stray message forged %a -> %a" Ids.Identity.pp src
-      Ids.Identity.pp dst
-  | Node_crashed { node } -> Format.fprintf ppf "fault: %a crashed" Ids.Identity.pp node
-  | Node_restarted { node } ->
-    Format.fprintf ppf "fault: %a restarted" Ids.Identity.pp node
+    Format.fprintf ppf "fault: stray message forged %a -> %a" pp_peer src pp_peer dst
+  | Node_crashed { node } -> Format.fprintf ppf "fault: %a crashed" pp_peer node
+  | Node_restarted { node } -> Format.fprintf ppf "fault: %a restarted" pp_peer node
   | Invariant_violated { invariant; peer; au; poll_id; detail } ->
     Format.fprintf ppf "INVARIANT %s violated%a: %s" invariant pp_correlation
       (peer, au, poll_id) detail
 
 (* -- Taxonomy ---------------------------------------------------------- *)
 
-let severity = function
-  | Solicitation_sent _ | Invitation_admitted _ | Invitation_refused _
-  | Invitation_accepted _ | Vote_sent _ | Poll_sampled _ | Evaluation_started _
-  | Effort_charged _ | Effort_received _ | Message_rejected _ | Fault_dropped _
-  | Fault_duplicated _ | Fault_delayed _ | Partition_dropped _ | Fault_corrupted _
-  | Fault_replayed _ | Fault_stale _ | Fault_stray _ ->
-    Debug
-  | Poll_started _ | Invitation_dropped _ | Repair_applied _
-  | Poll_concluded { outcome = Metrics.Success; _ }
-  | Node_crashed _ | Node_restarted _ ->
-    Info
-  | Poll_concluded { outcome = Metrics.Inquorate | Metrics.Alarmed; _ }
-  | Invariant_violated _ ->
-    Warn
+let kind event = match schema_of event with Schema s -> s.name
+let severity event = match schema_of event with Schema s -> s.severity event
+let all_kinds = Array.to_list (Array.map (fun (Schema s) -> s.name) schemas)
 
-let severity_to_string = function Debug -> "debug" | Info -> "info" | Warn -> "warn"
+let mentions (type a) id (shape : a shape) (v : a) =
+  match shape with
+  | Req (Int Peer) -> Ids.Identity.equal id v
+  | Opt (Int Peer) -> Option.equal Ids.Identity.equal (Some id) v
+  | Req Peers -> List.exists (Ids.Identity.equal id) v
+  | _ -> false
 
-let severity_of_string s =
-  match String.lowercase_ascii s with
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | _ -> None
+let rec involves_in : type k. event -> Ids.Identity.t -> k F.t -> bool =
+ fun event id -> function
+  | [] -> false
+  | f :: rest -> mentions id f.shape (f.get event) || involves_in event id rest
 
-let kind = function
-  | Poll_started _ -> "poll_started"
-  | Solicitation_sent _ -> "solicitation_sent"
-  | Invitation_dropped _ -> "invitation_dropped"
-  | Invitation_admitted _ -> "invitation_admitted"
-  | Invitation_refused _ -> "invitation_refused"
-  | Invitation_accepted _ -> "invitation_accepted"
-  | Vote_sent _ -> "vote_sent"
-  | Poll_sampled _ -> "poll_sampled"
-  | Evaluation_started _ -> "evaluation_started"
-  | Repair_applied _ -> "repair_applied"
-  | Poll_concluded _ -> "poll_concluded"
-  | Effort_charged _ -> "effort_charged"
-  | Effort_received _ -> "effort_received"
-  | Message_rejected _ -> "message_rejected"
-  | Fault_dropped _ -> "fault_dropped"
-  | Fault_duplicated _ -> "fault_duplicated"
-  | Fault_delayed _ -> "fault_delayed"
-  | Partition_dropped _ -> "partition_dropped"
-  | Fault_corrupted _ -> "fault_corrupted"
-  | Fault_replayed _ -> "fault_replayed"
-  | Fault_stale _ -> "fault_stale"
-  | Fault_stray _ -> "fault_stray"
-  | Node_crashed _ -> "node_crashed"
-  | Node_restarted _ -> "node_restarted"
-  | Invariant_violated _ -> "invariant_violated"
+let involves event id = match schema_of event with Schema s -> involves_in event id s.fields
 
-let all_kinds =
-  [
-    "poll_started";
-    "solicitation_sent";
-    "invitation_dropped";
-    "invitation_admitted";
-    "invitation_refused";
-    "invitation_accepted";
-    "vote_sent";
-    "poll_sampled";
-    "evaluation_started";
-    "repair_applied";
-    "poll_concluded";
-    "effort_charged";
-    "effort_received";
-    "message_rejected";
-    "fault_dropped";
-    "fault_duplicated";
-    "fault_delayed";
-    "partition_dropped";
-    "fault_corrupted";
-    "fault_replayed";
-    "fault_stale";
-    "fault_stray";
-    "node_crashed";
-    "node_restarted";
-    "invariant_violated";
-  ]
+let rec au_in : type k. event -> k F.t -> Ids.Au_id.t option =
+ fun event -> function
+  | [] -> None
+  | { shape = Req (Int Au); get; _ } :: _ -> Some (get event)
+  | { shape = Opt (Int Au); get; _ } :: _ -> get event
+  | _ :: rest -> au_in event rest
 
-let involves event id =
-  let eq = Ids.Identity.equal id in
-  match event with
-  | Poll_started { poller; _ } | Evaluation_started { poller; _ } -> eq poller
-  | Repair_applied { poller; _ } | Poll_concluded { poller; _ } -> eq poller
-  | Poll_sampled { poller; invited; _ } -> eq poller || List.exists eq invited
-  | Solicitation_sent { poller; voter; _ } -> eq poller || eq voter
-  | Invitation_dropped { voter; claimed; _ }
-  | Invitation_admitted { voter; claimed; _ } ->
-    eq voter || eq claimed
-  | Invitation_refused { voter; poller; _ }
-  | Invitation_accepted { voter; poller; _ }
-  | Vote_sent { voter; poller; _ } ->
-    eq voter || eq poller
-  | Effort_charged { peer; poller; _ } ->
-    eq peer || (match poller with Some p -> eq p | None -> false)
-  | Effort_received { peer; from_; _ } | Message_rejected { peer; from_; _ } ->
-    eq peer || eq from_
-  | Fault_dropped { src; dst } | Fault_duplicated { src; dst }
-  | Fault_delayed { src; dst; _ }
-  | Partition_dropped { src; dst }
-  | Fault_corrupted { src; dst }
-  | Fault_replayed { src; dst; _ }
-  | Fault_stale { src; dst; _ }
-  | Fault_stray { src; dst } ->
-    eq src || eq dst
-  | Node_crashed { node } | Node_restarted { node } -> eq node
-  | Invariant_violated { peer; _ } -> (
-    match peer with Some p -> eq p | None -> false)
+let au_of event = match schema_of event with Schema s -> au_in event s.fields
 
-let au_of = function
-  | Poll_started { au; _ }
-  | Solicitation_sent { au; _ }
-  | Invitation_dropped { au; _ }
-  | Invitation_admitted { au; _ }
-  | Invitation_refused { au; _ }
-  | Invitation_accepted { au; _ }
-  | Vote_sent { au; _ }
-  | Poll_sampled { au; _ }
-  | Evaluation_started { au; _ }
-  | Repair_applied { au; _ }
-  | Poll_concluded { au; _ }
-  | Effort_received { au; _ }
-  | Message_rejected { au; _ } ->
-    Some au
-  | Effort_charged { au; _ } | Invariant_violated { au; _ } -> au
-  | Fault_dropped _ | Fault_duplicated _ | Fault_delayed _ | Partition_dropped _
-  | Fault_corrupted _ | Fault_replayed _ | Fault_stale _ | Fault_stray _
-  | Node_crashed _ | Node_restarted _ ->
-    None
+(* -- JSON values ----------------------------------------------------- *)
 
-(* -- JSON round-trip --------------------------------------------------- *)
+let json_value (type a) (ty : a ty) (v : a) =
+  match ty with
+  | Int _ -> Json.Int v
+  | Float -> Json.Float v
+  | Bool -> Json.Bool v
+  | Text -> Json.String v
+  | Enum e -> Json.String (e.spell v)
+  | Peers -> Json.List (List.map (fun i -> Json.Int i) v)
 
-let drop_reason_to_string = function
-  | Admission.Refractory -> "refractory"
-  | Admission.Random_drop -> "random_drop"
-  | Admission.Known_rate_limited -> "known_rate_limited"
-
-let drop_reason_of_string = function
-  | "refractory" -> Some Admission.Refractory
-  | "random_drop" -> Some Admission.Random_drop
-  | "known_rate_limited" -> Some Admission.Known_rate_limited
-  | _ -> None
-
-let outcome_to_string = function
-  | Metrics.Success -> "success"
-  | Metrics.Inquorate -> "inquorate"
-  | Metrics.Alarmed -> "alarmed"
-
-let outcome_of_string = function
-  | "success" -> Some Metrics.Success
-  | "inquorate" -> Some Metrics.Inquorate
-  | "alarmed" -> Some Metrics.Alarmed
-  | _ -> None
+let rec json_fields : type k. event -> k F.t -> (string * Json.t) list =
+ fun event -> function
+  | [] -> []
+  | f :: rest -> (
+    match (f.shape, f.get event) with
+    | Req ty, v -> (f.key, json_value ty v) :: json_fields event rest
+    | Opt ty, Some v -> (f.key, json_value ty v) :: json_fields event rest
+    | Opt _, None -> json_fields event rest)
 
 let to_json ~time event =
-  let opt name = function None -> [] | Some v -> [ (name, Json.Int v) ] in
-  let fields =
-    match event with
-    | Poll_started { poller; au; poll_id; inner_candidates } ->
-      [
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("inner_candidates", Json.Int inner_candidates);
-      ]
-    | Solicitation_sent { poller; voter; au; poll_id; attempt } ->
-      [
-        ("poller", Json.Int poller);
-        ("voter", Json.Int voter);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("attempt", Json.Int attempt);
-      ]
-    | Invitation_dropped { voter; claimed; au; poll_id; reason } ->
-      [
-        ("voter", Json.Int voter);
-        ("claimed", Json.Int claimed);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("reason", Json.String (drop_reason_to_string reason));
-      ]
-    | Invitation_admitted { voter; claimed; au; poll_id; path } ->
-      [ ("voter", Json.Int voter); ("claimed", Json.Int claimed); ("au", Json.Int au) ]
-      @ opt "poll_id" poll_id
-      @ [ ("path", Json.String (admission_path_to_string path)) ]
-    | Invitation_refused { voter; poller; au; poll_id } ->
-      [
-        ("voter", Json.Int voter);
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-      ]
-    | Invitation_accepted { voter; poller; au; poll_id } ->
-      [
-        ("voter", Json.Int voter);
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-      ]
-    | Vote_sent { voter; poller; au; poll_id } ->
-      [
-        ("voter", Json.Int voter);
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-      ]
-    | Poll_sampled { poller; au; poll_id; invited; reference } ->
-      let ids xs = Json.List (List.map (fun i -> Json.Int i) xs) in
-      [
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("invited", ids invited);
-        ("reference", ids reference);
-      ]
-    | Evaluation_started { poller; au; poll_id; votes } ->
-      [
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("votes", Json.Int votes);
-      ]
-    | Repair_applied { poller; au; poll_id; block; version; clean } ->
-      [
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("block", Json.Int block);
-        ("version", Json.Int version);
-        ("clean", Json.Bool clean);
-      ]
-    | Poll_concluded { poller; au; poll_id; outcome } ->
-      [
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("outcome", Json.String (outcome_to_string outcome));
-      ]
-    | Effort_charged { peer; role; phase; poller; au; poll_id; seconds } ->
-      [
-        ("peer", Json.Int peer);
-        ("role", Json.String (effort_role_to_string role));
-        ("phase", Json.String (effort_phase_to_string phase));
-      ]
-      @ opt "poller" poller @ opt "au" au @ opt "poll_id" poll_id
-      @ [ ("seconds", Json.Float seconds) ]
-    | Effort_received { peer; from_; phase; au; poll_id; seconds } ->
-      [
-        ("peer", Json.Int peer);
-        ("from", Json.Int from_);
-        ("phase", Json.String (effort_phase_to_string phase));
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("seconds", Json.Float seconds);
-      ]
-    | Message_rejected { peer; from_; au; poll_id; msg_kind; reason } ->
-      [ ("peer", Json.Int peer); ("from", Json.Int from_); ("au", Json.Int au) ]
-      @ opt "poll_id" poll_id
-      @ [
-          ("msg_kind", Json.String msg_kind);
-          ("reason", Json.String (reject_reason_to_string reason));
-        ]
-    | Fault_dropped { src; dst }
-    | Fault_duplicated { src; dst }
-    | Partition_dropped { src; dst }
-    | Fault_corrupted { src; dst }
-    | Fault_stray { src; dst } ->
-      [ ("src", Json.Int src); ("dst", Json.Int dst) ]
-    | Fault_delayed { src; dst; extra }
-    | Fault_replayed { src; dst; extra }
-    | Fault_stale { src; dst; extra } ->
-      [ ("src", Json.Int src); ("dst", Json.Int dst); ("extra", Json.Float extra) ]
-    | Node_crashed { node } | Node_restarted { node } -> [ ("node", Json.Int node) ]
-    | Invariant_violated { invariant; peer; au; poll_id; detail } ->
-      [ ("invariant", Json.String invariant) ]
-      @ opt "peer" peer @ opt "au" au @ opt "poll_id" poll_id
-      @ [ ("detail", Json.String detail) ]
-  in
-  Json.Assoc
-    ([
-       ("t", Json.Float time);
-       ("severity", Json.String (severity_to_string (severity event)));
-       ("kind", Json.String (kind event));
-     ]
-    @ fields)
+  match schema_of event with
+  | Schema s ->
+    Json.Assoc
+      (("t", Json.Float time)
+      :: ("severity", Json.String (severity_to_string (s.severity event)))
+      :: ("kind", Json.String s.name)
+      :: json_fields event s.fields)
+
+let of_json_value (type a) (ty : a ty) json : a option =
+  match ty with
+  | Int _ -> Json.to_int json
+  | Float -> Json.to_float json
+  | Bool -> Json.to_bool json
+  | Text -> Json.string_value json
+  | Enum e -> Option.bind (Json.string_value json) (parse e)
+  | Peers -> (
+    match json with
+    | Json.List items ->
+      let ints = List.filter_map Json.to_int items in
+      if List.length ints = List.length items then Some ints else None
+    | _ -> None)
+
+let missing key = Error (Printf.sprintf "missing or malformed field %S" key)
+
+(* Optional fields are omitted when unknown; [null] is accepted too so
+   hand-written traces can be explicit. *)
+let json_field (type a) json (f : a field) : (a, string) result =
+  match (f.shape, Json.member f.key json) with
+  | Req ty, Some j -> ( match of_json_value ty j with Some v -> Ok v | None -> missing f.key)
+  | Req _, None -> missing f.key
+  | Opt _, (None | Some Json.Null) -> Ok None
+  | Opt ty, Some j -> (
+    match of_json_value ty j with
+    | Some v -> Ok (Some v)
+    | None -> Error (Printf.sprintf "malformed optional field %S" f.key))
+
+let rec decode_json : type k. Json.t -> k F.t -> k -> (event, string) result =
+ fun json fields make ->
+  match fields with
+  | [] -> Ok make
+  | f :: rest -> Result.bind (json_field json f) (fun v -> decode_json json rest (make v))
+
+let by_name = Hashtbl.create 32
+let () = Array.iter (fun (Schema s as schema) -> Hashtbl.replace by_name s.name schema) schemas
 
 let of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let field name decode =
-    match Option.bind (Json.member name json) decode with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or malformed field %S" name)
-  in
-  let int name = field name Json.to_int in
-  let bool name = field name Json.to_bool in
-  (* Optional correlation fields are simply omitted when unknown; [Null]
-     is accepted too so hand-written traces can be explicit. *)
-  let opt_int name =
-    match Json.member name json with
-    | None | Some Json.Null -> Ok None
-    | Some v -> (
-      match Json.to_int v with
-      | Some i -> Ok (Some i)
-      | None -> Error (Printf.sprintf "malformed optional field %S" name))
-  in
-  let int_list name =
-    field name (fun v ->
-        match v with
-        | Json.List items ->
-          let ints = List.filter_map Json.to_int items in
-          if List.length ints = List.length items then Some ints else None
-        | _ -> None)
-  in
-  let str name = field name Json.string_value in
-  let* time = field "t" Json.to_float in
-  let* kind = field "kind" Json.string_value in
-  let* event =
-    match kind with
-    | "poll_started" ->
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* inner_candidates = int "inner_candidates" in
-      Ok (Poll_started { poller; au; poll_id; inner_candidates })
-    | "solicitation_sent" ->
-      let* poller = int "poller" in
-      let* voter = int "voter" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* attempt = int "attempt" in
-      Ok (Solicitation_sent { poller; voter; au; poll_id; attempt })
-    | "invitation_dropped" ->
-      let* voter = int "voter" in
-      let* claimed = int "claimed" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* reason =
-        field "reason" (fun v -> Option.bind (Json.string_value v) drop_reason_of_string)
-      in
-      Ok (Invitation_dropped { voter; claimed; au; poll_id; reason })
-    | "invitation_admitted" ->
-      let* voter = int "voter" in
-      let* claimed = int "claimed" in
-      let* au = int "au" in
-      let* poll_id = opt_int "poll_id" in
-      let* path =
-        field "path" (fun v -> Option.bind (Json.string_value v) admission_path_of_string)
-      in
-      Ok (Invitation_admitted { voter; claimed; au; poll_id; path })
-    | "invitation_refused" ->
-      let* voter = int "voter" in
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      Ok (Invitation_refused { voter; poller; au; poll_id })
-    | "invitation_accepted" ->
-      let* voter = int "voter" in
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      Ok (Invitation_accepted { voter; poller; au; poll_id })
-    | "vote_sent" ->
-      let* voter = int "voter" in
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      Ok (Vote_sent { voter; poller; au; poll_id })
-    | "poll_sampled" ->
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* invited = int_list "invited" in
-      let* reference = int_list "reference" in
-      Ok (Poll_sampled { poller; au; poll_id; invited; reference })
-    | "evaluation_started" ->
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* votes = int "votes" in
-      Ok (Evaluation_started { poller; au; poll_id; votes })
-    | "repair_applied" ->
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* block = int "block" in
-      let* version = int "version" in
-      let* clean = bool "clean" in
-      Ok (Repair_applied { poller; au; poll_id; block; version; clean })
-    | "poll_concluded" ->
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* outcome =
-        field "outcome" (fun v -> Option.bind (Json.string_value v) outcome_of_string)
-      in
-      Ok (Poll_concluded { poller; au; poll_id; outcome })
-    | "effort_charged" ->
-      let* peer = int "peer" in
-      let* role =
-        field "role" (fun v -> Option.bind (Json.string_value v) effort_role_of_string)
-      in
-      let* phase =
-        field "phase" (fun v -> Option.bind (Json.string_value v) effort_phase_of_string)
-      in
-      let* poller = opt_int "poller" in
-      let* au = opt_int "au" in
-      let* poll_id = opt_int "poll_id" in
-      let* seconds = field "seconds" Json.to_float in
-      Ok (Effort_charged { peer; role; phase; poller; au; poll_id; seconds })
-    | "effort_received" ->
-      let* peer = int "peer" in
-      let* from_ = int "from" in
-      let* phase =
-        field "phase" (fun v -> Option.bind (Json.string_value v) effort_phase_of_string)
-      in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* seconds = field "seconds" Json.to_float in
-      Ok (Effort_received { peer; from_; phase; au; poll_id; seconds })
-    | "message_rejected" ->
-      let* peer = int "peer" in
-      let* from_ = int "from" in
-      let* au = int "au" in
-      let* poll_id = opt_int "poll_id" in
-      let* msg_kind = str "msg_kind" in
-      let* reason =
-        field "reason" (fun v -> Option.bind (Json.string_value v) reject_reason_of_string)
-      in
-      Ok (Message_rejected { peer; from_; au; poll_id; msg_kind; reason })
-    | "fault_dropped" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Ok (Fault_dropped { src; dst })
-    | "fault_duplicated" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Ok (Fault_duplicated { src; dst })
-    | "fault_delayed" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* extra = field "extra" Json.to_float in
-      Ok (Fault_delayed { src; dst; extra })
-    | "partition_dropped" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Ok (Partition_dropped { src; dst })
-    | "fault_corrupted" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Ok (Fault_corrupted { src; dst })
-    | "fault_replayed" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* extra = field "extra" Json.to_float in
-      Ok (Fault_replayed { src; dst; extra })
-    | "fault_stale" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* extra = field "extra" Json.to_float in
-      Ok (Fault_stale { src; dst; extra })
-    | "fault_stray" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Ok (Fault_stray { src; dst })
-    | "node_crashed" ->
-      let* node = int "node" in
-      Ok (Node_crashed { node })
-    | "node_restarted" ->
-      let* node = int "node" in
-      Ok (Node_restarted { node })
-    | "invariant_violated" ->
-      let* invariant = str "invariant" in
-      let* peer = opt_int "peer" in
-      let* au = opt_int "au" in
-      let* poll_id = opt_int "poll_id" in
-      let* detail = str "detail" in
-      Ok (Invariant_violated { invariant; peer; au; poll_id; detail })
-    | other -> Error (Printf.sprintf "unknown event kind %S" other)
-  in
-  Ok (time, event)
+  match
+    ( Option.bind (Json.member "t" json) Json.to_float,
+      Option.bind (Json.member "kind" json) Json.string_value )
+  with
+  | None, _ -> missing "t"
+  | _, None -> missing "kind"
+  | Some time, Some name -> (
+    match Hashtbl.find_opt by_name name with
+    | None -> Error (Printf.sprintf "unknown event kind %S" name)
+    | Some (Schema s) -> Result.map (fun e -> (time, e)) (decode_json json s.fields s.make))
+
+(* -- Binary decoding ------------------------------------------------------ *)
+
+(* A record as the binary sink writes it — "t", "severity", "kind", then
+   the fields in schema order, optional ones omitted — decodes straight
+   to the event. Any other record (keys in another order, a null
+   optional, a record converted from hand-written JSON) is read again
+   through [of_json], so the two readers accept exactly the same
+   records. *)
+exception Not_canonical
+
+let bin_scalar (type a) r (ty : a ty) : a =
+  match ty with
+  | Int _ -> Btrace.int r
+  | Float -> Btrace.float r
+  | Bool -> Btrace.bool r
+  | Text -> Btrace.string r
+  | Enum e -> ( match parse e (Btrace.string r) with Some v -> v | None -> raise Not_canonical)
+  | Peers ->
+    let rec items n acc = if n = 0 then List.rev acc else items (n - 1) (Btrace.int r :: acc) in
+    items (Btrace.list r) []
+
+let bin_field (type a) r (shape : a shape) : a =
+  match shape with Req ty -> bin_scalar r ty | Opt ty -> Some (bin_scalar r ty)
+
+(* [left] entries remain; when positive, [key] is the first one's key,
+   already read. *)
+let rec decode_binary : type k. Btrace.record -> int -> string -> k F.t -> k -> event =
+ fun r left key fields make ->
+  match fields with
+  | [] -> if left = 0 then make else raise Not_canonical
+  | f :: rest when left > 0 && String.equal key f.key ->
+    let v = bin_field r f.shape in
+    let left = left - 1 in
+    decode_binary r left (if left > 0 then Btrace.string r else "") rest (make v)
+  | { shape = Opt _; _ } :: rest -> decode_binary r left key rest (make None)
+  | _ -> raise Not_canonical
+
+let expect_key r key = if not (String.equal (Btrace.string r) key) then raise Not_canonical
+
+let of_binary r =
+  match
+    let left = Btrace.assoc r - 3 in
+    expect_key r "t";
+    let time = Btrace.float r in
+    expect_key r "severity";
+    ignore (Btrace.string r);
+    expect_key r "kind";
+    match Hashtbl.find_opt by_name (Btrace.string r) with
+    | Some (Schema s) when left >= 0 ->
+      (time, decode_binary r left (if left > 0 then Btrace.string r else "") s.fields s.make)
+    | _ -> raise Not_canonical
+  with
+  | decoded -> Ok decoded
+  | exception (Not_canonical | Btrace.Corrupt _) ->
+    Btrace.restart r;
+    of_json (Btrace.json r)
+
+let iter_file path ~f = Obs.Trace_file.iter_decoded path ~of_json ~of_binary ~f
 
 (* -- Analyzer views ----------------------------------------------------- *)
 
-(* Mirrors [to_json] for the fields the analyzers consume, without
-   building any JSON. [Obs.View.of_json (to_json ~time e)] and
-   [to_view ~time e] must agree — test_trace_pipeline checks this for
-   the whole taxonomy. *)
-let to_view ~time event : Obs.View.t =
-  let kind = kind event in
-  match event with
-  | Poll_started { poller; au; poll_id; inner_candidates } ->
-    Obs.View.make ~kind ~time ~poller ~au ~poll_id ~inner_candidates ()
-  | Solicitation_sent { poller; voter; au; poll_id; attempt = _ } ->
-    Obs.View.make ~kind ~time ~poller ~voter ~au ~poll_id ()
-  | Invitation_dropped { voter; claimed; au; poll_id; reason = _ } ->
-    Obs.View.make ~kind ~time ~voter ~claimed ~au ~poll_id ()
-  | Invitation_admitted { voter; claimed; au; poll_id; path = _ } ->
-    Obs.View.make ~kind ~time ~voter ~claimed ~au ?poll_id ()
-  | Invitation_refused { voter; poller; au; poll_id }
-  | Invitation_accepted { voter; poller; au; poll_id }
-  | Vote_sent { voter; poller; au; poll_id } ->
-    Obs.View.make ~kind ~time ~voter ~poller ~au ~poll_id ()
-  | Poll_sampled { poller; au; poll_id; invited = _; reference = _ } ->
-    Obs.View.make ~kind ~time ~poller ~au ~poll_id ()
-  | Evaluation_started { poller; au; poll_id; votes } ->
-    Obs.View.make ~kind ~time ~poller ~au ~poll_id ~votes ()
-  | Repair_applied { poller; au; poll_id; block = _; version = _; clean = _ } ->
-    Obs.View.make ~kind ~time ~poller ~au ~poll_id ()
-  | Poll_concluded { poller; au; poll_id; outcome } ->
-    Obs.View.make ~kind ~time ~poller ~au ~poll_id
-      ~outcome:(outcome_to_string outcome) ()
-  | Effort_charged { peer; role; phase; poller; au; poll_id; seconds } ->
-    Obs.View.make ~kind ~time ~peer ~role:(effort_role_to_string role)
-      ~phase:(effort_phase_to_string phase) ?poller ?au ?poll_id ~seconds ()
-  | Effort_received { peer; from_; phase; au; poll_id; seconds } ->
-    Obs.View.make ~kind ~time ~peer ~from_
-      ~phase:(effort_phase_to_string phase)
-      ~au ~poll_id ~seconds ()
-  | Message_rejected { peer; from_; au; poll_id; msg_kind = _; reason = _ } ->
-    Obs.View.make ~kind ~time ~peer ~from_ ~au ?poll_id ()
-  | Fault_dropped _ | Fault_duplicated _ | Fault_delayed _ | Partition_dropped _
-  | Fault_corrupted _ | Fault_replayed _ | Fault_stale _ | Fault_stray _
-  | Node_crashed _ | Node_restarted _ ->
-    Obs.View.make ~kind ~time ()
-  | Invariant_violated { invariant = _; peer; au; poll_id; detail = _ } ->
-    Obs.View.make ~kind ~time ?peer ?au ?poll_id ()
+(* [to_view] projects the fields whose keys the analyzers read, so
+   [Obs.View.of_json (to_json ~time e)] and [to_view ~time e] agree by
+   construction. Each kind's projection is assembled once, at start-up,
+   from getters found by key: per event it costs a call per field the
+   kind has and one record. *)
+
+(* What an analyzer view field holds. *)
+type _ slot = Num_slot : int slot | Float_slot : float slot | Token_slot : string slot
+
+let view_value : type a b. b slot -> a shape -> (event -> a) -> (event -> b option) option =
+ fun slot shape get ->
+  match (slot, shape) with
+  | Num_slot, Req (Int _) -> Some (fun e -> Some (get e))
+  | Num_slot, Opt (Int _) -> Some get
+  | Float_slot, Req Float -> Some (fun e -> Some (get e))
+  | Token_slot, Req (Enum en) -> Some (fun e -> Some (en.spell (get e)))
+  | _ -> None
+
+let rec view_getter : type k b. b slot -> string -> k F.t -> (event -> b option) option =
+ fun slot key -> function
+  | [] -> None
+  | f :: _ when String.equal f.key key -> view_value slot f.shape f.get
+  | _ :: rest -> view_getter slot key rest
+
+let ap getter e = match getter with Some g -> g e | None -> None
+
+let build_view (Schema s) =
+  let int key = view_getter Num_slot key s.fields in
+  let token key = view_getter Token_slot key s.fields in
+  let poller = int "poller" and voter = int "voter" and claimed = int "claimed" in
+  let peer = int "peer" and from_ = int "from" and au = int "au" in
+  let poll_id = int "poll_id" and inner_candidates = int "inner_candidates" in
+  let votes = int "votes" and seconds = view_getter Float_slot "seconds" s.fields in
+  let role = token "role" and phase = token "phase" and outcome = token "outcome" in
+  let kind = s.name in
+  fun ~time e ->
+    {
+      Obs.View.kind;
+      time;
+      poller = ap poller e;
+      voter = ap voter e;
+      claimed = ap claimed e;
+      peer = ap peer e;
+      from_ = ap from_ e;
+      au = ap au e;
+      poll_id = ap poll_id e;
+      inner_candidates = ap inner_candidates e;
+      votes = ap votes e;
+      seconds = ap seconds e;
+      role = ap role e;
+      phase = ap phase e;
+      outcome = ap outcome e;
+    }
+
+let views = Array.map build_view schemas
+let to_view ~time event = (Array.unsafe_get views (index event)) ~time event
 
 (* -- Sinks ------------------------------------------------------------- *)
 
 type sink = time:float -> event -> unit
 
-let severity_at_least min s =
-  match (min, s) with
-  | Debug, _ -> true
-  | Info, (Info | Warn) -> true
-  | Warn, Warn -> true
-  | _ -> false
+let severity_at_least min s = severity_rank s >= severity_rank min
 
 let pretty_sink ?(min_severity = Debug) ppf ~time event =
   if severity_at_least min_severity (severity event) then
-    Format.fprintf ppf "[%a] [%s] %a@." Repro_prelude.Duration.pp time
+    Format.fprintf ppf "[%a] [%s] %a@." pp_duration time
       (severity_to_string (severity event))
       pp_event event
 
-(* Direct event-to-bytes serializer producing exactly the bytes of
-   [Json.write buf (to_json ~time event)] without building the
-   intermediate tree — the hot path under a debug-level file sink.
-   Byte parity with [to_json] is guarded by a test in
-   test/test_trace_pipeline.ml; enum tokens, kinds and severities are
-   known escape-free identifiers and are written raw.
-   [write_jsonl_rest] is everything after the rendered time literal, so
-   {!buffered_jsonl_sink} can cache that literal across the frequent
-   consecutive events sharing a timestamp. [float_lit] renders payload
-   floats; the sink passes a memoizing variant (effort charges are
-   config constants, so a trace carries only a handful of distinct
-   values). *)
-(* Keys pre-rendered with separator and quotes so each field prefix is
-   one buffer append instead of three. *)
-let k_poller = ",\"poller\":"
-let k_voter = ",\"voter\":"
-let k_au = ",\"au\":"
-let k_poll_id = ",\"poll_id\":"
-let k_inner_candidates = ",\"inner_candidates\":"
-let k_attempt = ",\"attempt\":"
-let k_claimed = ",\"claimed\":"
-let k_reason = ",\"reason\":"
-let k_path = ",\"path\":"
-let k_invited = ",\"invited\":"
-let k_reference = ",\"reference\":"
-let k_votes = ",\"votes\":"
-let k_block = ",\"block\":"
-let k_version = ",\"version\":"
-let k_outcome = ",\"outcome\":"
-let k_peer = ",\"peer\":"
-let k_role = ",\"role\":"
-let k_phase = ",\"phase\":"
-let k_from = ",\"from\":"
-let k_seconds = ",\"seconds\":"
-let k_src = ",\"src\":"
-let k_dst = ",\"dst\":"
-let k_extra = ",\"extra\":"
-let k_node = ",\"node\":"
-let k_invariant = ",\"invariant\":"
-let k_detail = ",\"detail\":"
-let k_msg_kind = ",\"msg_kind\":"
-
-(* Field helpers at top level, taking the buffer as an argument:
-   defining them inside [write_jsonl_rest] would allocate one closure
-   per helper per event. *)
-let int_field buf k i =
-  Buffer.add_string buf k;
-  Json.write_int buf i
-
-let tok_field buf k s =
-  Buffer.add_string buf k;
-  Buffer.add_char buf '"';
-  Buffer.add_string buf s;
-  Buffer.add_char buf '"'
-
-let str_field buf k s =
-  Buffer.add_string buf k;
-  Json.write buf (Json.String s)
-
-let opt_field buf k = function None -> () | Some i -> int_field buf k i
-
-let rec ids_items buf first = function
+(* The text writer appends exactly the bytes of
+   [Json.write buf (to_json ~time event)] without building the tree.
+   Tokens, kinds and severities are escape-free identifiers and are
+   written raw. [float_lit] renders payload floats; the buffered sink
+   passes a memoizing one. The helpers are top-level functions taking the
+   buffer, not closures: a local helper would allocate per event. *)
+let rec jsonl_ids buf first = function
   | [] -> ()
   | x :: rest ->
     if not first then Buffer.add_char buf ',';
     Json.write_int buf x;
-    ids_items buf false rest
+    jsonl_ids buf false rest
 
-let ids_field buf k xs =
-  Buffer.add_string buf k;
-  Buffer.add_char buf '[';
-  ids_items buf true xs;
-  Buffer.add_char buf ']'
+let jsonl_value (type a) buf (float_lit : float -> string) key (ty : a ty) (v : a) =
+  Buffer.add_string buf key;
+  match ty with
+  | Int _ -> Json.write_int buf v
+  | Float -> Buffer.add_string buf (float_lit v)
+  | Bool -> Buffer.add_string buf (if v then "true" else "false")
+  | Text -> Json.write buf (Json.String v)
+  | Enum e ->
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (e.spell v);
+    Buffer.add_char buf '"'
+  | Peers ->
+    Buffer.add_char buf '[';
+    jsonl_ids buf true v;
+    Buffer.add_char buf ']'
 
-let float_field buf float_lit k f =
-  Buffer.add_string buf k;
-  Buffer.add_string buf (float_lit f)
+let rec jsonl_fields : type k. Buffer.t -> (float -> string) -> event -> k F.t -> unit =
+ fun buf float_lit event -> function
+  | [] -> ()
+  | f :: rest ->
+    (match (f.shape, f.get event) with
+    | Req ty, v -> jsonl_value buf float_lit f.jsonl_key ty v
+    | Opt ty, Some v -> jsonl_value buf float_lit f.jsonl_key ty v
+    | Opt _, None -> ());
+    jsonl_fields buf float_lit event rest
 
 let write_jsonl_rest ?(float_lit = Json.float_literal) buf event =
-  Buffer.add_string buf ",\"severity\":\"";
-  Buffer.add_string buf (severity_to_string (severity event));
-  Buffer.add_string buf "\",\"kind\":\"";
-  Buffer.add_string buf (kind event);
-  Buffer.add_char buf '"';
-  (match event with
-  | Poll_started { poller; au; poll_id; inner_candidates } ->
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    int_field buf k_inner_candidates inner_candidates
-  | Solicitation_sent { poller; voter; au; poll_id; attempt } ->
-    int_field buf k_poller poller;
-    int_field buf k_voter voter;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    int_field buf k_attempt attempt
-  | Invitation_dropped { voter; claimed; au; poll_id; reason } ->
-    int_field buf k_voter voter;
-    int_field buf k_claimed claimed;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    tok_field buf k_reason (drop_reason_to_string reason)
-  | Invitation_admitted { voter; claimed; au; poll_id; path } ->
-    int_field buf k_voter voter;
-    int_field buf k_claimed claimed;
-    int_field buf k_au au;
-    opt_field buf k_poll_id poll_id;
-    tok_field buf k_path (admission_path_to_string path)
-  | Invitation_refused { voter; poller; au; poll_id }
-  | Invitation_accepted { voter; poller; au; poll_id }
-  | Vote_sent { voter; poller; au; poll_id } ->
-    int_field buf k_voter voter;
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id
-  | Poll_sampled { poller; au; poll_id; invited; reference } ->
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    ids_field buf k_invited invited;
-    ids_field buf k_reference reference
-  | Evaluation_started { poller; au; poll_id; votes } ->
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    int_field buf k_votes votes
-  | Repair_applied { poller; au; poll_id; block; version; clean } ->
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    int_field buf k_block block;
-    int_field buf k_version version;
-    Buffer.add_string buf (if clean then ",\"clean\":true" else ",\"clean\":false")
-  | Poll_concluded { poller; au; poll_id; outcome } ->
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    tok_field buf k_outcome (outcome_to_string outcome)
-  | Effort_charged { peer; role; phase; poller; au; poll_id; seconds } ->
-    int_field buf k_peer peer;
-    tok_field buf k_role (effort_role_to_string role);
-    tok_field buf k_phase (effort_phase_to_string phase);
-    opt_field buf k_poller poller;
-    opt_field buf k_au au;
-    opt_field buf k_poll_id poll_id;
-    float_field buf float_lit k_seconds seconds
-  | Effort_received { peer; from_; phase; au; poll_id; seconds } ->
-    int_field buf k_peer peer;
-    int_field buf k_from from_;
-    tok_field buf k_phase (effort_phase_to_string phase);
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    float_field buf float_lit k_seconds seconds
-  | Message_rejected { peer; from_; au; poll_id; msg_kind; reason } ->
-    int_field buf k_peer peer;
-    int_field buf k_from from_;
-    int_field buf k_au au;
-    opt_field buf k_poll_id poll_id;
-    tok_field buf k_msg_kind msg_kind;
-    tok_field buf k_reason (reject_reason_to_string reason)
-  | Fault_dropped { src; dst }
-  | Fault_duplicated { src; dst }
-  | Partition_dropped { src; dst }
-  | Fault_corrupted { src; dst }
-  | Fault_stray { src; dst } ->
-    int_field buf k_src src;
-    int_field buf k_dst dst
-  | Fault_delayed { src; dst; extra }
-  | Fault_replayed { src; dst; extra }
-  | Fault_stale { src; dst; extra } ->
-    int_field buf k_src src;
-    int_field buf k_dst dst;
-    float_field buf float_lit k_extra extra
-  | Node_crashed { node } | Node_restarted { node } -> int_field buf k_node node
-  | Invariant_violated { invariant; peer; au; poll_id; detail } ->
-    str_field buf k_invariant invariant;
-    opt_field buf k_peer peer;
-    opt_field buf k_au au;
-    opt_field buf k_poll_id poll_id;
-    str_field buf k_detail detail);
-  Buffer.add_char buf '}'
+  match schema_of event with
+  | Schema s ->
+    Buffer.add_string buf ",\"severity\":\"";
+    Buffer.add_string buf (severity_to_string (s.severity event));
+    Buffer.add_string buf "\",\"kind\":\"";
+    Buffer.add_string buf s.name;
+    Buffer.add_char buf '"';
+    jsonl_fields buf float_lit event s.fields;
+    Buffer.add_char buf '}'
 
 let write_jsonl buf ~time event =
   Buffer.add_string buf "{\"t\":";
@@ -1123,351 +995,64 @@ let buffered_jsonl_sink ?(min_severity = Debug) sink =
       Obs.Sink.write_buffer sink ~now:time scratch
     end
 
-(* -- Direct binary encoding --------------------------------------------- *)
+(* The binary writer assembles the record field by field, byte-identical
+   to [Btrace.write (to_json ~time event)] — intern ids included — with
+   every recurring string resolved through an atom. *)
+let a_t = Btrace.atom "t"
+let a_severity = Btrace.atom "severity"
+let a_kind = Btrace.atom "kind"
 
-(* Interned-string handles for every recurring string of the encoding,
-   registered once: the binary sink resolves each through an array load
-   instead of a hashtable lookup per field. Byte parity with
-   [Obs.Btrace.write (to_json ~time event)] is guarded by a test in
-   test/test_trace_pipeline.ml. *)
-
-let a_t = Obs.Btrace.atom "t"
-let a_severity = Obs.Btrace.atom "severity"
-let a_kind = Obs.Btrace.atom "kind"
-let a_poller = Obs.Btrace.atom "poller"
-let a_au = Obs.Btrace.atom "au"
-let a_poll_id = Obs.Btrace.atom "poll_id"
-let a_inner_candidates = Obs.Btrace.atom "inner_candidates"
-let a_voter = Obs.Btrace.atom "voter"
-let a_attempt = Obs.Btrace.atom "attempt"
-let a_claimed = Obs.Btrace.atom "claimed"
-let a_reason = Obs.Btrace.atom "reason"
-let a_path = Obs.Btrace.atom "path"
-let a_invited = Obs.Btrace.atom "invited"
-let a_reference = Obs.Btrace.atom "reference"
-let a_votes = Obs.Btrace.atom "votes"
-let a_block = Obs.Btrace.atom "block"
-let a_version = Obs.Btrace.atom "version"
-let a_clean = Obs.Btrace.atom "clean"
-let a_outcome = Obs.Btrace.atom "outcome"
-let a_peer = Obs.Btrace.atom "peer"
-let a_role = Obs.Btrace.atom "role"
-let a_phase = Obs.Btrace.atom "phase"
-let a_seconds = Obs.Btrace.atom "seconds"
-let a_from = Obs.Btrace.atom "from"
-let a_src = Obs.Btrace.atom "src"
-let a_extra = Obs.Btrace.atom "extra"
-let a_dst = Obs.Btrace.atom "dst"
-let a_node = Obs.Btrace.atom "node"
-let a_invariant = Obs.Btrace.atom "invariant"
-let a_detail = Obs.Btrace.atom "detail"
-let a_msg_kind = Obs.Btrace.atom "msg_kind"
-let a_sev_debug = Obs.Btrace.atom "debug"
-let a_sev_info = Obs.Btrace.atom "info"
-let a_sev_warn = Obs.Btrace.atom "warn"
-
-let severity_atom = function
-  | Debug -> a_sev_debug
-  | Info -> a_sev_info
-  | Warn -> a_sev_warn
-
-let a_k_poll_started = Obs.Btrace.atom "poll_started"
-let a_k_solicitation_sent = Obs.Btrace.atom "solicitation_sent"
-let a_k_invitation_dropped = Obs.Btrace.atom "invitation_dropped"
-let a_k_invitation_admitted = Obs.Btrace.atom "invitation_admitted"
-let a_k_invitation_refused = Obs.Btrace.atom "invitation_refused"
-let a_k_invitation_accepted = Obs.Btrace.atom "invitation_accepted"
-let a_k_vote_sent = Obs.Btrace.atom "vote_sent"
-let a_k_poll_sampled = Obs.Btrace.atom "poll_sampled"
-let a_k_evaluation_started = Obs.Btrace.atom "evaluation_started"
-let a_k_repair_applied = Obs.Btrace.atom "repair_applied"
-let a_k_poll_concluded = Obs.Btrace.atom "poll_concluded"
-let a_k_effort_charged = Obs.Btrace.atom "effort_charged"
-let a_k_effort_received = Obs.Btrace.atom "effort_received"
-let a_k_message_rejected = Obs.Btrace.atom "message_rejected"
-let a_k_fault_dropped = Obs.Btrace.atom "fault_dropped"
-let a_k_fault_duplicated = Obs.Btrace.atom "fault_duplicated"
-let a_k_fault_delayed = Obs.Btrace.atom "fault_delayed"
-let a_k_partition_dropped = Obs.Btrace.atom "partition_dropped"
-let a_k_fault_corrupted = Obs.Btrace.atom "fault_corrupted"
-let a_k_fault_replayed = Obs.Btrace.atom "fault_replayed"
-let a_k_fault_stale = Obs.Btrace.atom "fault_stale"
-let a_k_fault_stray = Obs.Btrace.atom "fault_stray"
-let a_k_node_crashed = Obs.Btrace.atom "node_crashed"
-let a_k_node_restarted = Obs.Btrace.atom "node_restarted"
-let a_k_invariant_violated = Obs.Btrace.atom "invariant_violated"
-
-let kind_atom = function
-  | Poll_started _ -> a_k_poll_started
-  | Solicitation_sent _ -> a_k_solicitation_sent
-  | Invitation_dropped _ -> a_k_invitation_dropped
-  | Invitation_admitted _ -> a_k_invitation_admitted
-  | Invitation_refused _ -> a_k_invitation_refused
-  | Invitation_accepted _ -> a_k_invitation_accepted
-  | Vote_sent _ -> a_k_vote_sent
-  | Poll_sampled _ -> a_k_poll_sampled
-  | Evaluation_started _ -> a_k_evaluation_started
-  | Repair_applied _ -> a_k_repair_applied
-  | Poll_concluded _ -> a_k_poll_concluded
-  | Effort_charged _ -> a_k_effort_charged
-  | Effort_received _ -> a_k_effort_received
-  | Message_rejected _ -> a_k_message_rejected
-  | Fault_dropped _ -> a_k_fault_dropped
-  | Fault_duplicated _ -> a_k_fault_duplicated
-  | Fault_delayed _ -> a_k_fault_delayed
-  | Partition_dropped _ -> a_k_partition_dropped
-  | Fault_corrupted _ -> a_k_fault_corrupted
-  | Fault_replayed _ -> a_k_fault_replayed
-  | Fault_stale _ -> a_k_fault_stale
-  | Fault_stray _ -> a_k_fault_stray
-  | Node_crashed _ -> a_k_node_crashed
-  | Node_restarted _ -> a_k_node_restarted
-  | Invariant_violated _ -> a_k_invariant_violated
-
-let a_reason_refractory = Obs.Btrace.atom "refractory"
-let a_reason_random_drop = Obs.Btrace.atom "random_drop"
-let a_reason_known_rate_limited = Obs.Btrace.atom "known_rate_limited"
-
-let reason_atom = function
-  | Admission.Refractory -> a_reason_refractory
-  | Admission.Random_drop -> a_reason_random_drop
-  | Admission.Known_rate_limited -> a_reason_known_rate_limited
-
-let a_reject_bad_au = Obs.Btrace.atom "bad_au"
-let a_reject_not_held = Obs.Btrace.atom "not_held"
-let a_reject_unknown_poll = Obs.Btrace.atom "unknown_poll"
-let a_reject_uninvited = Obs.Btrace.atom "uninvited"
-let a_reject_wrong_state = Obs.Btrace.atom "wrong_state"
-let a_reject_wrong_phase = Obs.Btrace.atom "wrong_phase"
-let a_reject_unknown_session = Obs.Btrace.atom "unknown_session"
-let a_reject_stale_closed = Obs.Btrace.atom "stale_closed"
-let a_reject_bad_block = Obs.Btrace.atom "bad_block"
-
-let reject_reason_atom = function
-  | Bad_au -> a_reject_bad_au
-  | Not_held -> a_reject_not_held
-  | Unknown_poll -> a_reject_unknown_poll
-  | Uninvited -> a_reject_uninvited
-  | Wrong_state -> a_reject_wrong_state
-  | Wrong_phase -> a_reject_wrong_phase
-  | Unknown_session -> a_reject_unknown_session
-  | Stale_closed -> a_reject_stale_closed
-  | Bad_block -> a_reject_bad_block
-
-let a_path_introduced = Obs.Btrace.atom "introduced"
-let a_path_unknown = Obs.Btrace.atom "unknown"
-let a_path_known_debt = Obs.Btrace.atom "known_debt"
-let a_path_known_even = Obs.Btrace.atom "known_even"
-let a_path_known_credit = Obs.Btrace.atom "known_credit"
-
-let path_atom = function
-  | Admitted_introduced -> a_path_introduced
-  | Admitted_unknown -> a_path_unknown
-  | Admitted_known Grade.Debt -> a_path_known_debt
-  | Admitted_known Grade.Even -> a_path_known_even
-  | Admitted_known Grade.Credit -> a_path_known_credit
-
-let a_outcome_success = Obs.Btrace.atom "success"
-let a_outcome_inquorate = Obs.Btrace.atom "inquorate"
-let a_outcome_alarmed = Obs.Btrace.atom "alarmed"
-
-let outcome_atom = function
-  | Metrics.Success -> a_outcome_success
-  | Metrics.Inquorate -> a_outcome_inquorate
-  | Metrics.Alarmed -> a_outcome_alarmed
-
-let a_role_loyal = Obs.Btrace.atom "loyal"
-let a_role_adversary = Obs.Btrace.atom "adversary"
-let role_atom = function Loyal -> a_role_loyal | Adversary -> a_role_adversary
-
-let a_phase_admission = Obs.Btrace.atom "admission"
-let a_phase_solicitation = Obs.Btrace.atom "solicitation"
-let a_phase_voting = Obs.Btrace.atom "voting"
-let a_phase_evaluation = Obs.Btrace.atom "evaluation"
-let a_phase_repair = Obs.Btrace.atom "repair"
-
-let phase_atom = function
-  | Admission -> a_phase_admission
-  | Solicitation -> a_phase_solicitation
-  | Voting -> a_phase_voting
-  | Evaluation -> a_phase_evaluation
-  | Repair -> a_phase_repair
-
-(* Per-field helpers at top level, like the jsonl ones above: locals
-   capturing [w] would cost a closure allocation on every event. *)
-let bin_int_field w a v =
-  Obs.Btrace.put_atom w a;
-  Obs.Btrace.put_int w v
-
-let bin_opt_field w a = function None -> () | Some v -> bin_int_field w a v
-
-let rec bin_ids_items w = function
+let rec bin_ids w = function
   | [] -> ()
   | x :: rest ->
-    Obs.Btrace.put_int w x;
-    bin_ids_items w rest
+    Btrace.put_int w x;
+    bin_ids w rest
 
-let bin_ids_field w a xs =
-  Obs.Btrace.put_atom w a;
-  Obs.Btrace.put_list_header w (List.length xs);
-  bin_ids_items w xs
+let bin_value (type a) w key (ty : a ty) (v : a) =
+  Btrace.put_atom w key;
+  match ty with
+  | Int _ -> Btrace.put_int w v
+  | Float -> Btrace.put_float w v
+  | Bool -> Btrace.put_bool w v
+  | Text -> Btrace.put_string w v
+  | Enum e -> Btrace.put_atom w (enum_atom e v)
+  | Peers ->
+    Btrace.put_list_header w (List.length v);
+    bin_ids w v
 
-(* Assembles the record field by field — byte-identical to encoding
-   [to_json ~time event] through the generic path, without building the
-   JSON value. *)
+let rec present : type k. event -> k F.t -> int =
+ fun event -> function
+  | [] -> 0
+  | { shape = Opt _; get; _ } :: rest ->
+    Bool.to_int (Option.is_some (get event)) + present event rest
+  | _ :: rest -> 1 + present event rest
+
+let rec bin_fields : type k. Btrace.writer -> event -> k F.t -> unit =
+ fun w event -> function
+  | [] -> ()
+  | f :: rest ->
+    (match (f.shape, f.get event) with
+    | Req ty, v -> bin_value w f.atom ty v
+    | Opt ty, Some v -> bin_value w f.atom ty v
+    | Opt _, None -> ());
+    bin_fields w event rest
+
 let write_binary w ~time event =
-  let module B = Obs.Btrace in
-  B.begin_record w;
-  let n = match event with
-    | Poll_started _ -> 4
-    | Solicitation_sent _ -> 5
-    | Invitation_dropped _ -> 5
-    | Invitation_admitted { poll_id; _ } -> 4 + (if poll_id = None then 0 else 1)
-    | Invitation_refused _ | Invitation_accepted _ | Vote_sent _ -> 4
-    | Poll_sampled _ -> 5
-    | Evaluation_started _ -> 4
-    | Repair_applied _ -> 6
-    | Poll_concluded _ -> 4
-    | Effort_charged { poller; au; poll_id; _ } ->
-      4
-      + (if poller = None then 0 else 1)
-      + (if au = None then 0 else 1)
-      + if poll_id = None then 0 else 1
-    | Effort_received _ -> 6
-    | Message_rejected { poll_id; _ } -> 5 + (if poll_id = None then 0 else 1)
-    | Fault_dropped _ | Fault_duplicated _ | Partition_dropped _ | Fault_corrupted _
-    | Fault_stray _ ->
-      2
-    | Fault_delayed _ | Fault_replayed _ | Fault_stale _ -> 3
-    | Node_crashed _ | Node_restarted _ -> 1
-    | Invariant_violated { peer; au; poll_id; _ } ->
-      2
-      + (if peer = None then 0 else 1)
-      + (if au = None then 0 else 1)
-      + if poll_id = None then 0 else 1
-  in
-  B.put_assoc_header w (3 + n);
-  B.put_atom w a_t;
-  B.put_float w time;
-  B.put_atom w a_severity;
-  B.put_atom w (severity_atom (severity event));
-  B.put_atom w a_kind;
-  B.put_atom w (kind_atom event);
-  (match event with
-  | Poll_started { poller; au; poll_id; inner_candidates } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    bin_int_field w a_inner_candidates inner_candidates
-  | Solicitation_sent { poller; voter; au; poll_id; attempt } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_voter voter;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    bin_int_field w a_attempt attempt
-  | Invitation_dropped { voter; claimed; au; poll_id; reason } ->
-    bin_int_field w a_voter voter;
-    bin_int_field w a_claimed claimed;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    B.put_atom w a_reason;
-    B.put_atom w (reason_atom reason)
-  | Invitation_admitted { voter; claimed; au; poll_id; path } ->
-    bin_int_field w a_voter voter;
-    bin_int_field w a_claimed claimed;
-    bin_int_field w a_au au;
-    bin_opt_field w a_poll_id poll_id;
-    B.put_atom w a_path;
-    B.put_atom w (path_atom path)
-  | Invitation_refused { voter; poller; au; poll_id }
-  | Invitation_accepted { voter; poller; au; poll_id }
-  | Vote_sent { voter; poller; au; poll_id } ->
-    bin_int_field w a_voter voter;
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id
-  | Poll_sampled { poller; au; poll_id; invited; reference } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    bin_ids_field w a_invited invited;
-    bin_ids_field w a_reference reference
-  | Evaluation_started { poller; au; poll_id; votes } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    bin_int_field w a_votes votes
-  | Repair_applied { poller; au; poll_id; block; version; clean } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    bin_int_field w a_block block;
-    bin_int_field w a_version version;
-    B.put_atom w a_clean;
-    B.put_bool w clean
-  | Poll_concluded { poller; au; poll_id; outcome } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    B.put_atom w a_outcome;
-    B.put_atom w (outcome_atom outcome)
-  | Effort_charged { peer; role; phase; poller; au; poll_id; seconds } ->
-    bin_int_field w a_peer peer;
-    B.put_atom w a_role;
-    B.put_atom w (role_atom role);
-    B.put_atom w a_phase;
-    B.put_atom w (phase_atom phase);
-    bin_opt_field w a_poller poller;
-    bin_opt_field w a_au au;
-    bin_opt_field w a_poll_id poll_id;
-    B.put_atom w a_seconds;
-    B.put_float w seconds
-  | Effort_received { peer; from_; phase; au; poll_id; seconds } ->
-    bin_int_field w a_peer peer;
-    bin_int_field w a_from from_;
-    B.put_atom w a_phase;
-    B.put_atom w (phase_atom phase);
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    B.put_atom w a_seconds;
-    B.put_float w seconds
-  | Message_rejected { peer; from_; au; poll_id; msg_kind; reason } ->
-    bin_int_field w a_peer peer;
-    bin_int_field w a_from from_;
-    bin_int_field w a_au au;
-    bin_opt_field w a_poll_id poll_id;
-    B.put_atom w a_msg_kind;
-    B.put_string w msg_kind;
-    B.put_atom w a_reason;
-    B.put_atom w (reject_reason_atom reason)
-  | Fault_dropped { src; dst }
-  | Fault_duplicated { src; dst }
-  | Partition_dropped { src; dst }
-  | Fault_corrupted { src; dst }
-  | Fault_stray { src; dst } ->
-    bin_int_field w a_src src;
-    bin_int_field w a_dst dst
-  | Fault_delayed { src; dst; extra }
-  | Fault_replayed { src; dst; extra }
-  | Fault_stale { src; dst; extra } ->
-    bin_int_field w a_src src;
-    bin_int_field w a_dst dst;
-    B.put_atom w a_extra;
-    B.put_float w extra
-  | Node_crashed { node } | Node_restarted { node } -> bin_int_field w a_node node
-  | Invariant_violated { invariant; peer; au; poll_id; detail } ->
-    B.put_atom w a_invariant;
-    B.put_string w invariant;
-    bin_opt_field w a_peer peer;
-    bin_opt_field w a_au au;
-    bin_opt_field w a_poll_id poll_id;
-    B.put_atom w a_detail;
-    B.put_string w detail);
-  B.end_record w ~now:time ()
+  match schema_of event with
+  | Schema s ->
+    Btrace.begin_record w;
+    Btrace.put_assoc_header w (3 + present event s.fields);
+    Btrace.put_atom w a_t;
+    Btrace.put_float w time;
+    Btrace.put_atom w a_severity;
+    Btrace.put_atom w (enum_atom severity_enum (s.severity event));
+    Btrace.put_atom w a_kind;
+    Btrace.put_atom w s.atom;
+    bin_fields w event s.fields;
+    Btrace.end_record w ~now:time ()
 
 let binary_sink ?(min_severity = Debug) writer ~time event =
-  if severity_at_least min_severity (severity event) then
-    write_binary writer ~time event
+  if severity_at_least min_severity (severity event) then write_binary writer ~time event
 
 let filter_sink ?min_severity ?peer ?au ?kinds inner ~time event =
   let pass =

@@ -14,9 +14,12 @@
 
     Beyond raw subscription, this module provides an event taxonomy
     ({!kind}, {!severity}), composable {{!sinks} sinks} (pretty-printing,
-    JSONL, filtering), a lossless JSON round-trip ({!to_json} /
-    {!of_json}) and a bounded-ring {!recorder} that counts what it had to
-    drop instead of losing it silently. *)
+    JSONL, binary, filtering), a lossless JSON round-trip ({!to_json} /
+    {!of_json}), a typed file reader ({!iter_file}) and a bounded-ring
+    {!recorder} that counts what it had to drop instead of losing it
+    silently. Each kind's fields are described once, as a typed field
+    list, and every encoding and decoding is derived from that
+    description, so the encodings cannot disagree about a kind. *)
 
 (** {2 Effort taxonomy}
 
@@ -30,7 +33,6 @@
 type effort_role = Loyal | Adversary
 
 val effort_role_to_string : effort_role -> string
-val effort_role_of_string : string -> effort_role option
 
 (** The protocol phase an effort charge belongs to:
     - [Admission]: a voter's consideration and introductory-proof
@@ -44,7 +46,6 @@ val effort_role_of_string : string -> effort_role option
 type effort_phase = Admission | Solicitation | Voting | Evaluation | Repair
 
 val effort_phase_to_string : effort_phase -> string
-val effort_phase_of_string : string -> effort_phase option
 
 (** All effort phases, in declaration order. *)
 val all_effort_phases : effort_phase list
@@ -65,7 +66,6 @@ val admission_path_of_decision :
   [ `Known of Grade.t | `Unknown | `Introduced ] -> admission_path
 
 val admission_path_to_string : admission_path -> string
-val admission_path_of_string : string -> admission_path option
 
 (** {2 Reject reasons}
 
@@ -96,7 +96,6 @@ type reject_reason =
   | Bad_block
 
 val reject_reason_to_string : reject_reason -> string
-val reject_reason_of_string : string -> reject_reason option
 
 (** All reject reasons, in declaration order. *)
 val all_reject_reasons : reject_reason list
@@ -334,6 +333,20 @@ val to_json : time:float -> event -> Obs.Json.t
 (** [of_json j] inverts {!to_json}. Absent or [null] optional
     correlation fields decode to [None]. *)
 val of_json : Obs.Json.t -> (float * event, string) result
+
+(** [iter_file path ~f] reads a trace file in either encoding (sniffed
+    by {!Obs.Trace_file.detect}) and calls [f ~line result] per record
+    with its line number (JSONL) or record ordinal (binary). [Error msg]
+    is a record that does not parse or frame; [Ok (Error msg)] a
+    well-formed record that is not an event ({!of_json}'s message);
+    otherwise [Ok (Ok (time, event))]. Binary records decode straight to
+    the event, without an intermediate {!Obs.Json.t}, and accept exactly
+    what {!of_json} accepts. Returns the detected format; raises
+    [Sys_error] if the file cannot be opened. *)
+val iter_file :
+  string ->
+  f:(line:int -> ((float * event, string) result, string) result -> unit) ->
+  Obs.Trace_file.format
 
 (** [write_jsonl buf ~time e] appends exactly the bytes of
     [Obs.Json.write buf (to_json ~time e)] (no trailing newline) without

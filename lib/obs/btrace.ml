@@ -150,10 +150,17 @@ let count w = w.records
 
 type atom = { str : string; slot : int }
 
+(* One atom per string, however many encoders register it. *)
+let registered : (string, atom) Hashtbl.t = Hashtbl.create 64
+
 let atom str =
-  let slot = !atom_slots in
-  incr atom_slots;
-  { str; slot }
+  match Hashtbl.find_opt registered str with
+  | Some a -> a
+  | None ->
+    let a = { str; slot = !atom_slots } in
+    incr atom_slots;
+    Hashtbl.add registered str a;
+    a
 
 let put_atom w a =
   (if a.slot >= Array.length w.atom_ids then begin
@@ -226,80 +233,116 @@ let table_get tbl id =
     corrupt "intern reference %d out of range (table has %d entries)" id tbl.filled;
   tbl.entries.(id)
 
-type cursor = { bytes : Bytes.t; len : int; mutable pos : int }
+(* One record's payload, read front to back against the file's intern
+   table. [defined] is the table's size when the record began, so
+   {!restart} can forget the strings a partial read defined. *)
+type record = {
+  tbl : table;
+  bytes : Bytes.t;
+  len : int;
+  mutable pos : int;
+  defined : int;
+}
 
-let read_byte cur =
-  if cur.pos >= cur.len then corrupt "record truncated at byte %d" cur.pos;
-  let b = Char.code (Bytes.unsafe_get cur.bytes cur.pos) in
-  cur.pos <- cur.pos + 1;
+let restart r =
+  r.pos <- 0;
+  r.tbl.filled <- r.defined
+
+let read_byte r =
+  if r.pos >= r.len then corrupt "record truncated at byte %d" r.pos;
+  let b = Char.code (Bytes.unsafe_get r.bytes r.pos) in
+  r.pos <- r.pos + 1;
   b
 
-let read_varint cur =
+let read_varint r =
   let rec go shift acc =
-    if shift > 62 then corrupt "varint overflow at byte %d" cur.pos;
-    let b = read_byte cur in
+    if shift > 62 then corrupt "varint overflow at byte %d" r.pos;
+    let b = read_byte r in
     let acc = acc lor ((b land 0x7f) lsl shift) in
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in
   go 0 0
 
-let read_string_bytes cur =
-  let len = read_varint cur in
-  if len < 0 || cur.pos + len > cur.len then
-    corrupt "string length %d exceeds record at byte %d" len cur.pos;
-  let s = Bytes.sub_string cur.bytes cur.pos len in
-  cur.pos <- cur.pos + len;
+let read_string_bytes r =
+  let len = read_varint r in
+  if len < 0 || r.pos + len > r.len then
+    corrupt "string length %d exceeds record at byte %d" len r.pos;
+  let s = Bytes.sub_string r.bytes r.pos len in
+  r.pos <- r.pos + len;
   s
 
-let read_float_le cur =
-  if cur.pos + 8 > cur.len then corrupt "record truncated in float at byte %d" cur.pos;
+let read_float_le r =
+  if r.pos + 8 > r.len then corrupt "record truncated in float at byte %d" r.pos;
   let bits = ref 0L in
   for i = 7 downto 0 do
     bits :=
       Int64.logor (Int64.shift_left !bits 8)
-        (Int64.of_int (Char.code (Bytes.unsafe_get cur.bytes (cur.pos + i))))
+        (Int64.of_int (Char.code (Bytes.unsafe_get r.bytes (r.pos + i))))
   done;
-  cur.pos <- cur.pos + 8;
+  r.pos <- r.pos + 8;
   Int64.float_of_bits !bits
 
-let decode_string tbl cur tag =
-  if tag = tag_string_inline then read_string_bytes cur
+let decode_string r tag =
+  if tag = tag_string_inline then read_string_bytes r
   else if tag = tag_string_define then begin
-    let s = read_string_bytes cur in
-    table_add tbl s;
+    let s = read_string_bytes r in
+    table_add r.tbl s;
     s
   end
-  else if tag = tag_string_ref then table_get tbl (read_varint cur)
-  else corrupt "expected string tag, found %d at byte %d" tag (cur.pos - 1)
+  else if tag = tag_string_ref then table_get r.tbl (read_varint r)
+  else corrupt "expected string tag, found %d at byte %d" tag (r.pos - 1)
 
-let rec decode tbl cur : Json.t =
-  let tag = read_byte cur in
+let rec json r : Json.t =
+  let tag = read_byte r in
   if tag = tag_null then Null
   else if tag = tag_false then Bool false
   else if tag = tag_true then Bool true
-  else if tag = tag_int_pos then Int (read_varint cur)
-  else if tag = tag_int_neg then Int (-read_varint cur - 1)
-  else if tag = tag_float then Float (read_float_le cur)
+  else if tag = tag_int_pos then Int (read_varint r)
+  else if tag = tag_int_neg then Int (-read_varint r - 1)
+  else if tag = tag_float then Float (read_float_le r)
   else if tag = tag_list then begin
-    let n = read_varint cur in
-    let rec items i acc =
-      if i = n then List.rev acc else items (i + 1) (decode tbl cur :: acc)
-    in
+    let n = read_varint r in
+    let rec items i acc = if i = n then List.rev acc else items (i + 1) (json r :: acc) in
     Json.List (items 0 [])
   end
   else if tag = tag_assoc then begin
-    let n = read_varint cur in
+    let n = read_varint r in
     let rec fields i acc =
       if i = n then List.rev acc
       else begin
-        let key = decode_string tbl cur (read_byte cur) in
-        let value = decode tbl cur in
+        let key = decode_string r (read_byte r) in
+        let value = json r in
         fields (i + 1) ((key, value) :: acc)
       end
     in
     Json.Assoc (fields 0 [])
   end
-  else decode_string tbl cur tag |> fun s -> Json.String s
+  else decode_string r tag |> fun s -> Json.String s
+
+(* Typed reads: each consumes one value of the expected shape and raises
+   {!Corrupt} on any other. *)
+let mismatch r what = corrupt "expected %s at byte %d" what (r.pos - 1)
+
+let int r =
+  let tag = read_byte r in
+  if tag = tag_int_pos then read_varint r
+  else if tag = tag_int_neg then -read_varint r - 1
+  else mismatch r "an int"
+
+let float r =
+  let tag = read_byte r in
+  if tag = tag_float then read_float_le r
+  else if tag = tag_int_pos then float_of_int (read_varint r)
+  else if tag = tag_int_neg then float_of_int (-read_varint r - 1)
+  else mismatch r "a number"
+
+let bool r =
+  let tag = read_byte r in
+  if tag = tag_true then true else if tag = tag_false then false else mismatch r "a bool"
+
+let string r = decode_string r (read_byte r)
+let list r = if read_byte r = tag_list then read_varint r else mismatch r "a list"
+let assoc r = if read_byte r = tag_assoc then read_varint r else mismatch r "an object"
 
 (* Reads the length varint of the next record straight off the channel.
    A clean EOF before the first byte is the end of the trace; EOF
@@ -321,7 +364,7 @@ let input_record_length ic =
     let b = Char.code first in
     Some (if b land 0x80 = 0 then b else go 7 (b land 0x7f))
 
-let iter_channel ic ~f =
+let iter_channel ic ~read ~f =
   let check_magic () =
     let n = String.length magic in
     let got = really_input_string ic n in
@@ -336,11 +379,10 @@ let iter_channel ic ~f =
       let bytes = Bytes.create len in
       (try really_input ic bytes 0 len
        with End_of_file -> corrupt "record %d: truncated mid-record" index);
-      let cur = { bytes; len; pos = 0 } in
-      let json = decode tbl cur in
-      if cur.pos <> cur.len then
-        corrupt "record %d: %d trailing bytes" index (cur.len - cur.pos);
-      f ~index json;
+      let r = { tbl; bytes; len; pos = 0; defined = tbl.filled } in
+      let value = read r in
+      if r.pos <> r.len then corrupt "record %d: %d trailing bytes" index (r.len - r.pos);
+      f ~index value;
       records (index + 1)
   in
   match
@@ -351,4 +393,6 @@ let iter_channel ic ~f =
   | exception Corrupt msg -> Error msg
   | exception End_of_file -> Error "truncated header (not a binary trace)"
 
-let iter_file path ~f = In_channel.with_open_bin path (fun ic -> iter_channel ic ~f)
+let iter_records path ~read ~f =
+  In_channel.with_open_bin path (fun ic -> iter_channel ic ~read ~f)
+

@@ -270,9 +270,13 @@ let of_string s =
     else Error (Printf.sprintf "trailing garbage at offset %d" cur.pos)
   | exception Parse_error msg -> Error msg
 
-let member key = function
-  | Assoc fields -> List.assoc_opt key fields
-  | _ -> None
+(* [String.equal], not [List.assoc_opt]'s polymorphic compare: readers
+   look up several members of every trace record. *)
+let rec assoc key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc key rest
+
+let member key = function Assoc fields -> assoc key fields | _ -> None
 
 let to_float = function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None
 let to_int = function Int i -> Some i | _ -> None

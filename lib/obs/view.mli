@@ -30,29 +30,6 @@ type t = {
   outcome : string option;
 }
 
-(** A view with exactly the passed optional fields present. Optional
-    arguments (rather than [make] + record update) so the hot caller —
-    [Lockss.Trace.to_view], once per event under live analysis — pays a
-    single record allocation. *)
-val make :
-  ?poller:int ->
-  ?voter:int ->
-  ?claimed:int ->
-  ?peer:int ->
-  ?from_:int ->
-  ?au:int ->
-  ?poll_id:int ->
-  ?inner_candidates:int ->
-  ?votes:int ->
-  ?seconds:float ->
-  ?role:string ->
-  ?phase:string ->
-  ?outcome:string ->
-  kind:string ->
-  time:float ->
-  unit ->
-  t
-
 (** [of_json json] projects a serialised trace event; [None] when
     [json] has no ["kind"] string member. Missing ["t"] defaults to
     [0.], matching the JSON analyzers. *)

@@ -82,87 +82,20 @@ let test_json_deep_nesting () =
 
 (* -- Trace taxonomy, round-trip, sinks ---------------------------------- *)
 
-let sample_events =
-  [
-    Trace.Poll_started { poller = 3; au = 1; poll_id = 7; inner_candidates = 9 };
-    Trace.Solicitation_sent { poller = 3; voter = 5; au = 1; poll_id = 7; attempt = 2 };
-    Trace.Invitation_dropped
-      { voter = 5; claimed = 12; au = 0; poll_id = 4; reason = Admission.Refractory };
-    Trace.Invitation_admitted
-      {
-        voter = 5;
-        claimed = 3;
-        au = 1;
-        poll_id = Some 7;
-        path = Trace.Admitted_known Grade.Even;
-      };
-    Trace.Invitation_refused { voter = 5; poller = 3; au = 1; poll_id = 7 };
-    Trace.Invitation_accepted { voter = 5; poller = 3; au = 1; poll_id = 7 };
-    Trace.Vote_sent { voter = 5; poller = 3; au = 1; poll_id = 7 };
-    Trace.Poll_sampled
-      { poller = 3; au = 1; poll_id = 7; invited = [ 5; 6 ]; reference = [ 5; 6; 8 ] };
-    Trace.Evaluation_started { poller = 3; au = 1; poll_id = 7; votes = 6 };
-    Trace.Repair_applied
-      { poller = 3; au = 1; poll_id = 7; block = 4; version = 99; clean = true };
-    Trace.Poll_concluded { poller = 3; au = 1; poll_id = 7; outcome = Metrics.Alarmed };
-    Trace.Effort_charged
-      {
-        peer = 5;
-        role = Trace.Loyal;
-        phase = Trace.Voting;
-        poller = Some 3;
-        au = Some 1;
-        poll_id = Some 7;
-        seconds = 432.5;
-      };
-    Trace.Effort_received
-      { peer = 3; from_ = 5; phase = Trace.Voting; au = 1; poll_id = 7; seconds = 12.25 };
-    Trace.Message_rejected
-      {
-        peer = 3;
-        from_ = 5;
-        au = 1;
-        poll_id = Some 7;
-        msg_kind = "vote";
-        reason = Trace.Uninvited;
-      };
-    Trace.Fault_dropped { src = 3; dst = 5 };
-    Trace.Fault_duplicated { src = 3; dst = 5 };
-    Trace.Fault_delayed { src = 3; dst = 5; extra = 0.25 };
-    Trace.Partition_dropped { src = 3; dst = 5 };
-    Trace.Fault_corrupted { src = 3; dst = 5 };
-    Trace.Fault_replayed { src = 3; dst = 5; extra = 42.5 };
-    Trace.Fault_stale { src = 3; dst = 5; extra = 259200. };
-    Trace.Fault_stray { src = 9; dst = 5 };
-    Trace.Node_crashed { node = 5 };
-    Trace.Node_restarted { node = 5 };
-    Trace.Invariant_violated
-      {
-        invariant = "refractory";
-        peer = Some 5;
-        au = Some 1;
-        poll_id = None;
-        detail = "two admissions 3.2s apart";
-      };
-  ]
+(* A fixed seeded sample over every kind (see trace_gen.ml). *)
+let sample_events = List.map snd (Trace_gen.fixed_sample ~n:300)
 
-let test_trace_jsonl_round_trip () =
-  (* Every event kind survives to_json -> to_string -> of_string -> of_json. *)
-  List.iteri
-    (fun i event ->
-      let time = 1000. *. float_of_int (i + 1) in
-      let line = Json.to_string (Trace.to_json ~time event) in
-      match Json.of_string line with
-      | Error msg -> Alcotest.failf "%s: bad JSON: %s" (Trace.kind event) msg
-      | Ok json ->
-        (match Trace.of_json json with
-        | Error msg -> Alcotest.failf "%s: bad event: %s" (Trace.kind event) msg
-        | Ok (time', event') ->
-          Alcotest.(check (float 1e-9)) (Trace.kind event ^ " time") time time';
-          Alcotest.(check bool) (Trace.kind event ^ " event") true (event = event')))
-    sample_events;
-  Alcotest.(check int) "all kinds exercised" (List.length Trace.all_kinds)
-    (List.length sample_events)
+let test_trace_jsonl_round_trip =
+  (* Every event survives to_json -> to_string -> of_string -> of_json. *)
+  QCheck2.Test.make ~name:"jsonl round trip (all kinds)" ~count:300
+    ~print:Trace_gen.print_stream Trace_gen.stream (fun stream ->
+      List.for_all
+        (fun (time, event) ->
+          let line = Json.to_string (Trace.to_json ~time event) in
+          match Result.bind (Json.of_string line) Trace.of_json with
+          | Ok (time', event') -> Float.equal time time' && event = event'
+          | Error msg -> QCheck2.Test.fail_reportf "%s: %s" line msg)
+        stream)
 
 let test_trace_sink_fanout () =
   let trace = Trace.create () in
@@ -182,12 +115,13 @@ let test_trace_filter_sink () =
   Trace.subscribe trace
     (Trace.filter_sink ~kinds:[ "invitation_dropped" ] (fun ~time:_ _ -> incr drops));
   List.iter (fun e -> Trace.emit trace ~now:2. (fun () -> e)) sample_events;
-  (* The Alarmed conclusion and the invariant violation are the only
-     warn-severity events in the sample set. *)
-  Alcotest.(check int) "warn filter" 2 !warns;
-  let expect_peer5 = List.length (List.filter (fun e -> Trace.involves e 5) sample_events) in
-  Alcotest.(check int) "peer filter" expect_peer5 !peer5;
-  Alcotest.(check int) "kind filter" 1 !drops
+  let count p = List.length (List.filter p sample_events) in
+  let warn = count (fun e -> Trace.severity e = Trace.Warn) in
+  let dropped = count (fun e -> Trace.kind e = "invitation_dropped") in
+  Alcotest.(check bool) "the sample exercises each filter" true (warn > 0 && dropped > 0);
+  Alcotest.(check int) "warn filter" warn !warns;
+  Alcotest.(check int) "peer filter" (count (fun e -> Trace.involves e 5)) !peer5;
+  Alcotest.(check int) "kind filter" dropped !drops
 
 let test_trace_severity_order () =
   Alcotest.(check bool) "debug below info" true (Trace.Debug < Trace.Info);
@@ -799,7 +733,7 @@ let () =
         ] );
       ( "trace",
         [
-          quick "jsonl round trip (all kinds)" test_trace_jsonl_round_trip;
+          QCheck_alcotest.to_alcotest test_trace_jsonl_round_trip;
           quick "sink fan-out" test_trace_sink_fanout;
           quick "filter sink" test_trace_filter_sink;
           quick "severity order" test_trace_severity_order;

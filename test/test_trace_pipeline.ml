@@ -1,5 +1,6 @@
 (* Tests for the low-overhead trace pipeline: buffered sinks, the
    binary trace encoding, format detection, the typed view fast path,
+   the schema-derived codecs and their pinned bytes, the typed reader,
    emit short-circuiting, the run profiler and the bench regression
    gate. *)
 
@@ -9,9 +10,6 @@ module Btrace = Obs.Btrace
 module Trace_file = Obs.Trace_file
 module View = Obs.View
 module Trace = Lockss.Trace
-module Metrics = Lockss.Metrics
-module Admission = Lockss.Admission
-module Grade = Lockss.Grade
 module Scenario = Experiments.Scenario
 module Duration = Repro_prelude.Duration
 
@@ -23,61 +21,9 @@ let with_temp_file f =
 
 let read_all path = In_channel.with_open_bin path In_channel.input_all
 
-(* One event of every kind in the taxonomy. *)
-let sample_events =
-  [
-    Trace.Poll_started { poller = 3; au = 1; poll_id = 7; inner_candidates = 9 };
-    Trace.Solicitation_sent { poller = 3; voter = 5; au = 1; poll_id = 7; attempt = 2 };
-    Trace.Invitation_dropped
-      { voter = 5; claimed = 12; au = 0; poll_id = 4; reason = Admission.Refractory };
-    Trace.Invitation_admitted
-      {
-        voter = 5;
-        claimed = 3;
-        au = 1;
-        poll_id = Some 7;
-        path = Trace.Admitted_known Grade.Even;
-      };
-    Trace.Invitation_refused { voter = 5; poller = 3; au = 1; poll_id = 7 };
-    Trace.Invitation_accepted { voter = 5; poller = 3; au = 1; poll_id = 7 };
-    Trace.Vote_sent { voter = 5; poller = 3; au = 1; poll_id = 7 };
-    Trace.Poll_sampled
-      { poller = 3; au = 1; poll_id = 7; invited = [ 5; 6 ]; reference = [ 5; 6; 8 ] };
-    Trace.Evaluation_started { poller = 3; au = 1; poll_id = 7; votes = 6 };
-    Trace.Repair_applied
-      { poller = 3; au = 1; poll_id = 7; block = 4; version = 99; clean = true };
-    Trace.Poll_concluded { poller = 3; au = 1; poll_id = 7; outcome = Metrics.Alarmed };
-    Trace.Effort_charged
-      {
-        peer = 5;
-        role = Trace.Loyal;
-        phase = Trace.Voting;
-        poller = Some 3;
-        au = Some 1;
-        poll_id = Some 7;
-        seconds = 432.5;
-      };
-    Trace.Effort_received
-      { peer = 3; from_ = 5; phase = Trace.Voting; au = 1; poll_id = 7; seconds = 12.25 };
-    Trace.Fault_dropped { src = 3; dst = 5 };
-    Trace.Fault_duplicated { src = 3; dst = 5 };
-    Trace.Fault_delayed { src = 3; dst = 5; extra = 0.25 };
-    Trace.Node_crashed { node = 5 };
-    Trace.Node_restarted { node = 5 };
-    Trace.Invariant_violated
-      {
-        invariant = "refractory";
-        peer = Some 5;
-        au = Some 1;
-        poll_id = None;
-        detail = "two admissions 3.2s apart";
-      };
-  ]
-
-let sample_jsons =
-  List.mapi
-    (fun i event -> Trace.to_json ~time:(10. *. float_of_int (i + 1)) event)
-    sample_events
+(* A fixed seeded sample over every kind (see trace_gen.ml). *)
+let sample = Trace_gen.fixed_sample ~n:200
+let sample_jsons = List.map (fun (time, event) -> Trace.to_json ~time event) sample
 
 (* -- Sink ---------------------------------------------------------------- *)
 
@@ -173,7 +119,9 @@ let write_binary path jsons =
 
 let read_binary path =
   let acc = ref [] in
-  match Btrace.iter_file path ~f:(fun ~index:_ json -> acc := json :: !acc) with
+  match
+    Btrace.iter_records path ~read:Btrace.json ~f:(fun ~index:_ json -> acc := json :: !acc)
+  with
   | Ok () -> Ok (List.rev !acc)
   | Error msg -> Error msg
 
@@ -330,72 +278,201 @@ let test_trace_file_iter_binary_stops () =
       Alcotest.(check int) "prefix decoded" (List.length sample_jsons - 1) !oks;
       Alcotest.(check (list int)) "one terminal error" [ List.length sample_jsons ] !errs)
 
-(* -- View fast path ------------------------------------------------------ *)
+(* -- Schema-derived codecs ------------------------------------------------ *)
 
-let test_view_agrees_with_json () =
-  List.iteri
-    (fun i event ->
-      let time = 10. *. float_of_int (i + 1) in
-      let via_json = View.of_json (Trace.to_json ~time event) in
-      let direct = Trace.to_view ~time event in
-      match via_json with
-      | None -> Alcotest.failf "%s: of_json returned None" (Trace.kind event)
-      | Some v ->
-        Alcotest.(check bool)
-          (Trace.kind event ^ ": to_view = of_json . to_json")
-          true (v = direct))
-    sample_events
+let qcheck ~name ?(count = 100) prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count ~print:Trace_gen.print_stream Trace_gen.stream prop)
 
-let test_write_jsonl_byte_parity () =
-  (* The direct serializer must emit exactly the bytes of the generic
-     JSON path for every event kind, including awkward times and
-     escape-needing strings. *)
-  let times = [ 0.; 1.5; 86_400.; 5_831_999.734_210_6; 1e13; 0.000_123_456_789 ] in
-  let events =
-    Trace.Invariant_violated
-      {
-        invariant = "quote\"backslash\\tab\tnewline\n";
-        peer = None;
-        au = None;
-        poll_id = Some 1;
-        detail = "control\x01char";
-      }
-    :: sample_events
-  in
-  List.iter
-    (fun time ->
-      List.iter
-        (fun event ->
+let test_view_agrees_with_json =
+  qcheck ~name:"to_view agrees with of_json" (fun stream ->
+      List.for_all
+        (fun (time, event) ->
+          View.of_json (Trace.to_json ~time event) = Some (Trace.to_view ~time event))
+        stream)
+
+let test_write_jsonl_byte_parity =
+  (* The direct serializer emits exactly the bytes of the generic JSON
+     path, escape-needing text included. *)
+  qcheck ~name:"write_jsonl byte parity" (fun stream ->
+      List.for_all
+        (fun (time, event) ->
           let buf = Buffer.create 256 in
           Trace.write_jsonl buf ~time event;
-          Alcotest.(check string)
-            (Printf.sprintf "%s @ %g" (Trace.kind event) time)
-            (Json.to_string (Trace.to_json ~time event))
-            (Buffer.contents buf))
-        events)
-    times
+          String.equal (Buffer.contents buf) (Json.to_string (Trace.to_json ~time event)))
+        stream)
 
-let test_binary_sink_byte_parity () =
-  (* The direct field-by-field binary encoder must emit exactly the
-     bytes of the generic [Btrace.write (to_json ...)] path, intern ids
-     included. *)
-  with_temp_file (fun direct_path ->
-      with_temp_file (fun generic_path ->
-          Sink.with_file direct_path (fun sink ->
-              let w = Btrace.writer sink in
-              let emit = Trace.binary_sink w in
-              List.iteri
-                (fun i e -> emit ~time:(10. *. float_of_int (i + 1)) e)
-                sample_events);
-          Sink.with_file generic_path (fun sink ->
-              let w = Btrace.writer sink in
-              List.iteri
-                (fun i e ->
-                  let time = 10. *. float_of_int (i + 1) in
-                  Btrace.write w ~now:time (Trace.to_json ~time e))
-                sample_events);
-          Alcotest.(check string) "identical files" (read_all generic_path)
-            (read_all direct_path)))
+let write_file path emit = Sink.with_file path (fun sink -> emit sink)
+
+let test_binary_sink_byte_parity =
+  (* The direct binary encoder emits exactly the bytes of the generic
+     [Btrace.write (to_json ...)] path, intern ids included. *)
+  qcheck ~name:"binary sink byte parity" ~count:50 (fun stream ->
+      with_temp_file (fun direct ->
+          with_temp_file (fun generic ->
+              write_file direct (fun sink ->
+                  let emit = Trace.binary_sink (Btrace.writer sink) in
+                  List.iter (fun (time, e) -> emit ~time e) stream);
+              write_file generic (fun sink ->
+                  let w = Btrace.writer sink in
+                  List.iter
+                    (fun (time, e) -> Btrace.write w ~now:time (Trace.to_json ~time e))
+                    stream);
+              String.equal (read_all direct) (read_all generic))))
+
+let read_events path =
+  let acc = ref [] in
+  let format =
+    Trace.iter_file path ~f:(fun ~line result ->
+        match result with
+        | Ok (Ok entry) -> acc := entry :: !acc
+        | Ok (Error msg) | Error msg -> Alcotest.failf "%s:%d: %s" path line msg)
+  in
+  (format, List.rev !acc)
+
+let test_typed_reader_round_trip =
+  (* Both sinks' files read back through the typed reader as the very
+     events written; binary records take the direct decoder. *)
+  qcheck ~name:"typed reader round-trips both encodings" ~count:50 (fun stream ->
+      with_temp_file (fun path ->
+          let check sink_of expected_format =
+            write_file path (fun sink ->
+                let emit = sink_of sink in
+                List.iter (fun (time, e) -> emit ~time e) stream);
+            let format, events = read_events path in
+            format = expected_format && events = stream
+          in
+          check (fun sink -> Trace.binary_sink (Btrace.writer sink)) Trace_file.Binary
+          && check (fun sink -> Trace.buffered_jsonl_sink sink) Trace_file.Jsonl))
+
+let test_typed_reader_any_key_order () =
+  (* A binary record whose keys are not in schema order, or that spells
+     an absent optional as null, decodes as [of_json] decodes it. *)
+  let json =
+    Json.Assoc
+      [
+        ("kind", Json.String "effort_charged");
+        ("t", Json.Int 7);
+        ("seconds", Json.Float 2.5);
+        ("phase", Json.String "voting");
+        ("role", Json.String "loyal");
+        ("poll_id", Json.Null);
+        ("peer", Json.Int 4);
+      ]
+  in
+  with_temp_file (fun path ->
+      ignore (write_binary path [ json; Json.Assoc [ ("kind", Json.String "nope") ] ]);
+      let results = ref [] in
+      ignore
+        (Trace.iter_file path ~f:(fun ~line:_ result -> results := result :: !results));
+      match List.rev !results with
+      | [ Ok first; Ok (Error _) ] ->
+        Alcotest.(check bool) "decoded like of_json" true (first = Trace.of_json json)
+      | _ -> Alcotest.fail "expected one event and one non-event record")
+
+let test_kinds_covered () =
+  Alcotest.(check (list string))
+    "the generator covers every kind"
+    (List.sort compare Trace.all_kinds)
+    (List.sort_uniq compare (List.map (fun (_, e) -> Trace.kind e) sample))
+
+(* [involves] and [au_of] are derived from the schema's field roles;
+   check them against the keys the JSON encoding carries. *)
+let identity_keys = [ "poller"; "voter"; "claimed"; "peer"; "from"; "src"; "dst"; "node" ]
+
+let test_involves_and_au_of =
+  qcheck ~name:"involves and au_of match the encoded fields" (fun stream ->
+      List.for_all
+        (fun (time, event) ->
+          let json = Trace.to_json ~time event in
+          let ids =
+            List.filter_map (fun k -> Option.bind (Json.member k json) Json.to_int) identity_keys
+            @ List.concat_map
+                (fun k ->
+                  match Json.member k json with
+                  | Some (Json.List items) -> List.filter_map Json.to_int items
+                  | _ -> [])
+                [ "invited"; "reference" ]
+          in
+          Trace.au_of event = Option.bind (Json.member "au" json) Json.to_int
+          && List.for_all
+               (fun id -> Trace.involves event id = List.mem id ids)
+               (List.init 42 Fun.id))
+        stream)
+
+(* -- Pinned encodings -------------------------------------------------- *)
+
+(* MD5s of every encoding of a fixed seeded sample over all kinds,
+   recorded from the hand-written codecs the schema replaced: the
+   schema-derived codecs must reproduce them byte for byte. *)
+let sample_digests () =
+  let sample = Trace_gen.fixed_sample ~n:2000 in
+  let lines f = String.concat "" (List.map f sample) in
+  let digest s = Digest.to_hex (Digest.string s) in
+  let binary =
+    with_temp_file (fun path ->
+        Sink.with_file path (fun sink ->
+            let emit = Trace.binary_sink (Btrace.writer sink) in
+            List.iter (fun (time, e) -> emit ~time e) sample);
+        read_all path)
+  in
+  let buffered =
+    with_temp_file (fun path ->
+        Sink.with_file path (fun sink ->
+            let emit = Trace.buffered_jsonl_sink sink in
+            List.iter (fun (time, e) -> emit ~time e) sample);
+        read_all path)
+  in
+  [
+    ("json", digest (lines (fun (time, e) -> Json.to_string (Trace.to_json ~time e) ^ "\n")));
+    ("jsonl", digest buffered);
+    ("binary", digest binary);
+    ("pretty", digest (lines (fun (_, e) -> Format.asprintf "%a\n" Trace.pp_event e)));
+    ( "taxonomy",
+      digest
+        (lines (fun (_, e) ->
+             Printf.sprintf "%s %s %s\n" (Trace.kind e)
+               (Trace.severity_to_string (Trace.severity e))
+               (match Trace.au_of e with Some a -> string_of_int a | None -> "-"))) );
+  ]
+
+let pinned_digests =
+  [
+    ("json", "2f01f348b5c6056d64ae818aae6a64b4");
+    ("jsonl", "2f01f348b5c6056d64ae818aae6a64b4");
+    ("binary", "83f3bc922be2dc0c03ec312fdfb343d5");
+    ("pretty", "27f0d574ebea44f118af8b1c7074be3f");
+    ("taxonomy", "a4c40060eddb7528bf6672516df883a8");
+  ]
+
+let test_pinned_encodings () =
+  List.iter2
+    (fun (name, expected) (_, actual) ->
+      Alcotest.(check string) (name ^ " digest") expected actual)
+    pinned_digests (sample_digests ())
+
+let test_view_of_json_first_binding () =
+  (* As with [Json.member], the first binding of a key wins, even when
+     its value has the wrong type. *)
+  let view =
+    View.of_json
+      (Json.Assoc
+         [
+           ("kind", Json.String "vote_sent");
+           ("poller", Json.String "3");
+           ("t", Json.Int 5);
+           ("poller", Json.Int 3);
+           ("kind", Json.String "poll_started");
+           ("au", Json.Int 2);
+         ])
+  in
+  match view with
+  | Some v ->
+    Alcotest.(check string) "first kind" "vote_sent" v.View.kind;
+    Alcotest.(check (float 0.)) "int time widens" 5. v.View.time;
+    Alcotest.(check (option int)) "mistyped first poller" None v.View.poller;
+    Alcotest.(check (option int)) "au" (Some 2) v.View.au
+  | None -> Alcotest.fail "no view"
 
 let test_analyzer_parity_json_vs_view () =
   (* Feeding serialised JSON and feeding typed views must produce the
@@ -403,12 +480,11 @@ let test_analyzer_parity_json_vs_view () =
      path. *)
   let via_json = Obs.Analyze.create () in
   let via_view = Obs.Analyze.create () in
-  List.iteri
-    (fun i event ->
-      let time = 10. *. float_of_int (i + 1) in
+  List.iter
+    (fun (time, event) ->
       Obs.Analyze.feed via_json (Trace.to_json ~time event);
       Obs.Analyze.feed_view via_view (Trace.to_view ~time event))
-    sample_events;
+    sample;
   Alcotest.(check string) "identical reports"
     (Json.to_string (Obs.Analyze.report_json via_json))
     (Json.to_string (Obs.Analyze.report_json via_view))
@@ -879,10 +955,19 @@ let () =
         ] );
       ( "view fast path",
         [
-          tc "to_view agrees with of_json" `Quick test_view_agrees_with_json;
-          tc "write_jsonl byte parity" `Quick test_write_jsonl_byte_parity;
-          tc "binary sink byte parity" `Quick test_binary_sink_byte_parity;
+          test_view_agrees_with_json;
+          test_write_jsonl_byte_parity;
+          test_binary_sink_byte_parity;
           tc "analyzer parity json vs view" `Quick test_analyzer_parity_json_vs_view;
+          tc "of_json takes a key's first binding" `Quick test_view_of_json_first_binding;
+        ] );
+      ( "schema",
+        [
+          tc "generator covers every kind" `Quick test_kinds_covered;
+          tc "encodings match pinned digests" `Quick test_pinned_encodings;
+          test_involves_and_au_of;
+          test_typed_reader_round_trip;
+          tc "typed reader accepts any key order" `Quick test_typed_reader_any_key_order;
         ] );
       ( "emit short-circuit",
         [
