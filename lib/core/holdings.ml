@@ -33,26 +33,24 @@ let replicas = function
   | Sparse { per_au; _ } ->
     Array.fold_left (fun acc holders -> acc + Array.length holders) 0 per_au
 
-let holders_excluding t ~au ~limit ~excluding =
+let fill_holders t ~au ~limit ~excluding into =
   match t with
   | Full { peers; _ } ->
     let bound = min peers limit in
-    let n = if excluding >= 0 && excluding < bound then bound - 1 else bound in
-    Array.init n (fun i ->
-        if excluding >= 0 && excluding < bound && i >= excluding then i + 1 else i)
+    let skip = excluding >= 0 && excluding < bound in
+    let n = if skip then bound - 1 else bound in
+    if n > Array.length into then invalid_arg "Holdings.fill_holders: buffer too short";
+    for i = 0 to n - 1 do
+      into.(i) <- (if skip && i >= excluding then i + 1 else i)
+    done;
+    n
   | Sparse { per_au; _ } ->
-    let holders = per_au.(au) in
-    let count = ref 0 in
-    Array.iter
-      (fun h -> if h < limit && h <> excluding then incr count)
-      holders;
-    let out = Array.make !count 0 in
-    let k = ref 0 in
+    let n = ref 0 in
     Array.iter
       (fun h ->
         if h < limit && h <> excluding then begin
-          out.(!k) <- h;
-          incr k
+          into.(!n) <- h;
+          incr n
         end)
-      holders;
-    out
+      per_au.(au);
+    !n

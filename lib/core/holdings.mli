@@ -27,9 +27,11 @@ val holds : t -> peer:int -> au:int -> bool
 (** Total replica count, the denominator for access-failure metrics. *)
 val replicas : t -> int
 
-(** [holders_excluding t ~au ~limit ~excluding] is the ascending array
-    of holders of [au] strictly below [limit] and different from
-    [excluding] (pass a negative [excluding] to exclude nobody). Used to
-    build per-peer bootstrap candidate sets restricted to
-    initially-active peers. *)
-val holders_excluding : t -> au:int -> limit:int -> excluding:int -> int array
+(** [fill_holders t ~au ~limit ~excluding into] writes the ascending
+    holders of [au] strictly below [limit] and different from
+    [excluding] (pass a negative [excluding] to exclude nobody) into the
+    prefix of [into], and returns how many it wrote; cells after them are
+    left alone. Builds per-peer bootstrap candidate sets, restricted to
+    initially-active peers, in one buffer reused across peers. Raises
+    [Invalid_argument] if [into] is too short. *)
+val fill_holders : t -> au:int -> limit:int -> excluding:int -> int array -> int

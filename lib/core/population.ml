@@ -65,7 +65,7 @@ and dispatch_active ctx peer ~src (msg : Message.t) =
    than an inner circle, so polls remain possible. The sampling below
    shuffles a [loyal]-length sequence per AU either way, so the seeded
    draw stream is unchanged from the dense-matrix representation. *)
-let assign_holdings cfg rng ~loyal =
+let assign_holdings cfg rng ~scratch ~loyal =
   if cfg.Config.au_coverage >= 1. then Holdings.full ~peers:loyal ~aus:cfg.Config.aus
   else begin
     let holders_per_au =
@@ -73,37 +73,46 @@ let assign_holdings cfg rng ~loyal =
         ((cfg.Config.inner_circle_factor * cfg.Config.quorum) + 1)
         (int_of_float (Float.round (cfg.Config.au_coverage *. float_of_int loyal)))
     in
-    let everyone = Array.init loyal (fun i -> i) in
-    let per_au = Array.make cfg.Config.aus [||] in
-    for au = 0 to cfg.Config.aus - 1 do
-      let sampled = Rng.sample_array rng holders_per_au (Array.copy everyone) in
-      per_au.(au) <- Array.of_list (List.sort compare sampled)
-    done;
+    let per_au =
+      Array.init cfg.Config.aus (fun _ ->
+          for i = 0 to loyal - 1 do
+            scratch.(i) <- i
+          done;
+          let sampled = Rng.sample_prefix rng holders_per_au scratch ~len:loyal in
+          Array.of_list (List.sort compare sampled))
+    in
     Holdings.sparse ~peers:loyal per_au
   end
 
-let make_peer cfg rng holdings node =
+(* [scratch] is the population's own candidate buffer (at least [loyal]
+   long): every sample below fills its prefix and shuffles it in place,
+   making the same draws as shuffling a fresh array of those
+   candidates. *)
+let make_peer cfg rng holdings ~scratch node =
   let peer_rng = Rng.split rng in
   (* Bootstrap candidates span the initially-active population only:
      ids [0, loyal_peers) minus this node (dormant ids lie above). *)
   let active = cfg.Config.loyal_peers in
-  let others =
-    if node >= 0 && node < active then
-      Array.init (active - 1) (fun i -> if i >= node then i + 1 else i)
-    else Array.init active (fun i -> i)
-  in
-  (* [others] is not read again, so the sample may shuffle it in place. *)
-  let friends = Rng.sample_array peer_rng cfg.Config.friends_count others in
+  let others = ref 0 in
+  for id = 0 to active - 1 do
+    if id <> node then begin
+      scratch.(!others) <- id;
+      incr others
+    end
+  done;
+  let friends = Rng.sample_prefix peer_rng cfg.Config.friends_count scratch ~len:!others in
   let aus =
     Array.init cfg.Config.aus (fun au ->
         let held = Holdings.holds holdings ~peer:node ~au in
         let holders =
-          Holdings.holders_excluding holdings ~au ~limit:active ~excluding:node
+          Holdings.fill_holders holdings ~au ~limit:active ~excluding:node scratch
         in
         let au_friends =
           List.filter (fun id -> Holdings.holds holdings ~peer:id ~au) friends
         in
-        let initial = Rng.sample_array peer_rng cfg.Config.reference_list_target holders in
+        let initial =
+          Rng.sample_prefix peer_rng cfg.Config.reference_list_target scratch ~len:holders
+        in
         let known = Known_peers.create ~decay_period:cfg.Config.grade_decay_period in
         (* Bootstrap reciprocity: the initial reference list models peers
            learned while crawling the publisher together, so they start on
@@ -283,9 +292,12 @@ let create ?(seed = 42) ?(extra_nodes = 0) ?(dormant = 0) cfg =
     Narses.Net.create ~model:cfg.Config.network_model ?faults ~engine ~topology
       ~partition ()
   in
-  let holdings = assign_holdings cfg (Rng.split rng) ~loyal in
+  (* One bootstrap buffer per population, never shared: concurrent
+     populations on other domains must not see each other's candidates. *)
+  let scratch = Array.make loyal 0 in
+  let holdings = assign_holdings cfg (Rng.split rng) ~scratch ~loyal in
   let metrics = Metrics.create ~replicas:(Holdings.replicas holdings) ~start:0. in
-  let peers = Array.init loyal (make_peer cfg rng holdings) in
+  let peers = Array.init loyal (make_peer cfg rng holdings ~scratch) in
   let ctx =
     {
       Peer.engine;

@@ -674,6 +674,69 @@ let prop_reference_list_update_invariants =
          && List.for_all (fun o -> Reference_list.mem rl o) outer
          && List.length (List.sort_uniq compare members) = List.length members))
 
+(* -- Holdings ---------------------------------------------------------- *)
+
+(* The array-returning candidate builder that [Holdings.fill_holders]
+   replaced, kept verbatim as the model it must agree with. *)
+let holders_excluding_model ~peers ~per_au ~au ~limit ~excluding =
+  match per_au with
+  | None ->
+    let bound = min peers limit in
+    let n = if excluding >= 0 && excluding < bound then bound - 1 else bound in
+    Array.init n (fun i ->
+        if excluding >= 0 && excluding < bound && i >= excluding then i + 1 else i)
+  | Some per_au ->
+    let holders = per_au.(au) in
+    let count = ref 0 in
+    Array.iter (fun h -> if h < limit && h <> excluding then incr count) holders;
+    let out = Array.make !count 0 in
+    let k = ref 0 in
+    Array.iter
+      (fun h ->
+        if h < limit && h <> excluding then begin
+          out.(!k) <- h;
+          incr k
+        end)
+      holders;
+    out
+
+let prop_fill_holders_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"fill_holders equals the holders_excluding model" ~count:500
+       QCheck2.Gen.(
+         pair (int_range 1 40) (int_range 1 3) >>= fun (peers, aus) ->
+         quad (return (peers, aus))
+           (opt (array_size (return aus) (array_size (return peers) bool)))
+           (pair (int_range 0 (aus - 1)) (int_range 0 (peers + 10)))
+           (int_range (-3) (peers + 3)))
+       (fun ((peers, aus), membership, (au, limit), excluding) ->
+         let per_au =
+           Option.map
+             (Array.map (fun row ->
+                  Array.of_list
+                    (List.filter (fun i -> row.(i)) (List.init peers Fun.id))))
+             membership
+         in
+         let holdings =
+           match per_au with
+           | None -> Holdings.full ~peers ~aus
+           | Some per_au -> Holdings.sparse ~peers per_au
+         in
+         let want = holders_excluding_model ~peers ~per_au ~au ~limit ~excluding in
+         (* Sentinels past the written prefix must survive. *)
+         let into = Array.make (peers + 4) (-7) in
+         let n = Holdings.fill_holders holdings ~au ~limit ~excluding into in
+         n = Array.length want
+         && Array.sub into 0 n = want
+         && Array.for_all (fun x -> x = -7) (Array.sub into n (Array.length into - n))))
+
+let test_fill_holders_short_buffer () =
+  Alcotest.check_raises "full coverage needs room for every candidate"
+    (Invalid_argument "Holdings.fill_holders: buffer too short") (fun () ->
+      ignore
+        (Holdings.fill_holders (Holdings.full ~peers:5 ~aus:1) ~au:0 ~limit:5
+           ~excluding:(-1) (Array.make 4 0)))
+
 (* -- Config ----------------------------------------------------------- *)
 
 let test_config_default_valid () = Config.validate Config.default
@@ -863,6 +926,11 @@ let () =
           prop_reference_list_update_invariants;
           prop_id_set_models_list;
           prop_merged_with_friends_is_sort_uniq;
+        ] );
+      ( "holdings",
+        [
+          prop_fill_holders_matches_model;
+          quick "short buffer" test_fill_holders_short_buffer;
         ] );
       ( "config",
         [

@@ -114,6 +114,156 @@ let prop_sample_is_subset =
       List.length s = min (max k 0) (List.length xs)
       && List.for_all (fun x -> List.mem x xs) s)
 
+(* The v1 draw stream. Every seeded output of the simulator (figure
+   goldens, trace MD5s, benchmark digests) rests on these exact draws, so
+   a change to the generator's representation or to the sampler must
+   reproduce them bit for bit. The digests were recorded from the boxed
+   [mutable int64] generator and the polymorphic shuffle it replaced. *)
+let rng_stream_transcript seed =
+  let b = Buffer.create 4096 in
+  let out fmt = Printf.bprintf b fmt in
+  let r = Rng.create seed in
+  for _ = 1 to 8 do
+    out "b %Ld\n" (Rng.bits64 r)
+  done;
+  List.iter
+    (fun bound ->
+      for _ = 1 to 8 do
+        out "i%d %d\n" bound (Rng.int r bound)
+      done)
+    [ 1; 7; 4999; 1 lsl 30 ];
+  for _ = 1 to 8 do
+    out "f %h %h\n" (Rng.float r 1.0) (Rng.float r 1000.)
+  done;
+  for _ = 1 to 16 do
+    out "o %b\n" (Rng.bool r)
+  done;
+  let child = Rng.split r in
+  for _ = 1 to 4 do
+    out "s %Ld %Ld\n" (Rng.bits64 child) (Rng.bits64 r)
+  done;
+  let twin = Rng.copy r in
+  for _ = 1 to 4 do
+    out "c %Ld %Ld\n" (Rng.bits64 twin) (Rng.bits64 r)
+  done;
+  let ints xs = String.concat "," (List.map string_of_int xs) in
+  List.iter
+    (fun (k, n) ->
+      out "l %s\n" (ints (Rng.sample r k (List.init n Fun.id)));
+      let arr = Array.init n (fun i -> 3 * i) in
+      let picked = Rng.sample_array r k arr in
+      out "a %s | %s\n" (ints picked) (ints (Array.to_list arr)))
+    [ (0, 0); (1, 1); (3, 10); (10, 3); (5, 100); (0, 7) ];
+  let arr = Array.init 20 Fun.id in
+  Rng.shuffle r arr;
+  out "h %s\n" (ints (Array.to_list arr));
+  out "p %d %d\n" (Rng.pick r [| 10; 20; 30 |]) (Rng.pick_list r [ 4; 5; 6; 7 ]);
+  out "e %b %h %h\n" (Rng.bernoulli r 0.5)
+    (Rng.uniform r ~lo:(-1.) ~hi:2.)
+    (Rng.exponential r ~mean:3.);
+  out "z %Ld\n" (Rng.bits64 r);
+  Buffer.contents b
+
+let test_rng_v1_stream_pinned () =
+  List.iter
+    (fun (seed, md5) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d transcript" seed)
+        md5
+        (Digest.to_hex (Digest.string (rng_stream_transcript seed))))
+    [
+      (0, "6e4ed1cb797a893f48a74799ddebb874");
+      (1, "d1800f1d87f64bc4d4e543a380cbe487");
+      (42, "504c76d44e0225630913c02b3b4b74af");
+      (1 lsl 40, "58954c1200dd7cc59e80a352ce4eeec2");
+    ];
+  (* A few literals, so a mismatch can be read without re-deriving the
+     transcript. *)
+  let r = Rng.create 42 in
+  Alcotest.(check (list int64)) "seed 42 first draws"
+    [ 701532786141963250L; -2430762948046562554L; 4028864712777624925L ]
+    (List.init 3 (fun _ -> Rng.bits64 r))
+
+(* The kernel on a prefix is [sample_array] on a copy of that prefix:
+   same result, same permutation of the prefix, same draws consumed
+   (exactly [len - 1]), and the cells from [len] on untouched. *)
+let prop_sample_prefix_is_sample_array =
+  QCheck2.Test.make ~name:"sample_prefix equals sample_array on the prefix" ~count:500
+    QCheck2.Gen.(
+      triple (int_range 0 1_000_000) (int_range 0 50)
+        (list_size (int_range 0 40) (int_range (-100) 100))
+      >>= fun (seed, k, xs) ->
+      map (fun len -> (seed, k, xs, len)) (int_range 0 (List.length xs)))
+    (fun (seed, k, xs, len) ->
+      let arr = Array.of_list xs in
+      let n = Array.length arr in
+      let prefix = Array.sub arr 0 len and tail = Array.sub arr len (n - len) in
+      let r_prefix = Rng.create seed and r_array = Rng.create seed in
+      let r_count = Rng.create seed in
+      let got = Rng.sample_prefix r_prefix k arr ~len in
+      let want = Rng.sample_array r_array k prefix in
+      for _ = 1 to len - 1 do
+        ignore (Rng.bits64 r_count)
+      done;
+      let next = Rng.bits64 r_prefix in
+      got = want
+      && Array.sub arr 0 len = prefix
+      && Array.sub arr len (n - len) = tail
+      && Int64.equal next (Rng.bits64 r_array)
+      && Int64.equal next (Rng.bits64 r_count))
+
+let test_sample_prefix_bad_arguments () =
+  let rng = Rng.create 3 and arr = Array.make 4 0 in
+  Alcotest.check_raises "len past the end"
+    (Invalid_argument "Rng.sample_prefix: bad length") (fun () ->
+      ignore (Rng.sample_prefix rng 1 arr ~len:5));
+  Alcotest.check_raises "negative len"
+    (Invalid_argument "Rng.sample_prefix: bad length") (fun () ->
+      ignore (Rng.sample_prefix rng 1 arr ~len:(-1)));
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Rng.sample_prefix: negative count") (fun () ->
+      ignore (Rng.sample_prefix rng (-1) arr ~len:4))
+
+(* Allocation lock: a draw keeps the generator state unboxed and a
+   sample swaps ints in place, so neither allocates. Exact minor-word
+   counts, not timings, so the test is deterministic. *)
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.create 7 in
+  let ids = Array.init 64 Fun.id in
+  let buf = Array.init 1000 Fun.id in
+  let draws = 100_000 in
+  let check_words name expected f =
+    Alcotest.(check (float 0.)) name expected (minor_words_during f)
+  in
+  check_words "Rng.int" 0. (fun () ->
+      for _ = 1 to draws do
+        ignore (Rng.int rng 4999)
+      done);
+  check_words "Rng.bool" 0. (fun () ->
+      for _ = 1 to draws do
+        ignore (Rng.bool rng)
+      done);
+  check_words "Rng.pick on an int array" 0. (fun () ->
+      for _ = 1 to draws do
+        ignore (Rng.pick rng ids)
+      done);
+  check_words "prefix sample into a preallocated buffer" 0. (fun () ->
+      for _ = 1 to draws / 1000 do
+        ignore (Rng.sample_prefix rng 0 buf ~len:1000)
+      done);
+  (* Only the returned list costs: three words per cons cell. *)
+  check_words "prefix sample of 5 allocates its list only"
+    (float_of_int (3 * 5 * (draws / 1000)))
+    (fun () ->
+      for _ = 1 to draws / 1000 do
+        ignore (Rng.sample_prefix rng 5 buf ~len:1000)
+      done)
+
 (* -- Heap ------------------------------------------------------------- *)
 
 let test_heap_basic () =
@@ -426,6 +576,10 @@ let () =
           quick "sample overshoot" test_rng_sample_overshoot;
           quick "shuffle permutation" test_rng_shuffle_permutation;
           QCheck_alcotest.to_alcotest prop_sample_is_subset;
+          quick "v1 draw stream pinned" test_rng_v1_stream_pinned;
+          QCheck_alcotest.to_alcotest prop_sample_prefix_is_sample_array;
+          quick "sample_prefix bad arguments" test_sample_prefix_bad_arguments;
+          quick "draws allocate nothing" test_rng_draws_allocate_nothing;
         ] );
       ( "heap",
         [
