@@ -140,8 +140,8 @@ let run_paper_baseline () =
   note "Paper: access failure 4.8e-4, mean gap 3 months, no alarms.";
   timed (fun () ->
       let cfg = Scenario.config Scenario.paper in
-      let summary = Scenario.run_one ~cfg ~seed:1 ~years:2. Scenario.No_attack in
-      Format.printf "%a@." Lockss.Metrics.pp_summary summary)
+      let r = Scenario.run ~cfg ~seed:1 ~years:2. Scenario.No_attack in
+      Format.printf "%a@." Lockss.Metrics.pp_summary r.Scenario.summary)
 
 (* -- Engine profiling -------------------------------------------------- *)
 
@@ -169,8 +169,7 @@ let run_profile () =
     (fun (name, attack) ->
       let wall0 = Unix.gettimeofday () in
       let p =
-        Scenario.run_one_profiled ~cfg ~seed:scale.Scenario.seed
-          ~years:scale.Scenario.years attack
+        Scenario.run ~cfg ~seed:scale.Scenario.seed ~years:scale.Scenario.years attack
       in
       let wall = Unix.gettimeofday () -. wall0 in
       let events_per_sec =
@@ -203,7 +202,7 @@ let micro_scale =
 
 let run_micro_simulation attack () =
   let cfg = Scenario.config micro_scale in
-  ignore (Scenario.run_one ~cfg ~seed:7 ~years:micro_scale.Scenario.years attack)
+  ignore (Scenario.run ~cfg ~seed:7 ~years:micro_scale.Scenario.years attack)
 
 let bechamel_tests () =
   let open Bechamel in
@@ -769,7 +768,7 @@ let run_obs () =
       ( "warn-level file sink",
         Some
           {
-            Scenario.default_observe with
+            Scenario.default_probes with
             Scenario.trace_out = Some warn_trace;
             trace_level = Lockss.Trace.Warn;
           },
@@ -777,7 +776,7 @@ let run_obs () =
       ( "live span+ledger",
         Some
           {
-            Scenario.default_observe with
+            Scenario.default_probes with
             Scenario.spans_out = Some (List.nth live_paths 0);
             ledger_out = Some (List.nth live_paths 1);
           },
@@ -785,7 +784,7 @@ let run_obs () =
       ( "full file sinks",
         Some
           {
-            Scenario.default_observe with
+            Scenario.default_probes with
             Scenario.trace_out = Some jsonl_trace;
             trace_level = Lockss.Trace.Debug;
             spans_out = Some (List.nth live_paths 0);
@@ -795,7 +794,7 @@ let run_obs () =
       ( "full file sinks (binary)",
         Some
           {
-            Scenario.default_observe with
+            Scenario.default_probes with
             Scenario.trace_out = Some binary_trace;
             trace_level = Lockss.Trace.Debug;
             spans_out = Some (List.nth live_paths 0);
@@ -809,10 +808,10 @@ let run_obs () =
      sequence: CPU frequency ramps over the process lifetime, and
      sequential measurement would charge the ramp to whichever variant
      ran first. Best-of-rounds then compares like with like. *)
-  let run_variant (_, observe, _) =
+  let run_variant (_, probes, _) =
     cpu (fun () ->
         ignore
-          (Scenario.run_one ?observe ~cfg ~seed:micro_scale.Scenario.seed ~years
+          (Scenario.run ?probes ~cfg ~seed:micro_scale.Scenario.seed ~years
              Scenario.No_attack))
   in
   let n = List.length variants in
@@ -878,13 +877,14 @@ let run_check () =
   let repeats = 5 in
   let off =
     best_cpu ~repeats (fun () ->
-        ignore (Scenario.run_one ~cfg ~seed ~years Scenario.No_attack))
+        ignore (Scenario.run ~cfg ~seed ~years Scenario.No_attack))
   in
   let violations = ref 0 in
+  let probes = { Scenario.default_probes with Scenario.audit = true } in
   let on_ =
     best_cpu ~repeats (fun () ->
-        let _, vs = Scenario.run_one_audited ~cfg ~seed ~years Scenario.No_attack in
-        violations := List.length vs)
+        let r = Scenario.run ~probes ~cfg ~seed ~years Scenario.No_attack in
+        violations := List.length r.Scenario.violations)
   in
   let overhead = if off > 0. then on_ /. off else nan in
   let table = Table.create [ "variant"; "best cpu (s)"; "overhead" ] in
@@ -923,11 +923,11 @@ let run_chaos_bench () =
   let repeats = 5 in
   let off =
     best_cpu ~repeats (fun () ->
-        ignore (Scenario.run_one ~cfg:base_cfg ~seed ~years Scenario.No_attack))
+        ignore (Scenario.run ~cfg:base_cfg ~seed ~years Scenario.No_attack))
   in
   let on_ =
     best_cpu ~repeats (fun () ->
-        ignore (Scenario.run_one ~cfg:faulty_cfg ~seed ~years Scenario.No_attack))
+        ignore (Scenario.run ~cfg:faulty_cfg ~seed ~years Scenario.No_attack))
   in
   let overhead = if off > 0. then on_ /. off else nan in
   (* One counted run for the injected-fault profile. *)

@@ -270,33 +270,39 @@ let profile_out =
     & opt (some string) None
     & info [ "profile-out" ] ~docv:"FILE"
         ~doc:
-          "Write a run-wide profile to $(docv) as JSON: per-phase wall-clock, GC \
-           counters (allocation, collections, heap size), the metric-registry \
+          "Write a run-wide profile to $(docv) as JSON: per-phase CPU seconds (setup, \
+           run), GC counters (allocation, collections, heap size), the metric-registry \
            snapshot and engine event statistics.")
 
-let observe_term =
+let check_flag =
+  Arg.(
+    value & flag
+    & info [ "check" ]
+        ~doc:
+          "Attach the runtime invariant auditor to every run: protocol invariants \
+           (effort balance, refractory self-clocking, grade decay, sampling, quorum, \
+           ledger conservation) are evaluated online against the trace stream; any \
+           violation is printed, written to --trace-out as an $(b,invariant_violated) \
+           event, and makes the command exit with status 1.")
+
+let probes_term =
   let make trace_out trace_level trace_format metrics_out sample_interval spans_out
-      ledger_out profile_out =
-    if
-      trace_out = None && metrics_out = None && spans_out = None && ledger_out = None
-      && profile_out = None
-    then None
-    else
-      Some
-        {
-          Experiments.Scenario.trace_out;
-          trace_level;
-          trace_format;
-          metrics_out;
-          sample_interval;
-          spans_out;
-          ledger_out;
-          profile_out;
-        }
+      ledger_out profile_out audit =
+    {
+      Experiments.Scenario.trace_out;
+      trace_level;
+      trace_format;
+      metrics_out;
+      sample_interval;
+      spans_out;
+      ledger_out;
+      profile_out;
+      audit;
+    }
   in
   Term.(
     const make $ trace_out $ trace_level $ trace_format $ metrics_out $ sample_interval
-    $ spans_out $ ledger_out $ profile_out)
+    $ spans_out $ ledger_out $ profile_out $ check_flag)
 
 (* -- Manifest + baseline options --------------------------------------- *)
 
@@ -424,34 +430,28 @@ let attack_of kind ~coverage ~duration_days ~years =
   | A_brute_remaining -> brute Adversary.Brute_force.Remaining
   | A_brute_none -> brute Adversary.Brute_force.Full
 
-let check_flag =
-  Arg.(
-    value & flag
-    & info [ "check" ]
-        ~doc:
-          "Attach the runtime invariant auditor to every run: protocol invariants \
-           (effort balance, refractory self-clocking, grade decay, sampling, quorum, \
-           ledger conservation) are evaluated online against the trace stream; any \
-           violation is printed, written to --trace-out as an $(b,invariant_violated) \
-           event, and makes the command exit with status 1.")
-
-(* Audits come back as (label, seed, violations); print every violation
-   and end with the greppable "violations: N" line. *)
-let report_audits audits =
-  let total = List.fold_left (fun acc (_, _, vs) -> acc + List.length vs) 0 audits in
+(* Print every violation of every run, labelled by side and seed, and
+   end with the greppable "violations: N" line. *)
+let report_audits sides =
+  let total = ref 0 in
   List.iter
-    (fun (label, seed, vs) ->
+    (fun (label, sweep) ->
       List.iter
-        (fun v ->
-          Format.printf "%s seed %d: %a@." label seed Check.Invariant.pp_violation v)
-        vs)
-    audits;
-  Format.printf "violations: %d@." total;
-  if total > 0 then exit 1
+        (fun r ->
+          List.iter
+            (fun v ->
+              incr total;
+              Format.printf "%s seed %d: %a@." label r.Scenario.seed
+                Check.Invariant.pp_violation v)
+            r.Scenario.violations)
+        sweep.Scenario.runs)
+    sides;
+  Format.printf "violations: %d@." !total;
+  if !total > 0 then exit 1
 
 let run_cmd =
   let action peers aus quorum years runs seed jobs capacity mttf interval_months kind
-      coverage duration_days mix observe check manifest_out =
+      coverage duration_days mix probes manifest_out =
     set_jobs jobs;
     let handle = Experiments.Manifest.start ~command:"run" () in
     let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
@@ -475,19 +475,18 @@ let run_cmd =
         c.Scenario.access_failure c.Scenario.delay_ratio c.Scenario.friction
         c.Scenario.cost_ratio
     in
-    (match (attack, check) with
-    | Scenario.No_attack, false ->
-      let summary = Scenario.run_avg ?observe ~cfg scale Scenario.No_attack in
-      Format.printf "%a@." Lockss.Metrics.pp_summary summary
-    | Scenario.No_attack, true ->
-      let summary, audits = Scenario.run_avg_audited ?observe ~cfg scale Scenario.No_attack in
-      Format.printf "%a@." Lockss.Metrics.pp_summary summary;
-      report_audits (List.map (fun (seed, vs) -> ("run", seed, vs)) audits)
-    | _, false -> print_comparison (Scenario.compare_runs ?observe ~cfg scale attack)
-    | _, true ->
-      let c, audits = Scenario.compare_runs_audited ?observe ~cfg scale attack in
-      print_comparison c;
-      report_audits audits);
+    let sides =
+      match attack with
+      | Scenario.No_attack ->
+        let sweep = Scenario.sweep ~probes ~cfg scale attack in
+        Format.printf "%a@." Lockss.Metrics.pp_summary sweep.Scenario.mean;
+        [ ("run", sweep) ]
+      | _ ->
+        let paired = Scenario.compare ~probes ~cfg scale attack in
+        print_comparison paired.Scenario.ratios;
+        [ ("baseline", paired.Scenario.no_attack); ("attack", paired.Scenario.under_attack) ]
+    in
+    if probes.Scenario.audit then report_audits sides;
     let fault_mix =
       if Narses.Faults.is_none fault_cfg then None else Some (fault_mix_json mix)
     in
@@ -497,7 +496,7 @@ let run_cmd =
     Term.(
       const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs $ capacity $ mttf
       $ interval_months $ attack_kind $ coverage $ duration_days $ mix_term zero_mix
-      $ observe_term $ check_flag $ manifest_out)
+      $ probes_term $ manifest_out)
   in
   Cmd.v
     (Cmd.info "run"

@@ -14,7 +14,7 @@ let () =
   Format.printf
     "Attrition gauntlet: %d peers x %d AUs, %g simulated years per adversary.@.@."
     cfg.Lockss.Config.loyal_peers cfg.Lockss.Config.aus scale.Scenario.years;
-  let baseline = Scenario.run_avg ~cfg scale Scenario.No_attack in
+  let baseline = (Scenario.sweep ~cfg scale Scenario.No_attack).Scenario.mean in
   let table =
     Table.create
       [ "adversary"; "access failure"; "delay"; "friction"; "cost ratio"; "verdict" ]
@@ -25,7 +25,7 @@ let () =
     else "shrugged off"
   in
   let contend name attack =
-    let summary = Scenario.run_avg ~cfg scale attack in
+    let summary = (Scenario.sweep ~cfg scale attack).Scenario.mean in
     let c = Scenario.ratios ~baseline ~attack:summary in
     Table.add_row table
       [

@@ -13,7 +13,7 @@ let () =
   Format.printf
     "Brute-force adversary vs %d peers x %d AUs for %g years; defection points:@."
     cfg.Lockss.Config.loyal_peers cfg.Lockss.Config.aus scale.Scenario.years;
-  let baseline = Scenario.run_avg ~cfg scale Scenario.No_attack in
+  let baseline = (Scenario.sweep ~cfg scale Scenario.No_attack).Scenario.mean in
   let table =
     Repro_prelude.Table.create
       [ "defection"; "friction"; "cost ratio"; "delay ratio"; "access failure" ]
@@ -21,7 +21,7 @@ let () =
   List.iter
     (fun strategy ->
       let attack = Scenario.Brute_force { strategy; rate = 5.; identities = 50 } in
-      let summary = Scenario.run_avg ~cfg scale attack in
+      let summary = (Scenario.sweep ~cfg scale attack).Scenario.mean in
       let c = Scenario.ratios ~baseline ~attack:summary in
       Repro_prelude.Table.add_row table
         [

@@ -23,7 +23,7 @@ let () =
     cfg.Lockss.Config.loyal_peers;
   Format.printf "Simulating %g years, attack vs. no-attack baseline...@."
     scale.Scenario.years;
-  let c = Scenario.compare_runs ~cfg scale attack in
+  let c = (Scenario.compare ~cfg scale attack).Scenario.ratios in
   Format.printf "@.baseline:@.%a@." Lockss.Metrics.pp_summary c.Scenario.baseline;
   Format.printf "@.under attack:@.%a@." Lockss.Metrics.pp_summary c.Scenario.attack;
   Format.printf

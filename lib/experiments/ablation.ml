@@ -37,7 +37,7 @@ let groups ~scale specs =
       specs
   in
   let summaries =
-    Runner.map (fun (_, attack, _, cfg) -> Scenario.run_avg ~cfg scale attack) jobs
+    Runner.map (fun (_, attack, _, cfg) -> (Scenario.sweep ~cfg scale attack).Scenario.mean) jobs
   in
   let rows = List.combine jobs summaries in
   List.concat_map

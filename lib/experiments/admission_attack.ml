@@ -33,7 +33,7 @@ let sweep ?(scale = Scenario.bench) ?(durations = default_durations)
      list, merged back in grid order. *)
   let summaries =
     Runner.map
-      (fun attack -> Scenario.run_avg ~cfg scale attack)
+      (fun attack -> (Scenario.sweep ~cfg scale attack).Scenario.mean)
       (Scenario.No_attack
       :: List.map
            (fun (coverage, duration) ->

@@ -25,7 +25,7 @@ let sweep ?(scale = Scenario.bench) ?(intervals = default_intervals)
           mttfs)
       colls
   in
-  (* Every grid point is an independent spread of runs: fan out over
+  (* Every grid point is an independent sweep of runs: fan out over
      Runner workers, results merged back in grid order. *)
   Runner.map
     (fun (collection, mttf_years, interval) ->
@@ -37,14 +37,14 @@ let sweep ?(scale = Scenario.bench) ?(intervals = default_intervals)
           disk_mttf_years = mttf_years;
         }
       in
-      let spread = Scenario.run_spread ~cfg scale Scenario.No_attack in
+      let sweep = Scenario.sweep ~cfg scale Scenario.No_attack in
       {
         interval;
         mttf_years;
         collection;
-        access_failure = spread.Scenario.mean.Lockss.Metrics.access_failure_probability;
-        afp_min = spread.Scenario.afp_min;
-        afp_max = spread.Scenario.afp_max;
+        access_failure = sweep.Scenario.mean.Lockss.Metrics.access_failure_probability;
+        afp_min = sweep.Scenario.afp_min;
+        afp_max = sweep.Scenario.afp_max;
       })
     grid
 

@@ -214,9 +214,10 @@ let run ?(scale = Scenario.bench) ?(attack = Scenario.No_attack) mix =
         let pending_end = Engine.pending engine in
         (population, pending_mid, pending_end, Lockss.Population.summary population))
       (fun () ->
-        Scenario.run_one
-          ~cfg:{ base_cfg with Lockss.Config.faults = None }
-          ~seed ~years:scale.Scenario.years attack)
+        (Scenario.run
+           ~cfg:{ base_cfg with Lockss.Config.faults = None }
+           ~seed ~years:scale.Scenario.years attack)
+          .Scenario.summary)
   in
   let comparison = Scenario.ratios ~baseline:fault_free ~attack:faulty in
   let ( injected_drops,
@@ -314,8 +315,9 @@ let ablation ?(scale = Scenario.bench) mix =
     Runner.map
       (fun (label, run_cfg, attack) ->
         let s =
-          Scenario.run_one ~cfg:run_cfg ~seed:scale.Scenario.seed
-            ~years:scale.Scenario.years attack
+          (Scenario.run ~cfg:run_cfg ~seed:scale.Scenario.seed
+             ~years:scale.Scenario.years attack)
+            .Scenario.summary
         in
         [
           label;

@@ -41,7 +41,7 @@ let sweep ?(scale = Scenario.bench) ?collections ?(rate = default_rate)
           | None -> Scenario.No_attack
           | Some strategy -> Scenario.Brute_force { strategy; rate; identities }
         in
-        Scenario.run_avg ~cfg scale attack)
+        (Scenario.sweep ~cfg scale attack).Scenario.mean)
       cells
   in
   let by_cell = List.combine cells summaries in

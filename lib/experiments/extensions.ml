@@ -28,14 +28,12 @@ let adaptive_acceptance ?(scale = Scenario.bench) () =
           capacity = 0.02;
         }
       in
-      let baseline = Scenario.run_avg ~cfg scale Scenario.No_attack in
-      let summary = Scenario.run_avg ~cfg scale attack in
-      let c = Scenario.ratios ~baseline ~attack:summary in
+      let c = (Scenario.compare ~cfg scale attack).Scenario.ratios in
       {
         adaptive;
         friction = c.Scenario.friction;
         cost_ratio = c.Scenario.cost_ratio;
-        polls_succeeded = summary.Lockss.Metrics.polls_succeeded;
+        polls_succeeded = c.Scenario.attack.Lockss.Metrics.polls_succeeded;
       })
     [ false; true ]
 
@@ -122,10 +120,10 @@ let combined ?(scale = Scenario.bench) () =
     Scenario.Brute_force
       { strategy = Adversary.Brute_force.Full; rate = 5.; identities = 50 }
   in
-  let baseline = Scenario.run_avg ~cfg scale Scenario.No_attack in
+  let baseline = (Scenario.sweep ~cfg scale Scenario.No_attack).Scenario.mean in
   List.map
     (fun (label, attack) ->
-      let summary = Scenario.run_avg ~cfg scale attack in
+      let summary = (Scenario.sweep ~cfg scale attack).Scenario.mean in
       let c = Scenario.ratios ~baseline ~attack:summary in
       {
         label;
@@ -151,7 +149,7 @@ let diversity ?(scale = Scenario.bench) ?(coverages = [ 1.0; 0.75; 0.5 ]) () =
   List.map
     (fun coverage ->
       let cfg = { (Scenario.config scale) with Lockss.Config.au_coverage = coverage } in
-      let summary = Scenario.run_avg ~cfg scale Scenario.No_attack in
+      let summary = (Scenario.sweep ~cfg scale Scenario.No_attack).Scenario.mean in
       {
         coverage;
         replicas = summary.Lockss.Metrics.replicas;

@@ -17,7 +17,7 @@ let sweep ?(scale = Scenario.bench) ?(fractions = [ 0.1; 0.2; 0.3 ]) ?(rate = 5.
   let results =
     Runner.map
       (function
-        | `Baseline -> `Baseline (Scenario.run_avg ~cfg scale Scenario.No_attack)
+        | `Baseline -> `Baseline ((Scenario.sweep ~cfg scale Scenario.No_attack).Scenario.mean)
         | `Fraction fraction ->
           let population = Lockss.Population.create ~seed:scale.Scenario.seed cfg in
           let attack =
@@ -53,13 +53,11 @@ let sweep ?(scale = Scenario.bench) ?(fractions = [ 0.1; 0.2; 0.3 ]) ?(rate = 5.
 
 let brute_force_reference ?(scale = Scenario.bench) () =
   let cfg = Scenario.config scale in
-  let baseline = Scenario.run_avg ~cfg scale Scenario.No_attack in
-  let summary =
-    Scenario.run_avg ~cfg scale
-      (Scenario.Brute_force
-         { strategy = Adversary.Brute_force.Remaining; rate = 5.; identities = 50 })
+  let attack =
+    Scenario.Brute_force
+      { strategy = Adversary.Brute_force.Remaining; rate = 5.; identities = 50 }
   in
-  (Scenario.ratios ~baseline ~attack:summary).Scenario.friction
+  (Scenario.compare ~cfg scale attack).Scenario.ratios.Scenario.friction
 
 let to_table rows =
   let table =

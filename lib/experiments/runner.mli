@@ -27,7 +27,7 @@
 
     Nesting is safe and cheap: a {!map} issued from inside a worker runs
     serially on that worker, so sweeps that parallelise over grid points
-    may call {!Scenario.run_all} (which itself maps over seeds) without
+    may call {!Scenario.sweep} (which itself maps over seeds) without
     queueing pool batches recursively. *)
 
 (** [default_jobs ()] is the [LOCKSS_JOBS] environment variable when set

@@ -114,11 +114,11 @@ let rec attach population minions attack =
     rest
   | Combined attacks -> List.fold_left (attach population) minions attacks
 
-(* -- Observability ----------------------------------------------------- *)
+(* -- Probes --------------------------------------------------------------- *)
 
 type trace_format = [ `Auto | `Jsonl | `Binary ]
 
-type observe = {
+type probes = {
   trace_out : string option;
   trace_level : Lockss.Trace.severity;
   trace_format : trace_format;
@@ -127,9 +127,10 @@ type observe = {
   spans_out : string option;
   ledger_out : string option;
   profile_out : string option;
+  audit : bool;
 }
 
-let default_observe =
+let default_probes =
   {
     trace_out = None;
     trace_level = Lockss.Trace.Info;
@@ -139,6 +140,7 @@ let default_observe =
     spans_out = None;
     ledger_out = None;
     profile_out = None;
+    audit = false;
   }
 
 let resolve_trace_format format path : Obs.Trace_file.format =
@@ -158,58 +160,78 @@ let suffix_path path tag =
 
 let seeded_path path ~seed = suffix_path path (Printf.sprintf "seed%d" seed)
 
-(* [tag_observe tag obs] retargets both outputs so a second role in the
-   same experiment (the no-attack side of a paired comparison) cannot
-   collide with the first at equal seeds. *)
-let tag_observe tag obs =
+(* [tag_probes tag probes] retargets every output so a second role in
+   the same experiment (the no-attack side of a paired comparison)
+   cannot collide with the first at equal seeds. *)
+let tag_probes tag probes =
   let retag = Option.map (fun p -> suffix_path p tag) in
   {
-    obs with
-    trace_out = retag obs.trace_out;
-    metrics_out = retag obs.metrics_out;
-    spans_out = retag obs.spans_out;
-    ledger_out = retag obs.ledger_out;
-    profile_out = retag obs.profile_out;
+    probes with
+    trace_out = retag probes.trace_out;
+    metrics_out = retag probes.metrics_out;
+    spans_out = retag probes.spans_out;
+    ledger_out = retag probes.ledger_out;
+    profile_out = retag probes.profile_out;
   }
 
 (* Trace sinks drain to the OS on a size bound (the sink's buffer) and,
    as a backstop for long quiet stretches, once per simulated month. *)
 let trace_flush_interval = Duration.of_days 30.
 
-(* Subscribe the requested trace sink and metrics sampler to a freshly
-   built population; returns a cleanup closing whatever was opened. Each
-   run writes (truncating) its own seed-suffixed files. *)
-let subscribe_observers ?profiler ~observe ~seed population =
-  match observe with
-  | None -> Fun.id
-  | Some obs ->
-    let cleanups = ref [] in
-    (match obs.trace_out with
+(* [close_all fs] runs every cleanup even when one raises, then re-raises
+   the first exception, so one failing output never leaks the others. *)
+let close_all fs =
+  let first =
+    List.fold_left
+      (fun first f ->
+        match f () with
+        | () -> first
+        | exception exn -> if Option.is_none first then Some exn else first)
+      None fs
+  in
+  Option.iter raise first
+
+let write_json_line path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Obs.Json.to_string json);
+      output_char oc '\n')
+
+(* Subscribe the requested trace sink, metrics sampler and live span
+   analyzer to a freshly built population; returns a cleanup closing
+   whatever was opened, newest first. Each run writes (truncating) its
+   own seed-suffixed files. If opening one output raises, the outputs
+   already opened are closed before the exception escapes. *)
+let subscribe_observers ~probes ~seed population =
+  let cleanups = ref [] in
+  let add f = cleanups := f :: !cleanups in
+  try
+    (match probes.trace_out with
     | None -> ()
     | Some path ->
       let sink =
         Obs.Sink.open_file ~flush_interval:trace_flush_interval
           (seeded_path path ~seed)
       in
+      add (fun () -> Obs.Sink.close sink);
       (* [interest] mirrors the sink's severity filter back onto the
          bus, so below-threshold events are never even constructed when
          this is the only subscriber. *)
       let trace_sink =
-        match resolve_trace_format obs.trace_format path with
+        match resolve_trace_format probes.trace_format path with
         | Obs.Trace_file.Jsonl ->
-          Lockss.Trace.buffered_jsonl_sink ~min_severity:obs.trace_level sink
+          Lockss.Trace.buffered_jsonl_sink ~min_severity:probes.trace_level sink
         | Obs.Trace_file.Binary ->
-          Lockss.Trace.binary_sink ~min_severity:obs.trace_level
+          Lockss.Trace.binary_sink ~min_severity:probes.trace_level
             (Obs.Btrace.writer sink)
       in
-      Lockss.Trace.subscribe ~interest:obs.trace_level
+      Lockss.Trace.subscribe ~interest:probes.trace_level
         (Lockss.Population.trace population)
-        trace_sink;
-      cleanups := (fun () -> Obs.Sink.close sink) :: !cleanups);
-    (match obs.metrics_out with
+        trace_sink);
+    (match probes.metrics_out with
     | None -> ()
     | Some path ->
       let sink = Obs.Sink.open_file (seeded_path path ~seed) in
+      add (fun () -> Obs.Sink.close sink);
       let series =
         Obs.Series.create
           ~format:(Obs.Series.format_of_path path)
@@ -219,44 +241,13 @@ let subscribe_observers ?profiler ~observe ~seed population =
       let sampler =
         Lockss.Sampler.attach
           ~engine:(Lockss.Population.engine population)
-          ~metrics:ctx.Lockss.Peer.metrics ~interval:obs.sample_interval
+          ~metrics:ctx.Lockss.Peer.metrics ~interval:probes.sample_interval
           (Lockss.Sampler.series_writer ~seed series)
       in
-      cleanups :=
-        (fun () ->
+      add (fun () ->
           Lockss.Sampler.stop sampler;
-          Obs.Series.close series)
-        :: !cleanups);
-    (match obs.profile_out with
-    | None -> ()
-    | Some path ->
-      let prof =
-        match profiler with Some p -> p | None -> Obs.Profiler.create ()
-      in
-      cleanups :=
-        (fun () ->
-          Obs.Profiler.sample_gc prof;
-          let stats = Narses.Engine.stats (Lockss.Population.engine population) in
-          Out_channel.with_open_text (seeded_path path ~seed) (fun oc ->
-              output_string oc
-                (Obs.Json.to_string
-                   (Obs.Json.Assoc
-                      [
-                        ("profile", Obs.Profiler.snapshot_json prof);
-                        ( "engine",
-                          Obs.Json.Assoc
-                            [
-                              ("executed", Obs.Json.Int stats.Narses.Engine.executed);
-                              ("scheduled", Obs.Json.Int stats.Narses.Engine.scheduled);
-                              ("cancelled", Obs.Json.Int stats.Narses.Engine.cancelled);
-                              ("pending", Obs.Json.Int stats.Narses.Engine.pending);
-                              ( "max_heap_depth",
-                                Obs.Json.Int stats.Narses.Engine.max_heap_depth );
-                            ] );
-                      ]));
-              output_char oc '\n'))
-        :: !cleanups);
-    (match (obs.spans_out, obs.ledger_out) with
+          Obs.Series.close series));
+    (match (probes.spans_out, probes.ledger_out) with
     | None, None -> ()
     | spans_out, ledger_out ->
       (* The live analyzer subscribes below the severity filter: span
@@ -270,44 +261,43 @@ let subscribe_observers ?profiler ~observe ~seed population =
         (Lockss.Population.trace population)
         (fun ~time event ->
           Obs.Analyze.feed_view analyzer (Lockss.Trace.to_view ~time event));
-      cleanups :=
-        (fun () ->
-          (match spans_out with
-          | None -> ()
-          | Some path ->
-            Out_channel.with_open_text (seeded_path path ~seed) (fun oc ->
-                List.iter
-                  (fun span ->
-                    output_string oc (Obs.Json.to_string (Obs.Span.span_to_json span));
-                    output_char oc '\n')
-                  (Obs.Span.spans (Obs.Analyze.span_builder analyzer))));
-          match ledger_out with
-          | None -> ()
-          | Some path ->
-            let summary = Lockss.Population.summary population in
-            let ledger = Obs.Analyze.ledger analyzer in
-            let reconciliation =
-              Obs.Ledger.reconcile ledger
-                ~loyal_effort:summary.Lockss.Metrics.loyal_effort
-                ~adversary_effort:summary.Lockss.Metrics.adversary_effort
-                ~polls_succeeded:summary.Lockss.Metrics.polls_succeeded
-                ~polls_inquorate:summary.Lockss.Metrics.polls_inquorate
-                ~polls_alarmed:summary.Lockss.Metrics.polls_alarmed
-                ~votes_supplied:summary.Lockss.Metrics.votes_supplied
-                ~invitations_considered:summary.Lockss.Metrics.invitations_considered
-            in
-            Out_channel.with_open_text (seeded_path path ~seed) (fun oc ->
-                output_string oc
-                  (Obs.Json.to_string
-                     (Obs.Json.Assoc
-                        [
-                          ("ledger", Obs.Ledger.to_json ledger);
-                          ( "reconciliation",
-                            Obs.Ledger.reconciliation_to_json reconciliation );
-                        ]));
-                output_char oc '\n'))
-        :: !cleanups);
-    fun () -> List.iter (fun f -> f ()) !cleanups
+      Option.iter
+        (fun path ->
+          add (fun () ->
+              Out_channel.with_open_text (seeded_path path ~seed) (fun oc ->
+                  List.iter
+                    (fun span ->
+                      output_string oc (Obs.Json.to_string (Obs.Span.span_to_json span));
+                      output_char oc '\n')
+                    (Obs.Span.spans (Obs.Analyze.span_builder analyzer)))))
+        spans_out;
+      Option.iter
+        (fun path ->
+          add (fun () ->
+              let summary = Lockss.Population.summary population in
+              let ledger = Obs.Analyze.ledger analyzer in
+              let reconciliation =
+                Obs.Ledger.reconcile ledger
+                  ~loyal_effort:summary.Lockss.Metrics.loyal_effort
+                  ~adversary_effort:summary.Lockss.Metrics.adversary_effort
+                  ~polls_succeeded:summary.Lockss.Metrics.polls_succeeded
+                  ~polls_inquorate:summary.Lockss.Metrics.polls_inquorate
+                  ~polls_alarmed:summary.Lockss.Metrics.polls_alarmed
+                  ~votes_supplied:summary.Lockss.Metrics.votes_supplied
+                  ~invitations_considered:summary.Lockss.Metrics.invitations_considered
+              in
+              write_json_line (seeded_path path ~seed)
+                (Obs.Json.Assoc
+                   [
+                     ("ledger", Obs.Ledger.to_json ledger);
+                     ("reconciliation", Obs.Ledger.reconciliation_to_json reconciliation);
+                   ])))
+        ledger_out);
+    fun () -> close_all !cleanups
+  with exn ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try close_all !cleanups with _ -> ());
+    Printexc.raise_with_backtrace exn bt
 
 let build ~cfg ~seed attack =
   let population =
@@ -316,63 +306,83 @@ let build ~cfg ~seed attack =
   ignore (attach population (Lockss.Population.extra_nodes population) attack);
   population
 
-let maybe_phase profiler name f =
-  match profiler with None -> f () | Some p -> Obs.Profiler.phase p name f
-
-let run_one ?observe ?check ~cfg ~seed ~years attack =
-  let profiler =
-    match observe with
-    | Some { profile_out = Some _; _ } -> Some (Obs.Profiler.create ())
-    | _ -> None
-  in
-  let population = maybe_phase profiler "setup" (fun () -> build ~cfg ~seed attack) in
-  (match check with
-  | None -> ()
-  | Some auditor -> Check.Auditor.attach auditor (Lockss.Population.trace population));
-  let cleanup = subscribe_observers ?profiler ~observe ~seed population in
-  Fun.protect ~finally:cleanup (fun () ->
-      maybe_phase profiler "run" (fun () ->
-          Lockss.Population.run population ~until:(Duration.of_years years));
-      let summary = Lockss.Population.summary population in
-      (match check with
-      | None -> ()
-      | Some auditor -> Check.Auditor.finish ~metrics:summary auditor);
-      summary)
-
-(* -- Auditing ----------------------------------------------------------- *)
-
 let make_auditor ~cfg () =
   Check.Auditor.create ~params:(Check.Invariant.params_of_config cfg) ()
 
-let run_one_audited ?observe ~cfg ~seed ~years attack =
-  let auditor = make_auditor ~cfg () in
-  let summary = run_one ?observe ~check:auditor ~cfg ~seed ~years attack in
-  (summary, Check.Auditor.violations auditor)
+(* -- Runs ---------------------------------------------------------------- *)
 
-type profile = {
+type run = {
+  seed : int;
   summary : Lockss.Metrics.summary;
+  violations : Check.Invariant.violation list;
   engine : Narses.Engine.stats;
   setup_cpu_s : float;
   run_cpu_s : float;
-  gc : Obs.Profiler.gc;
 }
 
-let run_one_profiled ?observe ~cfg ~seed ~years attack =
-  let gc0 = Obs.Profiler.gc_now () in
-  let t0 = Sys.time () in
+(* The run's profile: setup/run CPU seconds as phases, a GC sample of
+   the domain's runtime counters, and the engine statistics. *)
+let write_profile path (r : run) =
+  let prof = Obs.Profiler.create () in
+  Obs.Profiler.add_phase_time prof "setup" r.setup_cpu_s;
+  Obs.Profiler.add_phase_time prof "run" r.run_cpu_s;
+  Obs.Profiler.sample_gc prof;
+  let e = r.engine in
+  write_json_line path
+    (Obs.Json.Assoc
+       [
+         ("profile", Obs.Profiler.snapshot_json prof);
+         ( "engine",
+           Obs.Json.Assoc
+             [
+               ("executed", Obs.Json.Int e.Narses.Engine.executed);
+               ("scheduled", Obs.Json.Int e.Narses.Engine.scheduled);
+               ("cancelled", Obs.Json.Int e.Narses.Engine.cancelled);
+               ("pending", Obs.Json.Int e.Narses.Engine.pending);
+               ("max_heap_depth", Obs.Json.Int e.Narses.Engine.max_heap_depth);
+             ] );
+       ])
+
+(* CPU time is the running thread's, so a job's figures stay its own
+   when other jobs run on the Runner's other domains. *)
+let run ?(probes = default_probes) ~cfg ~seed ~years attack =
+  let cpu = Repro_prelude.Monotonic.thread_cpu_s in
+  let t0 = cpu () in
   let population = build ~cfg ~seed attack in
-  let cleanup = subscribe_observers ~observe ~seed population in
-  Fun.protect ~finally:cleanup (fun () ->
-      let t1 = Sys.time () in
-      Lockss.Population.run population ~until:(Duration.of_years years);
-      let t2 = Sys.time () in
-      {
-        summary = Lockss.Population.summary population;
-        engine = Narses.Engine.stats (Lockss.Population.engine population);
-        setup_cpu_s = t1 -. t0;
-        run_cpu_s = t2 -. t1;
-        gc = Obs.Profiler.gc_delta ~before:gc0 ~after:(Obs.Profiler.gc_now ());
-      })
+  (* The auditor subscribes before the outputs: it re-emits violations
+     onto the bus mid-delivery, so subscription order fixes where they
+     land in the trace. *)
+  let auditor = if probes.audit then Some (make_auditor ~cfg ()) else None in
+  Option.iter
+    (fun a -> Check.Auditor.attach a (Lockss.Population.trace population))
+    auditor;
+  let cleanup = subscribe_observers ~probes ~seed population in
+  let result =
+    Fun.protect ~finally:cleanup (fun () ->
+        let t1 = cpu () in
+        Lockss.Population.run population ~until:(Duration.of_years years);
+        let t2 = cpu () in
+        let summary = Lockss.Population.summary population in
+        let violations =
+          match auditor with
+          | None -> []
+          | Some a ->
+            Check.Auditor.finish ~metrics:summary a;
+            Check.Auditor.violations a
+        in
+        {
+          seed;
+          summary;
+          violations;
+          engine = Narses.Engine.stats (Lockss.Population.engine population);
+          setup_cpu_s = t1 -. t0;
+          run_cpu_s = t2 -. t1;
+        })
+  in
+  Option.iter
+    (fun path -> write_profile (seeded_path path ~seed) result)
+    probes.profile_out;
+  result
 
 let mean_summaries (summaries : Lockss.Metrics.summary list) =
   match summaries with
@@ -428,43 +438,25 @@ let mean_summaries (summaries : Lockss.Metrics.summary list) =
       empirical_read_failure = read_failure;
     }
 
-let run_all ?observe ~cfg scale attack =
-  Runner.map
-    (fun i -> run_one ?observe ~cfg ~seed:(scale.seed + i) ~years:scale.years attack)
-    (List.init scale.runs Fun.id)
-
-let run_avg ?observe ~cfg scale attack =
-  mean_summaries (run_all ?observe ~cfg scale attack)
-
-(* Audited sweeps: one auditor per run (runs execute on separate
-   domains), violations merged back in seed order by [Runner.map], so a
-   multi-run audit is as deterministic as the runs themselves. *)
-let run_all_audited ?observe ~cfg scale attack =
-  List.split
-    (Runner.map
-       (fun i ->
-         let seed = scale.seed + i in
-         let summary, violations =
-           run_one_audited ?observe ~cfg ~seed ~years:scale.years attack
-         in
-         (summary, (seed, violations)))
-       (List.init scale.runs Fun.id))
-
-let run_avg_audited ?observe ~cfg scale attack =
-  let summaries, audits = run_all_audited ?observe ~cfg scale attack in
-  (mean_summaries summaries, audits)
-
-type spread = {
+type sweep = {
+  runs : run list;
   mean : Lockss.Metrics.summary;
   afp_min : float;
   afp_max : float;
 }
 
-let run_spread ?observe ~cfg scale attack =
-  let runs = run_all ?observe ~cfg scale attack in
-  let afps = List.map (fun s -> s.Lockss.Metrics.access_failure_probability) runs in
+(* One run per seed, fanned out over the Runner; one auditor per run
+   when auditing, so an audited sweep is as deterministic as the runs. *)
+let sweep ?probes ~cfg (scale : scale) attack =
+  let runs =
+    Runner.map
+      (fun i -> run ?probes ~cfg ~seed:(scale.seed + i) ~years:scale.years attack)
+      (List.init scale.runs Fun.id)
+  in
+  let afps = List.map (fun r -> r.summary.Lockss.Metrics.access_failure_probability) runs in
   {
-    mean = mean_summaries runs;
+    runs;
+    mean = mean_summaries (List.map (fun r -> r.summary) runs);
     afp_min = List.fold_left Float.min infinity afps;
     afp_max = List.fold_left Float.max neg_infinity afps;
   }
@@ -495,25 +487,15 @@ let ratios ~baseline ~attack =
         attack.Lockss.Metrics.loyal_effort;
   }
 
-let compare_runs ?observe ~cfg scale attack =
-  (* Both sides reuse the same seeds, so the baseline's sinks are
-     retargeted to [.baseline]-suffixed paths. The two averaged sweeps
-     are independent; run them on separate domains when available. *)
-  let baseline_observe = Option.map (tag_observe "baseline") observe in
-  let baseline, attack_summary =
-    Runner.both
-      (fun () -> run_avg ?observe:baseline_observe ~cfg scale No_attack)
-      (fun () -> run_avg ?observe ~cfg scale attack)
-  in
-  ratios ~baseline ~attack:attack_summary
+type paired = { no_attack : sweep; under_attack : sweep; ratios : comparison }
 
-let compare_runs_audited ?observe ~cfg scale attack =
-  let baseline_observe = Option.map (tag_observe "baseline") observe in
-  let (baseline, baseline_audits), (attack_summary, attack_audits) =
+let compare ?(probes = default_probes) ~cfg scale attack =
+  (* Both sides reuse the same seeds, so the baseline's outputs are
+     retargeted to [.baseline]-suffixed paths. The two sweeps are
+     independent; run them on separate domains when available. *)
+  let no_attack, under_attack =
     Runner.both
-      (fun () -> run_avg_audited ?observe:baseline_observe ~cfg scale No_attack)
-      (fun () -> run_avg_audited ?observe ~cfg scale attack)
+      (fun () -> sweep ~probes:(tag_probes "baseline" probes) ~cfg scale No_attack)
+      (fun () -> sweep ~probes ~cfg scale attack)
   in
-  ( ratios ~baseline ~attack:attack_summary,
-    List.map (fun (seed, vs) -> ("baseline", seed, vs)) baseline_audits
-    @ List.map (fun (seed, vs) -> ("attack", seed, vs)) attack_audits )
+  { no_attack; under_attack; ratios = ratios ~baseline:no_attack.mean ~attack:under_attack.mean }

@@ -5,7 +5,7 @@
     baseline with identical parameters and seeds: delay ratio and the
     coefficient of friction are "the same measurement without the attack"
     ratios, and the cost ratio compares attacker and defender effort
-    within the attack run. {!compare_runs} packages that methodology.
+    within the attack run. {!compare} packages that methodology.
 
     Two standard scales are provided. {!paper} is the configuration of
     Section 6.3 (100 peers, 3-month interval, quorum 10, 2 simulated
@@ -52,20 +52,23 @@ type attack =
       (** several adversaries at once (Section 9's combined strategies);
           each effortful sub-attack gets its own minion nodes *)
 
-(** {2 Observability}
+(** {2 Probes}
 
-    Observability is a per-run argument, threaded explicitly from the
-    caller down to each job: simulation runs execute on multiple domains
-    ({!Runner}), so there is no process-wide setting and no shared
-    output channel. Each run writes its own files, the configured paths
-    suffixed with the run's seed ([m.csv] becomes [m.seed3.csv]), so a
-    multi-run sweep yields one file per seed. *)
+    What a run records besides its summary is a per-run argument,
+    threaded explicitly from the caller down to each job: simulation
+    runs execute on multiple domains ({!Runner}), so there is no
+    process-wide setting and no shared output channel. Each run writes
+    its own files, the configured paths suffixed with the run's seed
+    ([m.csv] becomes [m.seed3.csv]), so a multi-run sweep yields one
+    file per seed. No probe draws from a run's RNG or schedules an
+    event that changes its outcome: a probed run's summary equals the
+    unprobed one. *)
 
 (** Encoding of the [trace_out] file. [`Auto] resolves from the path's
     extension ([.ntrace] is binary, anything else JSONL). *)
 type trace_format = [ `Auto | `Jsonl | `Binary ]
 
-type observe = {
+type probes = {
   trace_out : string option;
       (** write protocol events to this path, suffixed per run by seed —
           JSONL ({!Lockss.Trace.to_json}) or the compact binary format
@@ -88,93 +91,64 @@ type observe = {
           against the run's metrics as one JSON object to this path,
           suffixed per run by seed *)
   profile_out : string option;
-      (** write a run-wide profile (phase wall-clock, GC counters,
-          metric registry snapshot, engine stats) as one JSON object to
-          this path, suffixed per run by seed *)
+      (** write the run's profile as one JSON object to this path,
+          suffixed per run by seed: a [profile] member (the
+          {!Obs.Profiler} snapshot, with the result's setup/run CPU
+          seconds as phases and a GC sample taken at the end) and an
+          [engine] member (the result's {!Narses.Engine.stats}) *)
+  audit : bool;
+      (** attach a fresh auditor ({!make_auditor}) to the run's trace
+          bus, so every protocol invariant is evaluated online and
+          violations land in the trace as [Invariant_violated] events;
+          it is finished against the run's metrics and its violations
+          returned in {!run.violations} *)
 }
 
-(** [default_observe] writes nothing: all outputs [None], level [Info],
-    [`Auto] trace format, 7-day sampling interval. *)
-val default_observe : observe
+(** [default_probes] records nothing: all outputs [None], level [Info],
+    [`Auto] trace format, 7-day sampling interval, no audit. *)
+val default_probes : probes
 
 (** [seeded_path path ~seed] is the per-run output path derived from a
     configured [path]: [.seed<N>] inserted before the extension. *)
 val seeded_path : string -> seed:int -> string
-
-(** [tag_observe tag obs] retargets both output paths with an extra
-    [.tag] suffix — used by paired comparisons whose two sides reuse the
-    same seeds ({!compare_runs} tags its no-attack side [baseline]). *)
-val tag_observe : string -> observe -> observe
 
 (** [build ~cfg ~seed attack] constructs the population with the attack
     attached but does not run it — for harnesses (like {!Chaos}) that
     need to subscribe observers or probe engine state mid-run. *)
 val build : cfg:Lockss.Config.t -> seed:int -> attack -> Lockss.Population.t
 
-(** [run_one ?observe ?check ~cfg ~seed ~years attack] builds a
-    population, attaches the attack, runs the horizon and returns the
-    finalised metrics, writing the run's trace/metrics files when
-    [observe] is given. When a [check] auditor is given it is attached
-    to the run's trace bus (so every protocol invariant is evaluated
-    online and violations land in the trace as
-    [Invariant_violated] events) and finished against the run's metrics
-    before returning. *)
-val run_one : ?observe:observe -> ?check:Check.Auditor.t -> cfg:Lockss.Config.t ->
-  seed:int -> years:float -> attack -> Lockss.Metrics.summary
-
 (** [make_auditor ~cfg ()] is a fresh auditor parameterised by the run
     configuration ({!Check.Invariant.params_of_config}). *)
 val make_auditor : cfg:Lockss.Config.t -> unit -> Check.Auditor.t
 
-(** [run_one_audited] is {!run_one} with its own fresh auditor; returns
-    the summary and the violations observed (empty on a clean run). *)
-val run_one_audited :
-  ?observe:observe -> cfg:Lockss.Config.t -> seed:int -> years:float -> attack ->
-  Lockss.Metrics.summary * Check.Invariant.violation list
+(** {2 Runs}
 
-(** [run_all_audited] is {!run_all} with one auditor per run; the
-    violation lists come back seed-tagged, in seed order. *)
-val run_all_audited :
-  ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack ->
-  Lockss.Metrics.summary list * (int * Check.Invariant.violation list) list
+    Three entry points: {!run} (one seed), {!sweep} (one scale's seeds)
+    and {!compare} (a sweep under attack against its no-attack
+    baseline). All take the same optional [probes] (default
+    {!default_probes}). *)
 
-(** [run_avg_audited] averages like {!run_avg} and returns the
-    seed-tagged violations of every contributing run. *)
-val run_avg_audited :
-  ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack ->
-  Lockss.Metrics.summary * (int * Check.Invariant.violation list) list
-
-(** One scenario run with engine profiling attached: the summary plus the
-    engine's event statistics, the CPU seconds spent building the
-    population ([setup_cpu_s]) and executing events ([run_cpu_s]), and
-    the GC counter deltas across the whole run — enough to compute
-    events/second, allocation per event, and locate simulator hot
-    spots. *)
-type profile = {
-  summary : Lockss.Metrics.summary;
+(** One run's result. Both CPU figures are thread CPU time of the
+    domain that ran the job ({!Repro_prelude.Monotonic.thread_cpu_s}),
+    so jobs running at once on other domains do not inflate them; with
+    [engine.executed], [run_cpu_s] gives events per second. *)
+type run = {
+  seed : int;
+  summary : Lockss.Metrics.summary;  (** the finalised metrics *)
+  violations : Check.Invariant.violation list;
+      (** what the auditor observed; [[]] unless [probes.audit] *)
   engine : Narses.Engine.stats;
   setup_cpu_s : float;
-  run_cpu_s : float;
-  gc : Obs.Profiler.gc;
+      (** CPU seconds building the population and attaching the probes *)
+  run_cpu_s : float;  (** CPU seconds executing events *)
 }
 
-val run_one_profiled :
-  ?observe:observe -> cfg:Lockss.Config.t -> seed:int -> years:float -> attack ->
-  profile
-
-(** [run_all ?observe ~cfg scale attack] runs seeds [scale.seed],
-    [scale.seed+1], … in parallel over {!Runner} workers and returns the
-    summaries in seed order — byte-identical to a serial loop. *)
-val run_all :
-  ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack ->
-  Lockss.Metrics.summary list
-
-(** [run_avg ?observe ~cfg scale attack] is {!mean_summaries} of
-    {!run_all}: [scale.runs] runs averaged ({!run_all}'s parallelism
-    included). *)
-val run_avg :
-  ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack ->
-  Lockss.Metrics.summary
+(** [run ?probes ~cfg ~seed ~years attack] builds a population, attaches
+    the attack and the probes, runs the horizon and returns the result.
+    If an output cannot be opened, the outputs already opened are closed
+    and the exception ([Sys_error]) escapes. *)
+val run :
+  ?probes:probes -> cfg:Lockss.Config.t -> seed:int -> years:float -> attack -> run
 
 (** [mean_summaries summaries] averages metrics across runs. Counters
     average (rounded); anomaly counters ([repair_underflows]) sum so a
@@ -182,15 +156,17 @@ val run_avg :
     the runs that performed reads (NaN only when none did). *)
 val mean_summaries : Lockss.Metrics.summary list -> Lockss.Metrics.summary
 
-type spread = {
-  mean : Lockss.Metrics.summary;
+type sweep = {
+  runs : run list;  (** in seed order *)
+  mean : Lockss.Metrics.summary;  (** {!mean_summaries} of the runs *)
   afp_min : float;  (** lowest access-failure probability across runs *)
   afp_max : float;  (** highest, matching the min/max bars of Figure 2 *)
 }
 
-(** [run_spread ?observe ~cfg scale attack] is {!run_avg} plus the
-    across-run extremes of the access-failure probability. *)
-val run_spread : ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack -> spread
+(** [sweep ?probes ~cfg scale attack] runs seeds [scale.seed] …
+    [scale.seed + scale.runs - 1] in parallel over {!Runner} workers —
+    byte-identical to a serial loop, whatever the worker count. *)
+val sweep : ?probes:probes -> cfg:Lockss.Config.t -> scale -> attack -> sweep
 
 type comparison = {
   attack : Lockss.Metrics.summary;
@@ -205,16 +181,14 @@ type comparison = {
 val ratios : baseline:Lockss.Metrics.summary -> attack:Lockss.Metrics.summary ->
   comparison
 
-(** [compare_runs ?observe ~cfg scale attack] runs both sides (on two
-    domains when available) and returns the comparison; the baseline
-    side's observability paths are tagged [baseline] because both sides
-    reuse the same seeds. *)
-val compare_runs :
-  ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack -> comparison
+type paired = {
+  no_attack : sweep;  (** the baseline side *)
+  under_attack : sweep;
+  ratios : comparison;  (** {!ratios} of the two sweeps' means *)
+}
 
-(** [compare_runs_audited] audits both sides of the comparison; each
-    violation list is tagged with its side (["baseline"] or ["attack"])
-    and seed, baseline side first. *)
-val compare_runs_audited :
-  ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack ->
-  comparison * (string * int * Check.Invariant.violation list) list
+(** [compare ?probes ~cfg scale attack] sweeps [No_attack] and [attack]
+    at the same seeds (on two domains when available). The baseline
+    side's output paths are tagged [.baseline] ([m.csv] becomes
+    [m.baseline.seed3.csv]) because both sides reuse the same seeds. *)
+val compare : ?probes:probes -> cfg:Lockss.Config.t -> scale -> attack -> paired

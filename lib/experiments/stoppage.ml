@@ -25,7 +25,7 @@ let sweep ?(scale = Scenario.bench) ?(durations = default_durations)
      job each, fanned out over Runner workers, merged in grid order. *)
   let summaries =
     Runner.map
-      (fun attack -> Scenario.run_avg ~cfg scale attack)
+      (fun attack -> (Scenario.sweep ~cfg scale attack).Scenario.mean)
       (Scenario.No_attack
       :: List.map
            (fun (coverage, duration) ->

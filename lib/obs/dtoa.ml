@@ -109,33 +109,35 @@ let scaled_17 a =
   let e2 = (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float a) 52) land 0x7ff) - 1023 in
   scaled_attempt a ((e2 * 78913) asr 18) 0
 
-(* Digit scratch shared across calls (the simulator is single-threaded,
-   like every other scratch buffer on the trace path): a 17-digit
-   mantissa never needs [string_of_int]'s fresh string. Filled
-   least-significant-digit-first from the right; returns the start
-   index. *)
-let digit_scratch = Bytes.create 17
+(* Per-domain scratch: trace sinks render literals on every Runner
+   domain at once, so a process-wide workspace would let two runs
+   overwrite each other's digits. [digits] holds a 17-digit mantissa
+   without [string_of_int]'s fresh string; [buf] is reused across calls
+   ([Buffer.contents] copies out a fresh string, so sharing it is safe)
+   because a per-call [Buffer.create] was a measurable slice of the
+   per-literal allocation. *)
+type scratch = { digits : Bytes.t; buf : Buffer.t }
 
-let rec fill_digits x pos =
-  Bytes.unsafe_set digit_scratch pos (Char.unsafe_chr (Char.code '0' + (x mod 10)));
-  if x >= 10 then fill_digits (x / 10) (pos - 1) else pos
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { digits = Bytes.create 17; buf = Buffer.create 32 })
+
+(* Filled least-significant-digit-first from the right; returns the
+   start index. *)
+let rec fill_digits digits x pos =
+  Bytes.unsafe_set digits pos (Char.unsafe_chr (Char.code '0' + (x mod 10)));
+  if x >= 10 then fill_digits digits (x / 10) (pos - 1) else pos
 
 let rec strip_zeros m p = if m mod 10 = 0 then strip_zeros (m / 10) (p + 1) else (m, p)
-
-(* Reused across calls ([Buffer.contents] copies out a fresh string, so
-   sharing the workspace is safe); per-call [Buffer.create] was a
-   measurable slice of the per-literal allocation. *)
-let render_buf = Buffer.create 32
 
 (* [render ~neg m p] lays out [sign * m * 10^p] %g-style: plain decimal
    when the leading digit's exponent is in [-4, 17), otherwise
    [d.ddde±XX]. Trailing zeros of [m] are stripped first. *)
 let render ~neg m p =
+  let { digits = digit_scratch; buf = b } = Domain.DLS.get scratch_key in
   let m, p = strip_zeros m p in
-  let start = fill_digits m 16 in
+  let start = fill_digits digit_scratch m 16 in
   let l = 17 - start in
   let q = p + l - 1 in
-  let b = render_buf in
   Buffer.clear b;
   if neg then Buffer.add_char b '-';
   if q < -4 || q >= 17 then begin

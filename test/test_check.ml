@@ -51,9 +51,11 @@ let audit_events ?only events =
 
 (* -- Clean runs audit clean --------------------------------------------- *)
 
+let audit = { Scenario.default_probes with Scenario.audit = true }
+
 let test_baseline_run_clean () =
-  let _, violations =
-    Scenario.run_one_audited ~cfg:micro_cfg ~seed:3
+  let { Scenario.violations; _ } =
+    Scenario.run ~probes:audit ~cfg:micro_cfg ~seed:3
       ~years:micro_scale.Scenario.years Scenario.No_attack
   in
   Alcotest.(check int) "no violations on a fault-free audited run" 0
@@ -71,8 +73,8 @@ let test_attacked_run_clean () =
         rate = 24.;
       }
   in
-  let _, violations =
-    Scenario.run_one_audited ~cfg:micro_cfg ~seed:5
+  let { Scenario.violations; _ } =
+    Scenario.run ~probes:audit ~cfg:micro_cfg ~seed:5
       ~years:micro_scale.Scenario.years attack
   in
   Alcotest.(check int) "no violations under admission flood" 0 (List.length violations)
@@ -81,8 +83,8 @@ let test_faulted_run_clean () =
   let cfg =
     { micro_cfg with Config.faults = Some (Chaos.faults_config Chaos.default_mix) }
   in
-  let _, violations =
-    Scenario.run_one_audited ~cfg ~seed:11 ~years:micro_scale.Scenario.years
+  let { Scenario.violations; _ } =
+    Scenario.run ~probes:audit ~cfg ~seed:11 ~years:micro_scale.Scenario.years
       Scenario.No_attack
   in
   Alcotest.(check int) "no violations under loss/jitter/dup/churn" 0

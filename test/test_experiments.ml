@@ -26,22 +26,23 @@ let test_config_of_scale () =
   Alcotest.(check int) "quorum" 4 cfg.Lockss.Config.quorum;
   Lockss.Config.validate cfg
 
-let test_run_one_deterministic () =
+let test_run_deterministic () =
   let cfg = Scenario.config micro in
-  let a = Scenario.run_one ~cfg ~seed:3 ~years:0.5 Scenario.No_attack in
-  let b = Scenario.run_one ~cfg ~seed:3 ~years:0.5 Scenario.No_attack in
+  let a = (Scenario.run ~cfg ~seed:3 ~years:0.5 Scenario.No_attack).Scenario.summary in
+  let b = (Scenario.run ~cfg ~seed:3 ~years:0.5 Scenario.No_attack).Scenario.summary in
   Alcotest.(check int) "same polls" a.Lockss.Metrics.polls_succeeded
     b.Lockss.Metrics.polls_succeeded;
   Alcotest.(check (float 0.)) "same effort" a.Lockss.Metrics.loyal_effort
     b.Lockss.Metrics.loyal_effort
 
-let test_run_avg_averages () =
+let test_sweep_averages () =
   let cfg = Scenario.config micro in
   let scale = { micro with Scenario.runs = 2; years = 0.5 } in
-  let avg = Scenario.run_avg ~cfg scale Scenario.No_attack in
-  let s1 = Scenario.run_one ~cfg ~seed:scale.Scenario.seed ~years:0.5 Scenario.No_attack in
+  let avg = (Scenario.sweep ~cfg scale Scenario.No_attack).Scenario.mean in
+  let s1 = (Scenario.run ~cfg ~seed:scale.Scenario.seed ~years:0.5 Scenario.No_attack).Scenario.summary in
   let s2 =
-    Scenario.run_one ~cfg ~seed:(scale.Scenario.seed + 1) ~years:0.5 Scenario.No_attack
+    (Scenario.run ~cfg ~seed:(scale.Scenario.seed + 1) ~years:0.5 Scenario.No_attack)
+      .Scenario.summary
   in
   let expected =
     (s1.Lockss.Metrics.loyal_effort +. s2.Lockss.Metrics.loyal_effort) /. 2.
@@ -109,7 +110,7 @@ let test_mean_summaries_aggregation () =
 
 let test_ratios_baseline_is_one () =
   let cfg = Scenario.config micro in
-  let s = Scenario.run_one ~cfg ~seed:3 ~years:1. Scenario.No_attack in
+  let s = (Scenario.run ~cfg ~seed:3 ~years:1. Scenario.No_attack).Scenario.summary in
   let c = Scenario.ratios ~baseline:s ~attack:s in
   Alcotest.(check (float 1e-9)) "delay ratio 1" 1. c.Scenario.delay_ratio;
   Alcotest.(check (float 1e-9)) "friction 1" 1. c.Scenario.friction;
@@ -117,14 +118,131 @@ let test_ratios_baseline_is_one () =
 
 let test_ratios_infinite_when_no_successes () =
   let cfg = Scenario.config micro in
-  let baseline = Scenario.run_one ~cfg ~seed:3 ~years:1. Scenario.No_attack in
+  let baseline = (Scenario.run ~cfg ~seed:3 ~years:1. Scenario.No_attack).Scenario.summary in
   let dead =
-    Scenario.run_one ~cfg ~seed:3 ~years:1.
-      (Scenario.Pipe_stoppage
-         { coverage = 1.0; duration = Duration.of_years 2.; recuperation = Duration.day })
+    (Scenario.run ~cfg ~seed:3 ~years:1.
+       (Scenario.Pipe_stoppage
+          { coverage = 1.0; duration = Duration.of_years 2.; recuperation = Duration.day }))
+      .Scenario.summary
   in
   let c = Scenario.ratios ~baseline ~attack:dead in
   Alcotest.(check bool) "delay ratio infinite" true (c.Scenario.delay_ratio = infinity)
+
+(* -- Probes ---------------------------------------------------------------- *)
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "scenario_probes" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f dir)
+
+let every_sink dir =
+  let path name = Some (Filename.concat dir name) in
+  {
+    Scenario.default_probes with
+    Scenario.trace_out = path "trace.jsonl";
+    trace_level = Lockss.Trace.Debug;
+    trace_format = `Jsonl;
+    metrics_out = path "metrics.csv";
+    spans_out = path "spans.jsonl";
+    ledger_out = path "ledger.json";
+    profile_out = path "profile.json";
+  }
+
+let flood =
+  Scenario.Admission_flood
+    {
+      coverage = 1.0;
+      duration = Duration.of_days 30.;
+      recuperation = Duration.of_days 30.;
+      rate = 24.;
+    }
+
+(* Probes observe a run; they must never change it. Every probe set is
+   checked against the probe-free run of the same seed, with and without
+   an attack. *)
+let test_probes_never_perturb () =
+  let cfg = Scenario.config micro in
+  let run ?probes attack = Scenario.run ?probes ~cfg ~seed:3 ~years:0.5 attack in
+  with_temp_dir (fun dir ->
+      let probe_sets =
+        [
+          ("none", Scenario.default_probes);
+          ("audit", { Scenario.default_probes with Scenario.audit = true });
+          ("every sink", every_sink dir);
+          ("audit + every sink", { (every_sink dir) with Scenario.audit = true });
+        ]
+      in
+      List.iter
+        (fun (attack_name, attack) ->
+          let bare = run attack in
+          List.iter
+            (fun (probes_name, probes) ->
+              let r = run ~probes attack in
+              let label what = Printf.sprintf "%s, %s: %s" attack_name probes_name what in
+              (* [compare], not [=]: a summary can hold [nan]. *)
+              Alcotest.(check bool)
+                (label "summary unchanged") true
+                (compare bare.Scenario.summary r.Scenario.summary = 0);
+              Alcotest.(check int) (label "no violations") 0
+                (List.length r.Scenario.violations))
+            probe_sets)
+        [ ("no attack", Scenario.No_attack); ("admission flood", flood) ])
+
+let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* An output that cannot be opened must not leak the ones opened before
+   it: the trace sink is open when the metrics file fails. *)
+let test_failed_open_leaks_nothing () =
+  let cfg = Scenario.config micro in
+  with_temp_dir (fun dir ->
+      let probes =
+        {
+          Scenario.default_probes with
+          Scenario.trace_out = Some (Filename.concat dir "trace.jsonl");
+          metrics_out = Some (Filename.concat dir "missing/metrics.csv");
+        }
+      in
+      let attempt () =
+        match Scenario.run ~probes ~cfg ~seed:3 ~years:0.1 Scenario.No_attack with
+        | _ -> Alcotest.fail "opening a metrics file in a missing directory succeeded"
+        | exception Sys_error _ -> ()
+      in
+      if Sys.file_exists "/proc/self/fd" then begin
+        let before = fd_count () in
+        attempt ();
+        attempt ();
+        Alcotest.(check int) "no descriptor left open" before (fd_count ())
+      end
+      else attempt ())
+
+let test_profile_out () =
+  let cfg = Scenario.config micro in
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "profile.json" in
+      let probes = { Scenario.default_probes with Scenario.profile_out = Some path } in
+      let r = Scenario.run ~probes ~cfg ~seed:3 ~years:0.25 Scenario.No_attack in
+      let lines =
+        In_channel.with_open_text (Scenario.seeded_path path ~seed:3) In_channel.input_lines
+      in
+      match lines with
+      | [ line ] -> (
+        match Obs.Json.of_string line with
+        | Error msg -> Alcotest.failf "profile is not JSON: %s" msg
+        | Ok json ->
+          Alcotest.(check bool) "profile member" true
+            (Option.is_some (Obs.Json.member "profile" json));
+          let executed =
+            Option.bind (Obs.Json.member "engine" json) (Obs.Json.member "executed")
+          in
+          Alcotest.(check (option int)) "engine.executed matches the result"
+            (Some r.Scenario.engine.Narses.Engine.executed)
+            (Option.bind executed Obs.Json.to_int))
+      | _ -> Alcotest.failf "expected one JSON object, got %d lines" (List.length lines))
 
 (* -- Shape checks: miniature versions of the paper's figures ---------- *)
 
@@ -246,8 +364,11 @@ let () =
       ( "scenario",
         [
           quick "config of scale" test_config_of_scale;
-          quick "deterministic" test_run_one_deterministic;
-          quick "averaging" test_run_avg_averages;
+          quick "deterministic" test_run_deterministic;
+          quick "averaging" test_sweep_averages;
+          quick "probes never perturb a run" test_probes_never_perturb;
+          quick "failed output open leaks nothing" test_failed_open_leaks_nothing;
+          quick "profile_out" test_profile_out;
           quick "aggregation" test_mean_summaries_aggregation;
           quick "identity ratios" test_ratios_baseline_is_one;
           slow "infinite ratios" test_ratios_infinite_when_no_successes;

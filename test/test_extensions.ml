@@ -44,11 +44,12 @@ let test_adaptive_acceptance_idle_is_transparent () =
       Lockss.Config.adaptive_acceptance = true;
     }
   in
-  let on = Scenario.run_one ~cfg ~seed:3 ~years:1. Scenario.No_attack in
+  let on = (Scenario.run ~cfg ~seed:3 ~years:1. Scenario.No_attack).Scenario.summary in
   let off =
-    Scenario.run_one
-      ~cfg:{ cfg with Lockss.Config.adaptive_acceptance = false }
-      ~seed:3 ~years:1. Scenario.No_attack
+    (Scenario.run
+       ~cfg:{ cfg with Lockss.Config.adaptive_acceptance = false }
+       ~seed:3 ~years:1. Scenario.No_attack)
+      .Scenario.summary
   in
   (* At this light load the busyness signal is small, so outcomes are
      near-identical. *)
@@ -175,7 +176,7 @@ let test_combined_allocates_disjoint_minions () =
           { strategy = Adversary.Brute_force.Full; rate = 5.; identities = 10 };
       ]
   in
-  let summary = Scenario.run_one ~cfg ~seed:4 ~years:0.5 attack in
+  let summary = (Scenario.run ~cfg ~seed:4 ~years:0.5 attack).Scenario.summary in
   Alcotest.(check bool) "system still runs" true (summary.Lockss.Metrics.polls_succeeded > 0);
   Alcotest.(check bool) "effortful component charged" true
     (summary.Lockss.Metrics.adversary_effort > 0.)

@@ -102,7 +102,7 @@ let prop_random_simulations_run =
       | Some cfg ->
         Config.validate cfg;
         let summary =
-          Experiments.Scenario.run_one ~cfg ~seed ~years:0.5 attack
+          (Experiments.Scenario.run ~cfg ~seed ~years:0.5 attack).Experiments.Scenario.summary
         in
         invariants summary)
 
@@ -113,8 +113,12 @@ let prop_runs_are_reproducible =
       match cfg with
       | None -> true
       | Some cfg ->
-        let a = Experiments.Scenario.run_one ~cfg ~seed ~years:0.25 Experiments.Scenario.No_attack in
-        let b = Experiments.Scenario.run_one ~cfg ~seed ~years:0.25 Experiments.Scenario.No_attack in
+        let run () =
+          (Experiments.Scenario.run ~cfg ~seed ~years:0.25 Experiments.Scenario.No_attack)
+            .Experiments.Scenario.summary
+        in
+        let a = run () in
+        let b = run () in
         a.Metrics.polls_succeeded = b.Metrics.polls_succeeded
         && a.Metrics.loyal_effort = b.Metrics.loyal_effort
         && a.Metrics.access_failure_probability = b.Metrics.access_failure_probability)

@@ -80,6 +80,24 @@ let test_json_deep_nesting () =
   | Ok parsed -> Alcotest.(check bool) "deep structure" true (parsed = v)
   | Error msg -> Alcotest.failf "parse: %s" msg
 
+(* Trace sinks render floats on every Runner domain at once: literals
+   rendered concurrently must match the serial ones. *)
+let test_float_literal_domain_safe () =
+  let rng = Repro_prelude.Rng.create 17 in
+  let values =
+    Array.init 50_000 (fun _ -> Repro_prelude.Rng.float rng 1e7 +. 1e-3)
+  in
+  let expected = Array.map Json.float_literal values in
+  let render () = Array.map Json.float_literal values in
+  let helpers = List.init 2 (fun _ -> Domain.spawn render) in
+  let mine = render () in
+  List.iteri
+    (fun i got ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d renders as serial" i)
+        true (got = expected))
+    (mine :: List.map Domain.join helpers)
+
 (* -- Trace taxonomy, round-trip, sinks ---------------------------------- *)
 
 (* A fixed seeded sample over every kind (see trace_gen.ml). *)
@@ -415,9 +433,9 @@ let test_scenario_observability_end_to_end () =
         }
       in
       let cfg = Experiments.Scenario.config scale in
-      let observe =
+      let probes =
         {
-          Experiments.Scenario.default_observe with
+          Experiments.Scenario.default_probes with
           Experiments.Scenario.trace_out = Some trace_path;
           metrics_out = Some metrics_path;
           sample_interval = Duration.of_days 7.;
@@ -425,7 +443,7 @@ let test_scenario_observability_end_to_end () =
       in
       (* Two runs; each writes its own seed-suffixed trace and metrics file. *)
       ignore
-        (Experiments.Scenario.run_avg ~observe ~cfg scale
+        (Experiments.Scenario.sweep ~probes ~cfg scale
            Experiments.Scenario.No_attack);
       List.iter
         (fun seed ->
@@ -730,6 +748,7 @@ let () =
           quick "escape sequences" test_json_escapes;
           quick "non-finite floats" test_json_non_finite_floats;
           quick "deep nesting" test_json_deep_nesting;
+          quick "float literals are domain-safe" test_float_literal_domain_safe;
         ] );
       ( "trace",
         [

@@ -126,33 +126,34 @@ let test_chaos_paired_run_byte_identical () =
   let parallel = with_jobs 2 report in
   Alcotest.(check string) "chaos report identical" serial parallel
 
-let test_run_all_and_spread_identical () =
+let test_sweep_identical () =
   let cfg = Scenario.config micro in
   let scale = { micro with Scenario.runs = 3 } in
-  let all () = Scenario.run_all ~cfg scale Scenario.No_attack in
-  let serial = with_jobs 1 all in
-  let parallel = with_jobs 3 all in
-  Alcotest.(check int) "same run count" (List.length serial) (List.length parallel);
+  let probes = { Scenario.default_probes with Scenario.audit = true } in
+  let sweep () = Scenario.sweep ~probes ~cfg scale Scenario.No_attack in
+  let s = with_jobs 1 sweep in
+  let p = with_jobs 3 sweep in
+  Alcotest.(check int) "same run count" (List.length s.Scenario.runs)
+    (List.length p.Scenario.runs);
   List.iteri
-    (fun i (s, p) ->
-      Alcotest.(check int)
-        (Printf.sprintf "run %d polls" i)
-        s.Lockss.Metrics.polls_succeeded p.Lockss.Metrics.polls_succeeded;
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "run %d effort" i)
-        s.Lockss.Metrics.loyal_effort p.Lockss.Metrics.loyal_effort;
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "run %d afp" i)
-        s.Lockss.Metrics.access_failure_probability
-        p.Lockss.Metrics.access_failure_probability)
-    (List.combine serial parallel);
-  let spread () = Scenario.run_spread ~cfg scale Scenario.No_attack in
-  let s = with_jobs 1 spread in
-  let p = with_jobs 3 spread in
-  Alcotest.(check (float 0.)) "spread min" s.Scenario.afp_min p.Scenario.afp_min;
-  Alcotest.(check (float 0.)) "spread max" s.Scenario.afp_max p.Scenario.afp_max;
-  Alcotest.(check (float 0.)) "spread mean effort" s.Scenario.mean.Lockss.Metrics.loyal_effort
-    p.Scenario.mean.Lockss.Metrics.loyal_effort
+    (fun i ((s : Scenario.run), (p : Scenario.run)) ->
+      Alcotest.(check int) (Printf.sprintf "run %d seed" i) (micro.Scenario.seed + i) p.seed;
+      Alcotest.(check int) (Printf.sprintf "run %d seed order" i) s.seed p.seed;
+      (* [compare], not [=]: a summary can hold [nan]. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "run %d summary" i)
+        true
+        (compare s.summary p.summary = 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "run %d violations" i)
+        true
+        (s.violations = p.violations);
+      Alcotest.(check int) (Printf.sprintf "run %d audits clean" i) 0
+        (List.length p.violations))
+    (List.combine s.Scenario.runs p.Scenario.runs);
+  Alcotest.(check bool) "mean" true (compare s.Scenario.mean p.Scenario.mean = 0);
+  Alcotest.(check (float 0.)) "afp min" s.Scenario.afp_min p.Scenario.afp_min;
+  Alcotest.(check (float 0.)) "afp max" s.Scenario.afp_max p.Scenario.afp_max
 
 (* -- Pool behaviour: helpers persist across maps ----------------------- *)
 
@@ -310,7 +311,7 @@ let () =
         [
           slow "stoppage sweep byte-identical" test_stoppage_sweep_byte_identical;
           slow "chaos paired run byte-identical" test_chaos_paired_run_byte_identical;
-          slow "run_all and run_spread identical" test_run_all_and_spread_identical;
+          slow "sweep identical" test_sweep_identical;
           slow "concurrent builds match serial" test_concurrent_builds_match_serial;
         ] );
     ]

@@ -50,16 +50,16 @@ let with_temp_file f =
 let case_run_trace () =
   let cfg = Scenario.config paper_short in
   with_temp_file (fun path ->
-      let observe =
+      let probes =
         {
-          Scenario.default_observe with
+          Scenario.default_probes with
           Scenario.trace_out = Some path;
           trace_level = Lockss.Trace.Debug;
           trace_format = `Jsonl;
         }
       in
-      let summary =
-        Scenario.run_one ~observe ~cfg ~seed:1 ~years:0.05 Scenario.No_attack
+      let { Scenario.summary; _ } =
+        Scenario.run ~probes ~cfg ~seed:1 ~years:0.05 Scenario.No_attack
       in
       let trace_path = Scenario.seeded_path path ~seed:1 in
       let trace_digest = Digest.to_hex (Digest.file trace_path) in
@@ -76,8 +76,9 @@ let case_run_parallel () =
     Runner.map ~jobs
       (fun i ->
         summary_string
-          (Scenario.run_one ~cfg ~seed:(1 + i) ~years:paper_short.Scenario.years
-             Scenario.No_attack))
+          (Scenario.run ~cfg ~seed:(1 + i) ~years:paper_short.Scenario.years
+             Scenario.No_attack)
+            .Scenario.summary)
       (List.init paper_short.Scenario.runs Fun.id)
   in
   let serial = sweep 1 in
@@ -90,7 +91,7 @@ let case_run_parallel () =
    holds on a sampled subset instead of everyone). *)
 let case_run_sparse_holdings () =
   let cfg = { (Scenario.config paper_short) with Lockss.Config.au_coverage = 0.5 } in
-  summary_string (Scenario.run_one ~cfg ~seed:2 ~years:0.1 Scenario.No_attack)
+  summary_string (Scenario.run ~cfg ~seed:2 ~years:0.1 Scenario.No_attack).Scenario.summary
 
 (* Dormant nodes join the identity space (and consume setup RNG draws)
    without participating until activated; the representation must keep
@@ -114,7 +115,7 @@ let case_run_attack () =
         rate = 4.;
       }
   in
-  summary_string (Scenario.run_one ~cfg ~seed:3 ~years:1.0 attack)
+  summary_string (Scenario.run ~cfg ~seed:3 ~years:1.0 attack).Scenario.summary
 
 (* Chaos at paper scale: the paired faulted/fault-free comparison plus
    every invariant check verdict, rendered through the chaos report

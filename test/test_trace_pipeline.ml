@@ -574,23 +574,25 @@ let test_run_trace_encodings_agree () =
                 [ jsonl_path; binary_path ])
             (fun () ->
               let cfg = Scenario.config tiny_scale in
-              let observe trace_out trace_format =
+              let probes trace_out trace_format =
                 {
-                  Scenario.default_observe with
+                  Scenario.default_probes with
                   Scenario.trace_out = Some trace_out;
                   trace_level = Lockss.Trace.Debug;
                   trace_format;
                 }
               in
               let s1 =
-                Scenario.run_one
-                  ~observe:(observe jsonl_path `Jsonl)
-                  ~cfg ~seed:5 ~years:0.1 Scenario.No_attack
+                (Scenario.run
+                   ~probes:(probes jsonl_path `Jsonl)
+                   ~cfg ~seed:5 ~years:0.1 Scenario.No_attack)
+                  .Scenario.summary
               in
               let s2 =
-                Scenario.run_one
-                  ~observe:(observe binary_path `Auto)
-                  ~cfg ~seed:5 ~years:0.1 Scenario.No_attack
+                (Scenario.run
+                   ~probes:(probes binary_path `Auto)
+                   ~cfg ~seed:5 ~years:0.1 Scenario.No_attack)
+                  .Scenario.summary
               in
               (* [compare], not [=]: empirical_read_failure is [nan] when
                  the short run saw no reads, and [nan = nan] is false. *)
