@@ -361,18 +361,24 @@ let emit_doc doc =
    job list allows — so the [--min-speedup] floor never demands more
    parallelism than the workload offers: the stoppage sweep is a
    5-duration x 4-coverage grid, the baseline sweep a 4x3x2 grid, and a
-   chaos run is one faulted/fault-free pair. *)
+   chaos run is one faulted/fault-free pair. Each target also carries
+   a repeat count: it runs that many serial/parallel pairs, alternating,
+   and each side keeps its best wall-clock time. The chaos paired run
+   lasts 0.2-0.4 s, short enough that a co-tenant's burst on a shared
+   host moves one reading by a third; alternating puts both sides under
+   the same bursts. The sweeps run for seconds and are timed once. *)
 let parallel_targets =
   [
-    ("stoppage sweep", 20, fun () -> ignore (Stoppage.sweep ~scale ()));
-    ("baseline sweep", 24, fun () -> ignore (Baseline.sweep ~scale ()));
-    ("chaos paired run", 2, fun () -> ignore (Chaos.run ~scale Chaos.default_mix));
+    ("stoppage sweep", 20, 1, fun () -> ignore (Stoppage.sweep ~scale ()));
+    ("baseline sweep", 24, 1, fun () -> ignore (Baseline.sweep ~scale ()));
+    ("chaos paired run", 2, 9, fun () -> ignore (Chaos.run ~scale Chaos.default_mix));
   ]
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   f ();
   Unix.gettimeofday () -. t0
+
 
 (* Process CPU seconds ([Sys.time] is getrusage-backed, microsecond
    granularity). The overhead-ratio benches use this rather than wall
@@ -429,11 +435,17 @@ let run_parallel () =
   let table = Table.create [ "target"; "serial (s)"; "parallel (s)"; "speedup" ] in
   let entries =
     List.map
-      (fun (name, cap, f) ->
-        Experiments.Runner.set_jobs 1;
-        let serial = Obs.Profiler.phase prof (name ^ " serial") (fun () -> wall f) in
-        Experiments.Runner.set_jobs 0;
-        let parallel = Obs.Profiler.phase prof (name ^ " parallel") (fun () -> wall f) in
+      (fun (name, cap, repeats, f) ->
+        let timed jobs side =
+          Experiments.Runner.set_jobs jobs;
+          Obs.Profiler.phase prof (name ^ side) (fun () -> wall f)
+        in
+        let serial = ref infinity and parallel = ref infinity in
+        for _ = 1 to repeats do
+          serial := Float.min !serial (timed 1 " serial");
+          parallel := Float.min !parallel (timed 0 " parallel")
+        done;
+        let serial = !serial and parallel = !parallel in
         let speedup = if parallel > 0. then serial /. parallel else nan in
         Table.add_row table
           [
@@ -447,6 +459,7 @@ let run_parallel () =
             [
               ("target", Obs.Json.String name);
               ("parallelism_cap", Obs.Json.Int cap);
+              ("repeats", Obs.Json.Int repeats);
               ("serial_s", Obs.Json.Float serial);
               ("parallel_s", Obs.Json.Float parallel);
               ("speedup", Obs.Json.Float speedup);

@@ -3,6 +3,7 @@ module Rng = Repro_prelude.Rng
 module Duration = Repro_prelude.Duration
 module Proof = Effort.Proof
 module Cost_model = Effort.Cost_model
+module Session_tbl = Repro_prelude.Keyed_tbl.Int2
 
 type strategy = Intro | Remaining | Full
 
@@ -26,7 +27,7 @@ type t = {
   period : float;
   mutable next_identity_index : int;
   mutable next_poll_id : int;
-  sessions : (Lockss.Ids.Au_id.t * int, session) Hashtbl.t;
+  sessions : session Session_tbl.t;  (* (au, poll id) -> invitation *)
   mutable sent : int;
   mutable admissions : int;
   mutable votes_received : int;
@@ -74,7 +75,7 @@ let rec lane t ~victim ~au () =
     let minion = t.minions.(Rng.int t.rng (Array.length t.minions)) in
     let poll_id = t.next_poll_id in
     t.next_poll_id <- poll_id + 1;
-    Hashtbl.replace t.sessions (au, poll_id) { victim; identity };
+    Session_tbl.replace t.sessions (au, poll_id) { victim; identity };
     let intro_cost = Lockss.Config.intro_effort cfg in
     (* If the defenders ablated effort balancing away, nobody verifies
        proofs — the adversary ships free forgeries instead of paying. *)
@@ -96,16 +97,16 @@ let rec lane t ~victim ~au () =
   ignore (Engine.schedule_in engine ~after:delay (lane t ~victim ~au))
 
 let on_poll_ack t ~minion ~au ~poll_id ~accepted =
-  match Hashtbl.find_opt t.sessions (au, poll_id) with
+  match Session_tbl.find_opt t.sessions (au, poll_id) with
   | None -> ()
   | Some session ->
-    if not accepted then Hashtbl.remove t.sessions (au, poll_id)
+    if not accepted then Session_tbl.remove t.sessions (au, poll_id)
     else begin
       t.admissions <- t.admissions + 1;
       match t.strategy with
       | Intro ->
         (* Reservation attack: desert after the accepted Poll. *)
-        Hashtbl.remove t.sessions (au, poll_id)
+        Session_tbl.remove t.sessions (au, poll_id)
       | Remaining | Full ->
         let cfg = cfg t in
         let remaining_cost = Lockss.Config.remaining_effort cfg in
@@ -123,7 +124,7 @@ let on_poll_ack t ~minion ~au ~poll_id ~accepted =
     end
 
 let on_vote t ~minion ~au ~poll_id ~(vote : Lockss.Vote.t) =
-  match Hashtbl.find_opt t.sessions (au, poll_id) with
+  match Session_tbl.find_opt t.sessions (au, poll_id) with
   | None -> ()
   | Some session ->
     t.votes_received <- t.votes_received + 1;
@@ -147,7 +148,7 @@ let on_vote t ~minion ~au ~poll_id ~(vote : Lockss.Vote.t) =
       send t ~minion ~identity:session.identity ~dst:session.victim ~au
         (Lockss.Message.Evaluation_receipt
            { poll_id; receipt = Lockss.Vote.expected_receipt vote }));
-    Hashtbl.remove t.sessions (au, poll_id)
+    Session_tbl.remove t.sessions (au, poll_id)
 
 let minion_handler t minion ~src:_ (msg : Lockss.Message.t) =
   let au = msg.Lockss.Message.au in
@@ -177,7 +178,7 @@ let attach population ~minions ~strategy ~identities ~attempts_per_victim_au_per
       period = Duration.day /. attempts_per_victim_au_per_day;
       next_identity_index = 0;
       next_poll_id = 1;
-      sessions = Hashtbl.create 256;
+      sessions = Session_tbl.create 256;
       sent = 0;
       admissions = 0;
       votes_received = 0;

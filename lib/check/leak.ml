@@ -26,7 +26,7 @@ let audit ~engine ~(ctx : Peer.ctx) =
   let violations = ref [] in
   let add v = violations := v :: !violations in
   let require_live ~peer ~au ~poll_id ~what id =
-    if not (Engine.is_live id) then
+    if not (Engine.is_live engine id) then
       add
         (violation ~now ~peer ~au ~poll_id ~invariant:"leak-dead-reference"
            (Printf.sprintf
@@ -64,7 +64,7 @@ let audit ~engine ~(ctx : Peer.ctx) =
             | None -> ()))
         peer.Peer.aus;
       (* Voter side: session states. *)
-      Hashtbl.iter
+      Peer.Session_tbl.iter
         (fun (_poller, au, poll_id) (session : Peer.voter_session) ->
           match session.Peer.vs_state with
           | Peer.Awaiting_proof id ->

@@ -1,4 +1,5 @@
 module Rng = Repro_prelude.Rng
+module Int_tbl = Repro_prelude.Keyed_tbl.Int
 
 type drop_reason = Refractory | Random_drop | Known_rate_limited
 
@@ -10,7 +11,7 @@ type t = {
   cfg : Config.t;
   intros : Introductions.t;
   mutable refractory_until : float;
-  last_known_admission : (Ids.Identity.t, float) Hashtbl.t;
+  last_known_admission : float Int_tbl.t;
 }
 
 let create (cfg : Config.t) =
@@ -18,18 +19,18 @@ let create (cfg : Config.t) =
     cfg;
     intros = Introductions.create ~max_outstanding:cfg.Config.max_outstanding_introductions;
     refractory_until = neg_infinity;
-    last_known_admission = Hashtbl.create 16;
+    last_known_admission = Int_tbl.create 16;
   }
 
 let introductions t = t.intros
 let in_refractory t ~now = now < t.refractory_until
 
 let known_slot_free t ~now identity =
-  match Hashtbl.find_opt t.last_known_admission identity with
+  match Int_tbl.find_opt t.last_known_admission identity with
   | None -> true
   | Some last -> now -. last >= t.cfg.Config.refractory_period
 
-let last_admission t identity = Hashtbl.find_opt t.last_known_admission identity
+let last_admission t identity = Int_tbl.find_opt t.last_known_admission identity
 
 (* Self-clocking gates *every* admission path: the refractory check runs
    first, so an introduced poller arriving inside the refractory window is
@@ -44,7 +45,7 @@ let consider t ~rng ~now ~known ~identity =
   else begin
     let admit ?(record = true) decision =
       t.refractory_until <- now +. cfg.Config.refractory_period;
-      if record then Hashtbl.replace t.last_known_admission identity now;
+      if record then Int_tbl.replace t.last_known_admission identity now;
       decision
     in
     if

@@ -1,19 +1,28 @@
-type entry = { mutable grade : Grade.t; mutable updated : float }
-
-(* [ids.(0 .. n-1)] mirrors the hashtable's key set, ascending. Keeping
-   it sorted incrementally (binary-search insert on first encounter,
-   shift-out on punish) makes [entries] and [good_ids] linear scans in
-   id order instead of a fold-and-sort per call. *)
+(* One entry per encountered peer, in three lanes aligned by index:
+   [ids.(0 .. n-1)] ascending, with each peer's last explicit grade in
+   [grades] and the time it was set in [updated]. A lookup is a binary
+   search over [ids]; insertion on first encounter and removal on punish
+   shift the lanes' tails. [entries] and [good_ids] are linear scans in
+   id order. No lane holds a pointer, so no write needs a barrier. *)
 type t = {
   decay_period : float;
-  entries : (Ids.Identity.t, entry) Hashtbl.t;
   mutable ids : Ids.Identity.t array;
+  mutable grades : Grade.t array;
+  mutable updated : float array;
   mutable n : int;
 }
 
+let initial_capacity = 16
+
 let create ~decay_period =
   if decay_period <= 0. then invalid_arg "Known_peers.create: decay period";
-  { decay_period; entries = Hashtbl.create 32; ids = Array.make 16 0; n = 0 }
+  {
+    decay_period;
+    ids = Array.make initial_capacity 0;
+    grades = Array.make initial_capacity Grade.Debt;
+    updated = Array.make initial_capacity 0.;
+    n = 0;
+  }
 
 (* Smallest index whose id is >= [id] (= [t.n] when all are smaller). *)
 let lower_bound t id =
@@ -24,25 +33,33 @@ let lower_bound t id =
   done;
   !lo
 
-let insert_id t id =
+(* Index of [id], or -1 for a peer never encountered. *)
+let find t id =
   let i = lower_bound t id in
-  if not (i < t.n && t.ids.(i) = id) then begin
-    if t.n = Array.length t.ids then begin
-      let ids = Array.make (2 * t.n) 0 in
-      Array.blit t.ids 0 ids 0 t.n;
-      t.ids <- ids
-    end;
-    Array.blit t.ids i t.ids (i + 1) (t.n - i);
-    t.ids.(i) <- id;
-    t.n <- t.n + 1
-  end
+  if i < t.n && t.ids.(i) = id then i else -1
 
-let remove_id t id =
-  let i = lower_bound t id in
-  if i < t.n && t.ids.(i) = id then begin
-    Array.blit t.ids (i + 1) t.ids i (t.n - i - 1);
-    t.n <- t.n - 1
-  end
+let grow t =
+  let cap = 2 * Array.length t.ids in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.n;
+    b
+  in
+  t.ids <- extend t.ids 0;
+  t.grades <- extend t.grades Grade.Debt;
+  t.updated <- extend t.updated 0.
+
+(* Insert a new entry at index [i] (its [lower_bound]). *)
+let insert_at t i id grade ~now =
+  if t.n = Array.length t.ids then grow t;
+  let tail = t.n - i in
+  Array.blit t.ids i t.ids (i + 1) tail;
+  Array.blit t.grades i t.grades (i + 1) tail;
+  Array.blit t.updated i t.updated (i + 1) tail;
+  t.ids.(i) <- id;
+  t.grades.(i) <- grade;
+  t.updated.(i) <- now;
+  t.n <- t.n + 1
 
 (* Any grade reaches the absorbing Debt state in at most two decay steps,
    so steps beyond this bound are equivalent; clamping keeps the
@@ -50,29 +67,28 @@ let remove_id t id =
    entry has been untouched for a very long (or infinite) gap. *)
 let max_decay_steps = 8
 
-let decay_steps t entry ~now =
-  if now <= entry.updated then 0
+let decay_steps t i ~now =
+  let updated = t.updated.(i) in
+  if now <= updated then 0
   else begin
-    let raw = (now -. entry.updated) /. t.decay_period in
+    let raw = (now -. updated) /. t.decay_period in
     if raw >= float_of_int max_decay_steps then max_decay_steps
     else int_of_float raw
   end
 
-let effective t entry ~now = Grade.decayed entry.grade ~steps:(decay_steps t entry ~now)
+let effective t i ~now = Grade.decayed t.grades.(i) ~steps:(decay_steps t i ~now)
 
 let grade t ~now identity =
-  match Hashtbl.find_opt t.entries identity with
-  | None -> None
-  | Some entry -> Some (effective t entry ~now)
+  let i = find t identity in
+  if i < 0 then None else Some (effective t i ~now)
 
 let update t ~now identity f ~if_unknown =
-  match Hashtbl.find_opt t.entries identity with
-  | None ->
-    Hashtbl.replace t.entries identity { grade = if_unknown; updated = now };
-    insert_id t identity
-  | Some entry ->
-    entry.grade <- f (effective t entry ~now);
-    entry.updated <- now
+  let i = lower_bound t identity in
+  if i < t.n && t.ids.(i) = identity then begin
+    t.grades.(i) <- f (effective t i ~now);
+    t.updated.(i) <- now
+  end
+  else insert_at t i identity if_unknown ~now
 
 let raise_grade t ~now identity =
   update t ~now identity Grade.raise_grade ~if_unknown:Grade.Even
@@ -80,21 +96,23 @@ let raise_grade t ~now identity =
 let lower t ~now identity = update t ~now identity Grade.lower ~if_unknown:Grade.Debt
 
 let punish t ~now:_ identity =
-  Hashtbl.remove t.entries identity;
-  remove_id t identity
+  let i = find t identity in
+  if i >= 0 then begin
+    let tail = t.n - i - 1 in
+    Array.blit t.ids (i + 1) t.ids i tail;
+    Array.blit t.grades (i + 1) t.grades i tail;
+    Array.blit t.updated (i + 1) t.updated i tail;
+    t.n <- t.n - 1
+  end
 
-let set t ~now identity grade =
-  Hashtbl.replace t.entries identity { grade; updated = now };
-  insert_id t identity
+let set t ~now identity grade = update t ~now identity (fun _ -> grade) ~if_unknown:grade
 
-let known t identity = Hashtbl.mem t.entries identity
+let known t identity = find t identity >= 0
 
 let entries t ~now =
   let acc = ref [] in
   for i = t.n - 1 downto 0 do
-    let id = t.ids.(i) in
-    let entry = Hashtbl.find t.entries id in
-    acc := (id, effective t entry ~now) :: !acc
+    acc := (t.ids.(i), effective t i ~now) :: !acc
   done;
   !acc
 
@@ -103,7 +121,7 @@ let good_ids t ~now ~excluding =
   for i = t.n - 1 downto 0 do
     let id = t.ids.(i) in
     if not (Ids.Identity.equal id excluding) then begin
-      match effective t (Hashtbl.find t.entries id) ~now with
+      match effective t i ~now with
       | Grade.Debt -> ()
       | Grade.Even | Grade.Credit -> acc := id :: !acc
     end

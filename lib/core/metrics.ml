@@ -1,4 +1,5 @@
 module Stats = Repro_prelude.Stats
+module Keyed_tbl = Repro_prelude.Keyed_tbl
 
 type poll_outcome = Success | Inquorate | Alarmed
 
@@ -10,9 +11,9 @@ type t = {
   mutable polls_succeeded : int;
   mutable polls_inquorate : int;
   mutable polls_alarmed : int;
-  last_success : (Ids.Identity.t * Ids.Au_id.t, float) Hashtbl.t;
+  last_success : float Keyed_tbl.Int2.t;  (* (peer, au) -> time *)
   success_gaps : Stats.Acc.t;
-  successes_by_peer : (Ids.Identity.t, int) Hashtbl.t;
+  successes_by_peer : int Keyed_tbl.Int.t;
   mutable loyal_effort : float;
   mutable adversary_effort : float;
   mutable invitations_considered : int;
@@ -33,9 +34,9 @@ let create ~replicas ~start =
     polls_succeeded = 0;
     polls_inquorate = 0;
     polls_alarmed = 0;
-    last_success = Hashtbl.create 256;
+    last_success = Keyed_tbl.Int2.create 256;
     success_gaps = Stats.Acc.create ();
-    successes_by_peer = Hashtbl.create 64;
+    successes_by_peer = Keyed_tbl.Int.create 64;
     loyal_effort = 0.;
     adversary_effort = 0.;
     invitations_considered = 0;
@@ -68,17 +69,17 @@ let on_poll_concluded t ~peer ~au ~now outcome =
   | Success ->
     t.polls_succeeded <- t.polls_succeeded + 1;
     let prior =
-      match Hashtbl.find_opt t.successes_by_peer peer with None -> 0 | Some n -> n
+      match Keyed_tbl.Int.find_opt t.successes_by_peer peer with None -> 0 | Some n -> n
     in
-    Hashtbl.replace t.successes_by_peer peer (prior + 1);
+    Keyed_tbl.Int.replace t.successes_by_peer peer (prior + 1);
     let key = (peer, au) in
-    (match Hashtbl.find_opt t.last_success key with
+    (match Keyed_tbl.Int2.find_opt t.last_success key with
     | Some previous -> Stats.Acc.add t.success_gaps (now -. previous)
     | None -> ());
-    Hashtbl.replace t.last_success key now
+    Keyed_tbl.Int2.replace t.last_success key now
 
 let successes_of t peer =
-  match Hashtbl.find_opt t.successes_by_peer peer with None -> 0 | Some n -> n
+  match Keyed_tbl.Int.find_opt t.successes_by_peer peer with None -> 0 | Some n -> n
 
 let charge_loyal t seconds = t.loyal_effort <- t.loyal_effort +. seconds
 let charge_adversary t seconds = t.adversary_effort <- t.adversary_effort +. seconds

@@ -49,6 +49,8 @@ type voter_session = {
   mutable vs_state : voter_state;
 }
 
+module Session_tbl = Repro_prelude.Keyed_tbl.Int3
+
 type au_state = {
   au : Ids.Au_id.t;
   held : bool;
@@ -67,8 +69,8 @@ type t = {
   rng : Repro_prelude.Rng.t;
   aus : au_state array;
   mutable poll_counter : int;
-  voter_sessions : (Ids.Identity.t * Ids.Au_id.t * int, voter_session) Hashtbl.t;
-  closed_sessions : (Ids.Identity.t * Ids.Au_id.t * int, unit) Hashtbl.t;
+  voter_sessions : voter_session Session_tbl.t;
+  closed_sessions : unit Session_tbl.t;
   closed_ring : (Ids.Identity.t * Ids.Au_id.t * int) option array;
   mutable closed_next : int;
   mutable active : bool;
@@ -81,7 +83,7 @@ type ctx = {
   metrics : Metrics.t;
   trace : Trace.t;
   peers : t array;
-  identity_nodes : (Ids.Identity.t, Narses.Topology.node) Hashtbl.t;
+  identity_nodes : Narses.Topology.node Repro_prelude.Keyed_tbl.Int.t;
 }
 
 let au_state peer au = peer.aus.(au)
@@ -89,12 +91,13 @@ let au_state peer au = peer.aus.(au)
 let node_of_identity ctx identity =
   if identity >= 0 && identity < Array.length ctx.peers then identity
   else begin
-    match Hashtbl.find_opt ctx.identity_nodes identity with
+    match Repro_prelude.Keyed_tbl.Int.find_opt ctx.identity_nodes identity with
     | Some node -> node
     | None -> invalid_arg "Peer.node_of_identity: unknown identity"
   end
 
-let register_identity ctx identity node = Hashtbl.replace ctx.identity_nodes identity node
+let register_identity ctx identity node =
+  Repro_prelude.Keyed_tbl.Int.replace ctx.identity_nodes identity node
 
 let fresh_poll_id peer =
   peer.poll_counter <- peer.poll_counter + 1;
@@ -149,16 +152,16 @@ let session_key session = (session.vs_poller, session.vs_au, session.vs_poll_id)
 let closed_session_capacity = 512
 
 let note_session_closed peer key =
-  if not (Hashtbl.mem peer.closed_sessions key) then begin
+  if not (Session_tbl.mem peer.closed_sessions key) then begin
     (match peer.closed_ring.(peer.closed_next) with
-    | Some evicted -> Hashtbl.remove peer.closed_sessions evicted
+    | Some evicted -> Session_tbl.remove peer.closed_sessions evicted
     | None -> ());
     peer.closed_ring.(peer.closed_next) <- Some key;
     peer.closed_next <- (peer.closed_next + 1) mod Array.length peer.closed_ring;
-    Hashtbl.replace peer.closed_sessions key ()
+    Session_tbl.replace peer.closed_sessions key ()
   end
 
-let session_recently_closed peer key = Hashtbl.mem peer.closed_sessions key
+let session_recently_closed peer key = Session_tbl.mem peer.closed_sessions key
 
 let fallback_identities peer st ~now =
   (* Friends come from the per-AU reference list, which was filtered to

@@ -57,6 +57,12 @@ type voter_session = {
   mutable vs_state : voter_state;
 }
 
+(** Voter-session tables, keyed by (poller identity, AU, poll id): a
+    {!Repro_prelude.Keyed_tbl.Int3}, so lookups compare keys with int
+    equality while iterating in the same order a generic [Hashtbl]
+    would. *)
+module Session_tbl = Repro_prelude.Keyed_tbl.Int3
+
 type au_state = {
   au : Ids.Au_id.t;
   held : bool;  (** whether this peer preserves the AU (collection diversity) *)
@@ -75,8 +81,8 @@ type t = {
   rng : Repro_prelude.Rng.t;
   aus : au_state array;
   mutable poll_counter : int;
-  voter_sessions : (Ids.Identity.t * Ids.Au_id.t * int, voter_session) Hashtbl.t;
-  closed_sessions : (Ids.Identity.t * Ids.Au_id.t * int, unit) Hashtbl.t;
+  voter_sessions : voter_session Session_tbl.t;
+  closed_sessions : unit Session_tbl.t;
       (** recently closed voter-session keys, so duplicate deliveries of
           an already-handled Poll are dropped instead of opening a ghost
           session (bounded by [closed_ring]) *)
@@ -94,7 +100,7 @@ type ctx = {
   metrics : Metrics.t;
   trace : Trace.t;  (** structured protocol event stream *)
   peers : t array;  (** loyal peers; index = node = identity *)
-  identity_nodes : (Ids.Identity.t, Narses.Topology.node) Hashtbl.t;
+  identity_nodes : Narses.Topology.node Repro_prelude.Keyed_tbl.Int.t;
       (** where to route replies for non-loyal (adversary) identities *)
 }
 

@@ -140,8 +140,8 @@ let make_peer cfg rng holdings ~scratch node =
     rng = peer_rng;
     aus;
     poll_counter = 0;
-    voter_sessions = Hashtbl.create 64;
-    closed_sessions = Hashtbl.create Peer.closed_session_capacity;
+    voter_sessions = Peer.Session_tbl.create 64;
+    closed_sessions = Peer.Session_tbl.create Peer.closed_session_capacity;
     closed_ring = Array.make Peer.closed_session_capacity None;
     closed_next = 0;
     active = true;
@@ -251,7 +251,7 @@ let crash_peer t ~node =
           poll.Peer.phase <- Peer.Concluded;
           st.Peer.current_poll <- None)
       peer.Peer.aus;
-    Hashtbl.iter
+    Peer.Session_tbl.iter
       (fun _key (session : Peer.voter_session) ->
         (match session.Peer.vs_state with
         | Peer.Awaiting_proof id | Peer.Voted_waiting_receipt id ->
@@ -263,7 +263,7 @@ let crash_peer t ~node =
         session.Peer.vs_state <- Peer.Closed;
         Peer.note_session_closed peer (Peer.session_key session))
       peer.Peer.voter_sessions;
-    Hashtbl.reset peer.Peer.voter_sessions
+    Peer.Session_tbl.reset peer.Peer.voter_sessions
   end
 
 (* Only peers taken down by {!crash_peer} come back: a dormant peer that
@@ -306,7 +306,7 @@ let create ?(seed = 42) ?(extra_nodes = 0) ?(dormant = 0) cfg =
       metrics;
       trace = Trace.create ();
       peers;
-      identity_nodes = Hashtbl.create 64;
+      identity_nodes = Repro_prelude.Keyed_tbl.Int.create 64;
     }
   in
   (* Dormant peers (indices after the initially-active population) join

@@ -5,12 +5,12 @@ module Cost_model = Effort.Cost_model
 module Rng = Repro_prelude.Rng
 
 let find_session peer ~identity ~au ~poll_id =
-  Hashtbl.find_opt peer.Peer.voter_sessions (identity, au, poll_id)
+  Peer.Session_tbl.find_opt peer.Peer.voter_sessions (identity, au, poll_id)
 
 let close_session (peer : Peer.t) (session : Peer.voter_session) =
   session.Peer.vs_state <- Peer.Closed;
   let key = Peer.session_key session in
-  Hashtbl.remove peer.Peer.voter_sessions key;
+  Peer.Session_tbl.remove peer.Peer.voter_sessions key;
   (* Remember the key so a duplicate delivery of the original Poll cannot
      reopen a ghost session after the fact. *)
   Peer.note_session_closed peer key
@@ -99,7 +99,7 @@ let on_poll ctx (peer : Peer.t) ~src ~identity ~au ~poll_id ~intro =
     in
     if not effort_ok then Known_peers.punish st.Peer.known ~now identity
     else begin
-      match Hashtbl.find_opt peer.Peer.voter_sessions (identity, au, poll_id) with
+      match Peer.Session_tbl.find_opt peer.Peer.voter_sessions (identity, au, poll_id) with
       | Some { Peer.vs_state = Peer.Awaiting_proof _; _ } ->
         (* Duplicate invitation for a session still awaiting its proof:
            our ack may have been lost, so repeat it instead of leaving the
@@ -168,7 +168,7 @@ let on_poll ctx (peer : Peer.t) ~src ~identity ~au ~poll_id ~intro =
             (on_proof_timeout ctx peer session)
         in
         session.Peer.vs_state <- Peer.Awaiting_proof timeout;
-        Hashtbl.replace peer.Peer.voter_sessions (identity, au, poll_id) session;
+        Peer.Session_tbl.replace peer.Peer.voter_sessions (identity, au, poll_id) session;
         Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
             Trace.Invitation_accepted
               { voter = peer.Peer.identity; poller = identity; au; poll_id });

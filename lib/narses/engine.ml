@@ -1,56 +1,62 @@
 (* The event loop's hot path is [schedule] + [step]: every simulated
    message, timer and sample goes through both once. The queue is a
-   {!Repro_prelude.Tsheap} — flat unboxed (time, seq) lanes, so a sift
-   comparison is two scalar reads and no closure call — and the only
-   per-event allocation left on this side is the 4-word handle record
-   below (the caller's action closure already exists). The previous
-   representation paid, per event: a 6-field mixed record plus the boxed
-   float inside it on [schedule], a closure-indirected polymorphic
-   compare per sift step, and a [Some] per peek/pop. *)
+   {!Repro_prelude.Tsheap} whose lanes are all unboxed — (time, seq,
+   slot) — so a sift comparison is two scalar reads and a sift move is
+   three plain stores, with no write barrier. The action closures live
+   in a slot table beside the queue: [schedule] writes the caller's
+   closure into a free slot once and the slot is cleared when its event
+   fires or is cancelled. The handle is an immediate int packing the
+   event's seq and slot, so [schedule] allocates nothing of its own (the
+   caller's action closure already exists). *)
 
-(* The schedule handle doubles as the heap payload: [cancel] flips
-   [live] and the queue drops dead entries lazily when they surface. *)
-type event = { action : unit -> unit; cls : int; mutable live : bool }
+module Tsheap = Repro_prelude.Tsheap
 
-type event_id = event
+type event_id = int
 type cls = int
 
-let dummy_event = { action = ignore; cls = 0; live = false }
+(* Handle packing: [seq lsl slot_bits lor slot]. [slot_bits] bounds the
+   number of simultaneously live events, [max_seq] the number of
+   schedules over an engine's lifetime; both overflows raise. *)
+let slot_bits = 24
+let slot_mask = (1 lsl slot_bits) - 1
+let max_seq = max_int lsr slot_bits
 
 (* Class names are registered once, globally, at module-initialisation
    time (timer owners register their class in a top-level [let]); each
    engine keeps an int array of live counts indexed by class id, so the
-   per-event bookkeeping stays a single array bump. Class 0 is the
-   implicit "unlabeled" class for callers that pass no [?cls].
+   per-event bookkeeping is one array index. Class 0 is the implicit
+   "unlabeled" class for callers that pass no [?cls].
 
-   The registry is guarded by a mutex: registration is documented as
-   module-init-only, but a library loaded late (or a test registering
-   from a worker domain) must get a unique id and a consistent name
-   table rather than undefined behaviour. Reads on the engine hot path
-   never touch the registry — [create] snapshots the count under the
-   lock and [bump_cls] grows the engine-local array lazily. *)
-let class_mutex = Mutex.create ()
-let class_names = ref [| "unlabeled" |]
-let class_count = ref 1
+   The first [create] freezes the registry: from then on the name table
+   is immutable and [register_class] raises, so engines on any domain
+   read a table nobody writes, and every engine's counter array covers
+   every class. The open/frozen switch and each registration are one
+   compare-and-set on the same atomic, so a registration racing the
+   first [create] either lands before the freeze or raises. *)
+type registry = Open of string array | Frozen of string array
 
-let register_class name =
-  Mutex.protect class_mutex (fun () ->
-      let id = !class_count in
-      let old = !class_names in
-      let n = Array.length old in
-      if id >= n then begin
-        let bigger = Array.make (max 4 (2 * n)) "" in
-        Array.blit old 0 bigger 0 n;
-        class_names := bigger
-      end;
-      !class_names.(id) <- name;
-      incr class_count;
-      id)
+let registry = Atomic.make (Open [| "unlabeled" |])
 
-(* A consistent (names, count) pair for readers; the names array is
-   only ever grown, never shrunk, so the snapshot stays valid. *)
-let class_snapshot () =
-  Mutex.protect class_mutex (fun () -> (!class_names, !class_count))
+let rec register_class name =
+  match Atomic.get registry with
+  | Frozen _ ->
+    invalid_arg
+      (Printf.sprintf
+         "Engine.register_class %S: an engine already exists (register classes \
+          at module initialisation)"
+         name)
+  | Open names as seen ->
+    let id = Array.length names in
+    if Atomic.compare_and_set registry seen (Open (Array.append names [| name |]))
+    then id
+    else register_class name
+
+let rec freeze_registry () =
+  match Atomic.get registry with
+  | Frozen names -> names
+  | Open names as seen ->
+    if Atomic.compare_and_set registry seen (Frozen names) then names
+    else freeze_registry ()
 
 type t = {
   mutable clock : float;
@@ -59,12 +65,24 @@ type t = {
   mutable cancelled : int;
   mutable live_count : int;
   mutable max_heap_depth : int;
-  mutable live_by_cls : int array;
-  queue : event Repro_prelude.Tsheap.t;
+  class_names : string array;
+  live_by_cls : int array;
+  queue : Tsheap.t;
+  (* Slot table: slot [s] holds a live event iff [slot_seq.(s)] is its
+     seq, which the queue entry carries too; a queue entry whose seq no
+     longer matches its slot's is dead (fired, cancelled, or the slot was
+     since reused) and is dropped when it surfaces. Free slots have
+     [slot_seq] = -1 and sit on the [free] stack. *)
+  mutable actions : (unit -> unit) array;
+  mutable slot_cls : int array;
+  mutable slot_seq : int array;
+  mutable free : int array;
+  mutable nfree : int;
+  mutable nslots : int;  (* slots ever handed out *)
 }
 
 let create () =
-  let _, count = class_snapshot () in
+  let class_names = freeze_registry () in
   {
     clock = 0.;
     next_seq = 0;
@@ -72,23 +90,58 @@ let create () =
     cancelled = 0;
     live_count = 0;
     max_heap_depth = 0;
-    live_by_cls = Array.make count 0;
-    queue = Repro_prelude.Tsheap.create ~dummy:dummy_event ();
+    class_names;
+    live_by_cls = Array.make (Array.length class_names) 0;
+    queue = Tsheap.create ();
+    actions = [||];
+    slot_cls = [||];
+    slot_seq = [||];
+    free = [||];
+    nfree = 0;
+    nslots = 0;
   }
 
 let now t = t.clock
 
-let grow_cls t cls =
-  let n = Array.length t.live_by_cls in
-  (* A class registered after this engine was created; grow lazily. *)
-  let _, count = class_snapshot () in
-  let bigger = Array.make (max count (cls + 1)) 0 in
-  Array.blit t.live_by_cls 0 bigger 0 n;
-  t.live_by_cls <- bigger
+let grow_slots t =
+  let cap = Array.length t.slot_seq in
+  if cap > slot_mask then
+    failwith
+      (Printf.sprintf "Engine.schedule: more than %d simultaneously live events"
+         (slot_mask + 1));
+  let ncap = min (slot_mask + 1) (if cap = 0 then 16 else 2 * cap) in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.actions <- extend t.actions ignore;
+  t.slot_cls <- extend t.slot_cls 0;
+  t.slot_seq <- extend t.slot_seq (-1);
+  t.free <- extend t.free 0
 
-let[@inline] bump_cls t cls delta =
-  if cls >= Array.length t.live_by_cls then grow_cls t cls;
-  t.live_by_cls.(cls) <- t.live_by_cls.(cls) + delta
+let[@inline] take_slot t =
+  if t.nfree > 0 then begin
+    t.nfree <- t.nfree - 1;
+    Array.unsafe_get t.free t.nfree
+  end
+  else begin
+    if t.nslots = Array.length t.slot_seq then grow_slots t;
+    let slot = t.nslots in
+    t.nslots <- slot + 1;
+    slot
+  end
+
+(* Retire a live slot: clear its action so the closure is not retained,
+   return it to the free stack and drop its live counts. *)
+let[@inline] release t slot =
+  Array.unsafe_set t.actions slot ignore;
+  Array.unsafe_set t.slot_seq slot (-1);
+  Array.unsafe_set t.free t.nfree slot;
+  t.nfree <- t.nfree + 1;
+  t.live_count <- t.live_count - 1;
+  let cls = Array.unsafe_get t.slot_cls slot in
+  t.live_by_cls.(cls) <- t.live_by_cls.(cls) - 1
 
 let schedule ?(cls = 0) t ~at f =
   (* [not (at >= clock)] rather than [at < clock]: it also rejects NaN,
@@ -96,58 +149,71 @@ let schedule ?(cls = 0) t ~at f =
   if not (at >= t.clock) then
     invalid_arg
       (Printf.sprintf "Engine.schedule: at=%g precedes now=%g" at t.clock);
-  let ev = { action = f; cls; live = true } in
   let seq = t.next_seq in
+  if seq > max_seq then
+    failwith (Printf.sprintf "Engine.schedule: more than %d events scheduled" max_seq);
+  let slot = take_slot t in
   t.next_seq <- seq + 1;
+  t.live_by_cls.(cls) <- t.live_by_cls.(cls) + 1;
+  Array.unsafe_set t.actions slot f;
+  Array.unsafe_set t.slot_cls slot cls;
+  Array.unsafe_set t.slot_seq slot seq;
   t.live_count <- t.live_count + 1;
-  bump_cls t cls 1;
-  Repro_prelude.Tsheap.add t.queue ~time:at ~seq ev;
-  let depth = Repro_prelude.Tsheap.length t.queue in
+  Tsheap.add t.queue ~time:at ~seq slot;
+  let depth = Tsheap.length t.queue in
   if depth > t.max_heap_depth then t.max_heap_depth <- depth;
-  ev
+  (seq lsl slot_bits) lor slot
 
 let schedule_in ?cls t ~after f =
   if after < 0. then invalid_arg "Engine.schedule_in: negative delay";
   schedule ?cls t ~at:(t.clock +. after) f
 
-let cancel t ev =
-  if ev.live then begin
-    ev.live <- false;
-    t.live_count <- t.live_count - 1;
-    bump_cls t ev.cls (-1);
+(* The slot of [id] if it is still live in [t], else -1. *)
+let[@inline] live_slot t id =
+  let slot = id land slot_mask in
+  if slot < t.nslots && Array.unsafe_get t.slot_seq slot = id lsr slot_bits then slot
+  else -1
+
+let cancel t id =
+  let slot = live_slot t id in
+  if slot >= 0 then begin
+    release t slot;
     t.cancelled <- t.cancelled + 1
   end
 
 let pending t = t.live_count
-let is_live (ev : event_id) = ev.live
+let is_live t id = live_slot t id >= 0
 
 let live_by_class t =
-  let names, count = class_snapshot () in
   let out = ref [] in
-  for cls = count - 1 downto 1 do
-    let n =
-      if cls < Array.length t.live_by_cls then t.live_by_cls.(cls) else 0
-    in
-    out := (names.(cls), n) :: !out
+  for cls = Array.length t.class_names - 1 downto 1 do
+    out := (t.class_names.(cls), t.live_by_cls.(cls)) :: !out
   done;
   !out
 
-(* Fire the queue's minimum event (which must exist and be live):
-   shared by [step] and the [run_until] loop. *)
-let[@inline] fire t ev =
-  ev.live <- false;
-  t.live_count <- t.live_count - 1;
-  bump_cls t ev.cls (-1);
-  t.clock <- Repro_prelude.Tsheap.min_time t.queue;
+(* The queue's minimum entry (the queue must be non-empty): its slot if
+   that entry is live, else -1. *)
+let[@inline] head_slot t =
+  let slot = Tsheap.min_payload t.queue in
+  if Array.unsafe_get t.slot_seq slot = Tsheap.min_seq t.queue then slot else -1
+
+(* Fire the queue's minimum entry, which must be live in [slot] at
+   [time]: shared by [step] and the [run_until] loop. [time] is the one
+   read of the head's time per event, so the clock costs one float box. *)
+let[@inline] fire t slot time =
+  let action = Array.unsafe_get t.actions slot in
+  release t slot;
+  t.clock <- time;
   t.executed <- t.executed + 1;
-  Repro_prelude.Tsheap.drop_min t.queue;
-  ev.action ()
+  Tsheap.drop_min t.queue;
+  action ()
 
 let step t =
-  if Repro_prelude.Tsheap.is_empty t.queue then false
+  if Tsheap.is_empty t.queue then false
   else begin
-    let ev = Repro_prelude.Tsheap.min_payload t.queue in
-    if ev.live then fire t ev else Repro_prelude.Tsheap.drop_min t.queue;
+    let slot = head_slot t in
+    if slot >= 0 then fire t slot (Tsheap.min_time t.queue)
+    else Tsheap.drop_min t.queue;
     true
   end
 
@@ -172,28 +238,34 @@ let run_until ?max_events t ~limit =
   | None ->
     let continue_ = ref true in
     while !continue_ do
-      if Repro_prelude.Tsheap.is_empty queue then continue_ := false
+      if Tsheap.is_empty queue then continue_ := false
       else begin
-        let ev = Repro_prelude.Tsheap.min_payload queue in
-        if not ev.live then Repro_prelude.Tsheap.drop_min queue
-        else if Repro_prelude.Tsheap.min_time queue > limit then
-          (* Leave future events queued; just advance the clock. *)
-          continue_ := false
-        else fire t ev
+        let slot = head_slot t in
+        if slot < 0 then Tsheap.drop_min queue
+        else begin
+          let time = Tsheap.min_time queue in
+          if time > limit then
+            (* Leave future events queued; just advance the clock. *)
+            continue_ := false
+          else fire t slot time
+        end
       end
     done
   | Some budget ->
     let start = t.executed in
     let continue_ = ref true in
     while !continue_ do
-      if Repro_prelude.Tsheap.is_empty queue then continue_ := false
+      if Tsheap.is_empty queue then continue_ := false
       else begin
-        let ev = Repro_prelude.Tsheap.min_payload queue in
-        if not ev.live then Repro_prelude.Tsheap.drop_min queue
-        else if Repro_prelude.Tsheap.min_time queue > limit then continue_ := false
+        let slot = head_slot t in
+        if slot < 0 then Tsheap.drop_min queue
         else begin
-          if t.executed - start >= budget then limit_exceeded t budget;
-          fire t ev
+          let time = Tsheap.min_time queue in
+          if time > limit then continue_ := false
+          else begin
+            if t.executed - start >= budget then limit_exceeded t budget;
+            fire t slot time
+          end
         end
       end
     done);

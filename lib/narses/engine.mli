@@ -9,8 +9,11 @@
 
 type t
 
-(** Handle to a scheduled event, usable with {!cancel}. *)
-type event_id
+(** Handle to a scheduled event, usable with {!cancel} and {!is_live}
+    on the engine that issued it. An immediate int packing the event's
+    sequence number and its slot in the engine's action table: creating,
+    storing and cancelling a handle allocates nothing. *)
+type event_id = private int
 
 (** An event class label for leak auditing: timer owners register a
     class once at module-initialisation time and tag their schedules
@@ -20,14 +23,15 @@ type event_id
 type cls
 
 (** [register_class name] allocates a fresh global class id. Call once
-    per class, normally at module-initialisation time. Registration is
-    mutex-guarded, so a late registration racing engines on other
-    domains still yields a unique id and a consistent name table;
-    engines created before a registration grow their per-class counters
-    lazily on first use of the new id. *)
+    per class, at module-initialisation time: the first {!create}
+    freezes the registry (so every engine counts every class in one
+    array sized at creation, and no domain ever writes the name table an
+    engine reads), and a registration after that raises
+    [Invalid_argument]. *)
 val register_class : string -> cls
 
-(** [create ()] is an engine at time [0.] with no pending events. *)
+(** [create ()] is an engine at time [0.] with no pending events. The
+    first call freezes the class registry (see {!register_class}). *)
 val create : unit -> t
 
 (** [now t] is the current simulated time in seconds. *)
@@ -37,7 +41,11 @@ val now : t -> float
     not precede [now t] (NaN is rejected — it would corrupt the queue's
     ordering). Returns a handle for cancellation. [cls]
     (default: an unlabeled class excluded from {!live_by_class}) tags
-    the event for the per-class live counters. *)
+    the event for the per-class live counters. Allocates nothing beyond
+    amortised growth of the queue and slot table. Raises [Failure] if
+    the engine would exceed 2{^24} simultaneously live events or 2{^38}
+    schedules in its lifetime (the handle packing's bounds), rather than
+    wrapping. *)
 val schedule : ?cls:cls -> t -> at:float -> (unit -> unit) -> event_id
 
 (** [schedule_in ?cls t ~after f] runs [f ()] after [after] seconds
@@ -45,21 +53,28 @@ val schedule : ?cls:cls -> t -> at:float -> (unit -> unit) -> event_id
 val schedule_in : ?cls:cls -> t -> after:float -> (unit -> unit) -> event_id
 
 (** [cancel t id] prevents the event from firing if it has not fired yet;
-    cancelling a fired or cancelled event is a no-op. *)
+    cancelling a fired or cancelled event is a no-op, also after the
+    event's slot has been reused by a later schedule (the handle's
+    sequence number no longer matches). Allocates nothing. *)
 val cancel : t -> event_id -> unit
 
 (** [pending t] is the number of live (uncancelled, unfired) events. *)
 val pending : t -> int
 
-(** [is_live id] is [true] while the event has neither fired nor been
+(** [is_live t id] is [true] while the event has neither fired nor been
     cancelled — lets the leak audit check that a timer handle still held
     in protocol state is actually pending. *)
-val is_live : event_id -> bool
+val is_live : t -> event_id -> bool
 
 (** [live_by_class t] is the current live-event count for every
     registered class (in registration order), including zero counts;
     unlabeled events are not listed. *)
 val live_by_class : t -> (string * int) list
+
+(** [step t] processes the queue's earliest entry: fires it if it is
+    live, discards it if it was cancelled. [false] when the queue is
+    empty. One [step] therefore does not always fire an event. *)
+val step : t -> bool
 
 (** Raised by {!run} and {!run_until} when [max_events] executions have
     fired and live events remain; the message reports the budget, the

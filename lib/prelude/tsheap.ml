@@ -3,27 +3,27 @@
    Sift loops use the hole technique: the moving entry is held in
    locals and slots shift into the hole, so a sift of depth d does d
    lane reads and d lane writes instead of 3d swaps. Comparisons are
-   monomorphic float/int operators on flat lanes — the entire point of
+   monomorphic float/int operators on flat lanes and every lane is
+   unboxed, so a lane write is a plain store — the entire point of
    this module; see the .mli. *)
 
-type 'a t = {
-  mutable time : float array;  (* unboxed lane *)
+type t = {
+  mutable time : float array;
   mutable seq : int array;
-  mutable payload : 'a array;
+  mutable payload : int array;
   mutable size : int;
-  dummy : 'a;  (* blanks vacated payload slots *)
 }
 
-let create ~dummy () = { time = [||]; seq = [||]; payload = [||]; size = 0; dummy }
+let create () = { time = [||]; seq = [||]; payload = [||]; size = 0 }
 let length t = t.size
-let is_empty t = t.size = 0
+let[@inline] is_empty t = t.size = 0
 
 let grow t =
   let cap = Array.length t.seq in
   let ncap = if cap = 0 then 16 else 2 * cap in
   let ntime = Array.make ncap 0. in
   let nseq = Array.make ncap 0 in
-  let npayload = Array.make ncap t.dummy in
+  let npayload = Array.make ncap 0 in
   Array.blit t.time 0 ntime 0 t.size;
   Array.blit t.seq 0 nseq 0 t.size;
   Array.blit t.payload 0 npayload 0 t.size;
@@ -54,15 +54,15 @@ let add t ~time ~seq payload =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set payloads !i payload
 
-let min_time t =
+let[@inline] min_time t =
   if t.size = 0 then invalid_arg "Tsheap.min_time: empty heap";
   Array.unsafe_get t.time 0
 
-let min_seq t =
+let[@inline] min_seq t =
   if t.size = 0 then invalid_arg "Tsheap.min_seq: empty heap";
   Array.unsafe_get t.seq 0
 
-let min_payload t =
+let[@inline] min_payload t =
   if t.size = 0 then invalid_arg "Tsheap.min_payload: empty heap";
   Array.unsafe_get t.payload 0
 
@@ -70,15 +70,13 @@ let drop_min t =
   if t.size = 0 then invalid_arg "Tsheap.drop_min: empty heap";
   let last = t.size - 1 in
   t.size <- last;
-  let times = t.time and seqs = t.seq and payloads = t.payload in
-  if last = 0 then Array.unsafe_set payloads 0 t.dummy
-  else begin
+  if last > 0 then begin
+    let times = t.time and seqs = t.seq and payloads = t.payload in
     (* Move the last entry into the root's hole, sifting the hole down
        toward the smaller child until the entry fits. *)
     let mt = Array.unsafe_get times last in
     let ms = Array.unsafe_get seqs last in
     let mp = Array.unsafe_get payloads last in
-    Array.unsafe_set payloads last t.dummy;
     let i = ref 0 in
     let continue_ = ref true in
     while !continue_ do

@@ -1,13 +1,14 @@
-(** Monomorphic flat-array min-heap keyed by [(time, seq)].
+(** Monomorphic flat-array min-heap keyed by [(time, seq)] with an int
+    payload.
 
     The discrete-event engine's queue in one structure-of-arrays: an
     unboxed [float array] lane for times, an [int array] lane for the
-    FIFO tie-breaking sequence numbers, and a payload lane for whatever
-    the caller attaches to each entry. Orders ascending by time, then by
-    sequence number — exactly the comparator the engine used on its
-    boxed event records, but with no closure call, no polymorphic
-    compare and no pointer chase per comparison: a sift step reads two
-    flats and branches.
+    FIFO tie-breaking sequence numbers, and an [int array] lane for the
+    payload (the engine stores a slot index into its own action table).
+    Orders ascending by time, then by sequence number. A sift step reads
+    two flats and branches, and moves only immediates: no lane holds a
+    pointer, so a sift never calls the write barrier ([caml_modify]) and
+    never darkens a value while the major GC is marking.
 
     Compared to {!Heap} holding a record per event, this removes the
     per-event record (and the boxed float inside it, since a mixed
@@ -21,41 +22,38 @@
     order and therefore independent of internal layout: replacing
     {!Heap} with this structure cannot reorder events. *)
 
-type 'a t
+type t
 
-(** [create ~dummy ()] is an empty heap. [dummy] is a throwaway payload
-    value used to blank vacated slots so popped payloads are not
-    retained by the backing array. *)
-val create : dummy:'a -> unit -> 'a t
+(** [create ()] is an empty heap. *)
+val create : unit -> t
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val length : t -> int
+val is_empty : t -> bool
 
 (** [add t ~time ~seq payload] inserts an entry. Amortised O(log n),
     allocation-free except when the backing arrays grow. *)
-val add : 'a t -> time:float -> seq:int -> 'a -> unit
+val add : t -> time:float -> seq:int -> int -> unit
 
-(** [min_time t] is the smallest [(time, seq)] entry's time. Undefined
-    (reads a stale slot or raises [Invalid_argument]) when empty — check
-    {!is_empty} first. *)
-val min_time : 'a t -> float
+(** [min_time t] is the smallest [(time, seq)] entry's time. Raises
+    [Invalid_argument] when empty. *)
+val min_time : t -> float
 
 (** [min_seq t] is the minimum entry's sequence number. Same caveat as
     {!min_time}. *)
-val min_seq : 'a t -> int
+val min_seq : t -> int
 
 (** [min_payload t] is the minimum entry's payload. Same caveat as
     {!min_time}. *)
-val min_payload : 'a t -> 'a
+val min_payload : t -> int
 
 (** [drop_min t] removes the minimum entry. Raises [Invalid_argument]
     when empty. O(log n), allocation-free. *)
-val drop_min : 'a t -> unit
+val drop_min : t -> unit
 
 (** [pop t] is the minimum payload after removing its entry, or [None]
     when empty. Convenience for tests; the engine's hot path uses
     {!min_payload} + {!drop_min} to avoid the option. *)
-val pop : 'a t -> 'a option
+val pop : t -> int option
 
 (** [clear t] empties the heap and releases the backing arrays. *)
-val clear : 'a t -> unit
+val clear : t -> unit

@@ -202,7 +202,7 @@ let test_crash_aborts_inflight_poll () =
        (fun (st : Lockss.Peer.au_state) -> Option.is_none st.Lockss.Peer.current_poll)
        peer.Lockss.Peer.aus);
   Alcotest.(check int) "voter sessions discarded" 0
-    (Hashtbl.length peer.Lockss.Peer.voter_sessions);
+    (Lockss.Peer.Session_tbl.length peer.Lockss.Peer.voter_sessions);
   Lockss.Population.restart_peer population ~node:poller;
   Alcotest.(check bool) "peer active after restart" true peer.Lockss.Peer.active;
   (* The deployment keeps running cleanly through the crash/restart. *)
@@ -249,14 +249,14 @@ let test_duplicate_poll_is_reacked () =
   in
   invite ();
   Alcotest.(check int) "one session opened" 1
-    (Hashtbl.length peer.Lockss.Peer.voter_sessions);
+    (Lockss.Peer.Session_tbl.length peer.Lockss.Peer.voter_sessions);
   Alcotest.(check int) "ack sent" (sent0 + 1) (Net.sent_count ctx.Lockss.Peer.net);
   invite ();
   Alcotest.(check int) "duplicate opens no second session" 1
-    (Hashtbl.length peer.Lockss.Peer.voter_sessions);
+    (Lockss.Peer.Session_tbl.length peer.Lockss.Peer.voter_sessions);
   Alcotest.(check int) "lost-ack recovery: ack repeated" (sent0 + 2)
     (Net.sent_count ctx.Lockss.Peer.net);
-  match Hashtbl.find_opt peer.Lockss.Peer.voter_sessions (1, au, 99) with
+  match Lockss.Peer.Session_tbl.find_opt peer.Lockss.Peer.voter_sessions (1, au, 99) with
   | Some { Lockss.Peer.vs_state = Lockss.Peer.Awaiting_proof _; _ } -> ()
   | _ -> Alcotest.fail "session should still be awaiting its proof"
 
@@ -272,7 +272,7 @@ let test_stale_duplicate_is_dropped () =
   Lockss.Voter.on_poll ctx peer ~src:1 ~identity:1 ~au ~poll_id:77
     ~intro:(Effort.Proof.forged ~claimed_cost:1.);
   Alcotest.(check int) "no ghost session reopened" 0
-    (Hashtbl.length peer.Lockss.Peer.voter_sessions);
+    (Lockss.Peer.Session_tbl.length peer.Lockss.Peer.voter_sessions);
   Alcotest.(check int) "no ack for a stale duplicate" sent0
     (Net.sent_count ctx.Lockss.Peer.net)
 

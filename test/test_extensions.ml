@@ -143,7 +143,7 @@ let test_non_holders_ignore_polls () =
      Lockss.Voter.on_poll ctx peer ~src:1 ~identity:1 ~au:st.Lockss.Peer.au ~poll_id:9
        ~intro:(Effort.Proof.forged ~claimed_cost:1.);
      Alcotest.(check int) "no session for unheld AU" 0
-       (Hashtbl.length peer.Lockss.Peer.voter_sessions))
+       (Lockss.Peer.Session_tbl.length peer.Lockss.Peer.voter_sessions))
 
 (* -- Combined attacks ---------------------------------------------------- *)
 

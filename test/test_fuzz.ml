@@ -135,7 +135,7 @@ let prop_sessions_end_in_legal_states =
         let ctx = Population.ctx population in
         Array.for_all
           (fun (peer : Peer.t) ->
-            Hashtbl.fold
+            Peer.Session_tbl.fold
               (fun _key (session : Peer.voter_session) acc ->
                 acc
                 &&
@@ -235,7 +235,7 @@ let salt_gen =
 let sessions_legal (ctx : Peer.ctx) =
   Array.for_all
     (fun (peer : Peer.t) ->
-      Hashtbl.fold
+      Peer.Session_tbl.fold
         (fun _key (session : Peer.voter_session) acc ->
           acc
           &&

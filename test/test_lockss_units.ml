@@ -644,6 +644,208 @@ let prop_known_peers_sorted_ids_model =
          in
          entries = reference && good = good_reference))
 
+(* The Hashtbl-backed known-peers list the lane version replaced, kept
+   verbatim as the model the lane version is checked against. *)
+module Known_peers_model = struct
+  type entry = { mutable grade : Grade.t; mutable updated : float }
+
+  (* [ids.(0 .. n-1)] mirrors the hashtable's key set, ascending. Keeping
+     it sorted incrementally (binary-search insert on first encounter,
+     shift-out on punish) makes [entries] and [good_ids] linear scans in
+     id order instead of a fold-and-sort per call. *)
+  type t = {
+    decay_period : float;
+    entries : (Ids.Identity.t, entry) Hashtbl.t;
+    mutable ids : Ids.Identity.t array;
+    mutable n : int;
+  }
+
+  let create ~decay_period =
+    if decay_period <= 0. then invalid_arg "Known_peers.create: decay period";
+    { decay_period; entries = Hashtbl.create 32; ids = Array.make 16 0; n = 0 }
+
+  (* Smallest index whose id is >= [id] (= [t.n] when all are smaller). *)
+  let lower_bound t id =
+    let lo = ref 0 and hi = ref t.n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.ids.(mid) < id then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let insert_id t id =
+    let i = lower_bound t id in
+    if not (i < t.n && t.ids.(i) = id) then begin
+      if t.n = Array.length t.ids then begin
+        let ids = Array.make (2 * t.n) 0 in
+        Array.blit t.ids 0 ids 0 t.n;
+        t.ids <- ids
+      end;
+      Array.blit t.ids i t.ids (i + 1) (t.n - i);
+      t.ids.(i) <- id;
+      t.n <- t.n + 1
+    end
+
+  let remove_id t id =
+    let i = lower_bound t id in
+    if i < t.n && t.ids.(i) = id then begin
+      Array.blit t.ids (i + 1) t.ids i (t.n - i - 1);
+      t.n <- t.n - 1
+    end
+
+  (* Any grade reaches the absorbing Debt state in at most two decay steps,
+     so steps beyond this bound are equivalent; clamping keeps the
+     [int_of_float] away from its unspecified huge-float behaviour when an
+     entry has been untouched for a very long (or infinite) gap. *)
+  let max_decay_steps = 8
+
+  let decay_steps t entry ~now =
+    if now <= entry.updated then 0
+    else begin
+      let raw = (now -. entry.updated) /. t.decay_period in
+      if raw >= float_of_int max_decay_steps then max_decay_steps
+      else int_of_float raw
+    end
+
+  let effective t entry ~now = Grade.decayed entry.grade ~steps:(decay_steps t entry ~now)
+
+  let grade t ~now identity =
+    match Hashtbl.find_opt t.entries identity with
+    | None -> None
+    | Some entry -> Some (effective t entry ~now)
+
+  let update t ~now identity f ~if_unknown =
+    match Hashtbl.find_opt t.entries identity with
+    | None ->
+      Hashtbl.replace t.entries identity { grade = if_unknown; updated = now };
+      insert_id t identity
+    | Some entry ->
+      entry.grade <- f (effective t entry ~now);
+      entry.updated <- now
+
+  let raise_grade t ~now identity =
+    update t ~now identity Grade.raise_grade ~if_unknown:Grade.Even
+
+  let lower t ~now identity = update t ~now identity Grade.lower ~if_unknown:Grade.Debt
+
+  let punish t ~now:_ identity =
+    Hashtbl.remove t.entries identity;
+    remove_id t identity
+
+  let set t ~now identity grade =
+    Hashtbl.replace t.entries identity { grade; updated = now };
+    insert_id t identity
+
+  let known t identity = Hashtbl.mem t.entries identity
+
+  let entries t ~now =
+    let acc = ref [] in
+    for i = t.n - 1 downto 0 do
+      let id = t.ids.(i) in
+      let entry = Hashtbl.find t.entries id in
+      acc := (id, effective t entry ~now) :: !acc
+    done;
+    !acc
+
+  let good_ids t ~now ~excluding =
+    let acc = ref [] in
+    for i = t.n - 1 downto 0 do
+      let id = t.ids.(i) in
+      if not (Ids.Identity.equal id excluding) then begin
+        match effective t (Hashtbl.find t.entries id) ~now with
+        | Grade.Debt -> ()
+        | Grade.Even | Grade.Credit -> acc := id :: !acc
+      end
+    done;
+    !acc
+end
+
+(* Every operation, including re-encounters after punish, explicit sets
+   of any grade and time gaps spanning several decay periods, leaves the
+   lane version observably equal to the model: entries, good_ids, and
+   point lookups of grade and known for every id in range. *)
+let prop_known_peers_lanes_match_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"known-peers lanes match the hashtable model" ~count:300
+       QCheck2.Gen.(
+         list_size (int_range 0 80)
+           (quad (int_range 0 5) (int_range 0 30) (int_range 0 2) (float_range 0. 2500.)))
+       (fun ops ->
+         let kp = Known_peers.create ~decay_period:1000. in
+         let model = Known_peers_model.create ~decay_period:1000. in
+         let grades = [| Grade.Debt; Grade.Even; Grade.Credit |] in
+         let now = ref 0. in
+         List.for_all
+           (fun (op, id, g, dt) ->
+             now := !now +. dt;
+             let now = !now in
+             match op with
+             | 0 ->
+               Known_peers.raise_grade kp ~now id;
+               Known_peers_model.raise_grade model ~now id;
+               true
+             | 1 ->
+               Known_peers.lower kp ~now id;
+               Known_peers_model.lower model ~now id;
+               true
+             | 2 ->
+               Known_peers.punish kp ~now id;
+               Known_peers_model.punish model ~now id;
+               true
+             | 3 ->
+               Known_peers.set kp ~now id grades.(g);
+               Known_peers_model.set model ~now id grades.(g);
+               true
+             | 4 -> Known_peers.entries kp ~now = Known_peers_model.entries model ~now
+             | _ ->
+               Known_peers.good_ids kp ~now ~excluding:id
+               = Known_peers_model.good_ids model ~now ~excluding:id)
+           ops
+         && List.for_all
+              (fun id ->
+                Known_peers.grade kp ~now:!now id = Known_peers_model.grade model ~now:!now id
+                && Known_peers.known kp id = Known_peers_model.known model id)
+              (List.init 31 Fun.id)
+         && Known_peers.entries kp ~now:!now = Known_peers_model.entries model ~now:!now))
+
+(* [Peer.Session_tbl] replaced a generic [Hashtbl] whose iteration order
+   the simulation observes (crash teardown, the leak audit): under the
+   same add / replace / remove / reset sequence, with keys drawn from a
+   small space so collisions, re-adds and resizes are common, both visit
+   bindings in the same order. *)
+let prop_session_tbl_iterates_like_hashtbl =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"Session_tbl iterates in Hashtbl order" ~count:300
+       QCheck2.Gen.(
+         list_size (int_range 0 300)
+           (pair (int_range 0 9) (triple (int_range 0 40) (int_range 0 3) (int_range 0 60))))
+       (fun ops ->
+         let tbl = Peer.Session_tbl.create 8 and model = Hashtbl.create 8 in
+         List.iteri
+           (fun i (op, key) ->
+             match op with
+             | 0 | 1 | 2 | 3 ->
+               Peer.Session_tbl.replace tbl key i;
+               Hashtbl.replace model key i
+             | 4 | 5 ->
+               Peer.Session_tbl.add tbl key i;
+               Hashtbl.add model key i
+             | 6 | 7 | 8 ->
+               Peer.Session_tbl.remove tbl key;
+               Hashtbl.remove model key
+             | _ ->
+               if i mod 7 = 0 then begin
+                 Peer.Session_tbl.reset tbl;
+                 Hashtbl.reset model
+               end)
+           ops;
+         let listed = Peer.Session_tbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+         let iterated = ref [] in
+         Peer.Session_tbl.iter (fun k v -> iterated := (k, v) :: !iterated) tbl;
+         let expected = Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [] in
+         listed = expected && !iterated = expected
+         && Peer.Session_tbl.length tbl = Hashtbl.length model))
+
 let prop_merged_with_friends_is_sort_uniq =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"fallback merge equals sort_uniq of concat" ~count:300
@@ -892,6 +1094,8 @@ let () =
           prop_known_peers_decay_monotone;
           prop_grade_raise_lower_inverse;
           prop_known_peers_sorted_ids_model;
+          prop_known_peers_lanes_match_model;
+          prop_session_tbl_iterates_like_hashtbl;
         ] );
       ( "introductions",
         [

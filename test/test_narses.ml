@@ -5,6 +5,13 @@ module Topology = Narses.Topology
 module Partition = Narses.Partition
 module Net = Narses.Net
 module Rng = Repro_prelude.Rng
+module Heap = Repro_prelude.Heap
+
+(* Event classes for the engine model test. Registered at module
+   initialisation, as the engine requires: the first [Engine.create]
+   freezes the registry. *)
+let cls_model_a = Engine.register_class "model_a"
+let cls_model_b = Engine.register_class "model_b"
 
 (* -- Engine ----------------------------------------------------------- *)
 
@@ -124,6 +131,269 @@ let prop_engine_never_runs_backwards =
         times;
       Engine.run engine;
       !monotone)
+
+let test_engine_cancel_reused_slot () =
+  (* A fired event's slot is reused by the next schedule; its stale
+     handle must neither cancel nor report the new occupant. *)
+  let engine = Engine.create () in
+  let fired = ref [] in
+  let a = Engine.schedule engine ~at:1. (fun () -> fired := "a" :: !fired) in
+  Engine.run engine;
+  let b = Engine.schedule engine ~at:2. (fun () -> fired := "b" :: !fired) in
+  Alcotest.(check int) "slot reused" ((a :> int) land 0xFFFFFF) ((b :> int) land 0xFFFFFF);
+  Alcotest.(check bool) "fired handle dead" false (Engine.is_live engine a);
+  Alcotest.(check bool) "new handle live" true (Engine.is_live engine b);
+  Engine.cancel engine a;
+  Alcotest.(check int) "stale cancel is a no-op" 1 (Engine.pending engine);
+  Alcotest.(check int) "nothing counted cancelled" 0 (Engine.stats engine).Engine.cancelled;
+  Engine.run engine;
+  Alcotest.(check (list string)) "both fired" [ "a"; "b" ] (List.rev !fired);
+  (* Same after a cancel frees the slot. *)
+  let c = Engine.schedule engine ~at:3. ignore in
+  Engine.cancel engine c;
+  let d = Engine.schedule engine ~at:4. (fun () -> fired := "d" :: !fired) in
+  Engine.cancel engine c;
+  Alcotest.(check bool) "cancelled handle dead" false (Engine.is_live engine c);
+  Alcotest.(check bool) "reusing handle live" true (Engine.is_live engine d);
+  Engine.run engine;
+  Alcotest.(check (list string)) "d fired" [ "a"; "b"; "d" ] (List.rev !fired)
+
+let test_engine_registry_frozen () =
+  ignore (Engine.create ());
+  match Engine.register_class "too_late" with
+  | _ -> Alcotest.fail "register_class after Engine.create must raise"
+  | exception Invalid_argument _ -> ()
+
+(* Exact minor-heap words, not timings: the slot table and the int
+   handle leave [schedule] and [cancel] allocation-free once the
+   engine's arrays have grown. Firing allocates exactly the clock's
+   two-word float box (the engine's [mutable clock : float] field is
+   boxed). The times are boxed before measuring (a float computed at
+   the call site is boxed by the caller, not by the engine), and the
+   class label's [Some cls] is built once outside the measured region,
+   so the classed delta is the engine's own. *)
+let test_engine_allocation () =
+  let engine = Engine.create () in
+  let hits = ref 0 in
+  let action () = incr hits in
+  let n = 10_000 in
+  let times base = List.init n (fun i -> float_of_int (base + (i mod 97))) in
+  let cls_b = Some cls_model_b in
+  let schedule at = ignore (Engine.schedule engine ~at action) in
+  let schedule_b at = ignore (Engine.schedule ?cls:cls_b engine ~at action) in
+  (* Warm up: grow the queue and slot table past [n] live events. *)
+  List.iter schedule (times 0);
+  Engine.run engine;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let clock_box = float_of_int (2 * n) in
+  let t1 = times 100 and t2 = times 200 and t3 = times 400 and t4 = times 300 in
+  Alcotest.(check (float 0.)) "schedule + fire: the clock box only" clock_box
+    (words (fun () ->
+         List.iter schedule t1;
+         Engine.run engine));
+  Alcotest.(check (float 0.)) "schedule + fire, classed: the clock box only" clock_box
+    (words (fun () ->
+         List.iter schedule_b t2;
+         Engine.run engine));
+  Alcotest.(check (float 0.)) "schedule + run_until: the clock box only" clock_box
+    (words (fun () ->
+         List.iter schedule t4;
+         Engine.run_until engine ~limit:399.));
+  let ids = Array.of_list (List.map (fun at -> Engine.schedule engine ~at action) t3) in
+  let cancel id = Engine.cancel engine id in
+  Alcotest.(check (float 0.)) "cancel" 0.
+    (words (fun () ->
+         Array.iter cancel ids;
+         (* Twice: cancelling a cancelled handle is free too. *)
+         Array.iter cancel ids));
+  Alcotest.(check int) "all fired" (4 * n) !hits;
+  Alcotest.(check int) "none pending" 0 (Engine.pending engine)
+
+(* Model test: random interleavings of schedule / cancel / step /
+   run_until against a reference engine built from records on the
+   generic comparator heap. Cancels pick any handle ever issued, so they
+   hit pending, fired, cancelled and slot-reused events alike; some
+   events schedule a successor when they fire. After every operation
+   the fire order, clock, pending count, per-class live counts, stats
+   (including the heap high-water mark, which counts dead entries not
+   yet surfaced) and every handle's liveness must agree. *)
+type model_event = {
+  m_time : float;
+  m_seq : int;
+  m_cls : int;  (* 0 unlabeled, 1 model_a, 2 model_b *)
+  m_tag : int;
+  m_spawn : bool;
+  mutable m_live : bool;
+}
+
+type model = {
+  heap : model_event Heap.t;
+  mutable m_clock : float;
+  mutable m_next_seq : int;
+  mutable m_executed : int;
+  mutable m_cancelled : int;
+  mutable m_live_count : int;
+  mutable m_max_depth : int;
+  m_live_cls : int array;
+  mutable m_log : int list;
+  mutable m_events : model_event list;  (* newest first, by tag *)
+}
+
+type engine_op = Schedule of int * int * bool | Cancel of int | Step | Run_until of int
+
+let engine_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (5, map3 (fun dt cls spawn -> Schedule (dt, cls, spawn)) (int_bound 4) (int_bound 2)
+             (map (fun k -> k = 0) (int_bound 4)));
+        (3, map (fun k -> Cancel k) nat);
+        (3, return Step);
+        (1, map (fun dl -> Run_until dl) (int_bound 3));
+      ])
+
+let model_create () =
+  {
+    heap =
+      Heap.create ~cmp:(fun a b ->
+          match Float.compare a.m_time b.m_time with
+          | 0 -> Int.compare a.m_seq b.m_seq
+          | c -> c);
+    m_clock = 0.;
+    m_next_seq = 0;
+    m_executed = 0;
+    m_cancelled = 0;
+    m_live_count = 0;
+    m_max_depth = 0;
+    m_live_cls = Array.make 3 0;
+    m_log = [];
+    m_events = [];
+  }
+
+let model_schedule m ~at ~cls ~spawn =
+  let ev =
+    { m_time = at; m_seq = m.m_next_seq; m_cls = cls; m_tag = m.m_next_seq; m_spawn = spawn;
+      m_live = true }
+  in
+  m.m_next_seq <- m.m_next_seq + 1;
+  m.m_live_count <- m.m_live_count + 1;
+  m.m_live_cls.(cls) <- m.m_live_cls.(cls) + 1;
+  m.m_events <- ev :: m.m_events;
+  Heap.add m.heap ev;
+  m.m_max_depth <- max m.m_max_depth (Heap.length m.heap)
+
+let model_kill m ev =
+  ev.m_live <- false;
+  m.m_live_count <- m.m_live_count - 1;
+  m.m_live_cls.(ev.m_cls) <- m.m_live_cls.(ev.m_cls) - 1
+
+let model_fire m ev =
+  model_kill m ev;
+  m.m_clock <- ev.m_time;
+  m.m_executed <- m.m_executed + 1;
+  m.m_log <- ev.m_tag :: m.m_log;
+  if ev.m_spawn then model_schedule m ~at:(m.m_clock +. 1.) ~cls:0 ~spawn:false
+
+let model_step m =
+  match Heap.pop m.heap with
+  | None -> false
+  | Some ev ->
+    if ev.m_live then model_fire m ev;
+    true
+
+let model_run_until m ~limit =
+  let rec loop () =
+    match Heap.peek m.heap with
+    | None -> ()
+    | Some ev when not ev.m_live ->
+      ignore (Heap.pop m.heap);
+      loop ()
+    | Some ev when ev.m_time > limit -> ()
+    | Some ev ->
+      ignore (Heap.pop m.heap);
+      model_fire m ev;
+      loop ()
+  in
+  loop ();
+  if limit > m.m_clock then m.m_clock <- limit
+
+let prop_engine_matches_model =
+  QCheck2.Test.make ~name:"engine matches a reference model" ~count:300
+    ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+    QCheck2.Gen.(list_size (int_bound 150) engine_op_gen)
+    (fun ops ->
+      let engine = Engine.create () in
+      let m = model_create () in
+      let log = ref [] in
+      let handles = ref [] in  (* newest first, by tag *)
+      let rec schedule ~at ~cls ~spawn =
+        let tag = List.length !handles in
+        let action () =
+          log := tag :: !log;
+          if spawn then schedule ~at:(Engine.now engine +. 1.) ~cls:0 ~spawn:false
+        in
+        let id =
+          match cls with
+          | 0 -> Engine.schedule engine ~at action
+          | 1 -> Engine.schedule ~cls:cls_model_a engine ~at action
+          | _ -> Engine.schedule ~cls:cls_model_b engine ~at action
+        in
+        handles := id :: !handles
+      in
+      let agree () =
+        let s = Engine.stats engine in
+        let classes = Engine.live_by_class engine in
+        List.length !handles = List.length m.m_events
+        && !log = m.m_log
+        && Engine.now engine = m.m_clock
+        && Engine.pending engine = m.m_live_count
+        && s
+           = {
+               Engine.executed = m.m_executed;
+               scheduled = m.m_next_seq;
+               cancelled = m.m_cancelled;
+               pending = m.m_live_count;
+               max_heap_depth = m.m_max_depth;
+             }
+        && List.assoc_opt "model_a" classes = Some m.m_live_cls.(1)
+        && List.assoc_opt "model_b" classes = Some m.m_live_cls.(2)
+        && List.for_all2
+             (fun id ev -> Engine.is_live engine id = ev.m_live)
+             !handles m.m_events
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Schedule (dt, cls, spawn) ->
+            schedule ~at:(Engine.now engine +. float_of_int dt) ~cls ~spawn;
+            model_schedule m ~at:(m.m_clock +. float_of_int dt) ~cls ~spawn
+          | Cancel k ->
+            let n = List.length !handles in
+            if n > 0 then begin
+              let i = k mod n in
+              Engine.cancel engine (List.nth !handles i);
+              let ev = List.nth m.m_events i in
+              if ev.m_live then begin
+                model_kill m ev;
+                m.m_cancelled <- m.m_cancelled + 1
+              end
+            end
+          | Step ->
+            let fired = Engine.step engine in
+            if fired <> model_step m then log := -1 :: !log
+          | Run_until dl ->
+            let limit = Engine.now engine +. float_of_int dl in
+            Engine.run_until engine ~limit;
+            model_run_until m ~limit);
+          agree ())
+        ops
+      && (Engine.run engine;
+          while model_step m do () done;
+          agree ()))
 
 (* -- Topology --------------------------------------------------------- *)
 
@@ -299,6 +569,10 @@ let () =
           quick "run_until" test_engine_run_until_limit;
           quick "budget ignores cancelled" test_engine_budget_ignores_cancelled;
           QCheck_alcotest.to_alcotest prop_engine_never_runs_backwards;
+          quick "cancel of a slot-reused handle" test_engine_cancel_reused_slot;
+          quick "registry frozen at first create" test_engine_registry_frozen;
+          quick "schedule and cancel allocate nothing" test_engine_allocation;
+          QCheck_alcotest.to_alcotest prop_engine_matches_model;
         ] );
       ( "topology",
         [

@@ -320,37 +320,37 @@ let prop_heap_to_sorted_list_preserves =
 module Tsheap = Repro_prelude.Tsheap
 
 let test_tsheap_basic () =
-  let h = Tsheap.create ~dummy:"" () in
+  let h = Tsheap.create () in
   Alcotest.(check bool) "empty" true (Tsheap.is_empty h);
-  Tsheap.add h ~time:5. ~seq:0 "e";
-  Tsheap.add h ~time:1. ~seq:1 "a";
-  Tsheap.add h ~time:3. ~seq:2 "c";
+  Tsheap.add h ~time:5. ~seq:0 50;
+  Tsheap.add h ~time:1. ~seq:1 10;
+  Tsheap.add h ~time:3. ~seq:2 30;
   Alcotest.(check int) "length" 3 (Tsheap.length h);
   Alcotest.(check (float 0.)) "min time" 1. (Tsheap.min_time h);
   Alcotest.(check int) "min seq" 1 (Tsheap.min_seq h);
-  Alcotest.(check string) "min payload" "a" (Tsheap.min_payload h);
-  Alcotest.(check (option string)) "pop a" (Some "a") (Tsheap.pop h);
-  Alcotest.(check (option string)) "pop c" (Some "c") (Tsheap.pop h);
-  Alcotest.(check (option string)) "pop e" (Some "e") (Tsheap.pop h);
-  Alcotest.(check (option string)) "pop empty" None (Tsheap.pop h)
+  Alcotest.(check int) "min payload" 10 (Tsheap.min_payload h);
+  Alcotest.(check (option int)) "pop a" (Some 10) (Tsheap.pop h);
+  Alcotest.(check (option int)) "pop c" (Some 30) (Tsheap.pop h);
+  Alcotest.(check (option int)) "pop e" (Some 50) (Tsheap.pop h);
+  Alcotest.(check (option int)) "pop empty" None (Tsheap.pop h)
 
 let test_tsheap_ties_fifo () =
   (* Equal times drain in seq order: the engine's FIFO guarantee for
      same-time events rests on exactly this. *)
-  let h = Tsheap.create ~dummy:(-1) () in
+  let h = Tsheap.create () in
   List.iter (fun seq -> Tsheap.add h ~time:2. ~seq seq) [ 4; 0; 3; 1; 2 ];
   let order = List.init 5 (fun _ -> Option.get (Tsheap.pop h)) in
   Alcotest.(check (list int)) "FIFO under ties" [ 0; 1; 2; 3; 4 ] order
 
 let test_tsheap_empty_ops_raise () =
-  let h = Tsheap.create ~dummy:0 () in
+  let h = Tsheap.create () in
   Alcotest.check_raises "min_time" (Invalid_argument "Tsheap.min_time: empty heap")
     (fun () -> ignore (Tsheap.min_time h));
   Alcotest.check_raises "drop_min" (Invalid_argument "Tsheap.drop_min: empty heap")
     (fun () -> Tsheap.drop_min h)
 
 let test_tsheap_clear () =
-  let h = Tsheap.create ~dummy:0 () in
+  let h = Tsheap.create () in
   for i = 1 to 40 do
     Tsheap.add h ~time:(float_of_int (i mod 7)) ~seq:i i
   done;
@@ -362,48 +362,56 @@ let test_tsheap_clear () =
 (* Model check against the generic comparator heap: identical pop order
    on (time, seq) keys, including heavy time ties — the engine swapped
    the former for the latter and this pins the equivalence. Times are
-   drawn from a small set so collisions are the common case, and seqs
-   are the injection index, unique as in the engine. *)
-let tsheap_keys_gen =
-  QCheck2.Gen.(list_size (int_bound 200) (int_bound 7))
+   drawn from a small set so collisions are the common case, seqs are
+   the injection index, unique as in the engine, and each entry carries
+   an independently drawn payload: every pop compares the whole
+   (time, seq, payload) entry, so a sift that moved a key without its
+   payload fails. *)
+let tsheap_entries_gen =
+  QCheck2.Gen.(list_size (int_bound 200) (pair (int_bound 7) int))
 
 let prop_tsheap_matches_model_heap =
   QCheck2.Test.make ~name:"tsheap pop order matches comparator-heap model"
-    ~count:300 tsheap_keys_gen (fun raw_times ->
-      let keyed = List.mapi (fun seq t -> (float_of_int t, seq)) raw_times in
+    ~count:300 tsheap_entries_gen (fun raw ->
+      let keyed = List.mapi (fun seq (t, p) -> (float_of_int t, seq, p)) raw in
       let model =
         Heap.create
-          ~cmp:(fun (t1, s1) (t2, s2) ->
+          ~cmp:(fun (t1, s1, _) (t2, s2, _) ->
             match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c)
       in
-      let h = Tsheap.create ~dummy:(nan, -1) () in
+      let h = Tsheap.create () in
       List.iter
-        (fun (time, seq) ->
-          Heap.add model (time, seq);
-          Tsheap.add h ~time ~seq (time, seq))
+        (fun ((time, seq, payload) as entry) ->
+          Heap.add model entry;
+          Tsheap.add h ~time ~seq payload)
         keyed;
-      let rec drain acc =
-        match (Heap.pop model, Tsheap.pop h) with
-        | None, None -> acc
-        | Some m, Some f -> m = f && drain acc
-        | _ -> false
+      let rec drain ok =
+        match Heap.pop model with
+        | None -> ok && Tsheap.is_empty h
+        | Some m ->
+          (not (Tsheap.is_empty h))
+          &&
+          let f = (Tsheap.min_time h, Tsheap.min_seq h, Tsheap.min_payload h) in
+          Tsheap.drop_min h;
+          drain (ok && m = f)
       in
-      drain true && Tsheap.is_empty h)
+      drain true)
 
 let prop_tsheap_interleaved_ops =
   (* Interleave adds and drops (the engine's actual access pattern, where
      the heap never fully drains between schedules) and check the final
-     drain is still totally ordered with unique seqs. *)
+     drain is still totally ordered with unique seqs, each entry still
+     carrying the payload it was added with. *)
   QCheck2.Test.make ~name:"tsheap interleaved add/drop stays ordered" ~count:200
     QCheck2.Gen.(list_size (int_bound 100) (pair (int_bound 5) bool))
     (fun ops ->
-      let h = Tsheap.create ~dummy:(-1) () in
+      let h = Tsheap.create () in
       let seq = ref 0 in
       List.iter
         (fun (t, drop) ->
           if drop && not (Tsheap.is_empty h) then Tsheap.drop_min h
           else begin
-            Tsheap.add h ~time:(float_of_int t) ~seq:!seq !seq;
+            Tsheap.add h ~time:(float_of_int t) ~seq:!seq (!seq * 7);
             incr seq
           end)
         ops;
@@ -411,11 +419,51 @@ let prop_tsheap_interleaved_ops =
         if Tsheap.is_empty h then true
         else begin
           let key = (Tsheap.min_time h, Tsheap.min_seq h) in
+          let carried = Tsheap.min_payload h = 7 * snd key in
           Tsheap.drop_min h;
-          (match prev with None -> true | Some p -> p < key) && drain (Some key)
+          carried
+          && (match prev with None -> true | Some p -> p < key)
+          && drain (Some key)
         end
       in
       drain None)
+
+(* -- Keyed_tbl -------------------------------------------------------- *)
+
+module Keyed_tbl = Repro_prelude.Keyed_tbl
+
+(* The int- and pair-keyed tables must place bindings exactly where a
+   generic [Hashtbl] does: same iteration order under the same
+   add / replace / remove sequence, over a key space small enough that
+   collisions, shadowed [add]s and resizes are the common case. *)
+let prop_keyed_tbl_iterates_like_hashtbl =
+  QCheck2.Test.make ~name:"int and int-pair tables iterate in Hashtbl order" ~count:300
+    QCheck2.Gen.(list_size (int_bound 300) (triple (int_bound 5) (int_bound 50) (int_bound 3)))
+    (fun ops ->
+      let t1 = Keyed_tbl.Int.create 4 and m1 = Hashtbl.create 4 in
+      let t2 = Keyed_tbl.Int2.create 4 and m2 = Hashtbl.create 4 in
+      List.iteri
+        (fun i (op, a, b) ->
+          match op with
+          | 0 | 1 ->
+            Keyed_tbl.Int.replace t1 a i;
+            Hashtbl.replace m1 a i;
+            Keyed_tbl.Int2.replace t2 (a, b) i;
+            Hashtbl.replace m2 (a, b) i
+          | 2 ->
+            Keyed_tbl.Int.add t1 a i;
+            Hashtbl.add m1 a i;
+            Keyed_tbl.Int2.add t2 (a, b) i;
+            Hashtbl.add m2 (a, b) i
+          | _ ->
+            Keyed_tbl.Int.remove t1 a;
+            Hashtbl.remove m1 a;
+            Keyed_tbl.Int2.remove t2 (a, b);
+            Hashtbl.remove m2 (a, b))
+        ops;
+      let bindings fold t = fold (fun k v acc -> (k, v) :: acc) t [] in
+      bindings Keyed_tbl.Int.fold t1 = bindings Hashtbl.fold m1
+      && bindings Keyed_tbl.Int2.fold t2 = bindings Hashtbl.fold m2)
 
 (* -- Monotonic clock -------------------------------------------------- *)
 
@@ -597,6 +645,7 @@ let () =
           quick "clear" test_tsheap_clear;
           QCheck_alcotest.to_alcotest prop_tsheap_matches_model_heap;
           QCheck_alcotest.to_alcotest prop_tsheap_interleaved_ops;
+          QCheck_alcotest.to_alcotest prop_keyed_tbl_iterates_like_hashtbl;
         ] );
       ( "monotonic",
         [

@@ -36,7 +36,7 @@ let rng = Rng.create 4242
 let genuine_intro () = Proof.generate ~rng ~cost:(Config.intro_effort cfg)
 let genuine_remaining () = Proof.generate ~rng ~cost:(Config.remaining_effort cfg)
 
-let find_session (peer : Peer.t) key = Hashtbl.find_opt peer.Peer.voter_sessions key
+let find_session (peer : Peer.t) key = Peer.Session_tbl.find_opt peer.Peer.voter_sessions key
 
 let test_accepted_poll_creates_session () =
   let population, ctx = make_world () in
@@ -67,7 +67,7 @@ let test_duplicate_poll_ignored () =
   let voter = ctx.Peer.peers.(0) in
   Voter.on_poll ctx voter ~src:1 ~identity:1 ~au:0 ~poll_id:77 ~intro:(genuine_intro ());
   Voter.on_poll ctx voter ~src:1 ~identity:1 ~au:0 ~poll_id:77 ~intro:(genuine_intro ());
-  Alcotest.(check int) "one session" 1 (Hashtbl.length voter.Peer.voter_sessions)
+  Alcotest.(check int) "one session" 1 (Peer.Session_tbl.length voter.Peer.voter_sessions)
 
 let test_proof_desertion_times_out_and_punishes () =
   let _population, ctx = make_world () in
@@ -198,7 +198,7 @@ let test_ack_for_unknown_poll_ignored () =
   let victim = ctx.Peer.peers.(0) in
   (* Must not raise nor create state. *)
   Poller.on_poll_ack ctx victim ~identity:3 ~au:0 ~poll_id:5 ~accepted:true;
-  Alcotest.(check int) "no sessions" 0 (Hashtbl.length victim.Peer.voter_sessions)
+  Alcotest.(check int) "no sessions" 0 (Peer.Session_tbl.length victim.Peer.voter_sessions)
 
 (* -- Timeout handlers -------------------------------------------------- *)
 
@@ -385,7 +385,7 @@ let test_late_proof_after_desertion_rejected () =
   Voter.on_poll_proof ctx voter ~identity:1 ~au:0 ~poll_id:77
     ~remaining:(genuine_remaining ()) ~nonce:5L;
   Alcotest.(check int) "late proof rejected" 1 !late;
-  Alcotest.(check int) "no ghost session" 0 (Hashtbl.length voter.Peer.voter_sessions)
+  Alcotest.(check int) "no ghost session" 0 (Peer.Session_tbl.length voter.Peer.voter_sessions)
 
 (* A poller that never sends the receipt: the receipt timeout punishes it
    and reaps the session; a late receipt is then rejected. *)
@@ -431,7 +431,7 @@ let test_duplicate_poll_after_close_rejected_stale () =
   let stale = count_rejections ~reason:Trace.Stale_closed population in
   Voter.on_poll ctx voter ~src:1 ~identity:1 ~au:0 ~poll_id:77 ~intro:(genuine_intro ());
   Alcotest.(check int) "duplicate poll rejected stale" 1 !stale;
-  Alcotest.(check int) "no ghost session" 0 (Hashtbl.length voter.Peer.voter_sessions);
+  Alcotest.(check int) "no ghost session" 0 (Peer.Session_tbl.length voter.Peer.voter_sessions);
   Alcotest.(check int) "no live voter timers" 0
     (live ctx "proof_timeout" + live ctx "receipt_timeout")
 
