@@ -100,8 +100,9 @@ audit-smoke: build
 	  { echo "audit-smoke: mutated trace did not raise exactly one violation" >&2; exit 1; }
 	@echo "audit-smoke: OK"
 
-bench:
-	dune exec bench/main.exe
+# Every gated benchmark, each writing its BENCH_*.json artifact; the
+# paper's figures and tables are `lockss_sim reproduce`, not a bench.
+bench: bench-parallel bench-obs bench-check bench-chaos bench-scale
 
 # Serial vs parallel wall-clock for the heavier sweeps, recorded as JSON.
 # CI arms the multicore criteria through BENCH_PARALLEL_FLAGS:
@@ -206,8 +207,16 @@ baseline-smoke: build
 	  { echo "baseline-smoke: perturbed pin did not report drift" >&2; exit 1; }
 	@echo "baseline-smoke: OK"
 
-profile:
-	dune exec bench/main.exe -- profile
+# Engine profile of the baseline, pipe-stoppage and brute-force
+# scenarios at the CLI's default scale: event counts, queue pressure and
+# setup/run CPU per run, one profile-<attack>.seed1.json each (the
+# attacked runs also write their no-attack side as .baseline).
+PROFILE_ATTACKS = none stoppage brute-remaining
+profile: build
+	for attack in $(PROFILE_ATTACKS); do \
+	  dune exec bin/lockss_sim.exe -- run --attack $$attack \
+	    --profile-out profile-$$attack.json || exit 1; \
+	done
 
 clean:
 	dune clean

@@ -1230,13 +1230,15 @@ let extensions_cmd =
       c.Experiments.Extensions.joiners c.Experiments.Extensions.incumbent_success_rate
       c.Experiments.Extensions.newcomer_success_rate;
     Repro_prelude.Table.print
-      (Experiments.Extensions.combined_table (Experiments.Extensions.combined ~scale ()))
+      (Experiments.Extensions.combined_table (Experiments.Extensions.combined ~scale ()));
+    Repro_prelude.Table.print
+      (Experiments.Extensions.diversity_table (Experiments.Extensions.diversity ~scale ()))
   in
   let term = Term.(const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs) in
   Cmd.v
     (Cmd.info "extensions"
        ~doc:"Run the Section 9 future-work experiments: adaptive acceptance, churn, \
-             combined adversaries.")
+             combined adversaries, collection diversity.")
     term
 
 (* -- ablate command ---------------------------------------------------- *)

@@ -1,3 +1,5 @@
+(* A [Gc.quick_stat] projection; words are floats as reported by the
+   runtime. *)
 type gc = {
   minor_words : float;
   promoted_words : float;
@@ -22,18 +24,7 @@ let gc_now () =
     top_heap_words = s.Gc.top_heap_words;
   }
 
-let gc_delta ~before ~after =
-  {
-    minor_words = after.minor_words -. before.minor_words;
-    promoted_words = after.promoted_words -. before.promoted_words;
-    major_words = after.major_words -. before.major_words;
-    minor_collections = after.minor_collections - before.minor_collections;
-    major_collections = after.major_collections - before.major_collections;
-    compactions = after.compactions - before.compactions;
-    heap_words = after.heap_words;
-    top_heap_words = after.top_heap_words;
-  }
-
+(* Minor + major - promoted: total words allocated. *)
 let allocated_words g = g.minor_words +. g.major_words -. g.promoted_words
 
 let gc_to_json g =

@@ -8,30 +8,6 @@
     Nothing here touches simulated time or the RNG, so attaching a
     profiler never perturbs results. *)
 
-(** A [Gc.quick_stat] projection; words are floats as reported by the
-    runtime. *)
-type gc = {
-  minor_words : float;
-  promoted_words : float;
-  major_words : float;
-  minor_collections : int;
-  major_collections : int;
-  compactions : int;
-  heap_words : int;
-  top_heap_words : int;
-}
-
-val gc_now : unit -> gc
-
-(** [gc_delta ~before ~after] subtracts the cumulative counters;
-    [heap_words]/[top_heap_words] are taken from [after]. *)
-val gc_delta : before:gc -> after:gc -> gc
-
-(** Minor + major - promoted: total words allocated. *)
-val allocated_words : gc -> float
-
-val gc_to_json : gc -> Json.t
-
 type t
 
 (** [create ?registry ?clock ()] — [registry] defaults to a fresh one;

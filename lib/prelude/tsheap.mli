@@ -10,17 +10,17 @@
     pointer, so a sift never calls the write barrier ([caml_modify]) and
     never darkens a value while the major GC is marking.
 
-    Compared to {!Heap} holding a record per event, this removes the
-    per-event record (and the boxed float inside it, since a mixed
-    record boxes its float fields) and the [Some] allocation per
-    peek/pop. {!Heap} remains the general-purpose structure; this one
-    exists for hot paths keyed by time.
+    Compared to a comparator heap holding a record per event (the
+    reference model the tests check this structure against), this
+    removes the per-event record (and the boxed float inside it, since a
+    mixed record boxes its float fields) and the [Some] allocation per
+    peek/pop.
 
     Keys must not be NaN — NaN breaks the strict-weak-ordering the sift
     relies on. Callers validate (the engine rejects NaN schedule
     times). When [(time, seq)] pairs are unique, pop order is a total
-    order and therefore independent of internal layout: replacing
-    {!Heap} with this structure cannot reorder events. *)
+    order and therefore independent of internal layout: replacing any
+    other heap with this structure cannot reorder events. *)
 
 type t
 

@@ -38,9 +38,9 @@ let vote t ~nonce =
   let _, hashes =
     Array.fold_left
       (fun (ctx, acc) b ->
-        let ctx = Effort.Sha1.feed ctx (Bytes.to_string b) in
-        (ctx, Effort.Sha1.peek ctx :: acc))
-      (Effort.Sha1.feed (Effort.Sha1.init ()) nonce, [])
+        let ctx = Sha1.feed ctx (Bytes.to_string b) in
+        (ctx, Sha1.peek ctx :: acc))
+      (Sha1.feed (Sha1.init ()) nonce, [])
       t.blocks
   in
   List.rev hashes

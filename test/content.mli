@@ -39,9 +39,9 @@ val write : t -> block:int -> content:string -> unit
 
 (** [vote t ~nonce] is the vote for this replica under [nonce]: the
     running SHA-1 digest at each block boundary. *)
-val vote : t -> nonce:string -> Effort.Sha1.digest list
+val vote : t -> nonce:string -> Sha1.digest list
 
 (** [first_divergence t ~nonce ~vote] compares the vote against this
     replica block by block, returning the earliest disagreeing block, or
     [None] if the vote agrees everywhere. *)
-val first_divergence : t -> nonce:string -> vote:Effort.Sha1.digest list -> int option
+val first_divergence : t -> nonce:string -> vote:Sha1.digest list -> int option

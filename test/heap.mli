@@ -1,10 +1,8 @@
-(** Resizable-array binary min-heap.
-
-    The event queue of the discrete-event engine sits on this structure, so
-    it favours low constant factors over generality. Elements are ordered by
-    a comparison supplied at creation time; ties are broken by insertion
-    order nowhere here — callers that need stable ordering must encode a
-    sequence number in the element. *)
+(** Resizable-array binary min-heap: the test suite's comparator-based
+    reference model for {!Repro_prelude.Tsheap} and the engine's event
+    queue. Elements are ordered by a comparison supplied at creation
+    time; ties are broken by insertion order nowhere here — callers that
+    need stable ordering must encode a sequence number in the element. *)
 
 type 'a t
 

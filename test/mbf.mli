@@ -1,8 +1,8 @@
 (** A working memory-bound function, after Dwork, Goldberg and Naor.
 
-    The simulator charges MBF costs through {!Cost_model} and carries
-    them as {!Proof} tokens; this module is the concrete mechanism those
-    tokens stand for, demonstrating that the protocol's effort-balancing
+    The simulator charges MBF costs through {!Effort.Cost_model} and
+    carries them as {!Effort.Proof} tokens; this test-support module is
+    the concrete mechanism those tokens stand for, demonstrating that the protocol's effort-balancing
     design is implementable: pricing via {e memory} cycles (walks through
     a table too large for cache), cheap-but-not-free spot-check
     verification, and a digest byproduct that only falls out of doing the

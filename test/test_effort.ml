@@ -72,7 +72,6 @@ let prop_byproducts_unique =
 
 (* -- Memory-bound function --------------------------------------------- *)
 
-module Mbf = Effort.Mbf
 
 let mbf_table = lazy (Mbf.make_table ~seed:77 ~size_log2:12)
 
@@ -120,7 +119,6 @@ let prop_mbf_roundtrip =
 
 (* -- SHA-1 -------------------------------------------------------------- *)
 
-module Sha1 = Effort.Sha1
 
 let sha1_hex s = Sha1.to_hex (Sha1.digest s)
 

@@ -5,7 +5,6 @@ module Topology = Narses.Topology
 module Partition = Narses.Partition
 module Net = Narses.Net
 module Rng = Repro_prelude.Rng
-module Heap = Repro_prelude.Heap
 
 (* Event classes for the engine model test. Registered at module
    initialisation, as the engine requires: the first [Engine.create]

@@ -2,7 +2,6 @@
    duration, table. *)
 
 module Rng = Repro_prelude.Rng
-module Heap = Repro_prelude.Heap
 module Stats = Repro_prelude.Stats
 module Duration = Repro_prelude.Duration
 module Table = Repro_prelude.Table

@@ -677,7 +677,13 @@ let test_profiler_domains_and_snapshot () =
     [ "phases"; "domains"; "gc"; "registry" ]
 
 let test_profiler_gc_delta () =
-  let before = Obs.Profiler.gc_now () in
+  let prof = Obs.Profiler.create () in
+  let allocated () =
+    Obs.Profiler.sample_gc prof;
+    Obs.Registry.Gauge.value
+      (Obs.Registry.gauge (Obs.Profiler.registry prof) "gc.allocated_words")
+  in
+  let before = allocated () in
   let keep = ref [] in
   for i = 1 to 10_000 do
     keep := string_of_int i :: !keep
@@ -686,9 +692,8 @@ let test_profiler_gc_delta () =
   (* quick_stat omits words still in the live minor arena; empty it so
      the allocations above become visible in the counters. *)
   Gc.minor ();
-  let delta = Obs.Profiler.gc_delta ~before ~after:(Obs.Profiler.gc_now ()) in
-  Alcotest.(check bool) "allocation observed" true
-    (Obs.Profiler.allocated_words delta > 0.)
+  (* 10k list cells (3 words) and 10k short strings (2+ words). *)
+  Alcotest.(check bool) "allocation observed" true (allocated () -. before >= 50_000.)
 
 (* -- Bench gate ---------------------------------------------------------- *)
 
@@ -922,6 +927,110 @@ let test_gate_degenerate_skips_tracked () =
           ~current:(parallel_doc ~degenerate:false ~speedup:1.0)
           ()))
 
+(* Generated gate docs: lists keyed by [variant], [target] and [name]
+   whose entries carry tracked leaves, an informational [cpu_s] and
+   sometimes a [degenerate] subtree. Each metric's expected bad
+   direction and neutral are restated here, independently of
+   [tracked_of_path]. *)
+type gate_entry = {
+  metrics : (string * float) list;
+  cpu_s : float;
+  degenerate : bool;
+}
+
+let gate_lists = [ ("variants", "variant"); ("targets", "target"); ("ratios", "name") ]
+
+(* [`Higher of neutral] or [`Lower] (no neutral). *)
+let gate_metric_rule = function
+  | "overhead" | "slowdown" -> `Higher (Some 1.0)
+  | "words_per_event" -> `Higher None
+  | _ -> `Lower
+
+let render_gate_doc ?(edit = fun _ _ _ v -> Some v) doc =
+  Json.Assoc
+    (("repeats", Json.Int 5)
+    :: List.map2
+         (fun (list, member) entries ->
+           ( list,
+             Json.List
+               (List.mapi
+                  (fun i e ->
+                    Json.Assoc
+                      (((member, Json.String (Printf.sprintf "e%d" i))
+                       :: List.filter_map
+                            (fun (m, v) ->
+                              Option.map (fun v -> (m, Json.Float v)) (edit list i m v))
+                            e.metrics)
+                      @ [
+                          ("cpu_s", Json.Float e.cpu_s);
+                          ("degenerate", Json.Bool e.degenerate);
+                        ]))
+                  entries) ))
+         gate_lists doc)
+
+let gate_case_gen =
+  let open QCheck2.Gen in
+  let entry =
+    let* metrics =
+      list_size (int_range 1 4)
+        (pair (oneofl [ "overhead"; "speedup"; "slowdown"; "words_per_event" ])
+           (float_range 0.1 10.))
+    in
+    let metrics = List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) metrics in
+    let* cpu_s = float_range 0.001 1. in
+    let* degenerate = frequency [ (3, return false); (1, return true) ] in
+    return { metrics; cpu_s; degenerate }
+  in
+  let* doc = list_repeat (List.length gate_lists) (list_size (int_range 0 4) entry) in
+  (* The leaf to move or drop, from an entry the baseline gates. *)
+  let live =
+    List.concat
+      (List.map2
+         (fun (list, _) entries ->
+           List.concat
+             (List.mapi
+                (fun i e ->
+                  if e.degenerate then []
+                  else List.map (fun (m, v) -> (list, i, m, v)) e.metrics)
+                entries))
+         gate_lists doc)
+  in
+  let* leaf = if live = [] then return None else map Option.some (oneofl live) in
+  let* threshold = float_range 1. 90. in
+  let* within = float_range 0. 0.99 in
+  let* upward = bool in
+  let* past = float_range 0.01 0.9 in
+  return (doc, leaf, threshold, within, upward, past)
+
+let test_gate_qcheck_generated =
+  QCheck2.Test.make ~name:"generated docs: self ok, moves gate by threshold, drops fail"
+    ~count:300 gate_case_gen (fun (doc, leaf, threshold, within, upward, past) ->
+      let baseline = render_gate_doc doc in
+      let ok current =
+        Obs.Bench_gate.ok
+          (Obs.Bench_gate.compare_json ~threshold_pct:threshold ~baseline ~current ())
+      in
+      let self_ok = ok baseline in
+      match leaf with
+      | None -> self_ok
+      | Some (list, i, metric, b) ->
+        let set v =
+          render_gate_doc doc ~edit:(fun l j m old ->
+              if (l, j, m) = (list, i, metric) then v else Some old)
+        in
+        let frac = threshold /. 100. in
+        let bad =
+          match gate_metric_rule metric with
+          | `Higher neutral ->
+            Option.fold ~none:b ~some:(Float.max b) neutral *. (1. +. frac) *. (1. +. past)
+          | `Lower -> b *. (1. -. frac) *. (1. -. past)
+        in
+        let near = b *. if upward then 1. +. (within *. frac) else 1. -. (within *. frac) in
+        self_ok
+        && (not (ok (set (Some bad))))
+        && ok (set (Some near))
+        && not (ok (set None)))
+
 (* -- Suite --------------------------------------------------------------- *)
 
 let () =
@@ -996,5 +1105,6 @@ let () =
           tc "words_per_event is tracked" `Quick test_gate_words_per_event_tracked;
           tc "degenerate prefixes skip the gate" `Quick
             test_gate_degenerate_skips_tracked;
+          QCheck_alcotest.to_alcotest test_gate_qcheck_generated;
         ] );
     ]
