@@ -50,6 +50,26 @@ let set_jobs n =
     Printf.eprintf "invalid --jobs: %s\n" msg;
     exit 2
 
+(* The scale of every command that runs simulations. Evaluating the term
+   applies --jobs, before the command's own action runs. *)
+let scale_term =
+  let make peers aus quorum years runs seed jobs =
+    set_jobs jobs;
+    let quorum = max 2 quorum in
+    {
+      Scenario.peers;
+      aus;
+      quorum;
+      max_disagree = max 1 ((quorum - 1) / 3);
+      outer_circle = quorum;
+      reference_target = min (3 * quorum) (peers - 1);
+      years;
+      runs;
+      seed;
+    }
+  in
+  Term.(const make $ peers $ aus $ quorum $ years $ runs $ seed $ jobs)
+
 let capacity =
   Arg.(
     value
@@ -199,20 +219,10 @@ let trace_out =
     & opt (some string) None
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
-          "Write structured protocol events to $(docv) — JSONL (one object per event) \
-           or the compact binary format, per --trace-format.")
-
-let trace_format =
-  let formats = [ ("auto", `Auto); ("jsonl", `Jsonl); ("binary", `Binary) ] in
-  Arg.(
-    value
-    & opt (enum formats) `Auto
-    & info [ "trace-format" ] ~docv:"FMT"
-        ~doc:
-          "Encoding of --trace-out: $(b,jsonl), $(b,binary) (compact length-prefixed \
-           records, typically several times smaller; convert with $(b,trace-convert)), \
-           or $(b,auto) (default: a $(b,.ntrace) extension selects binary, anything \
-           else JSONL).")
+          "Write structured protocol events to $(docv): a $(b,.ntrace) suffix selects \
+           the compact binary format (length-prefixed records, typically several times \
+           smaller; convert with $(b,trace-convert)); anything else writes JSONL (one \
+           object per event).")
 
 let trace_level =
   let levels =
@@ -286,12 +296,11 @@ let check_flag =
            event, and makes the command exit with status 1.")
 
 let probes_term =
-  let make trace_out trace_level trace_format metrics_out sample_interval spans_out
-      ledger_out profile_out audit =
+  let make trace_out trace_level metrics_out sample_interval spans_out ledger_out
+      profile_out audit =
     {
       Experiments.Scenario.trace_out;
       trace_level;
-      trace_format;
       metrics_out;
       sample_interval;
       spans_out;
@@ -301,8 +310,8 @@ let probes_term =
     }
   in
   Term.(
-    const make $ trace_out $ trace_level $ trace_format $ metrics_out $ sample_interval
-    $ spans_out $ ledger_out $ profile_out $ check_flag)
+    const make $ trace_out $ trace_level $ metrics_out $ sample_interval $ spans_out
+    $ ledger_out $ profile_out $ check_flag)
 
 (* -- Manifest + baseline options --------------------------------------- *)
 
@@ -348,20 +357,6 @@ let baseline_dir =
     & opt string "baselines"
     & info [ "baseline-dir" ] ~docv:"DIR"
         ~doc:"Directory holding the pinned golden baselines (default $(b,baselines)).")
-
-let scale_of ~peers ~aus ~quorum ~years ~runs ~seed =
-  let quorum = max 2 quorum in
-  {
-    Scenario.peers;
-    aus;
-    quorum;
-    max_disagree = max 1 ((quorum - 1) / 3);
-    outer_circle = quorum;
-    reference_target = min (3 * quorum) (peers - 1);
-    years;
-    runs;
-    seed;
-  }
 
 let config_of scale ~capacity ~mttf ~interval_months =
   {
@@ -416,19 +411,22 @@ let duration_days =
     & opt float 90.
     & info [ "attack-days" ] ~docv:"D" ~doc:"Attack duration per cycle, in days.")
 
-let attack_of kind ~coverage ~duration_days ~years =
-  let duration = Duration.of_days duration_days in
-  let recuperation = Duration.of_days 30. in
-  let brute strategy = Scenario.Brute_force { strategy; rate = 5.; identities = 50 } in
-  ignore years;
-  match kind with
-  | A_none -> Scenario.No_attack
-  | A_stoppage -> Scenario.Pipe_stoppage { coverage; duration; recuperation }
-  | A_flood -> Scenario.Admission_flood { coverage; duration; recuperation; rate = 24. }
-  | A_vote_flood -> Scenario.Vote_flood { rate = 10. }
-  | A_brute_intro -> brute Adversary.Brute_force.Intro
-  | A_brute_remaining -> brute Adversary.Brute_force.Remaining
-  | A_brute_none -> brute Adversary.Brute_force.Full
+(* The adversary of run, chaos and soak. *)
+let attack_term =
+  let make kind coverage duration_days =
+    let duration = Duration.of_days duration_days in
+    let recuperation = Duration.of_days 30. in
+    let brute strategy = Scenario.Brute_force { strategy; rate = 5.; identities = 50 } in
+    match kind with
+    | A_none -> Scenario.No_attack
+    | A_stoppage -> Scenario.Pipe_stoppage { coverage; duration; recuperation }
+    | A_flood -> Scenario.Admission_flood { coverage; duration; recuperation; rate = 24. }
+    | A_vote_flood -> Scenario.Vote_flood { rate = 10. }
+    | A_brute_intro -> brute Adversary.Brute_force.Intro
+    | A_brute_remaining -> brute Adversary.Brute_force.Remaining
+    | A_brute_none -> brute Adversary.Brute_force.Full
+  in
+  Term.(const make $ attack_kind $ coverage $ duration_days)
 
 (* Print every violation of every run, labelled by side and seed, and
    end with the greppable "violations: N" line. *)
@@ -450,11 +448,8 @@ let report_audits sides =
   if !total > 0 then exit 1
 
 let run_cmd =
-  let action peers aus quorum years runs seed jobs capacity mttf interval_months kind
-      coverage duration_days mix probes manifest_out =
-    set_jobs jobs;
+  let action scale capacity mttf interval_months attack mix probes manifest_out =
     let handle = Experiments.Manifest.start ~command:"run" () in
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
     let cfg = config_of scale ~capacity ~mttf ~interval_months in
     let fault_cfg = Chaos.faults_config mix in
     let cfg =
@@ -465,7 +460,6 @@ let run_cmd =
      with Invalid_argument msg ->
        Printf.eprintf "invalid configuration: %s\n" msg;
        exit 2);
-    let attack = attack_of kind ~coverage ~duration_days ~years in
     let print_comparison c =
       Format.printf "baseline:@.%a@.@.under attack:@.%a@.@." Lockss.Metrics.pp_summary
         c.Scenario.baseline Lockss.Metrics.pp_summary c.Scenario.attack;
@@ -494,9 +488,8 @@ let run_cmd =
   in
   let term =
     Term.(
-      const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs $ capacity $ mttf
-      $ interval_months $ attack_kind $ coverage $ duration_days $ mix_term zero_mix
-      $ probes_term $ manifest_out)
+      const action $ scale_term $ capacity $ mttf $ interval_months $ attack_term
+      $ mix_term zero_mix $ probes_term $ manifest_out)
   in
   Cmd.v
     (Cmd.info "run"
@@ -515,11 +508,7 @@ let chaos_cmd =
       & info [ "ablation" ]
           ~doc:"Also print the faults × pipe-stoppage ablation table (4 extra runs).")
   in
-  let action peers aus quorum years runs seed jobs kind coverage duration_days mix
-      ablation =
-    set_jobs jobs;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
-    let attack = attack_of kind ~coverage ~duration_days ~years in
+  let action scale attack mix ablation =
     (try Narses.Faults.validate (Chaos.faults_config mix)
      with Invalid_argument msg ->
        Printf.eprintf "invalid fault mix: %s\n" msg;
@@ -531,8 +520,7 @@ let chaos_cmd =
   in
   let term =
     Term.(
-      const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs $ attack_kind
-      $ coverage $ duration_days $ mix_term Chaos.default_mix $ ablation)
+      const action $ scale_term $ attack_term $ mix_term Chaos.default_mix $ ablation)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -560,20 +548,16 @@ let soak_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Also write the machine-readable soak report to $(docv).")
   in
-  let action peers aus quorum years runs seed jobs kind coverage duration_days mix
-      seeds_count json_out =
-    set_jobs jobs;
+  let action (scale : Scenario.scale) attack mix seeds_count json_out =
     if seeds_count < 1 then begin
       Printf.eprintf "invalid --seeds: need at least one seed\n";
       exit 2
     end;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
-    let attack = attack_of kind ~coverage ~duration_days ~years in
     (try Narses.Faults.validate (Chaos.faults_config mix)
      with Invalid_argument msg ->
        Printf.eprintf "invalid fault mix: %s\n" msg;
        exit 2);
-    let seeds = List.init seeds_count (fun i -> seed + i) in
+    let seeds = List.init seeds_count (fun i -> scale.Scenario.seed + i) in
     let report = Experiments.Soak.run ~scale ~attack ~seeds mix in
     Format.printf "%a" Experiments.Soak.pp_report report;
     (match json_out with
@@ -587,8 +571,8 @@ let soak_cmd =
   in
   let term =
     Term.(
-      const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs $ attack_kind
-      $ coverage $ duration_days $ mix_term Chaos.default_mix $ seeds_count $ json_out)
+      const action $ scale_term $ attack_term $ mix_term Chaos.default_mix $ seeds_count
+      $ json_out)
   in
   Cmd.v
     (Cmd.info "soak"
@@ -664,11 +648,8 @@ let reproduce_cmd =
              baseline in --baseline-dir and print the per-metric delta report; exit \
              status 1 on any drift past tolerance (or when no baseline is pinned).")
   in
-  let action target peers aus quorum years runs seed jobs csv_path plot_dir
-      check_baseline dir manifest_out =
-    set_jobs jobs;
+  let action target scale csv_path plot_dir check_baseline dir manifest_out =
     let handle = Experiments.Manifest.start ~command:("reproduce " ^ target) () in
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
     let module Table = Repro_prelude.Table in
     let module Golden = Experiments.Golden in
     let sweeps = Golden.sweeps ~scale in
@@ -708,8 +689,8 @@ let reproduce_cmd =
   in
   let term =
     Term.(
-      const action $ target $ peers $ aus $ quorum $ years $ runs $ seed $ jobs $ csv
-      $ plot $ check_baseline $ baseline_dir $ manifest_out)
+      const action $ target $ scale_term $ csv $ plot $ check_baseline $ baseline_dir
+      $ manifest_out)
   in
   Cmd.v
     (Cmd.info "reproduce"
@@ -754,11 +735,9 @@ let pin_baseline_cmd =
              pinned value (default 0.01: seeded runs are deterministic, so the \
              allowance only absorbs float-formatting noise).")
   in
-  let action targets peers aus quorum years runs seed jobs tolerance dir manifest_out =
-    set_jobs jobs;
+  let action targets scale tolerance dir manifest_out =
     let targets = resolve_baseline_targets targets in
     let handle = Experiments.Manifest.start ~command:"pin-baseline" () in
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
     let sweeps = Experiments.Golden.sweeps ~scale in
     let provenance = Experiments.Manifest.provenance () in
     List.iter
@@ -780,8 +759,8 @@ let pin_baseline_cmd =
   in
   let term =
     Term.(
-      const action $ baseline_targets_arg $ peers $ aus $ quorum $ years $ runs $ seed
-      $ jobs $ tolerance $ baseline_dir $ manifest_out)
+      const action $ baseline_targets_arg $ scale_term $ tolerance $ baseline_dir
+      $ manifest_out)
   in
   Cmd.v
     (Cmd.info "pin-baseline"
@@ -809,12 +788,9 @@ let diff_baseline_cmd =
             "Also write the machine-readable delta report to $(docv) — the artifact \
              the nightly reproduce gate uploads.")
   in
-  let action targets peers aus quorum years runs seed jobs json_flag report_out dir
-      manifest_out =
-    set_jobs jobs;
+  let action targets scale json_flag report_out dir manifest_out =
     let targets = resolve_baseline_targets targets in
     let handle = Experiments.Manifest.start ~command:"diff-baseline" () in
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
     let sweeps = Experiments.Golden.sweeps ~scale in
     let results =
       List.map (fun target -> (target, check_target ~dir ~scale sweeps target)) targets
@@ -864,8 +840,8 @@ let diff_baseline_cmd =
   in
   let term =
     Term.(
-      const action $ baseline_targets_arg $ peers $ aus $ quorum $ years $ runs $ seed
-      $ jobs $ json_flag $ report_out $ baseline_dir $ manifest_out)
+      const action $ baseline_targets_arg $ scale_term $ json_flag $ report_out
+      $ baseline_dir $ manifest_out)
   in
   Cmd.v
     (Cmd.info "diff-baseline"
@@ -1184,13 +1160,11 @@ let audit_cmd =
 (* -- subversion command ------------------------------------------------ *)
 
 let subversion_cmd =
-  let action peers aus quorum years runs seed jobs =
-    set_jobs jobs;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
+  let action scale =
     Repro_prelude.Table.print
       (Experiments.Subversion_attack.to_table (Experiments.Subversion_attack.sweep ~scale ()))
   in
-  let term = Term.(const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs) in
+  let term = Term.(const action $ scale_term) in
   Cmd.v
     (Cmd.info "subversion"
        ~doc:
@@ -1201,15 +1175,13 @@ let subversion_cmd =
 (* -- reciprocity command ------------------------------------------------- *)
 
 let reciprocity_cmd =
-  let action peers aus quorum years runs seed jobs =
-    set_jobs jobs;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
+  let action scale =
     Repro_prelude.Table.print
       (Experiments.Reciprocity_attack.to_table (Experiments.Reciprocity_attack.sweep ~scale ()));
     Printf.printf "brute-force REMAINING friction at this scale (reference): %s\n"
       (Experiments.Report.ratio (Experiments.Reciprocity_attack.brute_force_reference ~scale ()))
   in
-  let term = Term.(const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs) in
+  let term = Term.(const action $ scale_term) in
   Cmd.v
     (Cmd.info "reciprocity"
        ~doc:"Run the grade-recovery adversary experiment the paper deferred to its \
@@ -1219,9 +1191,7 @@ let reciprocity_cmd =
 (* -- extensions command -------------------------------------------------- *)
 
 let extensions_cmd =
-  let action peers aus quorum years runs seed jobs =
-    set_jobs jobs;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
+  let action scale =
     Repro_prelude.Table.print
       (Experiments.Extensions.adaptive_table (Experiments.Extensions.adaptive_acceptance ~scale ()));
     let c = Experiments.Extensions.churn ~scale () in
@@ -1234,7 +1204,7 @@ let extensions_cmd =
     Repro_prelude.Table.print
       (Experiments.Extensions.diversity_table (Experiments.Extensions.diversity ~scale ()))
   in
-  let term = Term.(const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs) in
+  let term = Term.(const action $ scale_term) in
   Cmd.v
     (Cmd.info "extensions"
        ~doc:"Run the Section 9 future-work experiments: adaptive acceptance, churn, \
@@ -1244,12 +1214,10 @@ let extensions_cmd =
 (* -- ablate command ---------------------------------------------------- *)
 
 let ablate_cmd =
-  let action peers aus quorum years runs seed jobs =
-    set_jobs jobs;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
+  let action scale =
     Repro_prelude.Table.print (Experiments.Ablation.to_table (Experiments.Ablation.run ~scale ()))
   in
-  let term = Term.(const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs) in
+  let term = Term.(const action $ scale_term) in
   Cmd.v
     (Cmd.info "ablate" ~doc:"Show what each attrition defense buys, one ablation per row.")
     term

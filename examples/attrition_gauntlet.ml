@@ -68,15 +68,14 @@ let () =
   Format.printf "@.content subversion (stealth, 30%% of peers compromised):@.";
   List.iter
     (fun strategy ->
-      let population = Lockss.Population.create ~seed:scale.Scenario.seed cfg in
-      let attack = Adversary.Subversion.attach population ~fraction:0.3 ~strategy in
-      Lockss.Population.run population ~until:(Duration.of_years scale.Scenario.years);
-      let s = Lockss.Population.summary population in
+      let r =
+        Scenario.run ~cfg ~seed:scale.Scenario.seed ~years:scale.Scenario.years
+          (Scenario.Subversion { fraction = 0.3; strategy })
+      in
+      let counter name = List.assoc name r.Scenario.adversary in
       Format.printf "  %a: %d corrupt votes, %d alarms, %d silently corrupted replicas@."
-        Adversary.Subversion.pp_strategy strategy
-        (Adversary.Subversion.corrupt_votes attack)
-        s.Lockss.Metrics.polls_alarmed
-        (Adversary.Subversion.corrupted_replicas attack))
+        Adversary.Subversion.pp_strategy strategy (counter "corrupt_votes")
+        r.Scenario.summary.Lockss.Metrics.polls_alarmed (counter "corrupted_replicas"))
     [ Adversary.Subversion.Aggressive; Adversary.Subversion.Patient ];
   Format.printf
     "@.No adversary silently corrupts content; the loudest merely raise the@.preservation \

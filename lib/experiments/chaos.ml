@@ -293,22 +293,20 @@ let pp_report ppf r =
 
 (* -- Attack-under-faults ablation --------------------------------------- *)
 
-let stoppage_attack scale =
+let stoppage_attack =
   let interval = Lockss.Config.default.Lockss.Config.inter_poll_interval in
-  ignore scale;
   Scenario.Pipe_stoppage
     { coverage = 0.4; duration = 3. *. interval; recuperation = interval }
 
 let ablation ?(scale = Scenario.bench) mix =
   let cfg = Scenario.config scale in
   let faulty_cfg = { cfg with Lockss.Config.faults = Some (faults_config mix) } in
-  let stoppage = stoppage_attack scale in
   let cells =
     [
       ("fault-free", cfg, Scenario.No_attack);
       ("faults only", faulty_cfg, Scenario.No_attack);
-      ("stoppage only", cfg, stoppage);
-      ("stoppage + faults", faulty_cfg, stoppage);
+      ("stoppage only", cfg, stoppage_attack);
+      ("stoppage + faults", faulty_cfg, stoppage_attack);
     ]
   in
   let rows =

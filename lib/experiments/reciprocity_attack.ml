@@ -1,4 +1,3 @@
-module Duration = Repro_prelude.Duration
 module Table = Repro_prelude.Table
 
 type row = {
@@ -12,44 +11,29 @@ type row = {
 
 let sweep ?(scale = Scenario.bench) ?(fractions = [ 0.1; 0.2; 0.3 ]) ?(rate = 5.) () =
   let cfg = Scenario.config scale in
-  (* The baseline average and each compromised-fraction run are
-     independent; run them all as one Runner job list. *)
-  let results =
-    Runner.map
-      (function
-        | `Baseline -> `Baseline ((Scenario.sweep ~cfg scale Scenario.No_attack).Scenario.mean)
-        | `Fraction fraction ->
-          let population = Lockss.Population.create ~seed:scale.Scenario.seed cfg in
-          let attack =
-            Adversary.Reciprocity.attach population ~fraction
-              ~attempts_per_victim_au_per_day:rate
-          in
-          Lockss.Population.run population
-            ~until:(Duration.of_years scale.Scenario.years);
-          `Row
-            ( fraction,
-              Lockss.Population.summary population,
-              Adversary.Reciprocity.defections attack,
-              Adversary.Reciprocity.honest_votes attack ))
-      (`Baseline :: List.map (fun f -> `Fraction f) fractions)
+  let baseline, runs =
+    Runner.both
+      (fun () -> (Scenario.sweep ~cfg scale Scenario.No_attack).Scenario.mean)
+      (fun () ->
+        Runner.map
+          (fun fraction ->
+            Scenario.run ~cfg ~seed:scale.Scenario.seed ~years:scale.Scenario.years
+              (Scenario.Reciprocity { fraction; rate }))
+          fractions)
   in
-  match results with
-  | `Baseline baseline :: rows ->
-    List.map
-      (function
-        | `Row (fraction, summary, defections, honest_votes) ->
-          let c = Scenario.ratios ~baseline ~attack:summary in
-          {
-            fraction;
-            defections;
-            honest_votes;
-            friction = c.Scenario.friction;
-            cost_ratio = c.Scenario.cost_ratio;
-            delay_ratio = c.Scenario.delay_ratio;
-          }
-        | `Baseline _ -> assert false)
-      rows
-  | _ -> assert false
+  List.map2
+    (fun fraction r ->
+      let counter name = List.assoc name r.Scenario.adversary in
+      let c = Scenario.ratios ~baseline ~attack:r.Scenario.summary in
+      {
+        fraction;
+        defections = counter "defections";
+        honest_votes = counter "honest_votes";
+        friction = c.Scenario.friction;
+        cost_ratio = c.Scenario.cost_ratio;
+        delay_ratio = c.Scenario.delay_ratio;
+      })
+    fractions runs
 
 let brute_force_reference ?(scale = Scenario.bench) () =
   let cfg = Scenario.config scale in

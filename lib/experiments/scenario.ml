@@ -64,18 +64,21 @@ type attack =
       identities : int;
     }
   | Vote_flood of { rate : float }
+  | Subversion of { fraction : float; strategy : Adversary.Subversion.strategy }
+  | Reciprocity of { fraction : float; rate : float }
   | Combined of attack list
 
 let minion_count = 5
 
 let rec extra_nodes_for = function
-  | No_attack | Pipe_stoppage _ -> 0
+  | No_attack | Pipe_stoppage _ | Subversion _ | Reciprocity _ -> 0
   | Admission_flood _ | Brute_force _ | Vote_flood _ -> minion_count
   | Combined attacks -> List.fold_left (fun acc a -> acc + extra_nodes_for a) 0 attacks
 
-(* [attach population minions attack] wires the attack, consuming minion
-   nodes from the front of [minions]; returns the unconsumed rest. *)
-let rec attach population minions attack =
+(* [attach ~report population minions attack] wires the attack, consuming
+   minion nodes from the front of [minions]; returns the unconsumed rest.
+   An adversary that keeps counters hands [report] a read of them. *)
+let rec attach ~report population minions attack =
   let take n =
     let rec split acc n rest =
       if n = 0 then (List.rev acc, rest)
@@ -112,16 +115,31 @@ let rec attach population minions attack =
       (Adversary.Vote_flood.attach population ~minions:mine
          ~votes_per_victim_au_per_day:rate);
     rest
-  | Combined attacks -> List.fold_left (attach population) minions attacks
+  | Subversion { fraction; strategy } ->
+    let a = Adversary.Subversion.attach population ~fraction ~strategy in
+    report (fun () ->
+        Adversary.Subversion.
+          [
+            ("corrupt_votes", corrupt_votes a);
+            ("corrupt_repairs", corrupt_repairs a);
+            ("corrupted_replicas", corrupted_replicas a);
+          ]);
+    minions
+  | Reciprocity { fraction; rate } ->
+    let a =
+      Adversary.Reciprocity.attach population ~fraction
+        ~attempts_per_victim_au_per_day:rate
+    in
+    report (fun () ->
+        Adversary.Reciprocity.[ ("defections", defections a); ("honest_votes", honest_votes a) ]);
+    minions
+  | Combined attacks -> List.fold_left (attach ~report population) minions attacks
 
 (* -- Probes --------------------------------------------------------------- *)
-
-type trace_format = [ `Auto | `Jsonl | `Binary ]
 
 type probes = {
   trace_out : string option;
   trace_level : Lockss.Trace.severity;
-  trace_format : trace_format;
   metrics_out : string option;
   sample_interval : float;
   spans_out : string option;
@@ -134,7 +152,6 @@ let default_probes =
   {
     trace_out = None;
     trace_level = Lockss.Trace.Info;
-    trace_format = `Auto;
     metrics_out = None;
     sample_interval = Duration.of_days 7.;
     spans_out = None;
@@ -142,12 +159,6 @@ let default_probes =
     profile_out = None;
     audit = false;
   }
-
-let resolve_trace_format format path : Obs.Trace_file.format =
-  match format with
-  | `Jsonl -> Obs.Trace_file.Jsonl
-  | `Binary -> Obs.Trace_file.Binary
-  | `Auto -> Obs.Trace_file.format_of_path path
 
 (* [suffix_path path tag] inserts [.tag] before the extension:
    "out/m.csv" -> "out/m.seed3.csv". Observability output is per run —
@@ -217,7 +228,7 @@ let subscribe_observers ~probes ~seed population =
          bus, so below-threshold events are never even constructed when
          this is the only subscriber. *)
       let trace_sink =
-        match resolve_trace_format probes.trace_format path with
+        match Obs.Trace_file.format_of_path path with
         | Obs.Trace_file.Jsonl ->
           Lockss.Trace.buffered_jsonl_sink ~min_severity:probes.trace_level sink
         | Obs.Trace_file.Binary ->
@@ -299,12 +310,20 @@ let subscribe_observers ~probes ~seed population =
     (try close_all !cleanups with _ -> ());
     Printexc.raise_with_backtrace exn bt
 
-let build ~cfg ~seed attack =
+(* [assemble ~cfg ~seed attack] is {!build} plus a read of the attached
+   adversaries' counters, in attach order. *)
+let assemble ~cfg ~seed attack =
   let population =
     Lockss.Population.create ~seed ~extra_nodes:(extra_nodes_for attack) cfg
   in
-  ignore (attach population (Lockss.Population.extra_nodes population) attack);
-  population
+  let reads = ref [] in
+  ignore
+    (attach
+       ~report:(fun read -> reads := read :: !reads)
+       population (Lockss.Population.extra_nodes population) attack);
+  (population, fun () -> List.concat_map (fun read -> read ()) (List.rev !reads))
+
+let build ~cfg ~seed attack = fst (assemble ~cfg ~seed attack)
 
 let make_auditor ~cfg () =
   Check.Auditor.create ~params:(Check.Invariant.params_of_config cfg) ()
@@ -316,6 +335,7 @@ type run = {
   summary : Lockss.Metrics.summary;
   violations : Check.Invariant.violation list;
   engine : Narses.Engine.stats;
+  adversary : (string * int) list;
   setup_cpu_s : float;
   run_cpu_s : float;
 }
@@ -348,7 +368,7 @@ let write_profile path (r : run) =
 let run ?(probes = default_probes) ~cfg ~seed ~years attack =
   let cpu = Repro_prelude.Monotonic.thread_cpu_s in
   let t0 = cpu () in
-  let population = build ~cfg ~seed attack in
+  let population, adversary = assemble ~cfg ~seed attack in
   (* The auditor subscribes before the outputs: it re-emits violations
      onto the bus mid-delivery, so subscription order fixes where they
      land in the trace. *)
@@ -375,6 +395,7 @@ let run ?(probes = default_probes) ~cfg ~seed ~years attack =
           summary;
           violations;
           engine = Narses.Engine.stats (Lockss.Population.engine population);
+          adversary = adversary ();
           setup_cpu_s = t1 -. t0;
           run_cpu_s = t2 -. t1;
         })

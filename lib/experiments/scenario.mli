@@ -33,6 +33,11 @@ val paper : scale
     {!Lockss.Config.default}) to the scale. *)
 val config : ?base:Lockss.Config.t -> scale -> Lockss.Config.t
 
+(** The adversaries of the evaluation. Effortful ones (admission
+    flood, brute force, vote flood) run on five minion nodes added to
+    the population; pipe stoppage acts on the network; subversion and
+    reciprocity compromise a fraction of the loyal peers instead of
+    adding nodes. *)
 type attack =
   | No_attack
   | Pipe_stoppage of { coverage : float; duration : float; recuperation : float }
@@ -48,6 +53,19 @@ type attack =
       identities : int;
     }
   | Vote_flood of { rate : float  (** unsolicited bogus votes per victim-AU per day *) }
+  | Subversion of {
+      fraction : float;  (** of the loyal peers compromised, in (0,1) *)
+      strategy : Adversary.Subversion.strategy;
+    }
+      (** the stealth content-subversion adversary of [29] whose
+          resistance Section 7.4 says the redesign retains
+          ({!Adversary.Subversion}) *)
+  | Reciprocity of {
+      fraction : float;  (** of the loyal peers compromised, in (0,1) *)
+      rate : float;  (** oracle checks per victim-AU lane per day *)
+    }
+      (** the grade-recovery adversary Section 7.4 sketches but defers
+          ({!Adversary.Reciprocity}) *)
   | Combined of attack list
       (** several adversaries at once (Section 9's combined strategies);
           each effortful sub-attack gets its own minion nodes *)
@@ -64,18 +82,14 @@ type attack =
     event that changes its outcome: a probed run's summary equals the
     unprobed one. *)
 
-(** Encoding of the [trace_out] file. [`Auto] resolves from the path's
-    extension ([.ntrace] is binary, anything else JSONL). *)
-type trace_format = [ `Auto | `Jsonl | `Binary ]
-
 type probes = {
   trace_out : string option;
       (** write protocol events to this path, suffixed per run by seed —
-          JSONL ({!Lockss.Trace.to_json}) or the compact binary format
-          ({!Obs.Btrace}) per [trace_format]; buffered either way, with
-          the file closed (and therefore flushed) when the run ends *)
+          the compact binary format ({!Obs.Btrace}) when the path ends
+          in [.ntrace], JSONL ({!Lockss.Trace.to_json}) otherwise;
+          buffered either way, with the file closed (and therefore
+          flushed) when the run ends *)
   trace_level : Lockss.Trace.severity;  (** minimum severity written *)
-  trace_format : trace_format;
   metrics_out : string option;
       (** write periodic metric samples to this path, suffixed per run
           by seed; [.jsonl]/[.json] selects JSONL, anything else CSV
@@ -105,7 +119,7 @@ type probes = {
 }
 
 (** [default_probes] records nothing: all outputs [None], level [Info],
-    [`Auto] trace format, 7-day sampling interval, no audit. *)
+    7-day sampling interval, no audit. *)
 val default_probes : probes
 
 (** [seeded_path path ~seed] is the per-run output path derived from a
@@ -138,6 +152,11 @@ type run = {
   violations : Check.Invariant.violation list;
       (** what the auditor observed; [[]] unless [probes.audit] *)
   engine : Narses.Engine.stats;
+  adversary : (string * int) list;
+      (** the attached adversaries' end-of-run counters, in attach
+          order: [corrupt_votes], [corrupt_repairs] and
+          [corrupted_replicas] for {!Subversion}; [defections] and
+          [honest_votes] for {!Reciprocity}; none for the others *)
   setup_cpu_s : float;
       (** CPU seconds building the population and attaching the probes *)
   run_cpu_s : float;  (** CPU seconds executing events *)

@@ -1,4 +1,3 @@
-module Duration = Repro_prelude.Duration
 module Table = Repro_prelude.Table
 
 type row = {
@@ -13,21 +12,6 @@ type row = {
 
 let default_fractions = [ 0.1; 0.2; 0.3; 0.4 ]
 
-let run_one ~cfg ~seed ~years ~fraction ~strategy =
-  let population = Lockss.Population.create ~seed cfg in
-  let attack = Adversary.Subversion.attach population ~fraction ~strategy in
-  Lockss.Population.run population ~until:(Duration.of_years years);
-  let summary = Lockss.Population.summary population in
-  {
-    fraction;
-    strategy;
-    corrupt_votes = Adversary.Subversion.corrupt_votes attack;
-    corrupt_repairs = Adversary.Subversion.corrupt_repairs attack;
-    alarms = summary.Lockss.Metrics.polls_alarmed;
-    corrupted_replicas = Adversary.Subversion.corrupted_replicas attack;
-    access_failure = summary.Lockss.Metrics.access_failure_probability;
-  }
-
 let sweep ?(scale = Scenario.bench) ?(fractions = default_fractions) () =
   let cfg = Scenario.config scale in
   let grid =
@@ -37,8 +21,21 @@ let sweep ?(scale = Scenario.bench) ?(fractions = default_fractions) () =
   in
   Runner.map
     (fun (strategy, fraction) ->
-      run_one ~cfg ~seed:scale.Scenario.seed ~years:scale.Scenario.years ~fraction
-        ~strategy)
+      let r =
+        Scenario.run ~cfg ~seed:scale.Scenario.seed ~years:scale.Scenario.years
+          (Scenario.Subversion { fraction; strategy })
+      in
+      let counter name = List.assoc name r.Scenario.adversary in
+      let summary = r.Scenario.summary in
+      {
+        fraction;
+        strategy;
+        corrupt_votes = counter "corrupt_votes";
+        corrupt_repairs = counter "corrupt_repairs";
+        alarms = summary.Lockss.Metrics.polls_alarmed;
+        corrupted_replicas = counter "corrupted_replicas";
+        access_failure = summary.Lockss.Metrics.access_failure_probability;
+      })
     grid
 
 let to_table rows =

@@ -146,7 +146,6 @@ let every_sink dir =
     Scenario.default_probes with
     Scenario.trace_out = path "trace.jsonl";
     trace_level = Lockss.Trace.Debug;
-    trace_format = `Jsonl;
     metrics_out = path "metrics.csv";
     spans_out = path "spans.jsonl";
     ledger_out = path "ledger.json";

@@ -80,6 +80,14 @@ let attack_gen =
        in
        return (Brute_force { strategy; rate = 3.; identities = 10 }));
       return (Vote_flood { rate = 5. });
+      (let* fraction = float_range 0.1 0.4 in
+       let* strategy =
+         oneofl [ Adversary.Subversion.Aggressive; Adversary.Subversion.Patient ]
+       in
+       return (Subversion { fraction; strategy }));
+      (let* fraction = float_range 0.1 0.4 in
+       let* rate = float_range 1. 10. in
+       return (Reciprocity { fraction; rate }));
     ]
 
 let invariants (s : Metrics.summary) =
@@ -101,10 +109,17 @@ let prop_random_simulations_run =
       | None -> true (* generator produced an inconsistent draw; skip *)
       | Some cfg ->
         Config.validate cfg;
-        let summary =
-          (Experiments.Scenario.run ~cfg ~seed ~years:0.5 attack).Experiments.Scenario.summary
+        let r = Experiments.Scenario.run ~cfg ~seed ~years:0.5 attack in
+        (* Only the adversaries that compromise loyal peers keep counters. *)
+        let counted =
+          match attack with
+          | Experiments.Scenario.Subversion _ | Reciprocity _ -> true
+          | _ -> false
         in
-        invariants summary)
+        let adversary = r.Experiments.Scenario.adversary in
+        invariants r.Experiments.Scenario.summary
+        && counted = (adversary <> [])
+        && List.for_all (fun (_, n) -> n >= 0) adversary)
 
 let prop_runs_are_reproducible =
   QCheck2.Test.make ~name:"equal seeds reproduce bit-identical summaries" ~count:10

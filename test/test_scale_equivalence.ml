@@ -55,7 +55,6 @@ let case_run_trace () =
           Scenario.default_probes with
           Scenario.trace_out = Some path;
           trace_level = Lockss.Trace.Debug;
-          trace_format = `Jsonl;
         }
       in
       let { Scenario.summary; _ } =

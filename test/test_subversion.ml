@@ -111,6 +111,23 @@ let test_alarms_scale_with_infiltration () =
   Alcotest.(check bool) "more infiltration, more alarms" true
     (high.Metrics.polls_alarmed > low.Metrics.polls_alarmed)
 
+(* The lock on the retained-defense and grade-recovery experiments: their
+   bench-scale tables, rendered, pinned by MD5. Refactoring how those
+   sweeps build and run their populations must not move a digit. *)
+let test_experiment_tables_pinned () =
+  let check name expected table =
+    let text = Repro_prelude.Table.render table in
+    let actual = Digest.to_hex (Digest.string text) in
+    if actual <> expected then
+      Alcotest.fail
+        (Printf.sprintf "%s table moved: expected MD5 %s, got %s\n%s" name expected
+           actual text)
+  in
+  check "subversion" "f36611ee4d7a25e5e2c31aec73c8b98d"
+    Experiments.Subversion_attack.(to_table (sweep ()));
+  check "reciprocity" "7adb6b33566440df2bb2da8f0f6802a6"
+    Experiments.Reciprocity_attack.(to_table (sweep ()))
+
 let () =
   let slow name f = Alcotest.test_case name `Slow f in
   let quick name f = Alcotest.test_case name `Quick f in
@@ -128,4 +145,5 @@ let () =
           slow "alarms scale with infiltration" test_alarms_scale_with_infiltration;
           slow "operator answers alarms" test_operator_answers_alarms;
         ] );
+      ("experiments", [ slow "bench-scale tables pinned" test_experiment_tables_pinned ]);
     ]

@@ -574,23 +574,22 @@ let test_run_trace_encodings_agree () =
                 [ jsonl_path; binary_path ])
             (fun () ->
               let cfg = Scenario.config tiny_scale in
-              let probes trace_out trace_format =
+              let probes trace_out =
                 {
                   Scenario.default_probes with
                   Scenario.trace_out = Some trace_out;
                   trace_level = Lockss.Trace.Debug;
-                  trace_format;
                 }
               in
               let s1 =
                 (Scenario.run
-                   ~probes:(probes jsonl_path `Jsonl)
+                   ~probes:(probes jsonl_path)
                    ~cfg ~seed:5 ~years:0.1 Scenario.No_attack)
                   .Scenario.summary
               in
               let s2 =
                 (Scenario.run
-                   ~probes:(probes binary_path `Auto)
+                   ~probes:(probes binary_path)
                    ~cfg ~seed:5 ~years:0.1 Scenario.No_attack)
                   .Scenario.summary
               in
