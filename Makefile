@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke audit-smoke baseline-smoke bench bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
+.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke reproduce-smoke audit-smoke baseline-smoke bench bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
 
 all: build
 
@@ -82,6 +82,27 @@ runner-smoke: build
 	cmp /tmp/runner-serial.txt /tmp/runner-parallel.txt || \
 	  { echo "runner-smoke: parallel output differs from serial" >&2; exit 1; }
 	@echo "runner-smoke: OK"
+
+# Reproduce smoke: every figure/table target at micro scale must exit 0,
+# write its --csv table and, for the figures, its own .dat/.gp plot
+# files (table1 has no plot). One output dir per target, so a figure
+# sharing a sweep with another cannot mask a missing file.
+REPRODUCE_TARGETS = fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1
+reproduce-smoke: build
+	rm -rf /tmp/reproduce-smoke
+	@for t in $(REPRODUCE_TARGETS); do \
+	  d=/tmp/reproduce-smoke/$$t; mkdir -p $$d; \
+	  dune exec bin/lockss_sim.exe -- reproduce $$t --peers 15 --aus 2 --quorum 4 \
+	    --years 1 --runs 2 --seed 5 --csv $$d/$$t.csv --plot $$d > $$d/stdout.txt || \
+	    { echo "reproduce-smoke: reproduce $$t failed" >&2; exit 1; }; \
+	  expected="$$t.csv"; \
+	  [ $$t = table1 ] || expected="$$expected $$t.dat $$t.gp"; \
+	  for f in $$expected; do \
+	    test -s $$d/$$f || \
+	      { echo "reproduce-smoke: reproduce $$t wrote no $$f" >&2; exit 1; }; \
+	  done; \
+	done
+	@echo "reproduce-smoke: OK"
 
 # Invariant-audit smoke: a fault-free run with the online auditor
 # attached must report zero violations (in-sim and on offline replay of

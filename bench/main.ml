@@ -155,7 +155,7 @@ let run_micro () =
    the same bursts. The sweeps run for seconds and are timed once. *)
 let parallel_targets =
   [
-    ("stoppage sweep", 20, 1, fun () -> ignore (Stoppage.sweep ~scale ()));
+    ("stoppage sweep", 20, 1, fun () -> ignore (Grid.sweep ~scale Grid.stoppage));
     ("baseline sweep", 24, 1, fun () -> ignore (Baseline.sweep ~scale ()));
     ("chaos paired run", 2, 9, fun () -> ignore (Chaos.run ~scale Chaos.default_mix));
   ]

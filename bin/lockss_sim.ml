@@ -11,6 +11,7 @@
 module Duration = Repro_prelude.Duration
 module Scenario = Experiments.Scenario
 module Chaos = Experiments.Chaos
+module Golden = Experiments.Golden
 open Cmdliner
 
 (* -- Shared options ---------------------------------------------------- *)
@@ -338,19 +339,6 @@ let emit_manifest ~manifest_out ~handle ~seeds ?targets ?fault_mix () =
 let seeds_of_scale (scale : Scenario.scale) =
   List.init scale.Scenario.runs (fun i -> scale.Scenario.seed + i)
 
-let fault_mix_json (m : Chaos.mix) =
-  Obs.Json.Assoc
-    [
-      ("loss", Obs.Json.Float m.Chaos.loss);
-      ("jitter", Obs.Json.Float m.Chaos.jitter);
-      ("duplication", Obs.Json.Float m.Chaos.duplication);
-      ("churn_per_day", Obs.Json.Float m.Chaos.churn_per_day);
-      ("downtime", Obs.Json.Float m.Chaos.downtime);
-      ("corruption", Obs.Json.Float m.Chaos.corruption);
-      ("replay", Obs.Json.Float m.Chaos.replay);
-      ("stale", Obs.Json.Float m.Chaos.stale);
-    ]
-
 let baseline_dir =
   Arg.(
     value
@@ -482,7 +470,7 @@ let run_cmd =
     in
     if probes.Scenario.audit then report_audits sides;
     let fault_mix =
-      if Narses.Faults.is_none fault_cfg then None else Some (fault_mix_json mix)
+      if Narses.Faults.is_none fault_cfg then None else Some (Chaos.mix_to_json mix)
     in
     emit_manifest ~manifest_out ~handle ~seeds:(seeds_of_scale scale) ?fault_mix ()
   in
@@ -587,44 +575,29 @@ let soak_cmd =
 
 (* -- reproduce command ------------------------------------------------- *)
 
-(* One sweep execution feeds the printed table, the optional plot files
-   and the optional baseline check: Golden.sweeps shares the lazies. *)
-let table_of_target sweeps target =
-  let module Golden = Experiments.Golden in
-  match target with
-  | "fig2" -> Some (Experiments.Baseline.to_table (Golden.baseline_points sweeps))
-  | "fig3" -> Some (Experiments.Stoppage.fig3_table (Golden.stoppage_points sweeps))
-  | "fig4" -> Some (Experiments.Stoppage.fig4_table (Golden.stoppage_points sweeps))
-  | "fig5" -> Some (Experiments.Stoppage.fig5_table (Golden.stoppage_points sweeps))
-  | "fig6" ->
-    Some (Experiments.Admission_attack.fig6_table (Golden.admission_points sweeps))
-  | "fig7" ->
-    Some (Experiments.Admission_attack.fig7_table (Golden.admission_points sweeps))
-  | "fig8" ->
-    Some (Experiments.Admission_attack.fig8_table (Golden.admission_points sweeps))
-  | "table1" -> Some (Experiments.Effort_attack.to_table (Golden.effort_rows sweeps))
-  | _ -> None
+(* A TARGET argument is one entry of the figure table; an unknown name
+   is a usage error. *)
+let figure_conv = Arg.enum (List.map (fun f -> (f.Golden.name, f)) Golden.figures)
 
 (* Compare one freshly captured target against its pin. Returns the
    report, or an error when the pin is unreadable/absent. *)
-let check_target ~dir ~scale sweeps target =
-  let pin_path = Obs.Baseline.path ~dir target in
-  match Obs.Baseline.load pin_path with
+let check_target ~dir ~scale sweeps (figure : Golden.figure) =
+  let target = figure.Golden.name in
+  match Obs.Baseline.load (Obs.Baseline.path ~dir target) with
   | Error msg ->
     Error
       (Printf.sprintf "%s — pin it first with: lockss_sim pin-baseline %s" msg target)
   | Ok pinned ->
-    (match Experiments.Golden.capture sweeps ~scale target with
-    | Error msg -> Error msg
-    | Ok current -> Ok (Obs.Baseline.compare ~baseline:pinned ~current))
+    let current = Golden.capture_figure sweeps ~scale figure in
+    Ok (Obs.Baseline.compare ~baseline:pinned ~current)
 
 let reproduce_cmd =
   let target =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some figure_conv) None
       & info [] ~docv:"TARGET"
-          ~doc:"One of: fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1.")
+          ~doc:(Printf.sprintf "One of: %s." (String.concat " " Golden.targets)))
   in
   let csv =
     Arg.(
@@ -648,34 +621,25 @@ let reproduce_cmd =
              baseline in --baseline-dir and print the per-metric delta report; exit \
              status 1 on any drift past tolerance (or when no baseline is pinned).")
   in
-  let action target scale csv_path plot_dir check_baseline dir manifest_out =
+  (* One sweep execution feeds the printed table, the optional plot files
+     and the optional baseline check: Golden.sweeps shares the lazies. *)
+  let action (figure : Golden.figure) scale csv_path plot_dir check_baseline dir
+      manifest_out =
+    let target = figure.Golden.name in
     let handle = Experiments.Manifest.start ~command:("reproduce " ^ target) () in
     let module Table = Repro_prelude.Table in
-    let module Golden = Experiments.Golden in
     let sweeps = Golden.sweeps ~scale in
-    (match plot_dir with
-    | None -> ()
-    | Some dir ->
-      (match target with
-      | "fig2" -> Experiments.Plot.write_baseline ~dir (Golden.baseline_points sweeps)
-      | "fig3" | "fig4" | "fig5" ->
-        Experiments.Plot.write_stoppage ~dir (Golden.stoppage_points sweeps)
-      | "fig6" | "fig7" | "fig8" ->
-        Experiments.Plot.write_admission ~dir (Golden.admission_points sweeps)
-      | _ -> Printf.eprintf "--plot is only available for fig2..fig8\n"));
-    let table =
-      match table_of_target sweeps target with
-      | Some table -> table
-      | None ->
-        Printf.eprintf "unknown target %S\n" target;
-        exit 2
-    in
+    (match (plot_dir, figure.Golden.plot) with
+    | None, _ -> ()
+    | Some dir, Some plot -> plot ~dir sweeps
+    | Some _, None -> Printf.eprintf "--plot is only available for fig2..fig8\n");
+    let table = figure.Golden.table sweeps in
     Table.print table;
     (match csv_path with None -> () | Some path -> Table.save_csv table path);
     let drifted =
       if not check_baseline then false
       else
-        match check_target ~dir ~scale sweeps target with
+        match check_target ~dir ~scale sweeps figure with
         | Error msg ->
           Printf.eprintf "%s\n" msg;
           true
@@ -704,25 +668,16 @@ let reproduce_cmd =
 (* -- pin-baseline / diff-baseline commands ------------------------------ *)
 
 let baseline_targets_arg =
-  Arg.(
-    value
-    & pos_all string []
-    & info [] ~docv:"TARGET"
-        ~doc:
-          "Targets to pin/diff (fig2..fig8, table1); all of them when none is given.")
-
-let resolve_baseline_targets = function
-  | [] -> Experiments.Golden.targets
-  | targets ->
-    List.iter
-      (fun t ->
-        if not (List.mem t Experiments.Golden.targets) then begin
-          Printf.eprintf "unknown target %S (known: %s)\n" t
-            (String.concat " " Experiments.Golden.targets);
-          exit 2
-        end)
-      targets;
-    targets
+  let all = function [] -> Golden.figures | figures -> figures in
+  Term.(
+    const all
+    $ Arg.(
+        value
+        & pos_all figure_conv []
+        & info [] ~docv:"TARGET"
+            ~doc:
+              "Targets to pin/diff (fig2..fig8, table1); all of them when none is \
+               given."))
 
 let pin_baseline_cmd =
   let tolerance =
@@ -735,27 +690,21 @@ let pin_baseline_cmd =
              pinned value (default 0.01: seeded runs are deterministic, so the \
              allowance only absorbs float-formatting noise).")
   in
-  let action targets scale tolerance dir manifest_out =
-    let targets = resolve_baseline_targets targets in
+  let action figures scale tolerance dir manifest_out =
     let handle = Experiments.Manifest.start ~command:"pin-baseline" () in
-    let sweeps = Experiments.Golden.sweeps ~scale in
+    let sweeps = Golden.sweeps ~scale in
     let provenance = Experiments.Manifest.provenance () in
     List.iter
-      (fun target ->
-        match
-          Experiments.Golden.capture ~tolerance_pct:tolerance sweeps ~scale target
-        with
-        | Error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 2
-        | Ok captured ->
-          let captured = { captured with Obs.Baseline.provenance } in
-          Obs.Baseline.save ~dir captured;
-          Printf.printf "pinned %s (%d metrics)\n"
-            (Obs.Baseline.path ~dir target)
-            (List.length captured.Obs.Baseline.metrics))
-      targets;
-    emit_manifest ~manifest_out ~handle ~seeds:(seeds_of_scale scale) ~targets ()
+      (fun figure ->
+        let captured = Golden.capture_figure ~tolerance_pct:tolerance sweeps ~scale figure in
+        let captured = { captured with Obs.Baseline.provenance } in
+        Obs.Baseline.save ~dir captured;
+        Printf.printf "pinned %s (%d metrics)\n"
+          (Obs.Baseline.path ~dir figure.Golden.name)
+          (List.length captured.Obs.Baseline.metrics))
+      figures;
+    emit_manifest ~manifest_out ~handle ~seeds:(seeds_of_scale scale)
+      ~targets:(List.map (fun f -> f.Golden.name) figures) ()
   in
   let term =
     Term.(
@@ -788,12 +737,11 @@ let diff_baseline_cmd =
             "Also write the machine-readable delta report to $(docv) — the artifact \
              the nightly reproduce gate uploads.")
   in
-  let action targets scale json_flag report_out dir manifest_out =
-    let targets = resolve_baseline_targets targets in
+  let action figures scale json_flag report_out dir manifest_out =
     let handle = Experiments.Manifest.start ~command:"diff-baseline" () in
-    let sweeps = Experiments.Golden.sweeps ~scale in
+    let sweeps = Golden.sweeps ~scale in
     let results =
-      List.map (fun target -> (target, check_target ~dir ~scale sweeps target)) targets
+      List.map (fun f -> (f.Golden.name, check_target ~dir ~scale sweeps f)) figures
     in
     let ok_overall =
       List.for_all
@@ -835,7 +783,8 @@ let diff_baseline_cmd =
     | Some path ->
       Experiments.Manifest.write ~path report_doc;
       Printf.printf "wrote delta report %s\n" path);
-    emit_manifest ~manifest_out ~handle ~seeds:(seeds_of_scale scale) ~targets ();
+    emit_manifest ~manifest_out ~handle ~seeds:(seeds_of_scale scale)
+      ~targets:(List.map fst results) ();
     if not ok_overall then exit 1
   in
   let term =

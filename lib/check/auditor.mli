@@ -22,8 +22,8 @@ val create : ?params:Invariant.params -> ?only:string list -> unit -> t
 
 val params : t -> Invariant.params
 
-(** Feed one event, in stream order. Also forwards the event to an
-    internal {!Obs.Analyze} so {!finish} can reconcile the ledger. *)
+(** Feed one event, in stream order. Also feeds an internal
+    {!Obs.Ledger} so {!finish} can reconcile the per-peer accounts. *)
 val feed : t -> time:float -> Lockss.Trace.event -> unit
 
 (** Feed one decoded trace record. A record that is not an event

@@ -953,13 +953,6 @@ let write_jsonl buf ~time event =
   Buffer.add_string buf (Json.float_literal time);
   write_jsonl_rest buf event
 
-let jsonl_sink ?(min_severity = Debug) oc ~time event =
-  if severity_at_least min_severity (severity event) then begin
-    output_string oc (Json.to_string (to_json ~time event));
-    output_char oc '\n';
-    flush oc
-  end
-
 let buffered_jsonl_sink ?(min_severity = Debug) sink =
   let scratch = Buffer.create 512 in
   (* Rendering a float is the single most expensive step of a JSONL

@@ -294,16 +294,10 @@ type sink = time:float -> event -> unit
     per line: [\[time\] \[severity\] description]. *)
 val pretty_sink : ?min_severity:severity -> Format.formatter -> sink
 
-(** [jsonl_sink ?min_severity oc] writes one JSON object per event (the
-    {!to_json} encoding) per line. The channel is flushed per line so a
-    crashed run keeps its trace — which makes it expensive; production
-    runs use {!buffered_jsonl_sink} instead. *)
-val jsonl_sink : ?min_severity:severity -> out_channel -> sink
-
-(** [buffered_jsonl_sink ?min_severity sink] is {!jsonl_sink} writing
-    through a buffered {!Obs.Sink} (event time forwarded for
-    time-bounded flushing) instead of flushing per event. Close or
-    flush the sink to make the tail durable. *)
+(** [buffered_jsonl_sink ?min_severity sink] writes one JSON object per
+    event (the {!to_json} encoding) per line through a buffered
+    {!Obs.Sink} (event time forwarded for time-bounded flushing). Close
+    or flush the sink to make the tail durable. *)
 val buffered_jsonl_sink : ?min_severity:severity -> Obs.Sink.t -> sink
 
 (** [binary_sink ?min_severity w] writes events in the compact binary

@@ -47,6 +47,21 @@ let faults_config mix =
     fault_seed = mix.fault_seed;
   }
 
+let mix_to_json m =
+  Obs.Json.Assoc
+    [
+      ("loss", Obs.Json.Float m.loss);
+      ("jitter", Obs.Json.Float m.jitter);
+      ("duplication", Obs.Json.Float m.duplication);
+      ("churn_per_day", Obs.Json.Float m.churn_per_day);
+      ("downtime", Obs.Json.Float m.downtime);
+      ("corruption", Obs.Json.Float m.corruption);
+      ("replay", Obs.Json.Float m.replay);
+      ("stale", Obs.Json.Float m.stale);
+      ("stray", Obs.Json.Float m.stray);
+      ("fault_seed", Obs.Json.Int m.fault_seed);
+    ]
+
 type check = { name : string; ok : bool; detail : string }
 
 type report = {

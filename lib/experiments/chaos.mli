@@ -46,6 +46,15 @@ val default_mix : mix
 (** [faults_config mix] is the corresponding injector configuration. *)
 val faults_config : mix -> Narses.Faults.config
 
+(** [mix_to_json mix] is one JSON member per field, named as the field
+    (what a [--manifest-out] manifest records of the mix). *)
+val mix_to_json : mix -> Obs.Json.t
+
+(** The event budget every chaos and soak run is driven with: far above
+    any legitimate run at these scales, so only a genuine livelock can
+    exhaust it. *)
+val event_budget : int
+
 type check = { name : string; ok : bool; detail : string }
 
 type report = {

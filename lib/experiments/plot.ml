@@ -32,7 +32,9 @@ let dat ~series_of ~line points =
     keys;
   (Buffer.contents buf, keys)
 
-let gp ~name ~title ~ylabel ~logy ~keys =
+(* Every figure is log-scaled in y; the grid figures' duration axis is
+   log-scaled too. *)
+let gp ~name ~title ~xlabel ~logx ~ylabel ~keys =
   let plots =
     List.mapi
       (fun i key ->
@@ -40,84 +42,36 @@ let gp ~name ~title ~ylabel ~logy ~keys =
       keys
   in
   String.concat "\n"
-    [
-      Printf.sprintf "set terminal png size 800,560";
-      Printf.sprintf "set output '%s.png'" name;
-      Printf.sprintf "set title '%s'" title;
-      "set xlabel 'attack duration (days)'";
-      Printf.sprintf "set ylabel '%s'" ylabel;
-      "set logscale x";
-      (if logy then "set logscale y" else "unset logscale y");
-      "set key left top";
-      "plot " ^ String.concat ", \\\n     " plots;
-      "";
-    ]
+    ([
+       "set terminal png size 800,560";
+       Printf.sprintf "set output '%s.png'" name;
+       Printf.sprintf "set title '%s'" title;
+       Printf.sprintf "set xlabel '%s'" xlabel;
+       Printf.sprintf "set ylabel '%s'" ylabel;
+     ]
+    @ (if logx then [ "set logscale x" ] else [])
+    @ [ "set logscale y"; "set key left top"; "plot " ^ String.concat ", \\\n     " plots; "" ])
 
-let coverage_series coverage = Printf.sprintf "%.0f%%" (100. *. coverage)
-
-let write_duration_figure ~dir ~name ~title ~ylabel ~logy points ~series_of ~x ~y =
+let write_figure ~dir ~name ~title ~xlabel ~logx ~ylabel points ~series_of ~x ~y =
   let content, keys =
     dat points ~series_of ~line:(fun p -> Printf.sprintf "%g %g\n" (x p) (y p))
   in
   write_file ~dir ~name:(name ^ ".dat") content;
-  write_file ~dir ~name:(name ^ ".gp") (gp ~name ~title ~ylabel ~logy ~keys)
+  write_file ~dir ~name:(name ^ ".gp") (gp ~name ~title ~xlabel ~logx ~ylabel ~keys)
 
-let write_stoppage ~dir points =
-  let series_of (p : Stoppage.point) = coverage_series p.Stoppage.coverage in
-  let x (p : Stoppage.point) = Duration.to_days p.Stoppage.duration in
-  write_duration_figure ~dir ~name:"fig3" ~title:"Access failure under pipe stoppage"
-    ~ylabel:"access failure probability" ~logy:true points ~series_of ~x
-    ~y:(fun p -> p.Stoppage.access_failure);
-  write_duration_figure ~dir ~name:"fig4" ~title:"Delay ratio under pipe stoppage"
-    ~ylabel:"delay ratio" ~logy:true points ~series_of ~x
-    ~y:(fun p -> p.Stoppage.delay_ratio);
-  write_duration_figure ~dir ~name:"fig5" ~title:"Coefficient of friction under pipe stoppage"
-    ~ylabel:"coefficient of friction" ~logy:true points ~series_of ~x
-    ~y:(fun p -> p.Stoppage.friction)
+let write_grid ~dir ~name (family : Grid.family) (measure : Grid.measure) points =
+  write_figure ~dir ~name
+    ~title:(Printf.sprintf "%s under %s" measure.Grid.title family.Grid.name)
+    ~xlabel:"attack duration (days)" ~logx:true ~ylabel:measure.Grid.axis points
+    ~series_of:(fun (p : Grid.point) -> Printf.sprintf "%.0f%%" (100. *. p.Grid.coverage))
+    ~x:(fun p -> Duration.to_days p.Grid.duration)
+    ~y:measure.Grid.value
 
-let write_admission ~dir points =
-  let series_of (p : Admission_attack.point) =
-    coverage_series p.Admission_attack.coverage
-  in
-  let x (p : Admission_attack.point) = Duration.to_days p.Admission_attack.duration in
-  write_duration_figure ~dir ~name:"fig6" ~title:"Access failure under admission flood"
-    ~ylabel:"access failure probability" ~logy:true points ~series_of ~x
-    ~y:(fun p -> p.Admission_attack.access_failure);
-  write_duration_figure ~dir ~name:"fig7" ~title:"Delay ratio under admission flood"
-    ~ylabel:"delay ratio" ~logy:true points ~series_of ~x
-    ~y:(fun p -> p.Admission_attack.delay_ratio);
-  write_duration_figure ~dir ~name:"fig8"
-    ~title:"Coefficient of friction under admission flood" ~ylabel:"coefficient of friction"
-    ~logy:true points ~series_of ~x
-    ~y:(fun p -> p.Admission_attack.friction)
-
-let write_baseline ~dir points =
-  let series_of (p : Baseline.point) =
-    Printf.sprintf "MTTF %gy, %d AUs" p.Baseline.mttf_years p.Baseline.collection
-  in
-  let content, keys =
-    dat points ~series_of ~line:(fun (p : Baseline.point) ->
-        Printf.sprintf "%g %g\n" (Duration.to_months p.Baseline.interval)
-          p.Baseline.access_failure)
-  in
-  write_file ~dir ~name:"fig2.dat" content;
-  let script =
-    String.concat "\n"
-      [
-        "set terminal png size 800,560";
-        "set output 'fig2.png'";
-        "set title 'Baseline access failure vs inter-poll interval'";
-        "set xlabel 'inter-poll interval (months)'";
-        "set ylabel 'access failure probability'";
-        "set logscale y";
-        "set key left top";
-        "plot "
-        ^ String.concat ", \\\n     "
-            (List.mapi
-               (fun i key ->
-                 Printf.sprintf "'fig2.dat' index %d with linespoints title '%s'" i key)
-               keys);
-        "";
-      ]
-  in
-  write_file ~dir ~name:"fig2.gp" script
+let write_baseline ~dir ~name points =
+  write_figure ~dir ~name ~title:"Baseline access failure vs inter-poll interval"
+    ~xlabel:"inter-poll interval (months)" ~logx:false ~ylabel:"access failure probability"
+    points
+    ~series_of:(fun (p : Baseline.point) ->
+      Printf.sprintf "MTTF %gy, %d AUs" p.Baseline.mttf_years p.Baseline.collection)
+    ~x:(fun p -> Duration.to_months p.Baseline.interval)
+    ~y:(fun p -> p.Baseline.access_failure)

@@ -1,16 +1,16 @@
 (** Gnuplot emission: regenerate the paper's figures as actual plots.
 
-    Each writer produces a [figN.dat] (one gnuplot index per coverage
-    series) and a [figN.gp] script with the paper's axes (log-scaled
-    where the paper's are). Render with [gnuplot figN.gp] to get
-    [figN.png]. *)
+    Each writer produces a [NAME.dat] (one gnuplot index per series) and
+    a [NAME.gp] script with the paper's axes (log-scaled where the
+    paper's are). Render with [gnuplot NAME.gp] to get [NAME.png]. *)
 
-(** [write_stoppage ~dir points] emits fig3/fig4/fig5 (.dat and .gp). *)
-val write_stoppage : dir:string -> Stoppage.point list -> unit
+(** [write_grid ~dir ~name family measure points] emits one of
+    Figures 3–8: [measure] against attack duration, one series per
+    coverage. *)
+val write_grid :
+  dir:string -> name:string -> Grid.family -> Grid.measure -> Grid.point list -> unit
 
-(** [write_admission ~dir points] emits fig6/fig7/fig8. *)
-val write_admission : dir:string -> Admission_attack.point list -> unit
-
-(** [write_baseline ~dir points] emits fig2, one series per
-    (MTTF, collection) pair. *)
-val write_baseline : dir:string -> Baseline.point list -> unit
+(** [write_baseline ~dir ~name points] emits Figure 2, access failure
+    against inter-poll interval, one series per (MTTF, collection)
+    pair. *)
+val write_baseline : dir:string -> name:string -> Baseline.point list -> unit

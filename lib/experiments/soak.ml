@@ -20,9 +20,6 @@ let seed_clean s =
 
 let all_clean r = List.for_all seed_clean r.seeds
 
-(* Same livelock backstop as the chaos harness. *)
-let event_budget = 50_000_000
-
 let run_seed ~cfg ~attack ~years seed =
   let population = Scenario.build ~cfg ~seed attack in
   let auditor = Scenario.make_auditor ~cfg () in
@@ -42,7 +39,7 @@ let run_seed ~cfg ~attack ~years seed =
     (* Any exception escaping a handler is precisely what the soak
        exists to catch: capture it instead of killing the whole sweep. *)
     try
-      Population.run ~max_events:event_budget population
+      Population.run ~max_events:Chaos.event_budget population
         ~until:(Duration.of_years years);
       None
     with exn -> Some (Printexc.to_string exn)

@@ -374,6 +374,53 @@ let test_chaos_harness_all_green () =
   Alcotest.(check bool) "leak audit invariant present" true
     (List.exists (fun (c : Chaos.check) -> c.Chaos.name = "leak audit") report.Chaos.checks)
 
+(* A manifest must reproduce the run: every field of the mix is encoded,
+   and decoding the members rebuilds the same mix. Each field gets a
+   value no other field has, so a swapped name is caught too. *)
+let test_mix_json_round_trip () =
+  let mix =
+    {
+      Chaos.loss = 0.11;
+      jitter = 0.22;
+      duplication = 0.33;
+      churn_per_day = 0.44;
+      downtime = 5.5;
+      corruption = 0.66;
+      replay = 0.77;
+      stale = 0.88;
+      stray = 0.99;
+      fault_seed = 1234;
+    }
+  in
+  let json =
+    match Obs.Json.of_string (Obs.Json.to_string (Chaos.mix_to_json mix)) with
+    | Ok json -> json
+    | Error msg -> Alcotest.fail msg
+  in
+  let members = match json with Obs.Json.Assoc m -> m | _ -> Alcotest.fail "not an object" in
+  let get to_value name =
+    match Option.bind (Obs.Json.member name json) to_value with
+    | Some v -> v
+    | None -> Alcotest.failf "member %s missing or mistyped" name
+  in
+  let float = get Obs.Json.to_float in
+  let decoded =
+    {
+      Chaos.loss = float "loss";
+      jitter = float "jitter";
+      duplication = float "duplication";
+      churn_per_day = float "churn_per_day";
+      downtime = float "downtime";
+      corruption = float "corruption";
+      replay = float "replay";
+      stale = float "stale";
+      stray = float "stray";
+      fault_seed = get Obs.Json.to_int "fault_seed";
+    }
+  in
+  Alcotest.(check int) "one member per field" 10 (List.length members);
+  Alcotest.(check bool) "decodes to the same mix" true (decoded = mix)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "chaos"
@@ -406,6 +453,10 @@ let () =
           quick "same seed, byte-identical trace" test_same_seed_identical_fault_trace;
           quick "different fault seed diverges" test_fault_seed_changes_trace;
         ] );
-      ( "config", [ quick "validate rejects bad mixes" test_validate_rejects_bad_configs ] );
+      ( "config",
+        [
+          quick "validate rejects bad mixes" test_validate_rejects_bad_configs;
+          quick "mix encodes every field" test_mix_json_round_trip;
+        ] );
       ( "harness", [ quick "acceptance mix all green" test_chaos_harness_all_green ] );
     ]

@@ -248,44 +248,44 @@ let test_profile_out () =
 let test_fig3_shape_coverage_monotone () =
   (* Higher coverage cannot make preservation better. *)
   let points =
-    Stoppage.sweep ~scale:micro
+    Grid.sweep ~scale:micro
       ~durations:[ Duration.of_days 90. ]
-      ~coverages:[ 0.1; 1.0 ] ()
+      ~coverages:[ 0.1; 1.0 ] Grid.stoppage
   in
   match points with
   | [ low; high ] ->
     Alcotest.(check bool) "full coverage at least as damaging" true
-      (high.Stoppage.access_failure >= low.Stoppage.access_failure);
+      (high.Grid.access_failure >= low.Grid.access_failure);
     Alcotest.(check bool) "delay grows with coverage" true
-      (high.Stoppage.delay_ratio >= low.Stoppage.delay_ratio)
+      (high.Grid.delay_ratio >= low.Grid.delay_ratio)
   | _ -> Alcotest.fail "expected two points"
 
 let test_fig3_shape_duration_monotone () =
   let points =
-    Stoppage.sweep ~scale:micro
+    Grid.sweep ~scale:micro
       ~durations:[ Duration.of_days 5.; Duration.of_days 120. ]
-      ~coverages:[ 1.0 ] ()
+      ~coverages:[ 1.0 ] Grid.stoppage
   in
   match points with
   | [ short; long ] ->
     Alcotest.(check bool) "long attacks hurt more" true
-      (long.Stoppage.delay_ratio > short.Stoppage.delay_ratio);
+      (long.Grid.delay_ratio > short.Grid.delay_ratio);
     Alcotest.(check bool) "short attacks nearly harmless" true
-      (short.Stoppage.delay_ratio < 1.5)
+      (short.Grid.delay_ratio < 1.5)
   | _ -> Alcotest.fail "expected two points"
 
 let test_fig6_shape_flood_is_weak () =
   let points =
-    Admission_attack.sweep ~scale:micro
+    Grid.sweep ~scale:micro
       ~durations:[ Duration.of_years 1. ]
-      ~coverages:[ 1.0 ] ()
+      ~coverages:[ 1.0 ] Grid.admission
   in
   match points with
   | [ p ] ->
     (* The paper's core claim: the application-level flood barely moves
        preservation while raising friction modestly. *)
-    Alcotest.(check bool) "delay ratio close to 1" true (p.Admission_attack.delay_ratio < 1.3);
-    Alcotest.(check bool) "friction bounded" true (p.Admission_attack.friction < 2.0)
+    Alcotest.(check bool) "delay ratio close to 1" true (p.Grid.delay_ratio < 1.3);
+    Alcotest.(check bool) "friction bounded" true (p.Grid.friction < 2.0)
   | _ -> Alcotest.fail "expected one point"
 
 let test_table1_shape () =
@@ -341,7 +341,7 @@ let test_tables_render () =
   let points =
     [
       {
-        Stoppage.coverage = 0.5;
+        Grid.coverage = 0.5;
         duration = Duration.of_days 10.;
         access_failure = 1e-4;
         delay_ratio = 1.5;
@@ -353,7 +353,9 @@ let test_tables_render () =
     (fun table ->
       Alcotest.(check bool) "renders" true
         (String.length (Repro_prelude.Table.render table) > 0))
-    [ Stoppage.fig3_table points; Stoppage.fig4_table points; Stoppage.fig5_table points ]
+    (List.map
+       (fun measure -> Grid.table measure points)
+       [ Grid.access_failure; Grid.delay_ratio; Grid.friction ])
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

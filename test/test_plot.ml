@@ -1,9 +1,10 @@
-(* Golden tests for the gnuplot figure writers.
+(* Golden tests for the gnuplot figure writers and the rendered tables.
 
-   Each case renders one figN.dat or figN.gp from a small seeded sweep
-   and compares its MD5 against a pinned golden: the .dat bytes are
+   Each case renders one figN.dat or figN.gp, or one target's printed
+   table or CSV ([reproduce TARGET] and [--csv]), from a small seeded
+   sweep and compares its MD5 against a pinned golden: these bytes are
    downstream of every simulation layer, so a drifted golden means a
-   change moved the figures the paper reproduction emits.
+   change moved the figures or tables the paper reproduction emits.
 
    Regenerate (only when figure output is MEANT to change) with:
 
@@ -20,7 +21,7 @@ let golden_file =
   lazy
     (List.find Sys.file_exists [ "goldens/plot.golden"; "test/goldens/plot.golden" ])
 
-(* Same micro scale the baseline tests pin: small enough that the three
+(* Same micro scale the baseline tests pin: small enough that the four
    sweeps take seconds, large enough that every figure has distinct
    series. *)
 let micro =
@@ -48,30 +49,39 @@ let with_temp_dir f =
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
-(* One sweep per attack family, shared across that family's cases. *)
-let stoppage = lazy (Stoppage.sweep ~scale:micro ())
-let admission = lazy (Admission_attack.sweep ~scale:micro ())
-let baseline = lazy (Baseline.sweep ~scale:micro ())
+(* One sweeps value shared by every case, so each sweep runs once. *)
+let sweeps = lazy (Golden.sweeps ~scale:micro)
 
-let render_family write files () =
-  with_temp_dir (fun dir ->
-      write ~dir;
-      List.map (fun name -> (name, read (Filename.concat dir name))) files)
-
-let families =
-  [
-    ( render_family
-        (fun ~dir -> Plot.write_stoppage ~dir (Lazy.force stoppage))
-        [ "fig3.dat"; "fig3.gp"; "fig4.dat"; "fig4.gp"; "fig5.dat"; "fig5.gp" ] );
-    ( render_family
-        (fun ~dir -> Plot.write_admission ~dir (Lazy.force admission))
-        [ "fig6.dat"; "fig6.gp"; "fig7.dat"; "fig7.gp"; "fig8.dat"; "fig8.gp" ] );
-    ( render_family
-        (fun ~dir -> Plot.write_baseline ~dir (Lazy.force baseline))
-        [ "fig2.dat"; "fig2.gp" ] );
-  ]
-
-let cases () = List.concat_map (fun family -> family ()) families
+(* Every figure's .dat and .gp, written by the figure table's own plot
+   writer, then every target's table as printed and as CSV. *)
+let cases () =
+  let sweeps = Lazy.force sweeps in
+  let plots =
+    List.concat_map
+      (fun (f : Golden.figure) ->
+        match f.Golden.plot with
+        | None -> []
+        | Some plot ->
+          with_temp_dir (fun dir ->
+              plot ~dir sweeps;
+              List.map
+                (fun ext ->
+                  let name = f.Golden.name ^ ext in
+                  (name, read (Filename.concat dir name)))
+                [ ".dat"; ".gp" ]))
+      Golden.figures
+  in
+  let tables =
+    List.concat_map
+      (fun (f : Golden.figure) ->
+        let table = f.Golden.table sweeps in
+        [
+          (f.Golden.name ^ ".table", Repro_prelude.Table.render table);
+          (f.Golden.name ^ ".csv", Repro_prelude.Table.to_csv table);
+        ])
+      Golden.figures
+  in
+  plots @ tables
 
 let digest s = Digest.to_hex (Digest.string s)
 

@@ -96,17 +96,14 @@ let test_set_jobs_validation () =
 
 let render_stoppage_tables () =
   let points =
-    Stoppage.sweep ~scale:micro
+    Grid.sweep ~scale:micro
       ~durations:[ Duration.of_days 30.; Duration.of_days 90. ]
-      ~coverages:[ 0.3; 1.0 ] ()
+      ~coverages:[ 0.3; 1.0 ] Grid.stoppage
   in
   String.concat "\n"
-    (List.map Repro_prelude.Table.render
-       [
-         Stoppage.fig3_table points;
-         Stoppage.fig4_table points;
-         Stoppage.fig5_table points;
-       ])
+    (List.map
+       (fun measure -> Repro_prelude.Table.render (Grid.table measure points))
+       [ Grid.access_failure; Grid.delay_ratio; Grid.friction ])
 
 let test_stoppage_sweep_byte_identical () =
   let serial = with_jobs 1 render_stoppage_tables in
