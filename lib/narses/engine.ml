@@ -227,61 +227,43 @@ let limit_exceeded t budget =
            (likely a self-scheduling loop)"
           budget t.clock t.live_count))
 
-let run_until ?max_events t ~limit =
+(* An absent budget is [max_int]: the check never fires. *)
+let run_until ?(max_events = max_int) t ~limit =
   let queue = t.queue in
+  let start = t.executed in
   (* The budget counts live executions only. Cancelled heads are drained
      for free *before* the budget check, so an exactly-exhausted budget
      whose remaining in-horizon events are all dead finishes normally
      instead of tripping — the check fires only when a live event within
      [limit] is actually about to run. *)
-  (match max_events with
-  | None ->
-    let continue_ = ref true in
-    while !continue_ do
-      if Tsheap.is_empty queue then continue_ := false
+  let continue_ = ref true in
+  while !continue_ do
+    if Tsheap.is_empty queue then continue_ := false
+    else begin
+      let slot = head_slot t in
+      if slot < 0 then Tsheap.drop_min queue
       else begin
-        let slot = head_slot t in
-        if slot < 0 then Tsheap.drop_min queue
+        let time = Tsheap.min_time queue in
+        if time > limit then
+          (* Leave future events queued; just advance the clock. *)
+          continue_ := false
         else begin
-          let time = Tsheap.min_time queue in
-          if time > limit then
-            (* Leave future events queued; just advance the clock. *)
-            continue_ := false
-          else fire t slot time
+          if t.executed - start >= max_events then limit_exceeded t max_events;
+          fire t slot time
         end
       end
-    done
-  | Some budget ->
-    let start = t.executed in
-    let continue_ = ref true in
-    while !continue_ do
-      if Tsheap.is_empty queue then continue_ := false
-      else begin
-        let slot = head_slot t in
-        if slot < 0 then Tsheap.drop_min queue
-        else begin
-          let time = Tsheap.min_time queue in
-          if time > limit then continue_ := false
-          else begin
-            if t.executed - start >= budget then limit_exceeded t budget;
-            fire t slot time
-          end
-        end
-      end
-    done);
+    end
+  done;
   if limit > t.clock then t.clock <- limit
 
-let run ?max_events t =
-  match max_events with
-  | None -> while step t do () done
-  | Some budget ->
-    let start = t.executed in
-    let rec loop () =
-      if t.executed - start >= budget && t.live_count > 0 then
-        limit_exceeded t budget
-      else if step t then loop ()
-    in
-    loop ()
+let run ?(max_events = max_int) t =
+  let start = t.executed in
+  let continue_ = ref true in
+  while !continue_ do
+    if t.executed - start >= max_events && t.live_count > 0 then
+      limit_exceeded t max_events;
+    continue_ := step t
+  done
 
 let executed t = t.executed
 
