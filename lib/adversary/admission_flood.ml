@@ -22,48 +22,23 @@ let fresh_identity t =
   t.next_identity <- id + 1;
   id
 
-(* One victim-AU lane: send garbage at the configured rate while the
-   current attack window lasts. *)
-let rec lane t ~victim ~au ~window_end () =
-  let ctx = Lockss.Population.ctx t.population in
-  let engine = Lockss.Population.engine t.population in
-  let now = Engine.now engine in
-  if now < window_end then begin
-    let minion = t.minions.(Rng.int t.rng (Array.length t.minions)) in
-    let msg =
-      {
-        Lockss.Message.identity = fresh_identity t;
-        au;
-        payload = Lockss.Message.Garbage { claimed_bytes = 1024 };
-      }
-    in
-    Narses.Net.send ctx.Lockss.Peer.net ~src:minion ~dst:victim
-      ~bytes:(Lockss.Message.wire_bytes ctx.Lockss.Peer.cfg msg)
-      msg;
-    t.sent <- t.sent + 1;
-    (* Jitter the next shot so lanes stay desynchronized. *)
-    let delay = Rng.uniform t.rng ~lo:(0.5 *. t.period) ~hi:(1.5 *. t.period) in
-    ignore (Engine.schedule_in engine ~after:delay (lane t ~victim ~au ~window_end))
-  end
+(* One garbage invitation from a random minion, under a fresh identity. *)
+let shot t victim au =
+  let minion = Rng.pick t.rng t.minions in
+  Minions.send (Lockss.Population.ctx t.population) ~src:minion ~dst:victim
+    ~identity:(fresh_identity t) ~au
+    (Lockss.Message.Garbage { claimed_bytes = 1024 });
+  t.sent <- t.sent + 1
 
 let rec begin_cycle t () =
   let engine = Lockss.Population.engine t.population in
-  let now = Engine.now engine in
-  let loyal = Lockss.Population.loyal_nodes t.population in
-  let count =
-    max 1 (int_of_float (Float.round (t.coverage *. float_of_int (List.length loyal))))
+  let victims =
+    Minions.sample_fraction t.rng t.coverage (Lockss.Population.loyal_nodes t.population)
   in
-  let victims = Rng.sample t.rng count loyal in
-  let window_end = now +. t.attack_duration in
-  let ctx = Lockss.Population.ctx t.population in
-  let aus = ctx.Lockss.Peer.cfg.Lockss.Config.aus in
-  List.iter
-    (fun victim ->
-      for au = 0 to aus - 1 do
-        let start = Rng.uniform t.rng ~lo:0. ~hi:t.period in
-        ignore (Engine.schedule_in engine ~after:start (lane t ~victim ~au ~window_end))
-      done)
-    victims;
+  (* Lanes send garbage at the configured rate while this attack window
+     lasts. *)
+  Minions.lanes ~until:(Engine.now engine +. t.attack_duration) t.population t.rng
+    ~period:t.period victims (shot t);
   ignore
     (Engine.schedule_in engine
        ~after:(t.attack_duration +. t.recuperation)

@@ -35,11 +35,6 @@ type t = {
 
 let ctx t = Lockss.Population.ctx t.population
 let cfg t = (ctx t).Lockss.Peer.cfg
-(* All adversary work is booked through [Peer.charge_adversary] so the
-   trace-derived effort ledger attributes it to the spending identity and
-   the poll it targets. *)
-let charge t ~who ~phase ?poller ?au ?poll_id work =
-  Lockss.Peer.charge_adversary (ctx t) ~who ~phase ?poller ?au ?poll_id work
 
 let next_identity t =
   let id = t.identities.(t.next_identity_index mod Array.length t.identities) in
@@ -47,10 +42,7 @@ let next_identity t =
   id
 
 let send t ~minion ~identity ~dst ~au payload =
-  let msg = { Lockss.Message.identity; au; payload } in
-  Narses.Net.send (ctx t).Lockss.Peer.net ~src:minion ~dst
-    ~bytes:(Lockss.Message.wire_bytes (cfg t) msg)
-    msg;
+  Minions.send (ctx t) ~src:minion ~dst ~identity ~au payload;
   t.sent <- t.sent + 1
 
 (* The insider-information oracle: would the victim even consider this
@@ -67,34 +59,34 @@ let oracle_accepts t ~victim ~au =
        ~work:(Lockss.Config.vote_work cfg)
        ~deadline:(now +. cfg.Lockss.Config.vote_allowance)
 
-let rec lane t ~victim ~au () =
-  let engine = Lockss.Population.engine t.population in
+let shot t victim au =
   if oracle_accepts t ~victim ~au then begin
     let cfg = cfg t in
     let identity = next_identity t in
-    let minion = t.minions.(Rng.int t.rng (Array.length t.minions)) in
+    let minion = Rng.pick t.rng t.minions in
     let poll_id = t.next_poll_id in
     t.next_poll_id <- poll_id + 1;
     Session_tbl.replace t.sessions (au, poll_id) { victim; identity };
     let intro_cost = Lockss.Config.intro_effort cfg in
+    (* All adversary work is booked through [Peer.charge_adversary] so the
+       trace-derived effort ledger attributes it to the spending identity
+       and the poll it targets. *)
+    let charge work =
+      Lockss.Peer.charge_adversary (ctx t) ~who:identity ~phase:Lockss.Trace.Solicitation
+        ~poller:identity ~au ~poll_id work
+    in
     (* If the defenders ablated effort balancing away, nobody verifies
        proofs — the adversary ships free forgeries instead of paying. *)
-    let charge_solicitation work =
-      charge t ~who:identity ~phase:Lockss.Trace.Solicitation ~poller:identity ~au
-        ~poll_id work
-    in
     let intro =
       if cfg.Lockss.Config.effort_balancing_enabled then begin
-        charge_solicitation intro_cost;
+        charge intro_cost;
         Proof.generate ~rng:t.rng ~cost:intro_cost
       end
       else Proof.forged ~claimed_cost:intro_cost
     in
-    charge_solicitation cfg.Lockss.Config.cost.Effort.Cost_model.session_setup_seconds;
+    charge cfg.Lockss.Config.cost.Effort.Cost_model.session_setup_seconds;
     send t ~minion ~identity ~dst:victim ~au (Lockss.Message.Poll { poll_id; intro })
-  end;
-  let delay = Rng.uniform t.rng ~lo:(0.5 *. t.period) ~hi:(1.5 *. t.period) in
-  ignore (Engine.schedule_in engine ~after:delay (lane t ~victim ~au))
+  end
 
 let on_poll_ack t ~minion ~au ~poll_id ~accepted =
   match Session_tbl.find_opt t.sessions (au, poll_id) with
@@ -112,8 +104,9 @@ let on_poll_ack t ~minion ~au ~poll_id ~accepted =
         let remaining_cost = Lockss.Config.remaining_effort cfg in
         let remaining =
           if cfg.Lockss.Config.effort_balancing_enabled then begin
-            charge t ~who:session.identity ~phase:Lockss.Trace.Solicitation
-              ~poller:session.identity ~au ~poll_id remaining_cost;
+            Lockss.Peer.charge_adversary (ctx t) ~who:session.identity
+              ~phase:Lockss.Trace.Solicitation ~poller:session.identity ~au ~poll_id
+              remaining_cost;
             Proof.generate ~rng:t.rng ~cost:remaining_cost
           end
           else Proof.forged ~claimed_cost:remaining_cost
@@ -143,8 +136,8 @@ let on_vote t ~minion ~au ~poll_id ~(vote : Lockss.Vote.t) =
         Cost_model.mbf_verify_seconds cfg.Lockss.Config.cost
           ~generation_cost:(Lockss.Config.vote_proof_cost cfg)
       in
-      charge t ~who:session.identity ~phase:Lockss.Trace.Evaluation
-        ~poller:session.identity ~au ~poll_id eval_cost;
+      Lockss.Peer.charge_adversary (ctx t) ~who:session.identity
+        ~phase:Lockss.Trace.Evaluation ~poller:session.identity ~au ~poll_id eval_cost;
       send t ~minion ~identity:session.identity ~dst:session.victim ~au
         (Lockss.Message.Evaluation_receipt
            { poll_id; receipt = Lockss.Vote.expected_receipt vote }));
@@ -196,15 +189,9 @@ let attach population ~minions ~strategy ~identities ~attempts_per_victim_au_per
     (fun minion ->
       Narses.Net.register ctx'.Lockss.Peer.net minion (minion_handler t minion))
     minions;
-  let engine = Lockss.Population.engine population in
-  let aus = (cfg t).Lockss.Config.aus in
-  List.iter
-    (fun victim ->
-      for au = 0 to aus - 1 do
-        let start = Rng.uniform t.rng ~lo:0. ~hi:t.period in
-        ignore (Engine.schedule_in engine ~after:start (lane t ~victim ~au))
-      done)
-    (Lockss.Population.loyal_nodes population);
+  Minions.lanes population t.rng ~period:t.period
+    (Lockss.Population.loyal_nodes population)
+    (shot t);
   t
 
 let invitations_sent t = t.sent

@@ -13,11 +13,9 @@ type t = {
 
 let begin_cycle t () =
   let rec begin_cycle_inner () =
-    let loyal = Lockss.Population.loyal_nodes t.population in
-    let count =
-      max 1 (int_of_float (Float.round (t.coverage *. float_of_int (List.length loyal))))
+    let victims =
+      Minions.sample_fraction t.rng t.coverage (Lockss.Population.loyal_nodes t.population)
     in
-    let victims = Rng.sample t.rng count loyal in
     let partition = Lockss.Population.partition t.population in
     List.iter (Narses.Partition.stop partition) victims;
     t.victims <- victims;

@@ -2,217 +2,115 @@ module Engine = Narses.Engine
 module Rng = Repro_prelude.Rng
 module Duration = Repro_prelude.Duration
 module Proof = Effort.Proof
-module Cost_model = Effort.Cost_model
 
 (* Defecting polls use ids in their own range so a minion's handler can
    tell replies to them apart from replies to the peer's own honest
    polls, which are delegated to the normal protocol logic. *)
 let defect_poll_id_base = 1_000_000
 
-type voter_session = {
-  rv_poller : Lockss.Ids.Identity.t;
-  rv_au : Lockss.Ids.Au_id.t;
-  rv_poll_id : int;
-  mutable rv_nonce : int64;
-}
-
 type defect_session = { df_victim : Narses.Topology.node; df_au : Lockss.Ids.Au_id.t }
 
-type t = {
+(* The defecting poller role's state. *)
+type defector = {
   population : Lockss.Population.t;
   rng : Rng.t;
   minions : Narses.Topology.node array;
-  is_minion : (Lockss.Ids.Identity.t, unit) Hashtbl.t;
-  period : float;
-  voter_sessions :
-    (Narses.Topology.node * Lockss.Ids.Identity.t * Lockss.Ids.Au_id.t * int, voter_session)
-    Hashtbl.t;
   defect_sessions : (int, defect_session) Hashtbl.t;  (* by poll_id *)
   (* at most one outstanding defect poll per (minion, victim, au) *)
   busy_lanes : (Narses.Topology.node * Narses.Topology.node * Lockss.Ids.Au_id.t, unit) Hashtbl.t;
   mutable next_poll_id : int;
   mutable defections : int;
-  mutable honest_votes : int;
 }
 
-let ctx t = Lockss.Population.ctx t.population
-let cfg t = (ctx t).Lockss.Peer.cfg
-(* All adversary work is booked through [Peer.charge_adversary] so the
-   trace-derived effort ledger attributes it to the spending minion and
-   the poll it concerns. *)
-let charge t ~who ~phase ?poller ?au ?poll_id work =
-  Lockss.Peer.charge_adversary (ctx t) ~who ~phase ?poller ?au ?poll_id work
+type t = { defector : defector; voter : Minions.voter }
 
-let minion_identity t minion = (ctx t).Lockss.Peer.peers.(minion).Lockss.Peer.identity
+let ctx d = Lockss.Population.ctx d.population
+let identity d node = (ctx d).Lockss.Peer.peers.(node).Lockss.Peer.identity
 
-let send t ~minion ~to_identity ~au payload =
-  let sender = (ctx t).Lockss.Peer.peers.(minion).Lockss.Peer.identity in
-  let msg = { Lockss.Message.identity = sender; au; payload } in
-  let dst = Lockss.Peer.node_of_identity (ctx t) to_identity in
-  Narses.Net.send (ctx t).Lockss.Peer.net ~src:minion ~dst
-    ~bytes:(Lockss.Message.wire_bytes (cfg t) msg)
-    msg
-
-(* -- Honest voter role: build and keep the grade ----------------------- *)
-
-let send_honest_vote t ~minion (session : voter_session) () =
-  let cfg = cfg t in
-  let peer = (ctx t).Lockss.Peer.peers.(minion) in
-  let st = Lockss.Peer.au_state peer session.rv_au in
-  charge t ~who:peer.Lockss.Peer.identity ~phase:Lockss.Trace.Voting
-    ~poller:session.rv_poller ~au:session.rv_au ~poll_id:session.rv_poll_id
-    (Lockss.Config.vote_work cfg);
-  t.honest_votes <- t.honest_votes + 1;
-  let proof = Proof.generate ~rng:t.rng ~cost:(Lockss.Config.vote_proof_cost cfg) in
-  (* Nominations push fellow minions into the victim's discovery. *)
-  let fellows =
-    Array.to_list t.minions
-    |> List.filter (fun node -> node <> minion)
-    |> Rng.sample t.rng cfg.Lockss.Config.nominations_per_vote
-  in
-  let vote =
-    {
-      Lockss.Vote.voter = peer.Lockss.Peer.identity;
-      nonce = session.rv_nonce;
-      proof;
-      snapshot = Lockss.Replica.snapshot st.Lockss.Peer.replica;
-      nominations = fellows;
-      bogus = false;
-    }
-  in
-  send t ~minion ~to_identity:session.rv_poller ~au:session.rv_au
-    (Lockss.Message.Vote_msg { poll_id = session.rv_poll_id; vote })
-
-let on_voter_message t ~minion (msg : Lockss.Message.t) =
-  let cfg = cfg t in
-  let identity = msg.Lockss.Message.identity and au = msg.Lockss.Message.au in
-  let peer = (ctx t).Lockss.Peer.peers.(minion) in
-  match msg.Lockss.Message.payload with
-  | Lockss.Message.Poll { poll_id; intro = _ } ->
-    Hashtbl.replace t.voter_sessions
-      (minion, identity, au, poll_id)
-      { rv_poller = identity; rv_au = au; rv_poll_id = poll_id; rv_nonce = 0L };
-    send t ~minion ~to_identity:identity ~au
-      (Lockss.Message.Poll_ack { poll_id; accepted = true })
-  | Lockss.Message.Poll_proof { poll_id; remaining = _; nonce } ->
-    (match Hashtbl.find_opt t.voter_sessions (minion, identity, au, poll_id) with
-    | None -> ()
-    | Some session ->
-      session.rv_nonce <- nonce;
-      ignore
-        (Engine.schedule_in (ctx t).Lockss.Peer.engine
-           ~after:(Lockss.Config.vote_work cfg /. cfg.Lockss.Config.capacity)
-           (send_honest_vote t ~minion session)))
-  | Lockss.Message.Repair_request { poll_id; block } ->
-    if Hashtbl.mem t.voter_sessions (minion, identity, au, poll_id) then begin
-      charge t ~who:peer.Lockss.Peer.identity ~phase:Lockss.Trace.Repair
-        ~poller:identity ~au ~poll_id
-        (Cost_model.hash_seconds cfg.Lockss.Config.cost ~bytes:cfg.Lockss.Config.block_bytes);
-      let version =
-        Lockss.Replica.version (Lockss.Peer.au_state peer au).Lockss.Peer.replica block
-      in
-      send t ~minion ~to_identity:identity ~au (Lockss.Message.Repair { poll_id; block; version })
-    end
-  | Lockss.Message.Evaluation_receipt { poll_id; receipt = _ } ->
-    Hashtbl.remove t.voter_sessions (minion, identity, au, poll_id)
-  | Lockss.Message.Poll_ack _ | Lockss.Message.Vote_msg _ | Lockss.Message.Repair _
-  | Lockss.Message.Garbage _ ->
-    ()
-
-(* -- Defecting poller role --------------------------------------------- *)
+let send d ~minion ~victim ~au payload =
+  Minions.send (ctx d) ~src:minion ~dst:victim ~identity:(identity d minion) ~au payload
 
 (* The insider oracle: does the victim currently grade this minion even or
    credit on the AU, with a free known-peer admission slot and room in its
    schedule? *)
-let oracle_would_admit t ~minion ~victim ~au =
-  let ctx = ctx t in
-  let cfg = cfg t in
+let oracle_would_admit d ~minion ~victim ~au =
+  let ctx = ctx d in
+  let cfg = ctx.Lockss.Peer.cfg in
   let victim_peer = ctx.Lockss.Peer.peers.(victim) in
   let st = Lockss.Peer.au_state victim_peer au in
   let now = Engine.now ctx.Lockss.Peer.engine in
-  let minion_identity = ctx.Lockss.Peer.peers.(minion).Lockss.Peer.identity in
-  (match Lockss.Known_peers.grade st.Lockss.Peer.known ~now minion_identity with
+  (match Lockss.Known_peers.grade st.Lockss.Peer.known ~now (identity d minion) with
   | Some (Lockss.Grade.Even | Lockss.Grade.Credit) -> true
   | Some Lockss.Grade.Debt | None -> false)
   && Effort.Task_schedule.can_accept victim_peer.Lockss.Peer.schedule ~now
        ~work:(Lockss.Config.vote_work cfg)
        ~deadline:(now +. cfg.Lockss.Config.vote_allowance)
 
-let rec lane t ~minion ~victim ~au () =
-  let engine = Lockss.Population.engine t.population in
+let defect d (minion, victim) au =
   let lane_key = (minion, victim, au) in
-  if (not (Hashtbl.mem t.busy_lanes lane_key)) && oracle_would_admit t ~minion ~victim ~au
+  if (not (Hashtbl.mem d.busy_lanes lane_key)) && oracle_would_admit d ~minion ~victim ~au
   then begin
-    let cfg = cfg t in
-    let poll_id = t.next_poll_id in
-    t.next_poll_id <- poll_id + 1;
-    Hashtbl.replace t.busy_lanes lane_key ();
-    Hashtbl.replace t.defect_sessions poll_id { df_victim = victim; df_au = au };
+    let cfg = (ctx d).Lockss.Peer.cfg in
+    let poll_id = d.next_poll_id in
+    d.next_poll_id <- poll_id + 1;
+    Hashtbl.replace d.busy_lanes lane_key ();
+    Hashtbl.replace d.defect_sessions poll_id { df_victim = victim; df_au = au };
     (* Release the lane if the exchange stalls for any reason. *)
     ignore
-      (Engine.schedule_in engine ~after:(Duration.of_days 10.) (fun () ->
-           Hashtbl.remove t.busy_lanes lane_key));
+      (Engine.schedule_in (ctx d).Lockss.Peer.engine ~after:(Duration.of_days 10.) (fun () ->
+           Hashtbl.remove d.busy_lanes lane_key));
     let intro_cost = Lockss.Config.intro_effort cfg in
-    let sender = minion_identity t minion in
-    charge t ~who:sender ~phase:Lockss.Trace.Solicitation ~poller:sender ~au ~poll_id
+    let sender = identity d minion in
+    Lockss.Peer.charge_adversary (ctx d) ~who:sender ~phase:Lockss.Trace.Solicitation
+      ~poller:sender ~au ~poll_id
       (intro_cost +. cfg.Lockss.Config.cost.Effort.Cost_model.session_setup_seconds);
-    let intro = Proof.generate ~rng:t.rng ~cost:intro_cost in
-    let victim_identity = (ctx t).Lockss.Peer.peers.(victim).Lockss.Peer.identity in
-    send t ~minion ~to_identity:victim_identity ~au (Lockss.Message.Poll { poll_id; intro })
-  end;
-  let delay = Rng.uniform t.rng ~lo:(0.5 *. t.period) ~hi:(1.5 *. t.period) in
-  ignore (Engine.schedule_in engine ~after:delay (lane t ~minion ~victim ~au))
+    let intro = Proof.generate ~rng:d.rng ~cost:intro_cost in
+    send d ~minion ~victim ~au (Lockss.Message.Poll { poll_id; intro })
+  end
 
-let on_defect_reply t ~minion (msg : Lockss.Message.t) =
+let on_defect_reply d ~minion (msg : Lockss.Message.t) =
   let au = msg.Lockss.Message.au in
   match msg.Lockss.Message.payload with
   | Lockss.Message.Poll_ack { poll_id; accepted } ->
-    (match Hashtbl.find_opt t.defect_sessions poll_id with
+    (match Hashtbl.find_opt d.defect_sessions poll_id with
     | None -> ()
     | Some session ->
       if not accepted then begin
-        Hashtbl.remove t.defect_sessions poll_id;
-        Hashtbl.remove t.busy_lanes (minion, session.df_victim, au)
+        Hashtbl.remove d.defect_sessions poll_id;
+        Hashtbl.remove d.busy_lanes (minion, session.df_victim, au)
       end
       else begin
-        let cfg = cfg t in
-        let remaining_cost = Lockss.Config.remaining_effort cfg in
-        let sender = minion_identity t minion in
-        charge t ~who:sender ~phase:Lockss.Trace.Solicitation ~poller:sender ~au
-          ~poll_id remaining_cost;
-        let remaining = Proof.generate ~rng:t.rng ~cost:remaining_cost in
-        let victim_identity =
-          (ctx t).Lockss.Peer.peers.(session.df_victim).Lockss.Peer.identity
-        in
-        send t ~minion ~to_identity:victim_identity ~au
-          (Lockss.Message.Poll_proof { poll_id; remaining; nonce = Rng.bits64 t.rng })
+        let remaining_cost = Lockss.Config.remaining_effort (ctx d).Lockss.Peer.cfg in
+        let sender = identity d minion in
+        Lockss.Peer.charge_adversary (ctx d) ~who:sender ~phase:Lockss.Trace.Solicitation
+          ~poller:sender ~au ~poll_id remaining_cost;
+        let remaining = Proof.generate ~rng:d.rng ~cost:remaining_cost in
+        let nonce = Rng.bits64 d.rng in
+        send d ~minion ~victim:session.df_victim ~au
+          (Lockss.Message.Poll_proof { poll_id; remaining; nonce })
       end)
   | Lockss.Message.Vote_msg { poll_id; vote = _ } ->
-    (match Hashtbl.find_opt t.defect_sessions poll_id with
+    (match Hashtbl.find_opt d.defect_sessions poll_id with
     | None -> ()
     | Some session ->
       (* The point of the attack: the victim's whole vote, discarded
          unevaluated, no receipt — burning the grade that admitted us. *)
-      t.defections <- t.defections + 1;
-      Hashtbl.remove t.defect_sessions poll_id;
-      Hashtbl.remove t.busy_lanes (minion, session.df_victim, au))
+      d.defections <- d.defections + 1;
+      Hashtbl.remove d.defect_sessions poll_id;
+      Hashtbl.remove d.busy_lanes (minion, session.df_victim, au))
   | Lockss.Message.Poll _ | Lockss.Message.Poll_proof _ | Lockss.Message.Repair_request _
   | Lockss.Message.Repair _ | Lockss.Message.Evaluation_receipt _
   | Lockss.Message.Garbage _ ->
     ()
 
-let minion_handler t minion ~src (msg : Lockss.Message.t) =
+(* The minion's poller role: replies to its defect polls are the attack's,
+   replies to the peer's own honest polls go to the normal protocol. *)
+let poller d minion ~src (msg : Lockss.Message.t) =
   match msg.Lockss.Message.payload with
-  | Lockss.Message.Poll _ | Lockss.Message.Poll_proof _ | Lockss.Message.Repair_request _
-  | Lockss.Message.Evaluation_receipt _ ->
-    on_voter_message t ~minion msg
   | Lockss.Message.Poll_ack { poll_id; _ } | Lockss.Message.Vote_msg { poll_id; _ }
     when poll_id >= defect_poll_id_base ->
-    on_defect_reply t ~minion msg
-  | Lockss.Message.Poll_ack _ | Lockss.Message.Vote_msg _ | Lockss.Message.Repair _ ->
-    (* Replies to the peer's own honest polls. *)
-    Lockss.Population.default_handler t.population minion ~src msg
-  | Lockss.Message.Garbage _ -> ()
+    on_defect_reply d ~minion msg
+  | _ -> Lockss.Population.default_handler d.population minion ~src msg
 
 let attach population ~fraction ~attempts_per_victim_au_per_day =
   if fraction <= 0. || fraction >= 1. then
@@ -221,46 +119,34 @@ let attach population ~fraction ~attempts_per_victim_au_per_day =
     invalid_arg "Reciprocity.attach: rate must be positive";
   let loyal = Lockss.Population.loyal_nodes population in
   let rng = Lockss.Population.split_rng population in
-  let count =
-    max 1 (int_of_float (Float.round (fraction *. float_of_int (List.length loyal))))
-  in
-  let minions = Array.of_list (Rng.sample rng count loyal) in
-  let t =
+  let minions = Array.of_list (Minions.sample_fraction rng fraction loyal) in
+  let d =
     {
       population;
       rng;
       minions;
-      is_minion = Hashtbl.create 16;
-      period = Duration.day /. attempts_per_victim_au_per_day;
-      voter_sessions = Hashtbl.create 256;
       defect_sessions = Hashtbl.create 256;
       busy_lanes = Hashtbl.create 256;
       next_poll_id = defect_poll_id_base;
       defections = 0;
-      honest_votes = 0;
     }
   in
-  let ctx' = Lockss.Population.ctx population in
-  Array.iter
-    (fun node ->
-      Hashtbl.replace t.is_minion node ();
-      Narses.Net.register ctx'.Lockss.Peer.net node (minion_handler t node))
-    minions;
-  let engine = Lockss.Population.engine population in
-  let aus = (cfg t).Lockss.Config.aus in
-  let victims = List.filter (fun node -> not (Hashtbl.mem t.is_minion node)) loyal in
-  Array.iter
-    (fun minion ->
-      List.iter
-        (fun victim ->
-          for au = 0 to aus - 1 do
-            let start = Rng.uniform t.rng ~lo:0. ~hi:t.period in
-            ignore (Engine.schedule_in engine ~after:start (lane t ~minion ~victim ~au))
-          done)
-        victims)
-    minions;
-  t
+  let cfg = (ctx d).Lockss.Peer.cfg in
+  (* The voter role plays scrupulously honest, voting as soon as the work
+     is done. *)
+  let voter =
+    Minions.voter population rng minions
+      ~vote_delay:(Lockss.Config.vote_work cfg /. cfg.Lockss.Config.capacity)
+      ~poller:(poller d)
+  in
+  let victims = List.filter (fun node -> not (Minions.is_minion voter node)) loyal in
+  Minions.lanes population rng
+    ~period:(Duration.day /. attempts_per_victim_au_per_day)
+    (List.concat_map (fun minion -> List.map (fun victim -> (minion, victim)) victims)
+       (Array.to_list minions))
+    (defect d);
+  { defector = d; voter }
 
-let minion_count t = Array.length t.minions
-let defections t = t.defections
-let honest_votes t = t.honest_votes
+let minion_count t = Array.length t.defector.minions
+let defections t = t.defector.defections
+let honest_votes t = Minions.votes t.voter

@@ -1,237 +1,62 @@
-module Engine = Narses.Engine
-module Rng = Repro_prelude.Rng
-module Proof = Effort.Proof
-module Cost_model = Effort.Cost_model
-
 type strategy = Aggressive | Patient
 
 let pp_strategy ppf s =
   Format.pp_print_string ppf
     (match s with Aggressive -> "aggressive" | Patient -> "patient")
 
-(* All minions claim this content version for the target block. *)
-let corrupt_version = 0xBAD
-let target_block = 0
-
-type session = {
-  sv_poller : Lockss.Ids.Identity.t;
-  sv_poller_node : Narses.Topology.node;
-  sv_au : Lockss.Ids.Au_id.t;
-  sv_poll_id : int;
-  mutable sv_nonce : int64;
-  mutable sv_attack : bool;
-}
-
 type t = {
   population : Lockss.Population.t;
-  rng : Rng.t;
-  strategy : strategy;
   minions : Narses.Topology.node array;
-  is_minion : (Lockss.Ids.Identity.t, unit) Hashtbl.t;
-  (* (poller, au, poll_id) -> how many minions were invited; the shared
-     state "total information awareness" grants. *)
-  invitations : (Lockss.Ids.Identity.t * Lockss.Ids.Au_id.t * int, int) Hashtbl.t;
-  sessions :
-    ( Narses.Topology.node * Lockss.Ids.Identity.t * Lockss.Ids.Au_id.t * int,
-      session )
-    Hashtbl.t;
-  mutable corrupt_votes : int;
-  mutable corrupt_repairs : int;
+  voter : Minions.voter;
 }
-
-let ctx t = Lockss.Population.ctx t.population
-let cfg t = (ctx t).Lockss.Peer.cfg
-(* All adversary work is booked through [Peer.charge_adversary] so the
-   trace-derived effort ledger attributes it to the spending minion and
-   the poll it concerns. *)
-let charge t ~who ~phase ?poller ?au ?poll_id work =
-  Lockss.Peer.charge_adversary (ctx t) ~who ~phase ?poller ?au ?poll_id work
-
-let invited_minions t ~poller ~au ~poll_id =
-  match Hashtbl.find_opt t.invitations (poller, au, poll_id) with
-  | None -> 0
-  | Some n -> n
-
-let should_attack t ~invited =
-  let cfg = cfg t in
-  match t.strategy with
-  | Aggressive ->
-    (* Vote corrupt in every honest poll and hope to be a landslide
-       majority of whoever else turns up. *)
-    true
-  | Patient ->
-    (* Only move with evidence that the minions can crowd out the whole
-       quorum: enough co-invitations to form a landslide by themselves.
-       Because solicitation is desynchronized, invitations trickle in
-       over weeks and an early-invited minion must commit its vote long
-       before the later ones are known — this evidence rarely
-       accumulates, which is precisely the defense. *)
-    invited >= cfg.Lockss.Config.quorum - cfg.Lockss.Config.max_disagree
-
-let reply t ~minion ~to_identity ~au payload =
-  let sender = (ctx t).Lockss.Peer.peers.(minion).Lockss.Peer.identity in
-  let msg = { Lockss.Message.identity = sender; au; payload } in
-  let dst = Lockss.Peer.node_of_identity (ctx t) to_identity in
-  Narses.Net.send (ctx t).Lockss.Peer.net ~src:minion ~dst
-    ~bytes:(Lockss.Message.wire_bytes (cfg t) msg)
-    msg
-
-let fellow_nominations t ~minion =
-  let cfg = cfg t in
-  let others =
-    Array.to_list t.minions |> List.filter (fun node -> node <> minion)
-  in
-  Rng.sample t.rng cfg.Lockss.Config.nominations_per_vote others
-
-let send_vote t ~minion (session : session) () =
-  let cfg = cfg t in
-  let peer = (ctx t).Lockss.Peer.peers.(minion) in
-  let st = Lockss.Peer.au_state peer session.sv_au in
-  let invited =
-    invited_minions t ~poller:session.sv_poller ~au:session.sv_au
-      ~poll_id:session.sv_poll_id
-  in
-  (* Never attack a fellow minion's poll: corrupting each other's
-     replicas only raises the alarm statistics for free. *)
-  let attack =
-    (not (Hashtbl.mem t.is_minion session.sv_poller)) && should_attack t ~invited
-  in
-  session.sv_attack <- attack;
-  if attack then t.corrupt_votes <- t.corrupt_votes + 1;
-  (* Do the honest amount of work: the vote must survive effort
-     verification and the receipt exchange to keep the minion's grades. *)
-  charge t ~who:peer.Lockss.Peer.identity ~phase:Lockss.Trace.Voting
-    ~poller:session.sv_poller ~au:session.sv_au ~poll_id:session.sv_poll_id
-    (Lockss.Config.vote_work cfg);
-  let proof = Proof.generate ~rng:t.rng ~cost:(Lockss.Config.vote_proof_cost cfg) in
-  let snapshot =
-    if attack then [ (target_block, corrupt_version) ]
-    else Lockss.Replica.snapshot st.Lockss.Peer.replica
-  in
-  let vote =
-    {
-      Lockss.Vote.voter = peer.Lockss.Peer.identity;
-      nonce = session.sv_nonce;
-      proof;
-      snapshot;
-      nominations = fellow_nominations t ~minion;
-      bogus = false;
-    }
-  in
-  reply t ~minion ~to_identity:session.sv_poller ~au:session.sv_au
-    (Lockss.Message.Vote_msg { poll_id = session.sv_poll_id; vote })
-
-let on_voter_message t ~minion ~src (msg : Lockss.Message.t) =
-  let cfg = cfg t in
-  let identity = msg.Lockss.Message.identity and au = msg.Lockss.Message.au in
-  let peer = (ctx t).Lockss.Peer.peers.(minion) in
-  match msg.Lockss.Message.payload with
-  | Lockss.Message.Poll { poll_id; intro = _ } ->
-    (* Minions skip admission control and always accept: they want into
-       every poll they can reach. *)
-    let key = (identity, au, poll_id) in
-    Hashtbl.replace t.invitations key (1 + invited_minions t ~poller:identity ~au ~poll_id);
-    Hashtbl.replace t.sessions
-      (minion, identity, au, poll_id)
-      {
-        sv_poller = identity;
-        sv_poller_node = src;
-        sv_au = au;
-        sv_poll_id = poll_id;
-        sv_nonce = 0L;
-        sv_attack = false;
-      };
-    reply t ~minion ~to_identity:identity ~au
-      (Lockss.Message.Poll_ack { poll_id; accepted = true })
-  | Lockss.Message.Poll_proof { poll_id; remaining = _; nonce } ->
-    (match Hashtbl.find_opt t.sessions (minion, identity, au, poll_id) with
-    | None -> ()
-    | Some session ->
-      session.sv_nonce <- nonce;
-      (* Wait out most of the allowance before committing the vote, so as
-         many co-minion invitations as possible are known. *)
-      let delay = 0.8 *. cfg.Lockss.Config.vote_allowance in
-      ignore
-        (Engine.schedule_in (ctx t).Lockss.Peer.engine ~after:delay
-           (send_vote t ~minion session)))
-  | Lockss.Message.Repair_request { poll_id; block } ->
-    (match Hashtbl.find_opt t.sessions (minion, identity, au, poll_id) with
-    | None -> ()
-    | Some session ->
-      charge t ~who:peer.Lockss.Peer.identity ~phase:Lockss.Trace.Repair
-        ~poller:identity ~au ~poll_id
-        (Cost_model.hash_seconds cfg.Lockss.Config.cost ~bytes:cfg.Lockss.Config.block_bytes);
-      let version =
-        if session.sv_attack && block = target_block then begin
-          t.corrupt_repairs <- t.corrupt_repairs + 1;
-          corrupt_version
-        end
-        else Lockss.Replica.version (Lockss.Peer.au_state peer au).Lockss.Peer.replica block
-      in
-      reply t ~minion ~to_identity:identity ~au
-        (Lockss.Message.Repair { poll_id; block; version }))
-  | Lockss.Message.Evaluation_receipt { poll_id; receipt = _ } ->
-    Hashtbl.remove t.sessions (minion, identity, au, poll_id)
-  | Lockss.Message.Poll_ack _ | Lockss.Message.Vote_msg _ | Lockss.Message.Repair _
-  | Lockss.Message.Garbage _ ->
-    assert false
-
-let minion_handler t minion ~src (msg : Lockss.Message.t) =
-  match msg.Lockss.Message.payload with
-  | Lockss.Message.Poll _ | Lockss.Message.Poll_proof _ | Lockss.Message.Repair_request _
-  | Lockss.Message.Evaluation_receipt _ ->
-    on_voter_message t ~minion ~src msg
-  | Lockss.Message.Poll_ack _ | Lockss.Message.Vote_msg _ | Lockss.Message.Repair _ ->
-    (* The compromised peer keeps its honest poller role: it calls polls,
-       repairs its replica and earns reputation like anyone else. *)
-    Lockss.Population.default_handler t.population minion ~src msg
-  | Lockss.Message.Garbage _ -> ()
 
 let attach population ~fraction ~strategy =
   if fraction <= 0. || fraction >= 1. then
     invalid_arg "Subversion.attach: fraction must be in (0,1)";
   let loyal = Lockss.Population.loyal_nodes population in
-  let count =
-    max 1 (int_of_float (Float.round (fraction *. float_of_int (List.length loyal))))
-  in
   let rng = Lockss.Population.split_rng population in
-  let minions = Array.of_list (Rng.sample rng count loyal) in
-  let t =
-    {
-      population;
-      rng;
-      strategy;
-      minions;
-      is_minion = Hashtbl.create 16;
-      invitations = Hashtbl.create 256;
-      sessions = Hashtbl.create 256;
-      corrupt_votes = 0;
-      corrupt_repairs = 0;
-    }
+  let minions = Array.of_list (Minions.sample_fraction rng fraction loyal) in
+  let cfg = (Lockss.Population.ctx population).Lockss.Peer.cfg in
+  let corrupt =
+    match strategy with
+    | Aggressive ->
+      (* Vote corrupt in every honest poll and hope to be a landslide
+         majority of whoever else turns up. *)
+      fun ~invited:_ -> true
+    | Patient ->
+      (* Only move with evidence that the minions can crowd out the whole
+         quorum: enough co-invitations to form a landslide by themselves.
+         Because solicitation is desynchronized, invitations trickle in
+         over weeks and an early-invited minion must commit its vote long
+         before the later ones are known — this evidence rarely
+         accumulates, which is precisely the defense. *)
+      fun ~invited -> invited >= cfg.Lockss.Config.quorum - cfg.Lockss.Config.max_disagree
   in
-  let ctx' = Lockss.Population.ctx population in
-  Array.iter
-    (fun node ->
-      Hashtbl.replace t.is_minion node ();
-      Narses.Net.register ctx'.Lockss.Peer.net node (minion_handler t node))
-    minions;
-  t
+  let voter =
+    (* Wait out most of the allowance before committing the vote, so as
+       many co-minion invitations as possible are known. *)
+    Minions.voter ~corrupt population rng minions
+      ~vote_delay:(0.8 *. cfg.Lockss.Config.vote_allowance)
+      ~poller:(Lockss.Population.default_handler population)
+  in
+  { population; minions; voter }
 
 let corrupted_replicas t =
-  let ctx' = ctx t in
   Array.fold_left
     (fun acc (peer : Lockss.Peer.t) ->
-      if Hashtbl.mem t.is_minion peer.Lockss.Peer.identity then acc
+      if Minions.is_minion t.voter peer.Lockss.Peer.identity then acc
       else
         Array.fold_left
           (fun acc (st : Lockss.Peer.au_state) ->
-            if Lockss.Replica.version st.Lockss.Peer.replica target_block = corrupt_version
+            if
+              Lockss.Replica.version st.Lockss.Peer.replica Minions.target_block
+              = Minions.corrupt_version
             then acc + 1
             else acc)
           acc peer.Lockss.Peer.aus)
-    0 ctx'.Lockss.Peer.peers
+    0 (Lockss.Population.ctx t.population).Lockss.Peer.peers
 
 let minion_count t = Array.length t.minions
-let corrupt_votes t = t.corrupt_votes
-let corrupt_repairs t = t.corrupt_repairs
+let corrupt_votes t = Minions.corrupt_votes t.voter
+let corrupt_repairs t = Minions.corrupt_repairs t.voter
 let minion_nodes t = Array.to_list t.minions

@@ -1,4 +1,3 @@
-module Engine = Narses.Engine
 module Rng = Repro_prelude.Rng
 module Duration = Repro_prelude.Duration
 
@@ -14,43 +13,29 @@ type t = {
   mutable sent : int;
 }
 
-let bogus_vote t ~identity =
-  {
-    Lockss.Vote.voter = identity;
-    nonce = Rng.bits64 t.rng;
-    proof = Effort.Proof.forged ~claimed_cost:1.0;
-    snapshot = [];
-    nominations = [];
-    bogus = true;
-  }
-
-let rec lane t ~victim ~au () =
-  let ctx = Lockss.Population.ctx t.population in
-  let engine = Lockss.Population.engine t.population in
+let shot t victim au =
   let identity = t.next_identity in
   t.next_identity <- identity + 1;
-  let minion = t.minions.(Rng.int t.rng (Array.length t.minions)) in
-  let msg =
+  let minion = Rng.pick t.rng t.minions in
+  (* The vote's nonce is drawn before the guessed poll id. *)
+  let nonce = Rng.bits64 t.rng in
+  (* A guessed poll id: real ids are per-poller counters, so collisions
+     with an open poll are essentially impossible, and even a collision
+     fails the per-candidate match. *)
+  let poll_id = Rng.int t.rng 1_000_000 in
+  let vote =
     {
-      Lockss.Message.identity;
-      au;
-      payload =
-        Lockss.Message.Vote_msg
-          {
-            (* A guessed poll id: real ids are per-poller counters, so
-               collisions with an open poll are essentially impossible,
-               and even a collision fails the per-candidate match. *)
-            poll_id = Rng.int t.rng 1_000_000;
-            vote = bogus_vote t ~identity;
-          };
+      Lockss.Vote.voter = identity;
+      nonce;
+      proof = Effort.Proof.forged ~claimed_cost:1.0;
+      snapshot = [];
+      nominations = [];
+      bogus = true;
     }
   in
-  Narses.Net.send ctx.Lockss.Peer.net ~src:minion ~dst:victim
-    ~bytes:(Lockss.Message.wire_bytes ctx.Lockss.Peer.cfg msg)
-    msg;
-  t.sent <- t.sent + 1;
-  let delay = Rng.uniform t.rng ~lo:(0.5 *. t.period) ~hi:(1.5 *. t.period) in
-  ignore (Engine.schedule_in engine ~after:delay (lane t ~victim ~au))
+  Minions.send (Lockss.Population.ctx t.population) ~src:minion ~dst:victim ~identity ~au
+    (Lockss.Message.Vote_msg { poll_id; vote });
+  t.sent <- t.sent + 1
 
 let attach population ~minions ~votes_per_victim_au_per_day =
   if minions = [] then invalid_arg "Vote_flood.attach: needs at least one minion";
@@ -66,16 +51,9 @@ let attach population ~minions ~votes_per_victim_au_per_day =
       sent = 0;
     }
   in
-  let engine = Lockss.Population.engine population in
-  let ctx = Lockss.Population.ctx population in
-  let aus = ctx.Lockss.Peer.cfg.Lockss.Config.aus in
-  List.iter
-    (fun victim ->
-      for au = 0 to aus - 1 do
-        let start = Rng.uniform t.rng ~lo:0. ~hi:t.period in
-        ignore (Engine.schedule_in engine ~after:start (lane t ~victim ~au))
-      done)
-    (Lockss.Population.loyal_nodes population);
+  Minions.lanes population t.rng ~period:t.period
+    (Lockss.Population.loyal_nodes population)
+    (shot t);
   t
 
 let votes_sent t = t.sent
