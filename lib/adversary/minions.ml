@@ -40,6 +40,7 @@ let target_block = 0
 
 type session = {
   poller : Lockss.Ids.Identity.t;
+  poller_node : node;
   au : Lockss.Ids.Au_id.t;
   poll_id : int;
   mutable nonce : int64;
@@ -72,11 +73,12 @@ let corrupt_repairs v = v.corrupt_repairs
 let invited v ~poller ~au ~poll_id =
   Option.value ~default:0 (Hashtbl.find_opt v.invitations (poller, au, poll_id))
 
-let reply v ~minion ~to_identity ~au payload =
+(* Replies go to the node the request came from, as an honest voter's
+   do: a forged or corrupted claimed identity may name no routable node. *)
+let reply v ~minion ~dst ~au payload =
   let ctx = Lockss.Population.ctx v.population in
-  send ctx ~src:minion
-    ~dst:(Lockss.Peer.node_of_identity ctx to_identity)
-    ~identity:ctx.Lockss.Peer.peers.(minion).Lockss.Peer.identity ~au payload
+  send ctx ~src:minion ~dst ~identity:ctx.Lockss.Peer.peers.(minion).Lockss.Peer.identity
+    ~au payload
 
 let send_vote v ~minion (session : session) () =
   let ctx = Lockss.Population.ctx v.population in
@@ -120,7 +122,7 @@ let send_vote v ~minion (session : session) () =
       bogus = false;
     }
   in
-  reply v ~minion ~to_identity:session.poller ~au:session.au
+  reply v ~minion ~dst:session.poller_node ~au:session.au
     (Lockss.Message.Vote_msg { poll_id = session.poll_id; vote })
 
 let handle v ~poller minion ~src (msg : Lockss.Message.t) =
@@ -129,6 +131,12 @@ let handle v ~poller minion ~src (msg : Lockss.Message.t) =
   let identity = msg.Lockss.Message.identity and au = msg.Lockss.Message.au in
   let peer = ctx.Lockss.Peer.peers.(minion) in
   match msg.Lockss.Message.payload with
+  | (Lockss.Message.Poll _ | Lockss.Message.Poll_proof _ | Lockss.Message.Repair_request _
+    | Lockss.Message.Evaluation_receipt _)
+    when (not peer.Lockss.Peer.active) || au < 0 || au >= Array.length peer.Lockss.Peer.aus ->
+    (* What the peer's own dispatch does with it: nothing while the peer
+       is down, a rejection for an AU it does not hold. *)
+    Lockss.Population.default_handler v.population minion ~src msg
   | Lockss.Message.Poll { poll_id; intro = _ } ->
     (* Minions skip admission control and always accept: they want into
        every poll they can reach. *)
@@ -137,8 +145,8 @@ let handle v ~poller minion ~src (msg : Lockss.Message.t) =
         (1 + invited v ~poller:identity ~au ~poll_id);
     Hashtbl.replace v.sessions
       (minion, identity, au, poll_id)
-      { poller = identity; au; poll_id; nonce = 0L; corrupt = false };
-    reply v ~minion ~to_identity:identity ~au
+      { poller = identity; poller_node = src; au; poll_id; nonce = 0L; corrupt = false };
+    reply v ~minion ~dst:src ~au
       (Lockss.Message.Poll_ack { poll_id; accepted = true })
   | Lockss.Message.Poll_proof { poll_id; remaining = _; nonce } ->
     (match Hashtbl.find_opt v.sessions (minion, identity, au, poll_id) with
@@ -162,7 +170,7 @@ let handle v ~poller minion ~src (msg : Lockss.Message.t) =
         end
         else Lockss.Replica.version (Lockss.Peer.au_state peer au).Lockss.Peer.replica block
       in
-      reply v ~minion ~to_identity:identity ~au
+      reply v ~minion ~dst:src ~au
         (Lockss.Message.Repair { poll_id; block; version }))
   | Lockss.Message.Evaluation_receipt { poll_id; receipt = _ } ->
     Hashtbl.remove v.sessions (minion, identity, au, poll_id)

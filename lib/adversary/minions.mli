@@ -57,6 +57,10 @@ val lanes :
     real effort proof whose nominations name fellow minions; it serves
     every repair asked of that session and closes the session on the
     evaluation receipt. All its work is charged as adversary effort.
+    Replies go to the node the request came from, as an honest voter's
+    do. While the peer is down, or when a request names an AU the peer
+    does not hold, the request goes to the peer's own protocol dispatch
+    instead, which ignores or rejects it.
 
     A corrupt role decides at vote time whether to attack the poll. It
     never attacks a fellow minion's poll; otherwise it asks its

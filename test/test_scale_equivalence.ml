@@ -208,18 +208,13 @@ let case_attack ~faults attack () =
          :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.Scenario.adversary)
         @ [ "trace:" ^ trace_digest ]))
 
-(* Under the chaos mix these minions' voter role answers a forged
-   identity it cannot route, and the run raises; their chaos cases are
-   pinned once that is fixed. *)
-let unroutable = [ "subversion-aggressive"; "reciprocity" ]
-
 let attack_cases =
   List.concat_map
     (fun (name, attack) ->
-      ("attack-" ^ name, case_attack ~faults:false attack)
-      ::
-      (if List.mem name unroutable then []
-       else [ ("attack-" ^ name ^ "-chaos", case_attack ~faults:true attack) ]))
+      [
+        ("attack-" ^ name, case_attack ~faults:false attack);
+        ("attack-" ^ name ^ "-chaos", case_attack ~faults:true attack);
+      ])
     attacks
 
 let cases =
