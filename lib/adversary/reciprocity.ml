@@ -8,16 +8,18 @@ module Proof = Effort.Proof
    polls, which are delegated to the normal protocol logic. *)
 let defect_poll_id_base = 1_000_000
 
-type defect_session = { df_victim : Narses.Topology.node; df_au : Lockss.Ids.Au_id.t }
+(* A defecting poll's lane: (minion, victim, au). *)
+type lane = Narses.Topology.node * Narses.Topology.node * Lockss.Ids.Au_id.t
 
-(* The defecting poller role's state. *)
+(* The defecting poller role's state. Each lane has at most one open
+   defect poll: [open_polls] maps the open poll's id to its lane and
+   [busy_lanes] holds exactly those lanes. *)
 type defector = {
   population : Lockss.Population.t;
   rng : Rng.t;
   minions : Narses.Topology.node array;
-  defect_sessions : (int, defect_session) Hashtbl.t;  (* by poll_id *)
-  (* at most one outstanding defect poll per (minion, victim, au) *)
-  busy_lanes : (Narses.Topology.node * Narses.Topology.node * Lockss.Ids.Au_id.t, unit) Hashtbl.t;
+  open_polls : (int, lane) Hashtbl.t;
+  busy_lanes : (lane, unit) Hashtbl.t;
   mutable next_poll_id : int;
   mutable defections : int;
 }
@@ -46,19 +48,24 @@ let oracle_would_admit d ~minion ~victim ~au =
        ~work:(Lockss.Config.vote_work cfg)
        ~deadline:(now +. cfg.Lockss.Config.vote_allowance)
 
+let close d poll_id lane =
+  Hashtbl.remove d.open_polls poll_id;
+  Hashtbl.remove d.busy_lanes lane
+
 let defect d (minion, victim) au =
-  let lane_key = (minion, victim, au) in
-  if (not (Hashtbl.mem d.busy_lanes lane_key)) && oracle_would_admit d ~minion ~victim ~au
-  then begin
+  let lane = (minion, victim, au) in
+  if (not (Hashtbl.mem d.busy_lanes lane)) && oracle_would_admit d ~minion ~victim ~au then begin
     let cfg = (ctx d).Lockss.Peer.cfg in
     let poll_id = d.next_poll_id in
     d.next_poll_id <- poll_id + 1;
-    Hashtbl.replace d.busy_lanes lane_key ();
-    Hashtbl.replace d.defect_sessions poll_id { df_victim = victim; df_au = au };
-    (* Release the lane if the exchange stalls for any reason. *)
+    Hashtbl.replace d.busy_lanes lane ();
+    Hashtbl.replace d.open_polls poll_id lane;
+    (* Abandon the poll if the exchange stalls for any reason. A poll that
+       completed has closed already, and its lane may belong to a newer
+       poll by now. *)
     ignore
       (Engine.schedule_in (ctx d).Lockss.Peer.engine ~after:(Duration.of_days 10.) (fun () ->
-           Hashtbl.remove d.busy_lanes lane_key));
+           if Hashtbl.mem d.open_polls poll_id then close d poll_id lane));
     let intro_cost = Lockss.Config.intro_effort cfg in
     let sender = identity d minion in
     Lockss.Peer.charge_adversary (ctx d) ~who:sender ~phase:Lockss.Trace.Solicitation
@@ -68,36 +75,33 @@ let defect d (minion, victim) au =
     send d ~minion ~victim ~au (Lockss.Message.Poll { poll_id; intro })
   end
 
-let on_defect_reply d ~minion (msg : Lockss.Message.t) =
-  let au = msg.Lockss.Message.au in
+(* A reply to an open defect poll, on whichever minion it lands: the poll's
+   own lane names who continues it. *)
+let on_defect_reply d (msg : Lockss.Message.t) =
   match msg.Lockss.Message.payload with
   | Lockss.Message.Poll_ack { poll_id; accepted } ->
-    (match Hashtbl.find_opt d.defect_sessions poll_id with
+    (match Hashtbl.find_opt d.open_polls poll_id with
     | None -> ()
-    | Some session ->
-      if not accepted then begin
-        Hashtbl.remove d.defect_sessions poll_id;
-        Hashtbl.remove d.busy_lanes (minion, session.df_victim, au)
-      end
+    | Some lane ->
+      if not accepted then close d poll_id lane
       else begin
+        let minion, victim, au = lane in
         let remaining_cost = Lockss.Config.remaining_effort (ctx d).Lockss.Peer.cfg in
         let sender = identity d minion in
         Lockss.Peer.charge_adversary (ctx d) ~who:sender ~phase:Lockss.Trace.Solicitation
           ~poller:sender ~au ~poll_id remaining_cost;
         let remaining = Proof.generate ~rng:d.rng ~cost:remaining_cost in
         let nonce = Rng.bits64 d.rng in
-        send d ~minion ~victim:session.df_victim ~au
-          (Lockss.Message.Poll_proof { poll_id; remaining; nonce })
+        send d ~minion ~victim ~au (Lockss.Message.Poll_proof { poll_id; remaining; nonce })
       end)
   | Lockss.Message.Vote_msg { poll_id; vote = _ } ->
-    (match Hashtbl.find_opt d.defect_sessions poll_id with
+    (match Hashtbl.find_opt d.open_polls poll_id with
     | None -> ()
-    | Some session ->
+    | Some lane ->
       (* The point of the attack: the victim's whole vote, discarded
          unevaluated, no receipt — burning the grade that admitted us. *)
       d.defections <- d.defections + 1;
-      Hashtbl.remove d.defect_sessions poll_id;
-      Hashtbl.remove d.busy_lanes (minion, session.df_victim, au))
+      close d poll_id lane)
   | Lockss.Message.Poll _ | Lockss.Message.Poll_proof _ | Lockss.Message.Repair_request _
   | Lockss.Message.Repair _ | Lockss.Message.Evaluation_receipt _
   | Lockss.Message.Garbage _ ->
@@ -109,7 +113,7 @@ let poller d minion ~src (msg : Lockss.Message.t) =
   match msg.Lockss.Message.payload with
   | Lockss.Message.Poll_ack { poll_id; _ } | Lockss.Message.Vote_msg { poll_id; _ }
     when poll_id >= defect_poll_id_base ->
-    on_defect_reply d ~minion msg
+    on_defect_reply d msg
   | _ -> Lockss.Population.default_handler d.population minion ~src msg
 
 let attach population ~fraction ~attempts_per_victim_au_per_day =
@@ -125,7 +129,7 @@ let attach population ~fraction ~attempts_per_victim_au_per_day =
       population;
       rng;
       minions;
-      defect_sessions = Hashtbl.create 256;
+      open_polls = Hashtbl.create 256;
       busy_lanes = Hashtbl.create 256;
       next_poll_id = defect_poll_id_base;
       defections = 0;

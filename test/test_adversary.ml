@@ -1,4 +1,4 @@
-(* Tests for the three adversary implementations. *)
+(* Tests for the adversary implementations. *)
 
 module Duration = Repro_prelude.Duration
 open Lockss
@@ -192,6 +192,71 @@ let test_reciprocity_grade_burned_on_defection () =
   Alcotest.(check bool) "defections bounded by invitation cycles" true
     (Adversary.Reciprocity.defections attack < lanes * 8)
 
+(* A defecting poll opens with the minion's first Solicitation charge
+   and is open at least until the victim answers it (a refusal or a
+   vote) or its 10-day stall timer fires, whichever comes first: the
+   lane is released only on the answer's arrival or that timer. The
+   next poll on the same (minion, victim, AU) lane must not open before
+   then. The seed and scale are where a completed poll's timer used to
+   release a newer poll's lane. *)
+let test_reciprocity_one_open_poll_per_lane () =
+  let scale =
+    { Experiments.Scenario.bench with Experiments.Scenario.reference_target = 15 }
+  in
+  let cfg = Experiments.Scenario.config scale in
+  let population =
+    Experiments.Scenario.build ~cfg ~seed:1
+      (Experiments.Scenario.Reciprocity { fraction = 0.3; rate = 5. })
+  in
+  let defect p = p >= 1_000_000 in
+  let opened = Hashtbl.create 1024 and victim = Hashtbl.create 1024 in
+  let answered = Hashtbl.create 1024 in
+  Trace.subscribe ~interest:Trace.Debug (Population.trace population) (fun ~time ev ->
+      match ev with
+      | Trace.Effort_charged
+          { peer; role = Trace.Adversary; phase = Trace.Solicitation; au = Some au; poll_id = Some p; _ }
+        when defect p && not (Hashtbl.mem opened p) ->
+        Hashtbl.replace opened p (peer, au, time)
+      | Trace.Invitation_dropped { voter; poll_id = p; _ }
+      | Trace.Invitation_accepted { voter; poll_id = p; _ }
+      | Trace.Invitation_admitted { voter; poll_id = Some p; _ }
+      | Trace.Message_rejected { peer = voter; poll_id = Some p; _ }
+        when defect p ->
+        Hashtbl.replace victim p voter
+      | Trace.Invitation_refused { voter; poll_id = p; _ } when defect p ->
+        Hashtbl.replace victim p voter;
+        Hashtbl.replace answered p time
+      | Trace.Vote_sent { poll_id = p; _ } when defect p -> Hashtbl.replace answered p time
+      | _ -> ());
+  Population.run population ~until:(Duration.of_years scale.Experiments.Scenario.years);
+  let lanes = Hashtbl.create 1024 in
+  Hashtbl.iter
+    (fun p (minion, au, opened_at) ->
+      match Hashtbl.find_opt victim p with
+      | None -> ()  (* still in flight at the horizon *)
+      | Some v ->
+        let open_until =
+          Float.min (opened_at +. Duration.of_days 10.)
+            (Option.value ~default:infinity (Hashtbl.find_opt answered p))
+        in
+        let key = (minion, v, au) in
+        Hashtbl.replace lanes key
+          ((opened_at, open_until) :: Option.value ~default:[] (Hashtbl.find_opt lanes key)))
+    opened;
+  Alcotest.(check bool) "defect polls opened" true (Hashtbl.length opened > 1000);
+  let overlaps = ref 0 in
+  Hashtbl.iter
+    (fun _ polls ->
+      let rec count = function
+        | (_, open_until) :: ((next_open, _) :: _ as rest) ->
+          if next_open < open_until then incr overlaps;
+          count rest
+        | [ _ ] | [] -> ()
+      in
+      count (List.sort compare polls))
+    lanes;
+  Alcotest.(check int) "polls opened on a lane whose poll is still open" 0 !overlaps
+
 (* -- Brute force ------------------------------------------------------ *)
 
 let run_brute strategy =
@@ -278,6 +343,7 @@ let () =
         [
           slow "less effective than brute force" test_reciprocity_less_effective_than_brute_force;
           slow "grade burned on defection" test_reciprocity_grade_burned_on_defection;
+          slow "one open poll per lane" test_reciprocity_one_open_poll_per_lane;
         ] );
       ( "brute force",
         [
