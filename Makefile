@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke reproduce-smoke audit-smoke baseline-smoke bench bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
+.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke reproduce-smoke attack-smoke audit-smoke baseline-smoke bench bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
 
 all: build
 
@@ -103,6 +103,21 @@ reproduce-smoke: build
 	  done; \
 	done
 	@echo "reproduce-smoke: OK"
+
+# Attack smoke: every `run --attack` kind at micro scale, with the
+# online auditor attached, must report zero violations; the subversion
+# and reciprocity experiments must exit 0 at the same scale.
+ATTACK_KINDS = none stoppage flood vote-flood brute-intro brute-remaining brute-none
+ATTACK_SCALE = --peers 15 --aus 2 --quorum 4 --years 1 --seed 5
+attack-smoke: build
+	@for k in $(ATTACK_KINDS); do \
+	  dune exec bin/lockss_sim.exe -- run $(ATTACK_SCALE) --attack $$k --check \
+	    | grep -q '^violations: 0$$' || \
+	    { echo "attack-smoke: run --attack $$k reported violations" >&2; exit 1; }; \
+	done
+	dune exec bin/lockss_sim.exe -- subversion $(ATTACK_SCALE) > /dev/null
+	dune exec bin/lockss_sim.exe -- reciprocity $(ATTACK_SCALE) > /dev/null
+	@echo "attack-smoke: OK"
 
 # Invariant-audit smoke: a fault-free run with the online auditor
 # attached must report zero violations (in-sim and on offline replay of

@@ -22,7 +22,6 @@ let fresh_identity t =
   t.next_identity <- id + 1;
   id
 
-(* One garbage invitation from a random minion, under a fresh identity. *)
 let shot t victim au =
   let minion = Rng.pick t.rng t.minions in
   Minions.send (Lockss.Population.ctx t.population) ~src:minion ~dst:victim

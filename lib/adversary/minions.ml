@@ -91,7 +91,8 @@ let send_vote v ~minion (session : session) () =
       (* Never attack a fellow minion's poll: corrupting each other's
          replicas only raises the alarm statistics for free. *)
       (not (is_minion v session.poller))
-      && decide ~invited:(invited v ~poller:session.poller ~au:session.au ~poll_id:session.poll_id)
+      && decide
+           ~invited:(invited v ~poller:session.poller ~au:session.au ~poll_id:session.poll_id)
   in
   session.corrupt <- corrupt;
   if corrupt then v.corrupt_votes <- v.corrupt_votes + 1;

@@ -64,8 +64,8 @@ let defect d (minion, victim) au =
        completed has closed already, and its lane may belong to a newer
        poll by now. *)
     ignore
-      (Engine.schedule_in (ctx d).Lockss.Peer.engine ~after:(Duration.of_days 10.) (fun () ->
-           if Hashtbl.mem d.open_polls poll_id then close d poll_id lane));
+      (Engine.schedule_in (ctx d).Lockss.Peer.engine ~after:(Duration.of_days 10.)
+         (fun () -> if Hashtbl.mem d.open_polls poll_id then close d poll_id lane));
     let intro_cost = Lockss.Config.intro_effort cfg in
     let sender = identity d minion in
     Lockss.Peer.charge_adversary (ctx d) ~who:sender ~phase:Lockss.Trace.Solicitation

@@ -17,7 +17,8 @@ let shot t victim au =
   let identity = t.next_identity in
   t.next_identity <- identity + 1;
   let minion = Rng.pick t.rng t.minions in
-  (* The vote's nonce is drawn before the guessed poll id. *)
+  (* Seeded runs depend on this draw order: the vote's nonce, then the
+     guessed poll id. *)
   let nonce = Rng.bits64 t.rng in
   (* A guessed poll id: real ids are per-poller counters, so collisions
      with an open poll are essentially impossible, and even a collision

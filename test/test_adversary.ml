@@ -214,7 +214,14 @@ let test_reciprocity_one_open_poll_per_lane () =
   Trace.subscribe ~interest:Trace.Debug (Population.trace population) (fun ~time ev ->
       match ev with
       | Trace.Effort_charged
-          { peer; role = Trace.Adversary; phase = Trace.Solicitation; au = Some au; poll_id = Some p; _ }
+          {
+            peer;
+            role = Trace.Adversary;
+            phase = Trace.Solicitation;
+            au = Some au;
+            poll_id = Some p;
+            _;
+          }
         when defect p && not (Hashtbl.mem opened p) ->
         Hashtbl.replace opened p (peer, au, time)
       | Trace.Invitation_dropped { voter; poll_id = p; _ }

@@ -199,7 +199,10 @@ let case_attack ~faults attack () =
           trace_level = Lockss.Trace.Debug;
         }
       in
-      let r = Scenario.run ~probes ~cfg ~seed:micro.Scenario.seed ~years:micro.Scenario.years attack in
+      let r =
+        Scenario.run ~probes ~cfg ~seed:micro.Scenario.seed ~years:micro.Scenario.years
+          attack
+      in
       let trace_path = Scenario.seeded_path path ~seed:micro.Scenario.seed in
       let trace_digest = Digest.to_hex (Digest.file trace_path) in
       Sys.remove trace_path;
