@@ -625,6 +625,66 @@ let test_run_trace_encodings_agree () =
               Alcotest.(check bool) "identical json streams" true
                 (List.rev !reencoded = List.rev !from_binary))))
 
+(* -- Offline reports pinned ------------------------------------------------ *)
+
+(* A seeded 0.3-year Debug run traced in both encodings, plus a copy of
+   each cut mid-record, read by the offline analyzer and replayed
+   through the auditor. The two digests pin both reports over all four
+   files, so a change to how traces are read — or how malformed records
+   are counted — shows up here. *)
+let offline_report_digests () =
+  let dir = Filename.temp_dir "offline_reports" "" in
+  let files = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) !files;
+      Sys.rmdir dir)
+    (fun () ->
+      let scale = { Scenario.bench with Scenario.years = 0.3 } in
+      let traced ext =
+        let path = Filename.concat dir ("t" ^ ext) in
+        let probes =
+          {
+            Scenario.default_probes with
+            Scenario.trace_out = Some path;
+            trace_level = Trace.Debug;
+          }
+        in
+        ignore
+          (Scenario.run ~probes ~cfg:(Scenario.config scale) ~seed:1 ~years:0.3
+             Scenario.No_attack);
+        let seeded = Scenario.seeded_path path ~seed:1 in
+        let whole = read_all seeded in
+        let cut = Filename.concat dir ("cut" ^ ext) in
+        Out_channel.with_open_bin cut (fun oc ->
+            Out_channel.output_string oc (String.sub whole 0 (String.length whole / 2)));
+        files := seeded :: cut :: !files;
+        [ seeded; cut ]
+      in
+      let paths = traced ".jsonl" @ traced ".ntrace" in
+      let analysis path =
+        let analyzer = Obs.Analyze.create () in
+        Obs.Analyze.read_file analyzer path;
+        Json.to_string (Obs.Analyze.report_json analyzer)
+      in
+      let audit path =
+        let auditor = Check.Auditor.create () in
+        ignore
+          (Trace_file.iter path ~f:(fun ~line:_ result ->
+               match result with
+               | Ok json -> ignore (Check.Auditor.feed_decoded auditor (Trace.of_json json))
+               | Error _ -> ()));
+        Check.Auditor.finish auditor;
+        Json.to_string (Check.Auditor.report_json auditor)
+      in
+      let digest report = Digest.to_hex (Digest.string (String.concat "\n" (List.map report paths))) in
+      (digest analysis, digest audit))
+
+let test_offline_reports_pinned () =
+  let analysis, audit = offline_report_digests () in
+  Alcotest.(check string) "analysis report digest" "bed39d23ff3ab1b9418b2a45194eab2e" analysis;
+  Alcotest.(check string) "audit report digest" "14773ea837344144f680689cf8f122be" audit
+
 (* -- Profiler ------------------------------------------------------------ *)
 
 let test_profiler_phases () =
@@ -1062,6 +1122,7 @@ let () =
           tc "jsonl iteration is line-tolerant" `Quick test_trace_file_iter_jsonl_tolerant;
           tc "binary iteration stops at corruption" `Quick test_trace_file_iter_binary_stops;
           tc "run encodings agree" `Slow test_run_trace_encodings_agree;
+          tc "offline reports pinned" `Quick test_offline_reports_pinned;
         ] );
       ( "view fast path",
         [
