@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke reproduce-smoke attack-smoke audit-smoke baseline-smoke bench bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
+.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke reproduce-smoke attack-smoke experiments-smoke audit-smoke baseline-smoke bench bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
 
 all: build
 
@@ -12,43 +12,42 @@ check:
 	dune build @all && dune runtest
 
 # End-to-end smoke: short run with tracing + metric sampling, then assert
-# the trace JSONL parses (check-trace exits non-zero on any bad line) and
+# the trace JSONL parses (inspect exits non-zero on any bad line) and
 # the metrics CSV contains data rows beyond the header. Sink paths are
 # per-run: the requested path gains a .seedS suffix (default seed is 1).
 smoke: build
 	rm -f /tmp/t.seed1.jsonl /tmp/m.seed1.csv
 	dune exec bin/lockss_sim.exe -- run --years 0.1 \
 	  --trace-out /tmp/t.jsonl --metrics-out /tmp/m.csv --sample-interval 7d
-	dune exec bin/lockss_sim.exe -- check-trace /tmp/t.seed1.jsonl
+	dune exec bin/lockss_sim.exe -- inspect /tmp/t.seed1.jsonl
 	@test "$$(wc -l < /tmp/m.seed1.csv)" -gt 1 || \
 	  { echo "smoke: /tmp/m.seed1.csv has no sample rows" >&2; exit 1; }
 	@echo "smoke: OK"
 
 # Offline-analyzer smoke: a short fault-free baseline traced at debug
 # level must reconstruct into spans and a ledger with zero anomalies
-# (trace-report exits non-zero on any anomaly). The trace is then
-# round-tripped through the binary encoding: check-trace, trace-report
-# and audit must agree with the JSONL path byte-for-byte and
-# exit-code-for-exit-code, and converting back must reproduce the
-# original JSONL exactly.
+# (inspect exits non-zero on any invalid record, anomaly or violation).
+# The trace is then round-tripped through the binary encoding: inspect
+# must pass on it too and its --json report must match the JSONL one
+# byte-for-byte, and converting back must reproduce the original JSONL
+# exactly.
 trace-report-smoke: build
 	rm -f /tmp/tr-smoke.seed1.jsonl /tmp/tr-smoke-spans.seed1.jsonl /tmp/tr-smoke-ledger.seed1.json \
 	  /tmp/tr-smoke.seed1.ntrace /tmp/tr-smoke-back.seed1.jsonl
 	dune exec bin/lockss_sim.exe -- run --years 0.2 \
 	  --trace-out /tmp/tr-smoke.jsonl --trace-level debug \
 	  --spans-out /tmp/tr-smoke-spans.jsonl --ledger-out /tmp/tr-smoke-ledger.json
-	dune exec bin/lockss_sim.exe -- trace-report /tmp/tr-smoke.seed1.jsonl
+	dune exec bin/lockss_sim.exe -- inspect /tmp/tr-smoke.seed1.jsonl
 	@grep -q '"ok": *true' /tmp/tr-smoke-ledger.seed1.json || \
 	  { echo "trace-report-smoke: ledger did not reconcile with metrics" >&2; exit 1; }
 	@test -s /tmp/tr-smoke-spans.seed1.jsonl || \
 	  { echo "trace-report-smoke: no spans written" >&2; exit 1; }
 	dune exec bin/lockss_sim.exe -- trace-convert /tmp/tr-smoke.seed1.jsonl /tmp/tr-smoke.seed1.ntrace
-	dune exec bin/lockss_sim.exe -- check-trace /tmp/tr-smoke.seed1.ntrace
-	dune exec bin/lockss_sim.exe -- trace-report --json /tmp/tr-smoke.seed1.jsonl > /tmp/tr-smoke-report-jsonl.json
-	dune exec bin/lockss_sim.exe -- trace-report --json /tmp/tr-smoke.seed1.ntrace > /tmp/tr-smoke-report-binary.json
+	dune exec bin/lockss_sim.exe -- inspect /tmp/tr-smoke.seed1.ntrace
+	dune exec bin/lockss_sim.exe -- inspect --json /tmp/tr-smoke.seed1.jsonl > /tmp/tr-smoke-report-jsonl.json
+	dune exec bin/lockss_sim.exe -- inspect --json /tmp/tr-smoke.seed1.ntrace > /tmp/tr-smoke-report-binary.json
 	cmp /tmp/tr-smoke-report-jsonl.json /tmp/tr-smoke-report-binary.json || \
 	  { echo "trace-report-smoke: binary trace analyzed differently from JSONL" >&2; exit 1; }
-	dune exec bin/lockss_sim.exe -- audit /tmp/tr-smoke.seed1.ntrace
 	dune exec bin/lockss_sim.exe -- trace-convert /tmp/tr-smoke.seed1.ntrace /tmp/tr-smoke-back.seed1.jsonl
 	cmp /tmp/tr-smoke.seed1.jsonl /tmp/tr-smoke-back.seed1.jsonl || \
 	  { echo "trace-report-smoke: jsonl -> binary -> jsonl is not the identity" >&2; exit 1; }
@@ -119,18 +118,31 @@ attack-smoke: build
 	dune exec bin/lockss_sim.exe -- reciprocity $(ATTACK_SCALE) > /dev/null
 	@echo "attack-smoke: OK"
 
+# Experiments smoke: the defense ablation table, the Section 9
+# extension experiments and the chaos ablation must each exit 0 at the
+# attack smoke's micro scale.
+experiments-smoke: build
+	dune exec bin/lockss_sim.exe -- ablate $(ATTACK_SCALE) > /dev/null
+	dune exec bin/lockss_sim.exe -- extensions $(ATTACK_SCALE) > /dev/null
+	dune exec bin/lockss_sim.exe -- chaos --ablation $(ATTACK_SCALE) > /dev/null
+	@echo "experiments-smoke: OK"
+
 # Invariant-audit smoke: a fault-free run with the online auditor
 # attached must report zero violations (in-sim and on offline replay of
-# its trace), and a seeded mutation of the same trace must make exactly
-# its target invariant fire (audit exits non-zero on any violation).
+# its trace by inspect), and a seeded mutation of the same trace must
+# make exactly its target invariant fire (inspect exits non-zero on any
+# violation).
 audit-smoke: build
 	rm -f /tmp/audit-smoke.seed1.jsonl
 	dune exec bin/lockss_sim.exe -- run --years 0.3 --check \
 	  --trace-out /tmp/audit-smoke.jsonl --trace-level debug \
 	  | grep -q '^violations: 0$$' || \
 	  { echo "audit-smoke: live auditor reported violations" >&2; exit 1; }
-	dune exec bin/lockss_sim.exe -- audit /tmp/audit-smoke.seed1.jsonl
-	! dune exec bin/lockss_sim.exe -- audit /tmp/audit-smoke.seed1.jsonl \
+	dune exec bin/lockss_sim.exe -- inspect /tmp/audit-smoke.seed1.jsonl \
+	  > /tmp/audit-smoke-clean.txt
+	grep -q '^violations: 0$$' /tmp/audit-smoke-clean.txt || \
+	  { echo "audit-smoke: offline audit reported violations" >&2; exit 1; }
+	! dune exec bin/lockss_sim.exe -- inspect /tmp/audit-smoke.seed1.jsonl \
 	  --mutate refractory-bypass > /tmp/audit-smoke-mutated.txt 2>&1
 	grep -q '^violations: 1$$' /tmp/audit-smoke-mutated.txt || \
 	  { echo "audit-smoke: mutated trace did not raise exactly one violation" >&2; exit 1; }

@@ -803,74 +803,6 @@ let diff_baseline_cmd =
           deliberately re-pinned.")
     term
 
-(* -- check-trace command ----------------------------------------------- *)
-
-let check_trace_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"Trace file written with --trace-out, JSONL or binary.")
-  in
-  let action path =
-    let by_kind = Hashtbl.create 16 in
-    let events = ref 0 in
-    let check ~line result =
-      let fail msg =
-        Printf.eprintf "%s:%d: %s\n" path line msg;
-        exit 1
-      in
-      match result with
-      (* For JSONL the error is a bad line; for binary it is corrupt
-         framing, a bad intern reference or trailing garbage — either
-         way the file is invalid. *)
-      | Error msg -> fail ("invalid record: " ^ msg)
-      (* Typed decoding checks every field the kind requires, so a
-         decoded poll-scoped event carries its full correlation key. *)
-      | Ok (Error msg) -> fail ("not a trace event: " ^ msg)
-      | Ok (Ok (time, event)) ->
-        incr events;
-        let kind = Lockss.Trace.kind event in
-        (* The typed event must survive re-serialization: compare
-           events, not JSON values, because the float writer may
-           legitimately narrow 4320.0 to the literal 4320. *)
-        (match
-           Obs.Json.of_string (Obs.Json.to_string (Lockss.Trace.to_json ~time event))
-         with
-        | Error msg -> fail ("re-serialized event does not parse: " ^ msg)
-        | Ok json' -> (
-          match Lockss.Trace.of_json json' with
-          | Error msg -> fail ("re-serialized event does not round-trip: " ^ msg)
-          | Ok (time', event') ->
-            if not (Float.equal time' time && event' = event) then
-              fail ("event changed across JSON round-trip: " ^ kind)));
-        Hashtbl.replace by_kind kind
-          (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind kind))
-    in
-    let format =
-      try Lockss.Trace.iter_file path ~f:check
-      with Sys_error msg ->
-        Printf.eprintf "cannot open %s: %s\n" path msg;
-        exit 2
-    in
-    Printf.printf "%s: %d events (%s), all parse and round-trip\n" path !events
-      (Obs.Trace_file.format_to_string format);
-    Hashtbl.fold (fun kind count acc -> (kind, count) :: acc) by_kind []
-    |> List.sort compare
-    |> List.iter (fun (kind, count) -> Printf.printf "  %-20s %d\n" kind count)
-  in
-  Cmd.v
-    (Cmd.info "check-trace"
-       ~doc:
-         "Validate a --trace-out file in either encoding. JSONL: every line must \
-          parse. Binary: the magic header, record framing and intern table must be \
-          consistent. Either way every record must parse back into a typed event, \
-          survive a re-serialization round-trip, and carry the full \
-          (poller, au, poll_id) correlation key when poll-scoped. Prints event counts \
-          by kind. Exit status 1 on the first bad record.")
-    Term.(const action $ file)
-
 (* -- trace-convert command ---------------------------------------------- *)
 
 let trace_convert_cmd =
@@ -895,8 +827,8 @@ let trace_convert_cmd =
     let records = ref 0 in
     (* Records are converted as raw JSON values, not re-encoded through
        typed events, so a convert round-trip preserves the stream
-       exactly — trace-report and audit give identical answers on both
-       encodings of the same run. *)
+       exactly — inspect gives identical answers on both encodings of the
+       same run. *)
     let in_format =
       try
         Obs.Sink.with_file out_path (fun sink ->
@@ -941,68 +873,31 @@ let trace_convert_cmd =
           status 1 on a corrupt input record.")
     Term.(const action $ input $ output)
 
-(* -- trace-report command ----------------------------------------------- *)
+(* -- inspect command ------------------------------------------------------ *)
 
-let trace_report_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"Trace file written with --trace-out, JSONL or binary.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the report as one JSON object instead of human-readable text.")
-  in
-  let action path as_json =
-    let analyzer = Obs.Analyze.create () in
-    (try Obs.Analyze.read_file analyzer path
-     with Sys_error msg ->
-       Printf.eprintf "cannot open %s: %s\n" path msg;
-       exit 2);
-    if as_json then print_endline (Obs.Json.to_string (Obs.Analyze.report_json analyzer))
-    else Format.printf "%a@." Obs.Analyze.pp_report analyzer;
-    (* Corrupt records get a file:record diagnostic on stderr so the
-       offending input is locatable even when the report went to a pipe. *)
-    List.iter
-      (fun anomaly ->
-        match anomaly with
-        | Obs.Span.Malformed_line { line; error } ->
-          Printf.eprintf "%s:%d: corrupt trace record: %s\n" path line error
-        | _ -> ())
-      (Obs.Analyze.anomalies analyzer);
-    if Obs.Analyze.anomaly_count analyzer > 0 then begin
-      Printf.eprintf
-        "%s: %d anomalies — re-record the trace or inspect the records above\n" path
-        (Obs.Analyze.anomaly_count analyzer);
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "trace-report"
-       ~doc:
-         "Analyze a --trace-out JSONL file offline: reconstruct poll spans, per-phase \
-          latency distributions and the per-peer effort ledger, and list anomalies \
-          (orphaned events, abandoned polls, duplicate conclusions, poller activity \
-          after conclusion, malformed lines). Exit status 1 when any anomaly is found \
-          — a fault-free baseline trace reports none. Effort tables need a trace \
-          written at --trace-level debug.")
-    Term.(const action $ file $ json_flag)
+(* [round_trip ~time event] re-serializes a decoded event through the
+   JSON text and decodes it again. Events are compared, not JSON values,
+   because the float writer may legitimately narrow 4320.0 to the
+   literal 4320. *)
+let round_trip ~time event =
+  match Obs.Json.of_string (Obs.Json.to_string (Lockss.Trace.to_json ~time event)) with
+  | Error msg -> Error ("re-serialized event does not parse: " ^ msg)
+  | Ok json -> (
+    match Lockss.Trace.of_json json with
+    | Error msg -> Error ("re-serialized event does not round-trip: " ^ msg)
+    | Ok (time', event') ->
+      if Float.equal time' time && event' = event then Ok ()
+      else Error ("event changed across JSON round-trip: " ^ Lockss.Trace.kind event))
 
-(* -- audit command ----------------------------------------------------- *)
-
-let audit_cmd =
+let inspect_cmd =
   let file =
     Arg.(
       required
       & pos 0 (some string) None
       & info [] ~docv:"FILE"
           ~doc:
-            "Trace file written with --trace-out (--trace-level debug), JSONL or \
-             binary.")
+            "Trace file written with --trace-out, JSONL or binary. The effort ledger and \
+             the auditor need --trace-level debug.")
   in
   let audit_quorum =
     Arg.(
@@ -1033,15 +928,17 @@ let audit_cmd =
       & info [ "mutate" ] ~docv:"ID"
           ~doc:
             (Printf.sprintf
-               "Self-test: apply a seeded trace mutation before auditing, so the \
-                matching invariant must fire. One of: %s."
+               "Self-test: audit a copy of the trace with a seeded mutation applied, so \
+                the matching invariant must fire. One of: %s."
                (String.concat ", " (List.map (fun m -> m.Check.Mutation.id) Check.Mutation.all))))
   in
   let json_flag =
     Arg.(
       value & flag
       & info [ "json" ]
-          ~doc:"Emit the audit report as one JSON object instead of human-readable text.")
+          ~doc:
+            "Emit one JSON object: event counts by kind, the number of invalid records, \
+             the analysis and the audit.")
   in
   let action path quorum refractory decay mutate as_json =
     let params =
@@ -1052,58 +949,109 @@ let audit_cmd =
         decay_period = decay;
       }
     in
-    let records =
-      let acc = ref [] in
-      (try
-         ignore
-           (Lockss.Trace.iter_file path ~f:(fun ~line result ->
-                match result with
-                | Ok decoded -> acc := decoded :: !acc
-                | Error msg ->
-                  Printf.eprintf "%s:%d: invalid record: %s\n" path line msg;
-                  exit 2))
-       with Sys_error msg ->
-         Printf.eprintf "cannot open %s: %s\n" path msg;
-         exit 2);
-      List.rev !acc
-    in
+    let analyzer = Obs.Analyze.create () in
     let auditor = Check.Auditor.create ~params () in
-    (match mutate with
-    | None ->
-      (* Stream the file as-is; records that are not events become
-         trace-format violations. *)
-      List.iter (fun decoded -> ignore (Check.Auditor.feed_decoded auditor decoded)) records
-    | Some id ->
-      let events =
-        List.map
-          (function
-            | Ok te -> te
-            | Error msg ->
-              Printf.eprintf "%s: cannot mutate a malformed trace: %s\n" path msg;
-              exit 2)
-          records
+    let by_kind = Hashtbl.create 32 in
+    let events = ref 0 and invalid = ref 0 in
+    (* Under --mutate the whole trace is audited after the mutation, so
+       the decoded records are kept; otherwise each is audited as read. *)
+    let kept = ref [] in
+    let bad ~line msg =
+      incr invalid;
+      Printf.eprintf "%s:%d: %s\n" path line msg
+    in
+    let record ~line result =
+      Obs.Analyze.feed_record analyzer ~line result;
+      let decoded =
+        match result with
+        | Error msg ->
+          (* A JSONL line that does not parse, or corrupt binary framing. *)
+          bad ~line ("invalid record: " ^ msg);
+          Error msg
+        | Ok json -> (
+          match Lockss.Trace.of_json json with
+          | Error msg as decoded ->
+            bad ~line ("not a trace event: " ^ msg);
+            (* Still audited: a non-event record is a trace-format violation. *)
+            if mutate = None then ignore (Check.Auditor.feed_decoded auditor decoded);
+            decoded
+          | Ok (time, event) as decoded ->
+            incr events;
+            let kind = Lockss.Trace.kind event in
+            Hashtbl.replace by_kind kind (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind kind));
+            Result.iter_error (bad ~line) (round_trip ~time event);
+            if mutate = None then ignore (Check.Auditor.feed_decoded auditor decoded);
+            decoded)
       in
-      (match Check.Mutation.apply ~params ~id events with
-      | Error msg ->
-        Printf.eprintf "mutation %s not applicable: %s\n" id msg;
+      if mutate <> None then kept := decoded :: !kept
+    in
+    let format =
+      try Obs.Trace_file.iter path ~f:record
+      with Sys_error msg ->
+        Printf.eprintf "cannot open %s: %s\n" path msg;
         exit 2
-      | Ok mutated ->
-        List.iter (fun (time, event) -> Check.Auditor.feed auditor ~time event) mutated));
+    in
+    Option.iter
+      (fun id ->
+        let events =
+          List.map
+            (function
+              | Ok te -> te
+              | Error msg ->
+                Printf.eprintf "%s: cannot mutate a malformed trace: %s\n" path msg;
+                exit 2)
+            (List.rev !kept)
+        in
+        match Check.Mutation.apply ~params ~id events with
+        | Error msg ->
+          Printf.eprintf "mutation %s not applicable: %s\n" id msg;
+          exit 2
+        | Ok mutated -> List.iter (fun (time, event) -> Check.Auditor.feed auditor ~time event) mutated)
+      mutate;
     Check.Auditor.finish auditor;
-    if as_json then print_endline (Obs.Json.to_string (Check.Auditor.report_json auditor))
-    else Format.printf "%a@." Check.Auditor.pp_report auditor;
-    if Check.Auditor.violation_count auditor > 0 then exit 1
+    let counts =
+      List.sort compare (Hashtbl.fold (fun kind count acc -> (kind, count) :: acc) by_kind [])
+    in
+    if as_json then
+      print_endline
+        (Obs.Json.to_string
+           (Obs.Json.Assoc
+              [
+                ("events", Obs.Json.Assoc (List.map (fun (k, n) -> (k, Obs.Json.Int n)) counts));
+                ("invalid", Obs.Json.Int !invalid);
+                ("analysis", Obs.Analyze.report_json analyzer);
+                ("audit", Check.Auditor.report_json auditor);
+              ]))
+    else begin
+      Format.printf "%s: %d events (%s), %s@." path !events
+        (Obs.Trace_file.format_to_string format)
+        (if !invalid = 0 then "all parse and round-trip"
+         else Printf.sprintf "%d invalid records" !invalid);
+      List.iter (fun (kind, count) -> Format.printf "  %-20s %d@." kind count) counts;
+      Format.printf "%a@." Obs.Analyze.pp_report analyzer;
+      Format.printf "%a@." Check.Auditor.pp_report auditor
+    end;
+    if
+      !invalid > 0
+      || Obs.Analyze.anomaly_count analyzer > 0
+      || Check.Auditor.violation_count auditor > 0
+    then exit 1
   in
   Cmd.v
-    (Cmd.info "audit"
+    (Cmd.info "inspect"
        ~doc:
-         "Replay a --trace-out JSONL file through the protocol-invariant auditor: \
-          effort balance per poll, refractory self-clocking of admissions, monotonic \
-          grade decay, inner-circle sampling and quorum rules. A fault-free trace \
-          audits clean; exit status 1 when any invariant is violated. --mutate seeds a \
-          known violation first, proving the matching check fires. Audit a trace \
-          written at --trace-level debug, with --quorum/--refractory/--decay matching \
-          the traced run's configuration.")
+         "Check a --trace-out file offline in one pass, in either encoding. Every record \
+          must parse into a typed event and survive a re-serialization round-trip; \
+          poll spans, per-phase latencies and the per-peer effort ledger are \
+          reconstructed and anomalies listed (orphaned events, abandoned polls, \
+          duplicate conclusions, poller activity after conclusion, malformed records); \
+          and the protocol-invariant auditor replays the events: effort balance per \
+          poll, refractory self-clocking of admissions, monotonic grade decay, \
+          inner-circle sampling and quorum rules. Prints event counts by kind, the \
+          analysis and the audit. Exit status 1 on any invalid record, anomaly or \
+          violation; each invalid record is reported as FILE:LINE on stderr. Pass \
+          --quorum/--refractory/--decay matching the traced run's configuration; \
+          --mutate seeds a known violation first, proving the matching check fires.")
     Term.(const action $ file $ audit_quorum $ refractory $ decay $ mutate $ json_flag)
 
 (* -- subversion command ------------------------------------------------ *)
@@ -1188,8 +1136,6 @@ let () =
             subversion_cmd;
             reciprocity_cmd;
             extensions_cmd;
-            check_trace_cmd;
+            inspect_cmd;
             trace_convert_cmd;
-            trace_report_cmd;
-            audit_cmd;
           ]))

@@ -7,7 +7,8 @@
       sees every event (including [Debug] ones, below the sink's
       severity filter) and re-emits each violation onto the bus as a
       {!Lockss.Trace.Invariant_violated} event so sinks record it.
-    - {e offline} — replay a trace file ({!Lockss.Trace.iter_file})
+    - {e offline} — decode each record of a trace file
+      ({!Obs.Trace_file.iter}) with {!Lockss.Trace.of_json}, feed it
       through {!feed_decoded} and call {!finish} at end of file.
 
     Feeding is re-entrancy safe: [Invariant_violated] events are

@@ -768,65 +768,6 @@ let of_json json =
     | None -> Error (Printf.sprintf "unknown event kind %S" name)
     | Some (Schema s) -> Result.map (fun e -> (time, e)) (decode_json json s.fields s.make))
 
-(* -- Binary decoding ------------------------------------------------------ *)
-
-(* A record as the binary sink writes it — "t", "severity", "kind", then
-   the fields in schema order, optional ones omitted — decodes straight
-   to the event. Any other record (keys in another order, a null
-   optional, a record converted from hand-written JSON) is read again
-   through [of_json], so the two readers accept exactly the same
-   records. *)
-exception Not_canonical
-
-let bin_scalar (type a) r (ty : a ty) : a =
-  match ty with
-  | Int _ -> Btrace.int r
-  | Float -> Btrace.float r
-  | Bool -> Btrace.bool r
-  | Text -> Btrace.string r
-  | Enum e -> ( match parse e (Btrace.string r) with Some v -> v | None -> raise Not_canonical)
-  | Peers ->
-    let rec items n acc = if n = 0 then List.rev acc else items (n - 1) (Btrace.int r :: acc) in
-    items (Btrace.list r) []
-
-let bin_field (type a) r (shape : a shape) : a =
-  match shape with Req ty -> bin_scalar r ty | Opt ty -> Some (bin_scalar r ty)
-
-(* [left] entries remain; when positive, [key] is the first one's key,
-   already read. *)
-let rec decode_binary : type k. Btrace.record -> int -> string -> k F.t -> k -> event =
- fun r left key fields make ->
-  match fields with
-  | [] -> if left = 0 then make else raise Not_canonical
-  | f :: rest when left > 0 && String.equal key f.key ->
-    let v = bin_field r f.shape in
-    let left = left - 1 in
-    decode_binary r left (if left > 0 then Btrace.string r else "") rest (make v)
-  | { shape = Opt _; _ } :: rest -> decode_binary r left key rest (make None)
-  | _ -> raise Not_canonical
-
-let expect_key r key = if not (String.equal (Btrace.string r) key) then raise Not_canonical
-
-let of_binary r =
-  match
-    let left = Btrace.assoc r - 3 in
-    expect_key r "t";
-    let time = Btrace.float r in
-    expect_key r "severity";
-    ignore (Btrace.string r);
-    expect_key r "kind";
-    match Hashtbl.find_opt by_name (Btrace.string r) with
-    | Some (Schema s) when left >= 0 ->
-      (time, decode_binary r left (if left > 0 then Btrace.string r else "") s.fields s.make)
-    | _ -> raise Not_canonical
-  with
-  | decoded -> Ok decoded
-  | exception (Not_canonical | Btrace.Corrupt _) ->
-    Btrace.restart r;
-    of_json (Btrace.json r)
-
-let iter_file path ~f = Obs.Trace_file.iter_decoded path ~of_json ~of_binary ~f
-
 (* -- Analyzer views ----------------------------------------------------- *)
 
 (* [to_view] projects the fields whose keys the analyzers read, so

@@ -15,9 +15,8 @@
     Beyond raw subscription, this module provides an event taxonomy
     ({!kind}, {!severity}), composable {{!sinks} sinks} (pretty-printing,
     JSONL, binary, filtering), a lossless JSON round-trip ({!to_json} /
-    {!of_json}), a typed file reader ({!iter_file}) and a bounded-ring
-    {!recorder} that counts what it had to drop instead of losing it
-    silently. Each kind's fields are described once, as a typed field
+    {!of_json}) and a bounded-ring {!recorder} that counts what it had
+    to drop instead of losing it silently. Each kind's fields are described once, as a typed field
     list, and every encoding and decoding is derived from that
     description, so the encodings cannot disagree about a kind. *)
 
@@ -327,20 +326,6 @@ val to_json : time:float -> event -> Obs.Json.t
 (** [of_json j] inverts {!to_json}. Absent or [null] optional
     correlation fields decode to [None]. *)
 val of_json : Obs.Json.t -> (float * event, string) result
-
-(** [iter_file path ~f] reads a trace file in either encoding (sniffed
-    by {!Obs.Trace_file.detect}) and calls [f ~line result] per record
-    with its line number (JSONL) or record ordinal (binary). [Error msg]
-    is a record that does not parse or frame; [Ok (Error msg)] a
-    well-formed record that is not an event ({!of_json}'s message);
-    otherwise [Ok (Ok (time, event))]. Binary records decode straight to
-    the event, without an intermediate {!Obs.Json.t}, and accept exactly
-    what {!of_json} accepts. Returns the detected format; raises
-    [Sys_error] if the file cannot be opened. *)
-val iter_file :
-  string ->
-  f:(line:int -> ((float * event, string) result, string) result -> unit) ->
-  Obs.Trace_file.format
 
 (** [write_jsonl buf ~time e] appends exactly the bytes of
     [Obs.Json.write buf (to_json ~time e)] (no trailing newline) without

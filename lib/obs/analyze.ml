@@ -21,40 +21,15 @@ let feed_view t view =
 let feed t json =
   match View.of_json json with None -> () | Some view -> feed_view t view
 
-let is_blank s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') s
-
-let feed_line t ~line s =
+let feed_record t ~line result =
   t.lines <- t.lines + 1;
-  if not (is_blank s) then begin
-    match Json.of_string s with
-    | Ok json -> feed t json
-    | Error error ->
-      t.malformed <- t.malformed + 1;
-      Span.note_malformed t.span_builder ~line ~error
-  end
+  match result with
+  | Ok json -> feed t json
+  | Error error ->
+    t.malformed <- t.malformed + 1;
+    Span.note_malformed t.span_builder ~line ~error
 
-let read_channel t ic =
-  let rec loop line =
-    match In_channel.input_line ic with
-    | None -> ()
-    | Some s ->
-      feed_line t ~line s;
-      loop (line + 1)
-  in
-  loop (t.lines + 1)
-
-let read_file t path =
-  match Trace_file.detect path with
-  | Trace_file.Jsonl -> In_channel.with_open_text path (fun ic -> read_channel t ic)
-  | Trace_file.Binary ->
-    ignore
-      (Trace_file.iter path ~f:(fun ~line result ->
-           t.lines <- t.lines + 1;
-           match result with
-           | Ok json -> feed t json
-           | Error error ->
-             t.malformed <- t.malformed + 1;
-             Span.note_malformed t.span_builder ~line ~error))
+let read_file t path = ignore (Trace_file.iter path ~f:(feed_record t))
 
 let lines t = t.lines
 let anomalies t = Span.anomalies t.span_builder

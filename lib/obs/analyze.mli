@@ -6,9 +6,9 @@
     - {!feed} with already-parsed JSON values — this is how the live
       builders attach: bridge the trace bus through the trace
       serialiser into [feed];
-    - {!feed_line} with raw JSONL lines (malformed lines become
-      anomalies, never exceptions);
-    - {!read_file}/{!read_channel} for whole trace files.
+    - {!feed_record} with one record as {!Trace_file.iter} delivers it
+      (malformed records become anomalies, never exceptions);
+    - {!read_file} for a whole trace file.
 
     The report distinguishes {e anomalies} (shapes a healthy fault-free
     run never produces — the fault-free smoke asserts there are none)
@@ -29,21 +29,18 @@ val feed : t -> Json.t -> unit
     path the live bridges use. *)
 val feed_view : t -> View.t -> unit
 
-(** [feed_line t ~line s] parses one JSONL line and feeds it; parse
-    failures are recorded as {!Span.Malformed_line} anomalies. Blank
-    lines are ignored. *)
-val feed_line : t -> line:int -> string -> unit
+(** [feed_record t ~line result] counts one trace record and feeds it;
+    an [Error] (a JSONL line that does not parse, a binary record that
+    does not frame) is recorded as a {!Span.Malformed_line} anomaly at
+    [line]. *)
+val feed_record : t -> line:int -> (Json.t, string) result -> unit
 
-val read_channel : t -> in_channel -> unit
-
-(** [read_file t path] reads a whole trace in either encoding,
-    sniffing the {!Btrace.magic} prefix ({!Trace_file.detect}). Binary
-    decode errors are recorded as malformed-line anomalies, like
-    unparsable JSONL lines. *)
+(** [read_file t path] is {!feed_record} over {!Trace_file.iter} of
+    [path], in either encoding. *)
 val read_file : t -> string -> unit
 
-(** Lines (JSONL) or records (binary) seen by the offline readers (0
-    when fed live). *)
+(** Records seen by {!feed_record}: non-blank JSONL lines or binary
+    records (0 when fed live). *)
 val lines : t -> int
 
 val anomalies : t -> Span.anomaly list

@@ -234,19 +234,8 @@ let table_get tbl id =
   tbl.entries.(id)
 
 (* One record's payload, read front to back against the file's intern
-   table. [defined] is the table's size when the record began, so
-   {!restart} can forget the strings a partial read defined. *)
-type record = {
-  tbl : table;
-  bytes : Bytes.t;
-  len : int;
-  mutable pos : int;
-  defined : int;
-}
-
-let restart r =
-  r.pos <- 0;
-  r.tbl.filled <- r.defined
+   table. *)
+type record = { tbl : table; bytes : Bytes.t; len : int; mutable pos : int }
 
 let read_byte r =
   if r.pos >= r.len then corrupt "record truncated at byte %d" r.pos;
@@ -319,31 +308,6 @@ let rec json r : Json.t =
   end
   else decode_string r tag |> fun s -> Json.String s
 
-(* Typed reads: each consumes one value of the expected shape and raises
-   {!Corrupt} on any other. *)
-let mismatch r what = corrupt "expected %s at byte %d" what (r.pos - 1)
-
-let int r =
-  let tag = read_byte r in
-  if tag = tag_int_pos then read_varint r
-  else if tag = tag_int_neg then -read_varint r - 1
-  else mismatch r "an int"
-
-let float r =
-  let tag = read_byte r in
-  if tag = tag_float then read_float_le r
-  else if tag = tag_int_pos then float_of_int (read_varint r)
-  else if tag = tag_int_neg then float_of_int (-read_varint r - 1)
-  else mismatch r "a number"
-
-let bool r =
-  let tag = read_byte r in
-  if tag = tag_true then true else if tag = tag_false then false else mismatch r "a bool"
-
-let string r = decode_string r (read_byte r)
-let list r = if read_byte r = tag_list then read_varint r else mismatch r "a list"
-let assoc r = if read_byte r = tag_assoc then read_varint r else mismatch r "an object"
-
 (* Reads the length varint of the next record straight off the channel.
    A clean EOF before the first byte is the end of the trace; EOF
    mid-varint is truncation. *)
@@ -364,7 +328,7 @@ let input_record_length ic =
     let b = Char.code first in
     Some (if b land 0x80 = 0 then b else go 7 (b land 0x7f))
 
-let iter_channel ic ~read ~f =
+let iter_channel ic ~f =
   let check_magic () =
     let n = String.length magic in
     let got = really_input_string ic n in
@@ -379,8 +343,8 @@ let iter_channel ic ~read ~f =
       let bytes = Bytes.create len in
       (try really_input ic bytes 0 len
        with End_of_file -> corrupt "record %d: truncated mid-record" index);
-      let r = { tbl; bytes; len; pos = 0; defined = tbl.filled } in
-      let value = read r in
+      let r = { tbl; bytes; len; pos = 0 } in
+      let value = json r in
       if r.pos <> r.len then corrupt "record %d: %d trailing bytes" index (r.len - r.pos);
       f ~index value;
       records (index + 1)
@@ -393,6 +357,5 @@ let iter_channel ic ~read ~f =
   | exception Corrupt msg -> Error msg
   | exception End_of_file -> Error "truncated header (not a binary trace)"
 
-let iter_records path ~read ~f =
-  In_channel.with_open_bin path (fun ic -> iter_channel ic ~read ~f)
+let iter_records path ~f = In_channel.with_open_bin path (fun ic -> iter_channel ic ~f)
 

@@ -92,42 +92,10 @@ val put_assoc_header : writer -> int -> unit
 
 (** {2 Reading} *)
 
-(** One record's payload, read front to back. The generic {!json} read
-    recovers the value {!write} was given; the typed reads let a decoder
-    that knows the record's shape (e.g. [Lockss.Trace]) build its own
-    value without an intermediate {!Json.t}. Each read consumes exactly
-    one value. *)
-type record
-
-(** Raised by a read that meets malformed bytes or a value of another
-    shape than it expects. *)
-exception Corrupt of string
-
-val json : record -> Json.t
-
-(** [int], [float] (which also widens an int, as {!Json.to_float} does),
-    [bool] and [string] read one scalar. [list] and [assoc] read a
-    header and return its count: the list's next [n] values, or the
-    object's next [n] (string key, value) pairs, follow. *)
-val int : record -> int
-
-val float : record -> float
-val bool : record -> bool
-val string : record -> string
-val list : record -> int
-val assoc : record -> int
-
-(** [restart r] rewinds [r] to its first byte and forgets the strings a
-    partial read of it defined, so a decoder can give up on a record and
-    read it again another way. *)
-val restart : record -> unit
-
-(** [iter_records path ~read ~f] validates the magic, then decodes
-    records in order with [read], which must consume the record's one
-    value, and calls [f ~index value] with a 1-based record index. It
-    stops at the first malformed record — [Error] describes the record
-    index and failure; a {!Corrupt} raised by [read] ends the iteration
-    the same way — or returns [Ok ()] at a clean end of stream. Raises
-    [Sys_error] if the file cannot be opened. *)
-val iter_records :
-  string -> read:(record -> 'a) -> f:(index:int -> 'a -> unit) -> (unit, string) result
+(** [iter_records path ~f] validates the magic, then decodes records in
+    order and calls [f ~index json] with a 1-based record index and the
+    value {!write} was given. It stops at the first malformed record —
+    [Error] describes the record index and failure — or returns [Ok ()]
+    at a clean end of stream. Raises [Sys_error] if the file cannot be
+    opened. *)
+val iter_records : string -> f:(index:int -> Json.t -> unit) -> (unit, string) result

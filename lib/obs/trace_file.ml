@@ -16,32 +16,28 @@ let detect path =
 
 let is_blank s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') s
 
-let iter_jsonl path ~of_json ~f =
+let iter_jsonl path ~f =
   In_channel.with_open_text path (fun ic ->
       let rec loop line =
         match In_channel.input_line ic with
         | None -> ()
         | Some s ->
-          if not (is_blank s) then f ~line (Result.map of_json (Json.of_string s));
+          if not (is_blank s) then f ~line (Json.of_string s);
           loop (line + 1)
       in
       loop 1)
 
-let iter_binary path ~of_binary ~f =
+let iter_binary path ~f =
   let last = ref 0 in
   match
-    Btrace.iter_records path ~read:of_binary ~f:(fun ~index value ->
+    Btrace.iter_records path ~f:(fun ~index json ->
         last := index;
-        f ~line:index (Ok value))
+        f ~line:index (Ok json))
   with
   | Ok () -> ()
   | Error msg -> f ~line:(!last + 1) (Error msg)
 
-let iter_decoded path ~of_json ~of_binary ~f =
+let iter path ~f =
   let format = detect path in
-  (match format with
-  | Jsonl -> iter_jsonl path ~of_json ~f
-  | Binary -> iter_binary path ~of_binary ~f);
+  (match format with Jsonl -> iter_jsonl path ~f | Binary -> iter_binary path ~f);
   format
-
-let iter path ~f = iter_decoded path ~of_json:Fun.id ~of_binary:Btrace.json ~f

@@ -29,15 +29,3 @@ val detect : string -> format
     ordinal (binary). Returns the detected format. Raises [Sys_error]
     if the file cannot be opened. *)
 val iter : string -> f:(line:int -> (Json.t, string) result -> unit) -> format
-
-(** [iter_decoded path ~of_json ~of_binary ~f] is {!iter} with each
-    record decoded by the reader for its encoding: [of_json] on a parsed
-    JSONL line, [of_binary] straight from a binary record's bytes (see
-    {!Btrace.record}). [Error] is still a record that does not parse or
-    frame. *)
-val iter_decoded :
-  string ->
-  of_json:(Json.t -> 'a) ->
-  of_binary:(Btrace.record -> 'a) ->
-  f:(line:int -> ('a, string) result -> unit) ->
-  format

@@ -598,7 +598,7 @@ let test_truncated_trace_is_not_fatal () =
   List.iteri
     (fun i line ->
       let line = if i = keep - 1 then String.sub line 0 (String.length line / 2) else line in
-      Obs.Analyze.feed_line analyzer ~line:(i + 1) line)
+      Obs.Analyze.feed_record analyzer ~line:(i + 1) (Json.of_string line))
     lines;
   Alcotest.(check int) "one anomaly" 1 (Obs.Analyze.anomaly_count analyzer);
   (match Obs.Analyze.anomalies analyzer with

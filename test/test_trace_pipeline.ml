@@ -120,7 +120,7 @@ let write_binary path jsons =
 let read_binary path =
   let acc = ref [] in
   match
-    Btrace.iter_records path ~read:Btrace.json ~f:(fun ~index:_ json -> acc := json :: !acc)
+    Btrace.iter_records path ~f:(fun ~index:_ json -> acc := json :: !acc)
   with
   | Ok () -> Ok (List.rev !acc)
   | Error msg -> Error msg
@@ -320,10 +320,15 @@ let test_binary_sink_byte_parity =
                     stream);
               String.equal (read_all direct) (read_all generic))))
 
+(* The one trace reader: every record through [Trace_file.iter], decoded
+   by [Trace.of_json], whatever the encoding. *)
+let read_decoded path ~f =
+  Trace_file.iter path ~f:(fun ~line result -> f ~line (Result.map Trace.of_json result))
+
 let read_events path =
   let acc = ref [] in
   let format =
-    Trace.iter_file path ~f:(fun ~line result ->
+    read_decoded path ~f:(fun ~line result ->
         match result with
         | Ok (Ok entry) -> acc := entry :: !acc
         | Ok (Error msg) | Error msg -> Alcotest.failf "%s:%d: %s" path line msg)
@@ -332,7 +337,7 @@ let read_events path =
 
 let test_typed_reader_round_trip =
   (* Both sinks' files read back through the typed reader as the very
-     events written; binary records take the direct decoder. *)
+     events written. *)
   qcheck ~name:"typed reader round-trips both encodings" ~count:50 (fun stream ->
       with_temp_file (fun path ->
           let check sink_of expected_format =
@@ -364,7 +369,7 @@ let test_typed_reader_any_key_order () =
       ignore (write_binary path [ json; Json.Assoc [ ("kind", Json.String "nope") ] ]);
       let results = ref [] in
       ignore
-        (Trace.iter_file path ~f:(fun ~line:_ result -> results := result :: !results));
+        (read_decoded path ~f:(fun ~line:_ result -> results := result :: !results));
       match List.rev !results with
       | [ Ok first; Ok (Error _) ] ->
         Alcotest.(check bool) "decoded like of_json" true (first = Trace.of_json json)
