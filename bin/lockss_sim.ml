@@ -282,8 +282,8 @@ let profile_out =
     & info [ "profile-out" ] ~docv:"FILE"
         ~doc:
           "Write a run-wide profile to $(docv) as JSON: per-phase CPU seconds (setup, \
-           run), GC counters (allocation, collections, heap size), the metric-registry \
-           snapshot and engine event statistics.")
+           run), GC counters (allocation, collections, heap size) and engine event \
+           statistics.")
 
 let check_flag =
   Arg.(

@@ -52,24 +52,20 @@ type domain_stat = {
 }
 
 type t = {
-  registry : Registry.t;
   clock : unit -> float;
   mutable phases_rev : (string * float ref) list;
   domains : (int, domain_stat ref) Hashtbl.t;
   mutable last_gc : gc option;
 }
 
-let create ?registry ?clock () =
+let create ?clock () =
   {
-    registry = (match registry with Some r -> r | None -> Registry.create ());
     clock =
       (match clock with Some c -> c | None -> Repro_prelude.Monotonic.now_s);
     phases_rev = [];
     domains = Hashtbl.create 8;
     last_gc = None;
   }
-
-let registry t = t.registry
 
 let phase_cell t name =
   match List.assoc_opt name t.phases_rev with
@@ -79,13 +75,9 @@ let phase_cell t name =
     t.phases_rev <- (name, cell) :: t.phases_rev;
     cell
 
-let mirror_phase t name seconds =
-  Registry.Gauge.set (Registry.gauge t.registry ("profile.phase." ^ name ^ "_s")) seconds
-
 let add_phase_time t name seconds =
   let cell = phase_cell t name in
-  cell := !cell +. seconds;
-  mirror_phase t name !cell
+  cell := !cell +. seconds
 
 let phase t name f =
   let start = t.clock () in
@@ -96,19 +88,7 @@ let phase t name f =
 let phase_seconds t name =
   match List.assoc_opt name t.phases_rev with Some cell -> !cell | None -> 0.
 
-let sample_gc t =
-  let g = gc_now () in
-  t.last_gc <- Some g;
-  let set name v = Registry.Gauge.set (Registry.gauge t.registry name) v in
-  set "gc.minor_words" g.minor_words;
-  set "gc.promoted_words" g.promoted_words;
-  set "gc.major_words" g.major_words;
-  set "gc.allocated_words" (allocated_words g);
-  set "gc.heap_words" (float_of_int g.heap_words);
-  set "gc.top_heap_words" (float_of_int g.top_heap_words);
-  set "gc.minor_collections" (float_of_int g.minor_collections);
-  set "gc.major_collections" (float_of_int g.major_collections);
-  set "gc.compactions" (float_of_int g.compactions)
+let sample_gc t = t.last_gc <- Some (gc_now ())
 
 let note_domain t ~domain ?(cpu_s = 0.) ?(minor_words = 0.)
     ?(minor_collections = 0) ?(major_collections = 0) ~busy_s ~tasks () =
@@ -165,7 +145,6 @@ let snapshot_json t =
                  ])
              (domain_stats t)) );
       ("gc", match t.last_gc with None -> Json.Null | Some g -> gc_to_json g);
-      ("registry", Json.Assoc (Registry.snapshot t.registry));
     ]
 
 let pp ppf t =

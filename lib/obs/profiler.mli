@@ -1,6 +1,6 @@
 (** Run-wide profiler: phase wall-clock, GC/allocation counters and
-    per-domain utilisation, folded into a {!Registry} so one artifact
-    answers "where did this run spend its time".
+    per-domain utilisation, so one artifact answers "where did this run
+    spend its time".
 
     The profiler is deliberately pull-based and cheap: {!phase} wraps a
     stage in two clock reads, {!sample_gc} is one [Gc.quick_stat], and
@@ -10,17 +10,13 @@
 
 type t
 
-(** [create ?registry ?clock ()] — [registry] defaults to a fresh one;
-    [clock] (seconds, monotonic preferred) defaults to
-    {!Repro_prelude.Monotonic.now_s} and exists so tests can drive time
-    by hand. *)
-val create : ?registry:Registry.t -> ?clock:(unit -> float) -> unit -> t
-
-val registry : t -> Registry.t
+(** [create ?clock ()] — [clock] (seconds, monotonic preferred)
+    defaults to {!Repro_prelude.Monotonic.now_s} and exists so tests can
+    drive time by hand. *)
+val create : ?clock:(unit -> float) -> unit -> t
 
 (** [phase t name f] runs [f] and adds its wall-clock to phase [name]
-    (accumulating across calls), exception-safely. Also mirrored to the
-    registry gauge [profile.phase.<name>_s]. *)
+    (accumulating across calls), exception-safely. *)
 val phase : t -> string -> (unit -> 'a) -> 'a
 
 (** [add_phase_time t name seconds] credits time measured externally. *)
@@ -29,11 +25,9 @@ val add_phase_time : t -> string -> float -> unit
 (** Accumulated seconds for a phase; [0.] if never entered. *)
 val phase_seconds : t -> string -> float
 
-(** [sample_gc t] snapshots [Gc.quick_stat] into registry gauges
-    ([gc.minor_words], [gc.major_words], [gc.promoted_words],
-    [gc.allocated_words], [gc.heap_words], [gc.top_heap_words]) and
-    counters ([gc.minor_collections], [gc.major_collections],
-    [gc.compactions] — set to the cumulative runtime values). *)
+(** [sample_gc t] snapshots [Gc.quick_stat] (cumulative runtime values)
+    as the last GC sample: minor, major, promoted and allocated words,
+    heap and top-heap words, minor and major collections, compactions. *)
 val sample_gc : t -> unit
 
 (** [note_domain t ~domain ~busy_s ~tasks] accumulates utilisation for
@@ -71,8 +65,8 @@ type domain_stat = {
 (** Sorted by domain id. *)
 val domain_stats : t -> domain_stat list
 
-(** Phases in first-entered order, domains, last GC sample and the full
-    registry snapshot, as one JSON object. *)
+(** Phases in first-entered order, domains and the last GC sample, as
+    one JSON object: [{"phases"; "domains"; "gc"}]. *)
 val snapshot_json : t -> Json.t
 
 val pp : Format.formatter -> t -> unit

@@ -738,14 +738,19 @@ let test_profiler_domains_and_snapshot () =
   List.iter
     (fun key ->
       Alcotest.(check bool) (key ^ " present") true (Json.member key snapshot <> None))
-    [ "phases"; "domains"; "gc"; "registry" ]
+    [ "phases"; "domains"; "gc" ];
+  Alcotest.(check bool) "no registry mirror" true (Json.member "registry" snapshot = None)
 
 let test_profiler_gc_delta () =
   let prof = Obs.Profiler.create () in
   let allocated () =
     Obs.Profiler.sample_gc prof;
-    Obs.Registry.Gauge.value
-      (Obs.Registry.gauge (Obs.Profiler.registry prof) "gc.allocated_words")
+    match
+      Option.bind (Json.member "gc" (Obs.Profiler.snapshot_json prof))
+        (Json.member "allocated_words")
+    with
+    | Some (Json.Float words) -> words
+    | _ -> Alcotest.fail "snapshot has no gc.allocated_words"
   in
   let before = allocated () in
   let keep = ref [] in
