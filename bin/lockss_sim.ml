@@ -1098,8 +1098,13 @@ let extensions_cmd =
       c.Experiments.Extensions.newcomer_success_rate;
     Repro_prelude.Table.print
       (Experiments.Extensions.combined_table (Experiments.Extensions.combined ~scale ()));
-    Repro_prelude.Table.print
-      (Experiments.Extensions.diversity_table (Experiments.Extensions.diversity ~scale ()))
+    let rows, dropped = Experiments.Extensions.diversity ~scale () in
+    Repro_prelude.Table.print (Experiments.Extensions.diversity_table rows);
+    List.iter
+      (fun (coverage, reason) ->
+        Printf.printf "diversity: coverage %s dropped at this scale: %s\n"
+          (Experiments.Report.pct coverage) reason)
+      dropped
   in
   let term = Term.(const action $ scale_term) in
   Cmd.v

@@ -146,18 +146,26 @@ type diversity_row = {
 }
 
 let diversity ?(scale = Scenario.bench) ?(coverages = [ 1.0; 0.75; 0.5 ]) () =
-  List.map
-    (fun coverage ->
-      let cfg = { (Scenario.config scale) with Lockss.Config.au_coverage = coverage } in
-      let summary = (Scenario.sweep ~cfg scale Scenario.No_attack).Scenario.mean in
-      {
-        coverage;
-        replicas = summary.Lockss.Metrics.replicas;
-        access_failure = summary.Lockss.Metrics.access_failure_probability;
-        polls_succeeded = summary.Lockss.Metrics.polls_succeeded;
-        mean_gap = summary.Lockss.Metrics.mean_success_gap;
-      })
-    coverages
+  let kept, dropped =
+    List.partition_map
+      (fun coverage ->
+        let cfg = { (Scenario.config scale) with Lockss.Config.au_coverage = coverage } in
+        match Lockss.Config.validate cfg with
+        | () -> Left (coverage, cfg)
+        | exception Invalid_argument reason -> Right (coverage, reason))
+      coverages
+  in
+  let row (coverage, cfg) =
+    let summary = (Scenario.sweep ~cfg scale Scenario.No_attack).Scenario.mean in
+    {
+      coverage;
+      replicas = summary.Lockss.Metrics.replicas;
+      access_failure = summary.Lockss.Metrics.access_failure_probability;
+      polls_succeeded = summary.Lockss.Metrics.polls_succeeded;
+      mean_gap = summary.Lockss.Metrics.mean_success_gap;
+    }
+  in
+  (List.map row kept, dropped)
 
 let diversity_table rows =
   let table =

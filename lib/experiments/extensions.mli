@@ -63,7 +63,14 @@ type diversity_row = {
 }
 
 (** [diversity ?scale ?coverages ()] sweeps the holder fraction; the
-    audit machinery must keep working as collections diverge. *)
-val diversity : ?scale:Scenario.scale -> ?coverages:float list -> unit -> diversity_row list
+    audit machinery must keep working as collections diverge. Returns
+    one row per coverage, then each coverage whose configuration
+    {!Lockss.Config.validate} rejects at this scale (too few holders per
+    AU for an inner circle), with the reason; those are not run. *)
+val diversity :
+  ?scale:Scenario.scale ->
+  ?coverages:float list ->
+  unit ->
+  diversity_row list * (float * string) list
 
 val diversity_table : diversity_row list -> Repro_prelude.Table.t

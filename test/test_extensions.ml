@@ -101,7 +101,7 @@ let test_churn_newcomers_integrate () =
 
 let test_diversity_preserves_audit_rate () =
   match Extensions.diversity ~scale:micro ~coverages:[ 1.0; 0.7 ] () with
-  | [ full; partial ] ->
+  | [ full; partial ], [] ->
     Alcotest.(check bool) "fewer replicas at lower coverage" true
       (partial.Extensions.replicas < full.Extensions.replicas);
     (* Polls still conclude at the fixed cadence on the replicas held. *)
@@ -115,6 +115,24 @@ let test_diversity_preserves_audit_rate () =
     Alcotest.(check bool) "per-replica success rate holds" true
       (rate partial > 0.85 *. rate full)
   | _ -> Alcotest.fail "expected two rows"
+
+let test_diversity_drops_invalid_coverage () =
+  (* At the smoke scale (what [extensions --peers 15 --aus 2 --quorum 4
+     --years 1 --seed 5] builds) coverage 0.5 leaves round(7.5) = 8
+     holders per AU, not more than the inner circle of 2 x 4: that
+     coverage is dropped with the validator's reason, not raised. *)
+  let scale =
+    { micro with Scenario.outer_circle = 4; reference_target = 12; years = 1.; seed = 5 }
+  in
+  let rows, dropped = Extensions.diversity ~scale () in
+  Alcotest.(check (list (float 0.))) "valid coverages run" [ 1.0; 0.75 ]
+    (List.map (fun (r : Extensions.diversity_row) -> r.Extensions.coverage) rows);
+  match dropped with
+  | [ (coverage, reason) ] ->
+    Alcotest.(check (float 0.)) "coverage 0.5 dropped" 0.5 coverage;
+    Alcotest.(check bool) "reason names au_coverage" true
+      (String.length reason > 0 && String.starts_with ~prefix:"Config: au_coverage" reason)
+  | _ -> Alcotest.fail "expected exactly one dropped coverage"
 
 let test_diversity_rejects_too_sparse () =
   let cfg = { (Scenario.config micro) with Lockss.Config.au_coverage = 0.2 } in
@@ -201,6 +219,7 @@ let () =
         [
           slow "audit rate preserved" test_diversity_preserves_audit_rate;
           quick "too sparse rejected" test_diversity_rejects_too_sparse;
+          quick "invalid coverage dropped" test_diversity_drops_invalid_coverage;
           quick "non-holders ignore polls" test_non_holders_ignore_polls;
         ] );
       ( "combined attacks",
