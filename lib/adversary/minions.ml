@@ -45,6 +45,9 @@ type session = {
   poll_id : int;
   mutable nonce : int64;
   mutable corrupt : bool;
+  (* Set when the minion crashes: the session is gone, and a vote it
+     scheduled never goes out, even if the peer is back by then. *)
+  mutable dropped : bool;
 }
 
 type voter = {
@@ -126,6 +129,18 @@ let send_vote v ~minion (session : session) () =
   reply v ~minion ~dst:session.poller_node ~au:session.au
     (Lockss.Message.Vote_msg { poll_id = session.poll_id; vote })
 
+(* A crash loses the role's sessions, as {!Lockss.Population.crash_peer}
+   loses an honest voter's. *)
+let crash v minion =
+  Hashtbl.filter_map_inplace
+    (fun (node, _, _, _) session ->
+      if node = minion then begin
+        session.dropped <- true;
+        None
+      end
+      else Some session)
+    v.sessions
+
 let handle v ~poller minion ~src (msg : Lockss.Message.t) =
   let ctx = Lockss.Population.ctx v.population in
   let cfg = ctx.Lockss.Peer.cfg in
@@ -146,7 +161,15 @@ let handle v ~poller minion ~src (msg : Lockss.Message.t) =
         (1 + invited v ~poller:identity ~au ~poll_id);
     Hashtbl.replace v.sessions
       (minion, identity, au, poll_id)
-      { poller = identity; poller_node = src; au; poll_id; nonce = 0L; corrupt = false };
+      {
+        poller = identity;
+        poller_node = src;
+        au;
+        poll_id;
+        nonce = 0L;
+        corrupt = false;
+        dropped = false;
+      };
     reply v ~minion ~dst:src ~au
       (Lockss.Message.Poll_ack { poll_id; accepted = true })
   | Lockss.Message.Poll_proof { poll_id; remaining = _; nonce } ->
@@ -155,8 +178,8 @@ let handle v ~poller minion ~src (msg : Lockss.Message.t) =
     | Some session ->
       session.nonce <- nonce;
       ignore
-        (Engine.schedule_in ctx.Lockss.Peer.engine ~after:v.vote_delay
-           (send_vote v ~minion session)))
+        (Engine.schedule_in ctx.Lockss.Peer.engine ~after:v.vote_delay (fun () ->
+             if not session.dropped then send_vote v ~minion session ())))
   | Lockss.Message.Repair_request { poll_id; block } ->
     (match Hashtbl.find_opt v.sessions (minion, identity, au, poll_id) with
     | None -> ()
@@ -203,4 +226,5 @@ let voter ?corrupt population rng minions ~vote_delay ~poller =
       Hashtbl.replace v.is_minion minion ();
       Narses.Net.register net minion (handle v ~poller minion))
     minions;
+  Lockss.Population.on_crash population (fun node -> if is_minion v node then crash v node);
   v

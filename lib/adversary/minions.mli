@@ -60,7 +60,10 @@ val lanes :
     Replies go to the node the request came from, as an honest voter's
     do. While the peer is down, or when a request names an AU the peer
     does not hold, the request goes to the peer's own protocol dispatch
-    instead, which ignores or rejects it.
+    instead, which ignores or rejects it. A crash
+    ({!Lockss.Population.crash_peer}) drops the peer's sessions, as it
+    drops an honest voter's: a vote scheduled before the crash never
+    goes out, even if the peer has restarted by then.
 
     A corrupt role decides at vote time whether to attack the poll. It
     never attacks a fellow minion's poll; otherwise it asks its

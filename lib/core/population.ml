@@ -9,6 +9,7 @@ type t = {
   partition : Narses.Partition.t;
   faults : Narses.Faults.t option;
   crashed_by_fault : bool array;
+  mutable crash_hooks : (Narses.Topology.node -> unit) list;
   rng : Rng.t;
   extra : Narses.Topology.node list;
   (* Per-population (not global) so concurrent populations on other
@@ -263,8 +264,11 @@ let crash_peer t ~node =
         session.Peer.vs_state <- Peer.Closed;
         Peer.note_session_closed peer (Peer.session_key session))
       peer.Peer.voter_sessions;
-    Peer.Session_tbl.reset peer.Peer.voter_sessions
+    Peer.Session_tbl.reset peer.Peer.voter_sessions;
+    List.iter (fun f -> f node) t.crash_hooks
   end
+
+let on_crash t f = t.crash_hooks <- t.crash_hooks @ [ f ]
 
 (* Only peers taken down by {!crash_peer} come back: a dormant peer that
    has never joined must stay dormant until {!activate}. *)
@@ -322,6 +326,7 @@ let create ?(seed = 42) ?(extra_nodes = 0) ?(dormant = 0) cfg =
       partition;
       faults;
       crashed_by_fault = Array.make nodes false;
+      crash_hooks = [];
       rng;
       extra = List.init extra_nodes (fun i -> loyal + i);
       adversary_instances = 0;

@@ -63,6 +63,12 @@ val activate : t -> node:Narses.Topology.node -> unit
     No-op on an already-inactive peer. *)
 val crash_peer : t -> node:Narses.Topology.node -> unit
 
+(** [on_crash t f] runs [f node] each time {!crash_peer} takes [node]
+    down, after the peer's own state is gone, so a role that keeps
+    protocol state outside the peer (a compromised peer's adversary
+    voter role) loses it too. Hooks run in registration order. *)
+val on_crash : t -> (Narses.Topology.node -> unit) -> unit
+
 (** [restart_peer t ~node] brings a {!crash_peer}ed node back with a
     clean slate. Peers that are dormant for other reasons stay down. *)
 val restart_peer : t -> node:Narses.Topology.node -> unit

@@ -326,6 +326,39 @@ let test_brute_force_preservation_survives () =
   Alcotest.(check bool) "access failure stays small" true
     (s.Metrics.access_failure_probability < 0.01)
 
+(* -- Compromised voter role --------------------------------------------- *)
+
+(* Peer 1 invites minion 0 and sends the PollProof, so the role schedules
+   its vote an hour out; [between] runs before that hour is up. Returns
+   the votes the role sent by the end of the second hour. *)
+let minion_votes ~between =
+  let population = Population.create ~seed:5 tiny_cfg in
+  let ctx = Population.ctx population in
+  let minion = 0 and poller = 1 in
+  let voter =
+    Adversary.Minions.voter population (Population.split_rng population) [| minion |]
+      ~vote_delay:Duration.hour ~poller:(fun _ ~src:_ _ -> ())
+  in
+  let send payload =
+    Adversary.Minions.send ctx ~src:poller ~dst:minion
+      ~identity:ctx.Peer.peers.(poller).Peer.identity ~au:0 payload
+  in
+  let proof = Effort.Proof.forged ~claimed_cost:1. in
+  send (Message.Poll { poll_id = 1; intro = proof });
+  Population.run population ~until:60.;
+  send (Message.Poll_proof { poll_id = 1; remaining = proof; nonce = 7L });
+  Population.run population ~until:120.;
+  between population minion;
+  Population.run population ~until:(2. *. Duration.hour);
+  Adversary.Minions.votes voter
+
+let test_crashed_minion_never_votes () =
+  Alcotest.(check int) "an up minion votes" 1 (minion_votes ~between:(fun _ _ -> ()));
+  Alcotest.(check int) "a vote scheduled before a crash never goes out" 0
+    (minion_votes ~between:(fun population node ->
+         Population.crash_peer population ~node;
+         Population.restart_peer population ~node))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -346,6 +379,8 @@ let () =
           slow "drops not effort" test_flood_triggers_drops_not_effort;
         ] );
       ("vote flood", [ slow "harmless by construction" test_vote_flood_is_harmless ]);
+      ( "compromised voter",
+        [ quick "crashed minion never votes" test_crashed_minion_never_votes ] );
       ( "grade recovery",
         [
           slow "less effective than brute force" test_reciprocity_less_effective_than_brute_force;
