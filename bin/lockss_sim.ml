@@ -3,10 +3,16 @@
 
      lockss_sim run           -- one scenario, fully parameterised
      lockss_sim reproduce     -- regenerate a paper figure/table
+     lockss_sim pin-baseline  -- pin golden result baselines
+     lockss_sim diff-baseline -- diff fresh results against the pins
      lockss_sim ablate        -- defense ablation table
      lockss_sim chaos         -- fault injection + invariant checks
-     lockss_sim pin-baseline  -- pin golden result baselines
-     lockss_sim diff-baseline -- diff fresh results against the pins *)
+     lockss_sim soak          -- multi-seed Byzantine soak with leak audit
+     lockss_sim subversion    -- retained-defense (subversion) experiment
+     lockss_sim reciprocity   -- grade-recovery adversary experiment
+     lockss_sim extensions    -- Section 9 future-work experiments
+     lockss_sim inspect       -- validate, analyze and audit a trace file
+     lockss_sim trace-convert -- convert a trace between JSONL and binary *)
 
 module Duration = Repro_prelude.Duration
 module Scenario = Experiments.Scenario
@@ -962,28 +968,24 @@ let inspect_cmd =
     in
     let record ~line result =
       Obs.Analyze.feed_record analyzer ~line result;
-      let decoded =
-        match result with
-        | Error msg ->
-          (* A JSONL line that does not parse, or corrupt binary framing. *)
-          bad ~line ("invalid record: " ^ msg);
-          Error msg
-        | Ok json -> (
-          match Lockss.Trace.of_json json with
-          | Error msg as decoded ->
-            bad ~line ("not a trace event: " ^ msg);
-            (* Still audited: a non-event record is a trace-format violation. *)
-            if mutate = None then ignore (Check.Auditor.feed_decoded auditor decoded);
-            decoded
-          | Ok (time, event) as decoded ->
-            incr events;
-            let kind = Lockss.Trace.kind event in
-            Hashtbl.replace by_kind kind (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind kind));
-            Result.iter_error (bad ~line) (round_trip ~time event);
-            if mutate = None then ignore (Check.Auditor.feed_decoded auditor decoded);
-            decoded)
-      in
-      if mutate <> None then kept := decoded :: !kept
+      match result with
+      | Error msg ->
+        (* A JSONL line that does not parse, or corrupt binary framing. *)
+        bad ~line ("invalid record: " ^ msg);
+        if mutate <> None then kept := Error msg :: !kept
+      | Ok json ->
+        let decoded = Lockss.Trace.of_json json in
+        (match decoded with
+        | Error msg -> bad ~line ("not a trace event: " ^ msg)
+        | Ok (time, event) ->
+          incr events;
+          let kind = Lockss.Trace.kind event in
+          Hashtbl.replace by_kind kind (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind kind));
+          Result.iter_error (bad ~line) (round_trip ~time event));
+        (* A record that is not an event is audited too, as a
+           trace-format violation. *)
+        if mutate = None then ignore (Check.Auditor.feed_decoded auditor decoded)
+        else kept := decoded :: !kept
     in
     let format =
       try Obs.Trace_file.iter path ~f:record
@@ -993,7 +995,7 @@ let inspect_cmd =
     in
     Option.iter
       (fun id ->
-        let events =
+        let trace =
           List.map
             (function
               | Ok te -> te
@@ -1002,7 +1004,7 @@ let inspect_cmd =
                 exit 2)
             (List.rev !kept)
         in
-        match Check.Mutation.apply ~params ~id events with
+        match Check.Mutation.apply ~params ~id trace with
         | Error msg ->
           Printf.eprintf "mutation %s not applicable: %s\n" id msg;
           exit 2

@@ -16,9 +16,10 @@
     ({!kind}, {!severity}), composable {{!sinks} sinks} (pretty-printing,
     JSONL, binary, filtering), a lossless JSON round-trip ({!to_json} /
     {!of_json}) and a bounded-ring {!recorder} that counts what it had
-    to drop instead of losing it silently. Each kind's fields are described once, as a typed field
-    list, and every encoding and decoding is derived from that
-    description, so the encodings cannot disagree about a kind. *)
+    to drop instead of losing it silently. Each kind's fields are
+    described once, as a typed field list, and every encoding and
+    decoding is derived from that description, so the encodings cannot
+    disagree about a kind. *)
 
 (** {2 Effort taxonomy}
 
