@@ -219,6 +219,43 @@ let test_failed_open_leaks_nothing () =
       end
       else attempt ())
 
+(* Every deterministic file of a paired, audited Debug run under the
+   chaos mix, pinned by MD5 on both sides of the comparison: the lock
+   on what the run's outputs contain. *)
+let test_outputs_pinned () =
+  let scale = { micro with Scenario.years = 0.5 } in
+  let cfg =
+    {
+      (Scenario.config scale) with
+      Lockss.Config.faults = Some (Chaos.faults_config Chaos.default_mix);
+    }
+  in
+  with_temp_dir (fun dir ->
+      let probes = { (every_sink dir) with Scenario.audit = true } in
+      ignore (Scenario.compare ~probes ~cfg scale flood);
+      (* [side/file] names the file of the no-attack side. *)
+      let digest file =
+        let path =
+          match String.split_on_char '/' file with
+          | [ "baseline"; file ] ->
+            Filename.remove_extension file ^ ".baseline" ^ Filename.extension file
+          | _ -> file
+        in
+        Digest.to_hex (Digest.file (Scenario.seeded_path (Filename.concat dir path) ~seed:5))
+      in
+      List.iter
+        (fun (file, md5) -> Alcotest.(check string) file md5 (digest file))
+        [
+          ("metrics.csv", "1aa6433abf30e4342eec694a3d9ca6b6");
+          ("spans.jsonl", "c2643ec52d766a6dc35897c2323f2e90");
+          ("ledger.json", "bec18ed8ea302133c9b047be7d1daf91");
+          ("trace.jsonl", "db4a805d5146dab96379cf2da9b8ce58");
+          ("baseline/metrics.csv", "9a847e53563bd814015efe9e3595b9d3");
+          ("baseline/spans.jsonl", "33e1095eef44682c6ac141a77a432db9");
+          ("baseline/ledger.json", "6544e0ba26daca139dc0ac2a64c0e4e1");
+          ("baseline/trace.jsonl", "3e1155be1ed2971d1fd225d053e967de");
+        ])
+
 let test_profile_out () =
   let cfg = Scenario.config micro in
   with_temp_dir (fun dir ->
@@ -370,6 +407,7 @@ let () =
           quick "probes never perturb a run" test_probes_never_perturb;
           quick "failed output open leaks nothing" test_failed_open_leaks_nothing;
           quick "profile_out" test_profile_out;
+          quick "run outputs pinned" test_outputs_pinned;
           quick "aggregation" test_mean_summaries_aggregation;
           quick "identity ratios" test_ratios_baseline_is_one;
           slow "infinite ratios" test_ratios_infinite_when_no_successes;
