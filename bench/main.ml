@@ -570,9 +570,9 @@ let best_of_rounds ~repeats variants =
 
 (* The trace bus is pay-for-what-you-watch: emission takes a thunk and
    does nothing without subscribers. This target quantifies "nothing",
-   the live span+ledger builders, and the full file sinks. *)
+   a warn-level run report and the full Debug report. *)
 let run_obs json_out =
-  section "Observability overhead (trace bus, span+ledger builders, file sinks)";
+  section "Observability overhead (trace bus, run report)";
   note "Same one-year micro simulation per variant; overhead is the";
   note "best-of-repeats CPU-time ratio against the no-subscribers run.";
   (* Eight rounds, not five: on a shared machine the heavier variants
@@ -580,48 +580,41 @@ let run_obs json_out =
      rounds the ratio noise floor sits above the regression gate's
      threshold. *)
   let repeats = 8 in
-  let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name in
-  let spans = tmp "bench_obs_spans.jsonl" and ledger = tmp "bench_obs_ledger.json" in
-  let warn = tmp "bench_obs_warn.jsonl" in
-  let jsonl = tmp "bench_obs_trace.jsonl" and binary = tmp "bench_obs_trace.ntrace" in
-  let live =
-    {
-      Scenario.default_probes with
-      Scenario.spans_out = Some spans;
-      ledger_out = Some ledger;
-    }
-  in
-  let traced probes level path =
-    { probes with Scenario.trace_out = Some path; trace_level = level }
+  let dir = Filename.temp_dir "bench_obs" "" in
+  let report trace_level =
+    { Scenario.default_probes with Scenario.report = Some dir; trace_level }
   in
   let run probes () = overhead_run ~probes () in
   let measured =
-    best_of_rounds ~repeats
-      [
-        ("tracing disabled", fun () -> overhead_run ());
-        (* A warn-level sink raises the bus's interest floor to Warn, so
-           nearly every emission skips its thunk: this variant must stay
-           within noise of "tracing disabled". *)
-        ( "warn-level file sink",
-          run (traced Scenario.default_probes Lockss.Trace.Warn warn) );
-        ("live span+ledger", run live);
-        ("full file sinks", run (traced live Lockss.Trace.Debug jsonl));
-        ("full file sinks (binary)", run (traced live Lockss.Trace.Debug binary));
-      ]
+    Fun.protect
+      ~finally:(fun () ->
+        (* One run directory: [dir/seed<N>]. *)
+        Array.iter
+          (fun sub ->
+            let sub = Filename.concat dir sub in
+            Array.iter (fun f -> Sys.remove (Filename.concat sub f)) (Sys.readdir sub);
+            Sys.rmdir sub)
+          (Sys.readdir dir);
+        Sys.rmdir dir)
+      (fun () ->
+        best_of_rounds ~repeats
+          [
+            ("tracing disabled", fun () -> overhead_run ());
+            (* A warn-level report raises the bus's interest floor to
+               Warn, so nearly every emission skips its thunk: this
+               variant must stay within noise of "tracing disabled". *)
+            ("warn-level report", run (report Lockss.Trace.Warn));
+            ("report", run (report Lockss.Trace.Debug));
+          ])
   in
-  List.iter
-    (fun path ->
-      let seeded = Scenario.seeded_path path ~seed:micro_scale.Scenario.seed in
-      if Sys.file_exists seeded then Sys.remove seeded)
-    [ spans; ledger; warn; jsonl; binary ];
   let warn_overhead = (List.nth measured 1).overhead in
   if warn_overhead > 1.25 then
     Printf.printf
-      "NOTE: warn-level sink overhead %.2fx exceeds the within-noise expectation \
+      "NOTE: warn-level report overhead %.2fx exceeds the within-noise expectation \
        (1.25x); emit short-circuiting may have regressed.\n"
       warn_overhead
   else
-    Printf.printf "warn-level sink within noise of disabled (%.2fx <= 1.25x)\n"
+    Printf.printf "warn-level report within noise of disabled (%.2fx <= 1.25x)\n"
       warn_overhead;
   emit_doc json_out
     (Obs.Json.Assoc
@@ -839,7 +832,7 @@ let () =
               Term.(const run_parallel $ json_out $ require_parallel $ min_speedup);
             cmd "scale" "Per-event cost and resident memory from 100 to 10k peers."
               Term.(const run_scale $ json_out $ points);
-            cmd "obs" "Trace bus, span/ledger builder and file-sink overhead."
+            cmd "obs" "Trace bus and run-report overhead."
               Term.(const run_obs $ json_out);
             cmd "check" "Online invariant-auditor overhead."
               Term.(const run_check $ json_out);

@@ -212,7 +212,7 @@ let zero_mix =
     stray = 0.;
   }
 
-(* -- Observability options (shared by run and reproduce) --------------- *)
+(* -- Observability options (run) --------------------------------------- *)
 
 let duration_arg =
   let parse s =
@@ -220,16 +220,22 @@ let duration_arg =
   in
   Arg.conv (parse, Duration.pp)
 
-let trace_out =
+let report =
   Arg.(
     value
     & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
+    & info [ "report" ] ~docv:"DIR"
         ~doc:
-          "Write structured protocol events to $(docv): a $(b,.ntrace) suffix selects \
-           the compact binary format (length-prefixed records, typically several times \
-           smaller; convert with $(b,trace-convert)); anything else writes JSONL (one \
-           object per event).")
+          "Write the run report into $(docv): $(docv)/manifest.json (the command's \
+           provenance and cost) and, per run, $(docv)/seed$(i,N)/ holding \
+           $(b,trace.ntrace) (binary protocol events at --trace-level; convert with \
+           $(b,trace-convert), read with $(b,inspect)), $(b,metrics.csv) (a metric \
+           sample every --sample-interval) and $(b,profile.json) (per-phase CPU \
+           seconds, GC counters, engine statistics); at --trace-level $(b,debug) also \
+           $(b,spans.jsonl) (one reconstructed poll per line) and $(b,ledger.json) \
+           (the per-peer effort ledger reconciled against the run's metrics). Under \
+           --attack the no-attack side writes $(docv)/baseline/seed$(i,N)/. \
+           Directories are created as needed.")
 
 let trace_level =
   let levels =
@@ -240,19 +246,9 @@ let trace_level =
     & opt (enum levels) Lockss.Trace.Debug
     & info [ "trace-level" ] ~docv:"LEVEL"
         ~doc:
-          "Minimum severity written to --trace-out: $(b,debug) (all protocol chatter), \
-           $(b,info) (poll lifecycle, drops, repairs), $(b,warn) (inquorate/alarmed \
-           polls only).")
-
-let metrics_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Append periodic metric samples to $(docv): a time series of damage, poll \
-           outcomes, admission activity and effort. A $(b,.jsonl)/$(b,.json) suffix \
-           selects JSONL; anything else writes CSV.")
+          "Minimum severity written to the report's trace: $(b,debug) (all protocol \
+           chatter; the report also holds spans and the effort ledger), $(b,info) \
+           (poll lifecycle, drops, repairs), $(b,warn) (inquorate/alarmed polls only).")
 
 let sample_interval =
   Arg.(
@@ -263,34 +259,6 @@ let sample_interval =
           "Simulated time between metric samples, e.g. $(b,7d), $(b,12h), $(b,1mo) \
            (default 7d).")
 
-let spans_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "spans-out" ] ~docv:"FILE"
-        ~doc:
-          "Write reconstructed poll spans to $(docv) as JSONL, one object per poll: \
-           phase timestamps, vote/repair counts, correlated effort and outcome.")
-
-let ledger_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "ledger-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the per-peer provable-effort ledger (spent and received per protocol \
-           phase) plus its reconciliation against the run's metrics to $(docv) as JSON.")
-
-let profile_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile-out" ] ~docv:"FILE"
-        ~doc:
-          "Write a run-wide profile to $(docv) as JSON: per-phase CPU seconds (setup, \
-           run), GC counters (allocation, collections, heap size) and engine event \
-           statistics.")
-
 let check_flag =
   Arg.(
     value & flag
@@ -299,26 +267,14 @@ let check_flag =
           "Attach the runtime invariant auditor to every run: protocol invariants \
            (effort balance, refractory self-clocking, grade decay, sampling, quorum, \
            ledger conservation) are evaluated online against the trace stream; any \
-           violation is printed, written to --trace-out as an $(b,invariant_violated) \
-           event, and makes the command exit with status 1.")
+           violation is printed, written to the report's trace as an \
+           $(b,invariant_violated) event, and makes the command exit with status 1.")
 
 let probes_term =
-  let make trace_out trace_level metrics_out sample_interval spans_out ledger_out
-      profile_out audit =
-    {
-      Experiments.Scenario.trace_out;
-      trace_level;
-      metrics_out;
-      sample_interval;
-      spans_out;
-      ledger_out;
-      profile_out;
-      audit;
-    }
+  let make report trace_level sample_interval audit =
+    { Experiments.Scenario.report; trace_level; sample_interval; audit }
   in
-  Term.(
-    const make $ trace_out $ trace_level $ metrics_out $ sample_interval $ spans_out
-    $ ledger_out $ profile_out $ check_flag)
+  Term.(const make $ report $ trace_level $ sample_interval $ check_flag)
 
 (* -- Manifest + baseline options --------------------------------------- *)
 
@@ -333,7 +289,7 @@ let manifest_out =
            host/toolchain identification, and wall/CPU seconds.")
 
 (* The manifest handle is opened before the sweep so wall/CPU cover the
-   whole command; writing is a no-op without --manifest-out. *)
+   whole command; writing is a no-op without a path. *)
 let emit_manifest ~manifest_out ~handle ~seeds ?targets ?fault_mix () =
   match manifest_out with
   | None -> ()
@@ -442,7 +398,7 @@ let report_audits sides =
   if !total > 0 then exit 1
 
 let run_cmd =
-  let action scale capacity mttf interval_months attack mix probes manifest_out =
+  let action scale capacity mttf interval_months attack mix probes =
     let handle = Experiments.Manifest.start ~command:"run" () in
     let cfg = config_of scale ~capacity ~mttf ~interval_months in
     let fault_cfg = Chaos.faults_config mix in
@@ -478,12 +434,15 @@ let run_cmd =
     let fault_mix =
       if Narses.Faults.is_none fault_cfg then None else Some (Chaos.mix_to_json mix)
     in
+    let manifest_out =
+      Option.map (fun dir -> Filename.concat dir "manifest.json") probes.Scenario.report
+    in
     emit_manifest ~manifest_out ~handle ~seeds:(seeds_of_scale scale) ?fault_mix ()
   in
   let term =
     Term.(
       const action $ scale_term $ capacity $ mttf $ interval_months $ attack_term
-      $ mix_term zero_mix $ probes_term $ manifest_out)
+      $ mix_term zero_mix $ probes_term)
   in
   Cmd.v
     (Cmd.info "run"
@@ -668,7 +627,7 @@ let reproduce_cmd =
          "Regenerate a figure or table from the paper's evaluation section, fanning \
           the sweep's independent runs out over --jobs worker domains; \
           $(b,--check-baseline) then diffs the result against its pinned golden \
-          baseline. (Per-run tracing/metrics files are a $(b,run)-command feature.)")
+          baseline. (Per-run traces, metrics, spans and profiles are $(b,run --report).)")
     term
 
 (* -- pin-baseline / diff-baseline commands ------------------------------ *)
@@ -902,8 +861,10 @@ let inspect_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE"
           ~doc:
-            "Trace file written with --trace-out, JSONL or binary. The effort ledger and \
-             the auditor need --trace-level debug.")
+            "Trace file, binary or JSONL: a run report's \
+             $(b,seed)$(i,N)$(b,/trace.ntrace) (see $(b,run --report)) or its \
+             $(b,trace-convert)ed JSONL. The effort ledger and the auditor need \
+             --trace-level debug.")
   in
   let audit_quorum =
     Arg.(
@@ -1042,7 +1003,7 @@ let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect"
        ~doc:
-         "Check a --trace-out file offline in one pass, in either encoding. Every record \
+         "Check a trace file offline in one pass, in either encoding. Every record \
           must parse into a typed event and survive a re-serialization round-trip; \
           poll spans, per-phase latencies and the per-peer effort ledger are \
           reconstructed and anomalies listed (orphaned events, abandoned polls, \

@@ -6,8 +6,8 @@
         histogram of votes gathered per evaluation),
      3. a Sampler emitting a weekly CSV time series of the metrics,
 
-   which is the same machinery `lockss_sim run --trace-out/--metrics-out`
-   and every Experiments.Scenario run uses. *)
+   which is the same machinery behind `lockss_sim run --report DIR` and
+   every Experiments.Scenario run's report. *)
 
 module Duration = Repro_prelude.Duration
 module Population = Lockss.Population
@@ -52,8 +52,7 @@ let () =
   (* 3. Four-weekly metric samples as CSV on stdout. *)
   print_endline "\n-- four-weekly metric samples (CSV) --";
   let series =
-    Obs.Series.create ~format:Obs.Series.Csv ~columns:Lockss.Sampler.columns
-      (Obs.Sink.of_channel stdout)
+    Obs.Series.create ~columns:Lockss.Sampler.columns (Obs.Sink.of_channel stdout)
   in
   let ctx = Population.ctx population in
   let sampler =

@@ -6,7 +6,7 @@
     piggybacks on the simulation engine: every [interval] simulated
     seconds it snapshots the metrics collector and hands the
     {!Metrics.sample} to a callback, typically {!series_writer} appending
-    rows to a CSV/JSONL {!Obs.Series}. *)
+    rows to a CSV {!Obs.Series}. *)
 
 type t
 

@@ -268,7 +268,7 @@ let emit ?(bound = Warn) t ~now thunk =
 (* -- The schema ---------------------------------------------------------- *)
 
 (* Every kind is described once, in [schemas], as a list of typed
-   fields. Each codec — JSON value, JSON text, binary, decoding, the
+   fields. Each codec — JSON value, binary, decoding, the
    analyzer view — and the [involves]/[au_of] projections walk that
    description; none names a kind. The field order is the encoding
    order. *)
@@ -292,7 +292,6 @@ type 'a field = {
   key : string;
   shape : 'a shape;
   get : event -> 'a;
-  jsonl_key : string;  (* [,"key":] pre-rendered for the text writer *)
   atom : Btrace.atom;
 }
 
@@ -316,7 +315,7 @@ let kind name severity fields make =
   Schema { name; atom = Btrace.atom name; severity; fields; make }
 
 let field shape key get =
-  { key; shape; get; jsonl_key = ",\"" ^ key ^ "\":"; atom = Btrace.atom key }
+  { key; shape; get; atom = Btrace.atom key }
 
 let req ty = field (Req ty)
 let opt ty = field (Opt ty)
@@ -838,96 +837,6 @@ let pretty_sink ?(min_severity = Debug) ppf ~time event =
     Format.fprintf ppf "[%a] [%s] %a@." pp_duration time
       (severity_to_string (severity event))
       pp_event event
-
-(* The text writer appends exactly the bytes of
-   [Json.write buf (to_json ~time event)] without building the tree.
-   Tokens, kinds and severities are escape-free identifiers and are
-   written raw. [float_lit] renders payload floats; the buffered sink
-   passes a memoizing one. The helpers are top-level functions taking the
-   buffer, not closures: a local helper would allocate per event. *)
-let rec jsonl_ids buf first = function
-  | [] -> ()
-  | x :: rest ->
-    if not first then Buffer.add_char buf ',';
-    Json.write_int buf x;
-    jsonl_ids buf false rest
-
-let jsonl_value (type a) buf (float_lit : float -> string) key (ty : a ty) (v : a) =
-  Buffer.add_string buf key;
-  match ty with
-  | Int _ -> Json.write_int buf v
-  | Float -> Buffer.add_string buf (float_lit v)
-  | Bool -> Buffer.add_string buf (if v then "true" else "false")
-  | Text -> Json.write buf (Json.String v)
-  | Enum e ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (e.spell v);
-    Buffer.add_char buf '"'
-  | Peers ->
-    Buffer.add_char buf '[';
-    jsonl_ids buf true v;
-    Buffer.add_char buf ']'
-
-let rec jsonl_fields : type k. Buffer.t -> (float -> string) -> event -> k F.t -> unit =
- fun buf float_lit event -> function
-  | [] -> ()
-  | f :: rest ->
-    (match (f.shape, f.get event) with
-    | Req ty, v -> jsonl_value buf float_lit f.jsonl_key ty v
-    | Opt ty, Some v -> jsonl_value buf float_lit f.jsonl_key ty v
-    | Opt _, None -> ());
-    jsonl_fields buf float_lit event rest
-
-let write_jsonl_rest ?(float_lit = Json.float_literal) buf event =
-  match schema_of event with
-  | Schema s ->
-    Buffer.add_string buf ",\"severity\":\"";
-    Buffer.add_string buf (severity_to_string (s.severity event));
-    Buffer.add_string buf "\",\"kind\":\"";
-    Buffer.add_string buf s.name;
-    Buffer.add_char buf '"';
-    jsonl_fields buf float_lit event s.fields;
-    Buffer.add_char buf '}'
-
-let write_jsonl buf ~time event =
-  Buffer.add_string buf "{\"t\":";
-  Buffer.add_string buf (Json.float_literal time);
-  write_jsonl_rest buf event
-
-let buffered_jsonl_sink ?(min_severity = Debug) sink =
-  let scratch = Buffer.create 512 in
-  (* Rendering a float is the single most expensive step of a JSONL
-     line, and about half of all events share their predecessor's
-     timestamp — memoize the last literal. The time lives in a
-     one-element float array, not a [float ref]: assigning a float ref
-     boxes the value on every store. *)
-  let last_time = [| nan |] in
-  let last_literal = ref "" in
-  let payload_literals : (float, string) Hashtbl.t = Hashtbl.create 32 in
-  let float_lit f =
-    (* [find] over [find_opt]: the hit path (all but the first sighting
-       of each of the handful of distinct payload values) allocates
-       nothing. *)
-    match Hashtbl.find payload_literals f with
-    | s -> s
-    | exception Not_found ->
-      let s = Json.float_literal f in
-      if Hashtbl.length payload_literals < 256 then Hashtbl.add payload_literals f s;
-      s
-  in
-  fun ~time event ->
-    if severity_at_least min_severity (severity event) then begin
-      Buffer.clear scratch;
-      Buffer.add_string scratch "{\"t\":";
-      if not (Float.equal time last_time.(0)) then begin
-        last_time.(0) <- time;
-        last_literal := Json.float_literal time
-      end;
-      Buffer.add_string scratch !last_literal;
-      write_jsonl_rest ~float_lit scratch event;
-      Buffer.add_char scratch '\n';
-      Obs.Sink.write_buffer sink ~now:time scratch
-    end
 
 (* The binary writer assembles the record field by field, byte-identical
    to [Btrace.write (to_json ~time event)] — intern ids included — with

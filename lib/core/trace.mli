@@ -10,11 +10,11 @@
     [(poller, au, poll_id)] (the dropped-invitation event carries the
     {e claimed} poller), so a poll can be followed from solicitation
     through evaluation to repair and conclusion — live via {!subscribe}
-    or offline from a JSONL trace ({!Obs.Span}, {!Obs.Analyze}).
+    or offline from a trace file ({!Obs.Span}, {!Obs.Analyze}).
 
     Beyond raw subscription, this module provides an event taxonomy
     ({!kind}, {!severity}), composable {{!sinks} sinks} (pretty-printing,
-    JSONL, binary, filtering), a lossless JSON round-trip ({!to_json} /
+    binary, filtering), a lossless JSON round-trip ({!to_json} /
     {!of_json}) and a bounded-ring {!recorder} that counts what it had
     to drop instead of losing it silently. Each kind's fields are
     described once, as a typed field list, and every encoding and
@@ -294,12 +294,6 @@ type sink = time:float -> event -> unit
     per line: [\[time\] \[severity\] description]. *)
 val pretty_sink : ?min_severity:severity -> Format.formatter -> sink
 
-(** [buffered_jsonl_sink ?min_severity sink] writes one JSON object per
-    event (the {!to_json} encoding) per line through a buffered
-    {!Obs.Sink} (event time forwarded for time-bounded flushing). Close
-    or flush the sink to make the tail durable. *)
-val buffered_jsonl_sink : ?min_severity:severity -> Obs.Sink.t -> sink
-
 (** [binary_sink ?min_severity w] writes events in the compact binary
     trace format ({!Obs.Btrace}); decoding yields exactly the
     {!to_json} value, so binary and JSONL traces analyze identically. *)
@@ -327,13 +321,6 @@ val to_json : time:float -> event -> Obs.Json.t
 (** [of_json j] inverts {!to_json}. Absent or [null] optional
     correlation fields decode to [None]. *)
 val of_json : Obs.Json.t -> (float * event, string) result
-
-(** [write_jsonl buf ~time e] appends exactly the bytes of
-    [Obs.Json.write buf (to_json ~time e)] (no trailing newline) without
-    building the intermediate JSON value — the allocation-light hot path
-    used by {!buffered_jsonl_sink}. Byte parity with {!to_json} is
-    guarded by a test in test/test_trace_pipeline.ml. *)
-val write_jsonl : Buffer.t -> time:float -> event -> unit
 
 (** [to_view ~time e] is the analyzer projection of [e] — agrees with
     [Obs.View.of_json (to_json ~time e)] by construction, without

@@ -138,52 +138,27 @@ let rec attach ~report population minions attack =
 (* -- Probes --------------------------------------------------------------- *)
 
 type probes = {
-  trace_out : string option;
+  report : string option;
   trace_level : Lockss.Trace.severity;
-  metrics_out : string option;
   sample_interval : float;
-  spans_out : string option;
-  ledger_out : string option;
-  profile_out : string option;
   audit : bool;
 }
 
 let default_probes =
   {
-    trace_out = None;
+    report = None;
     trace_level = Lockss.Trace.Info;
-    metrics_out = None;
     sample_interval = Duration.of_days 7.;
-    spans_out = None;
-    ledger_out = None;
-    profile_out = None;
     audit = false;
   }
 
-(* [suffix_path path tag] inserts [.tag] before the extension:
-   "out/m.csv" -> "out/m.seed3.csv". Observability output is per run —
-   every job owns its files exclusively, so parallel jobs never share an
-   output channel. *)
-let suffix_path path tag =
-  let ext = Filename.extension path in
-  let base = if ext = "" then path else Filename.remove_extension path in
-  Printf.sprintf "%s.%s%s" base tag ext
-
-let seeded_path path ~seed = suffix_path path (Printf.sprintf "seed%d" seed)
-
-(* [tag_probes tag probes] retargets every output so a second role in
-   the same experiment (the no-attack side of a paired comparison)
-   cannot collide with the first at equal seeds. *)
-let tag_probes tag probes =
-  let retag = Option.map (fun p -> suffix_path p tag) in
-  {
-    probes with
-    trace_out = retag probes.trace_out;
-    metrics_out = retag probes.metrics_out;
-    spans_out = retag probes.spans_out;
-    ledger_out = retag probes.ledger_out;
-    profile_out = retag probes.profile_out;
-  }
+(* [mkdir_p dir] creates [dir] and its missing parents. One that already
+   exists is fine: parallel runs race to create a shared parent. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
+  end
 
 (* Trace sinks drain to the OS on a size bound (the sink's buffer) and,
    as a backstop for long quiet stretches, once per simulated month. *)
@@ -207,103 +182,76 @@ let write_json_line path json =
       output_string oc (Obs.Json.to_string json);
       output_char oc '\n')
 
-(* Subscribe the requested trace sink, metrics sampler and live span
-   analyzer to a freshly built population; returns a cleanup closing
-   whatever was opened, newest first. Each run writes (truncating) its
-   own seed-suffixed files. If opening one output raises, the outputs
+(* Subscribe the trace sink, the metrics sampler and, at Debug, the
+   live span analyzer to a freshly built population, writing into the
+   run's report directory [dir]; returns a cleanup closing whatever was
+   opened, newest first. If opening one output raises, the outputs
    already opened are closed before the exception escapes. *)
-let subscribe_observers ~probes ~seed population =
+let subscribe_observers ~probes ~dir ~seed population =
   let cleanups = ref [] in
   let add f = cleanups := f :: !cleanups in
+  let file name = Filename.concat dir name in
   try
-    (match probes.trace_out with
-    | None -> ()
-    | Some path ->
-      let sink =
-        Obs.Sink.open_file ~flush_interval:trace_flush_interval
-          (seeded_path path ~seed)
-      in
-      add (fun () -> Obs.Sink.close sink);
-      (* [interest] mirrors the sink's severity filter back onto the
-         bus, so below-threshold events are never even constructed when
-         this is the only subscriber. *)
-      let trace_sink =
-        match Obs.Trace_file.format_of_path path with
-        | Obs.Trace_file.Jsonl ->
-          Lockss.Trace.buffered_jsonl_sink ~min_severity:probes.trace_level sink
-        | Obs.Trace_file.Binary ->
-          Lockss.Trace.binary_sink ~min_severity:probes.trace_level
-            (Obs.Btrace.writer sink)
-      in
-      Lockss.Trace.subscribe ~interest:probes.trace_level
-        (Lockss.Population.trace population)
-        trace_sink);
-    (match probes.metrics_out with
-    | None -> ()
-    | Some path ->
-      let sink = Obs.Sink.open_file (seeded_path path ~seed) in
-      add (fun () -> Obs.Sink.close sink);
-      let series =
-        Obs.Series.create
-          ~format:(Obs.Series.format_of_path path)
-          ~columns:Lockss.Sampler.columns sink
-      in
-      let ctx = Lockss.Population.ctx population in
-      let sampler =
-        Lockss.Sampler.attach
-          ~engine:(Lockss.Population.engine population)
-          ~metrics:ctx.Lockss.Peer.metrics ~interval:probes.sample_interval
-          (Lockss.Sampler.series_writer ~seed series)
-      in
-      add (fun () ->
-          Lockss.Sampler.stop sampler;
-          Obs.Series.close series));
-    (match (probes.spans_out, probes.ledger_out) with
-    | None, None -> ()
-    | spans_out, ledger_out ->
-      (* The live analyzer subscribes below the severity filter: span
-         and ledger reconstruction need the full Debug stream even when
-         the trace file itself is written at a higher level. Live
-         analysis takes the typed fast path ({!Lockss.Trace.to_view}) —
-         no JSON is built — while offline analysis of a trace file goes
-         through {!Obs.View.of_json}; the two are checked to agree. *)
+    let sink =
+      Obs.Sink.open_file ~flush_interval:trace_flush_interval (file "trace.ntrace")
+    in
+    add (fun () -> Obs.Sink.close sink);
+    (* [interest] mirrors the sink's severity filter back onto the bus,
+       so below-threshold events are never even constructed when this is
+       the only subscriber. *)
+    Lockss.Trace.subscribe ~interest:probes.trace_level
+      (Lockss.Population.trace population)
+      (Lockss.Trace.binary_sink ~min_severity:probes.trace_level (Obs.Btrace.writer sink));
+    let sink = Obs.Sink.open_file (file "metrics.csv") in
+    add (fun () -> Obs.Sink.close sink);
+    let series = Obs.Series.create ~columns:Lockss.Sampler.columns sink in
+    let ctx = Lockss.Population.ctx population in
+    let sampler =
+      Lockss.Sampler.attach
+        ~engine:(Lockss.Population.engine population)
+        ~metrics:ctx.Lockss.Peer.metrics ~interval:probes.sample_interval
+        (Lockss.Sampler.series_writer ~seed series)
+    in
+    add (fun () ->
+        Lockss.Sampler.stop sampler;
+        Obs.Series.close series);
+    (* Spans and the ledger are rebuilt from the Debug stream, so they
+       come only with a Debug trace — equal to what [inspect] rebuilds
+       from it. Live analysis takes the typed fast path
+       ({!Lockss.Trace.to_view}): no JSON is built. *)
+    if probes.trace_level = Lockss.Trace.Debug then begin
       let analyzer = Obs.Analyze.create () in
       Lockss.Trace.subscribe
         (Lockss.Population.trace population)
         (fun ~time event ->
           Obs.Analyze.feed_view analyzer (Lockss.Trace.to_view ~time event));
-      Option.iter
-        (fun path ->
-          add (fun () ->
-              Out_channel.with_open_text (seeded_path path ~seed) (fun oc ->
-                  List.iter
-                    (fun span ->
-                      output_string oc (Obs.Json.to_string (Obs.Span.span_to_json span));
-                      output_char oc '\n')
-                    (Obs.Span.spans (Obs.Analyze.span_builder analyzer)))))
-        spans_out;
-      Option.iter
-        (fun path ->
-          add (fun () ->
-              let summary = Lockss.Population.summary population in
-              let ledger = Obs.Analyze.ledger analyzer in
-              let reconciliation =
-                Obs.Ledger.reconcile ledger
-                  ~loyal_effort:summary.Lockss.Metrics.loyal_effort
-                  ~adversary_effort:summary.Lockss.Metrics.adversary_effort
-                  ~polls_succeeded:summary.Lockss.Metrics.polls_succeeded
-                  ~polls_inquorate:summary.Lockss.Metrics.polls_inquorate
-                  ~polls_alarmed:summary.Lockss.Metrics.polls_alarmed
-                  ~votes_supplied:summary.Lockss.Metrics.votes_supplied
-                  ~invitations_considered:summary.Lockss.Metrics.invitations_considered
-              in
-              write_json_line (seeded_path path ~seed)
-                (Obs.Json.Assoc
-                   [
-                     ("ledger", Obs.Ledger.to_json ledger);
-                     ("reconciliation", Obs.Ledger.reconciliation_to_json reconciliation);
-                   ])))
-        ledger_out);
+      add (fun () ->
+          Out_channel.with_open_text (file "spans.jsonl") (fun oc ->
+              List.iter
+                (fun span ->
+                  output_string oc (Obs.Json.to_string (Obs.Span.span_to_json span));
+                  output_char oc '\n')
+                (Obs.Span.spans (Obs.Analyze.span_builder analyzer))));
+      add (fun () ->
+          let summary = Lockss.Population.summary population in
+          let ledger = Obs.Analyze.ledger analyzer in
+          let reconciliation =
+            Obs.Ledger.reconcile ledger
+              ~loyal_effort:summary.Lockss.Metrics.loyal_effort
+              ~adversary_effort:summary.Lockss.Metrics.adversary_effort
+              ~polls_succeeded:summary.Lockss.Metrics.polls_succeeded
+              ~polls_inquorate:summary.Lockss.Metrics.polls_inquorate
+              ~polls_alarmed:summary.Lockss.Metrics.polls_alarmed
+              ~votes_supplied:summary.Lockss.Metrics.votes_supplied
+              ~invitations_considered:summary.Lockss.Metrics.invitations_considered
+          in
+          write_json_line (file "ledger.json")
+            (Obs.Json.Assoc
+               [
+                 ("ledger", Obs.Ledger.to_json ledger);
+                 ("reconciliation", Obs.Ledger.reconciliation_to_json reconciliation);
+               ]))
+    end;
     fun () -> close_all !cleanups
   with exn ->
     let bt = Printexc.get_raw_backtrace () in
@@ -376,7 +324,16 @@ let run ?(probes = default_probes) ~cfg ~seed ~years attack =
   Option.iter
     (fun a -> Check.Auditor.attach a (Lockss.Population.trace population))
     auditor;
-  let cleanup = subscribe_observers ~probes ~seed population in
+  let dir =
+    Option.map (fun root -> Filename.concat root (Printf.sprintf "seed%d" seed)) probes.report
+  in
+  let cleanup =
+    match dir with
+    | None -> Fun.id
+    | Some dir ->
+      mkdir_p dir;
+      subscribe_observers ~probes ~dir ~seed population
+  in
   let result =
     Fun.protect ~finally:cleanup (fun () ->
         let t1 = cpu () in
@@ -400,9 +357,7 @@ let run ?(probes = default_probes) ~cfg ~seed ~years attack =
           run_cpu_s = t2 -. t1;
         })
   in
-  Option.iter
-    (fun path -> write_profile (seeded_path path ~seed) result)
-    probes.profile_out;
+  Option.iter (fun dir -> write_profile (Filename.concat dir "profile.json") result) dir;
   result
 
 let mean_summaries (summaries : Lockss.Metrics.summary list) =
@@ -511,12 +466,15 @@ let ratios ~baseline ~attack =
 type paired = { no_attack : sweep; under_attack : sweep; ratios : comparison }
 
 let compare ?(probes = default_probes) ~cfg scale attack =
-  (* Both sides reuse the same seeds, so the baseline's outputs are
-     retargeted to [.baseline]-suffixed paths. The two sweeps are
-     independent; run them on separate domains when available. *)
+  (* Both sides reuse the same seeds, so the baseline reports into its
+     own subdirectory. The two sweeps are independent; run them on
+     separate domains when available. *)
+  let baseline =
+    { probes with report = Option.map (fun d -> Filename.concat d "baseline") probes.report }
+  in
   let no_attack, under_attack =
     Runner.both
-      (fun () -> sweep ~probes:(tag_probes "baseline" probes) ~cfg scale No_attack)
+      (fun () -> sweep ~probes:baseline ~cfg scale No_attack)
       (fun () -> sweep ~probes ~cfg scale attack)
   in
   { no_attack; under_attack; ratios = ratios ~baseline:no_attack.mean ~attack:under_attack.mean }

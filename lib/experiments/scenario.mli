@@ -75,41 +75,42 @@ type attack =
     What a run records besides its summary is a per-run argument,
     threaded explicitly from the caller down to each job: simulation
     runs execute on multiple domains ({!Runner}), so there is no
-    process-wide setting and no shared output channel. Each run writes
-    its own files, the configured paths suffixed with the run's seed
-    ([m.csv] becomes [m.seed3.csv]), so a multi-run sweep yields one
-    file per seed. No probe draws from a run's RNG or schedules an
-    event that changes its outcome: a probed run's summary equals the
-    unprobed one. *)
+    process-wide setting and no shared output channel. No probe draws
+    from a run's RNG or schedules an event that changes its outcome: a
+    probed run's summary equals the unprobed one.
+
+    {3 The run report}
+
+    With [report = Some dir], every run writes a fixed set of files into
+    [dir/seed<N>/], [N] being the run's seed, so a multi-run sweep
+    yields one directory per seed and neither encoding is chosen by a
+    file name:
+    - [trace.ntrace]: protocol events at [trace_level] and above, in the
+      compact binary format ({!Obs.Btrace}; [lockss_sim trace-convert]
+      renders it as JSONL, [lockss_sim inspect] reads either);
+    - [metrics.csv]: a metric sample every [sample_interval] (columns
+      {!Lockss.Sampler.columns});
+    - [profile.json]: a [profile] member (the {!Obs.Profiler} snapshot,
+      with the result's setup/run CPU seconds as phases and a GC sample
+      taken at the end) and an [engine] member (the result's
+      {!Narses.Engine.stats});
+    - at [trace_level = Debug] only, [spans.jsonl] (one
+      {!Obs.Span.span_to_json} line per poll) and [ledger.json] (the
+      per-peer effort ledger plus its reconciliation against the run's
+      metrics). Both are rebuilt live from the Debug stream and equal
+      what [inspect] rebuilds from [trace.ntrace]; at [Info] or [Warn]
+      no analyzer subscribes, so the bus keeps skipping the events below
+      the trace's level.
+
+    {!compare} writes its no-attack side into [dir/baseline/seed<N>/].
+    Directories are created as needed; one that already exists is fine.
+    Files are opened truncating and closed (so flushed) when the run
+    ends. The CLI's [run --report DIR] adds [DIR/manifest.json]. *)
 
 type probes = {
-  trace_out : string option;
-      (** write protocol events to this path, suffixed per run by seed —
-          the compact binary format ({!Obs.Btrace}) when the path ends
-          in [.ntrace], JSONL ({!Lockss.Trace.to_json}) otherwise;
-          buffered either way, with the file closed (and therefore
-          flushed) when the run ends *)
-  trace_level : Lockss.Trace.severity;  (** minimum severity written *)
-  metrics_out : string option;
-      (** write periodic metric samples to this path, suffixed per run
-          by seed; [.jsonl]/[.json] selects JSONL, anything else CSV
-          (columns {!Lockss.Sampler.columns}) *)
+  report : string option;  (** write the run report into this directory *)
+  trace_level : Lockss.Trace.severity;  (** minimum severity in [trace.ntrace] *)
   sample_interval : float;  (** seconds of simulated time between samples *)
-  spans_out : string option;
-      (** write reconstructed poll spans ({!Obs.Span.span_to_json}, one
-          JSONL line per poll) to this path, suffixed per run by seed.
-          The live span builder subscribes below the severity filter, so
-          spans are complete even at [trace_level = Warn] *)
-  ledger_out : string option;
-      (** write the per-peer effort ledger plus its reconciliation
-          against the run's metrics as one JSON object to this path,
-          suffixed per run by seed *)
-  profile_out : string option;
-      (** write the run's profile as one JSON object to this path,
-          suffixed per run by seed: a [profile] member (the
-          {!Obs.Profiler} snapshot, with the result's setup/run CPU
-          seconds as phases and a GC sample taken at the end) and an
-          [engine] member (the result's {!Narses.Engine.stats}) *)
   audit : bool;
       (** attach a fresh auditor ({!make_auditor}) to the run's trace
           bus, so every protocol invariant is evaluated online and
@@ -118,13 +119,9 @@ type probes = {
           returned in {!run.violations} *)
 }
 
-(** [default_probes] records nothing: all outputs [None], level [Info],
-    7-day sampling interval, no audit. *)
+(** [default_probes] records nothing: no report, level [Info], 7-day
+    sampling interval, no audit. *)
 val default_probes : probes
-
-(** [seeded_path path ~seed] is the per-run output path derived from a
-    configured [path]: [.seed<N>] inserted before the extension. *)
-val seeded_path : string -> seed:int -> string
 
 (** [build ~cfg ~seed attack] constructs the population with the attack
     attached but does not run it — for harnesses (like {!Chaos}) that
@@ -164,8 +161,8 @@ type run = {
 
 (** [run ?probes ~cfg ~seed ~years attack] builds a population, attaches
     the attack and the probes, runs the horizon and returns the result.
-    If an output cannot be opened, the outputs already opened are closed
-    and the exception ([Sys_error]) escapes. *)
+    If an output cannot be created, the outputs already opened are
+    closed and the exception ([Sys_error]) escapes. *)
 val run :
   ?probes:probes -> cfg:Lockss.Config.t -> seed:int -> years:float -> attack -> run
 
@@ -207,7 +204,7 @@ type paired = {
 }
 
 (** [compare ?probes ~cfg scale attack] sweeps [No_attack] and [attack]
-    at the same seeds (on two domains when available). The baseline
-    side's output paths are tagged [.baseline] ([m.csv] becomes
-    [m.baseline.seed3.csv]) because both sides reuse the same seeds. *)
+    at the same seeds (on two domains when available). Because both
+    sides reuse the same seeds, the baseline side reports into the
+    [baseline] subdirectory of [probes.report]. *)
 val compare : ?probes:probes -> cfg:Lockss.Config.t -> scale -> attack -> paired

@@ -25,15 +25,8 @@ val to_string : t -> string
 val write : Buffer.t -> t -> unit
 
 (** [float_literal f] is the numeric literal {!write} emits for
-    [Float f] — the single source of truth for float rendering, exposed
-    so hot paths can cache the string of a repeated value (consecutive
-    trace events frequently share a timestamp). Non-finite floats render
-    as ["null"]. *)
+    [Float f]. Non-finite floats render as ["null"]. *)
 val float_literal : float -> string
-
-(** [write_int buf n] appends the decimal digits of [n] without
-    allocating an intermediate string — what {!write} uses for [Int]. *)
-val write_int : Buffer.t -> int -> unit
 
 val pp : Format.formatter -> t -> unit
 

@@ -1,11 +1,4 @@
-type format = Csv | Jsonl
-
-let format_of_path path =
-  let lower = String.lowercase_ascii path in
-  let has_suffix suffix = Filename.check_suffix lower suffix in
-  if has_suffix ".jsonl" || has_suffix ".json" then Jsonl else Csv
-
-type t = { format : format; columns : string list; sink : Sink.t; row : Buffer.t }
+type t = { columns : string list; sink : Sink.t; row : Buffer.t }
 
 let csv_cell = function
   | Json.Null -> ""
@@ -26,10 +19,10 @@ let add_csv_row buf cells =
     cells;
   Buffer.add_char buf '\n'
 
-let create ~format ~columns ?(header = true) sink =
+let create ~columns ?(header = true) sink =
   (match columns with [] -> invalid_arg "Series.create: no columns" | _ -> ());
-  let t = { format; columns; sink; row = Buffer.create 256 } in
-  if format = Csv && header then begin
+  let t = { columns; sink; row = Buffer.create 256 } in
+  if header then begin
     add_csv_row t.row (List.map (fun c -> csv_cell (Json.String c)) columns);
     Sink.write_buffer sink t.row;
     Buffer.clear t.row
@@ -40,11 +33,7 @@ let append t ?now values =
   if List.length values <> List.length t.columns then
     invalid_arg "Series.append: value count does not match columns";
   Buffer.clear t.row;
-  (match t.format with
-  | Csv -> add_csv_row t.row (List.map csv_cell values)
-  | Jsonl ->
-    Json.write t.row (Json.Assoc (List.combine t.columns values));
-    Buffer.add_char t.row '\n');
+  add_csv_row t.row (List.map csv_cell values);
   Sink.write_buffer t.sink ?now t.row;
   Buffer.clear t.row
 

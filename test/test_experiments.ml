@@ -130,26 +130,12 @@ let test_ratios_infinite_when_no_successes () =
 
 (* -- Probes ---------------------------------------------------------------- *)
 
-let with_temp_dir f =
-  let dir = Filename.temp_file "scenario_probes" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
-
-let every_sink dir =
-  let path name = Some (Filename.concat dir name) in
+(* A full report: at Debug it holds every file a run can write. *)
+let report dir =
   {
     Scenario.default_probes with
-    Scenario.trace_out = path "trace.jsonl";
+    Scenario.report = Some dir;
     trace_level = Lockss.Trace.Debug;
-    metrics_out = path "metrics.csv";
-    spans_out = path "spans.jsonl";
-    ledger_out = path "ledger.json";
-    profile_out = path "profile.json";
   }
 
 let flood =
@@ -167,13 +153,13 @@ let flood =
 let test_probes_never_perturb () =
   let cfg = Scenario.config micro in
   let run ?probes attack = Scenario.run ?probes ~cfg ~seed:3 ~years:0.5 attack in
-  with_temp_dir (fun dir ->
+  Trace_gen.with_report_dir (fun dir ->
       let probe_sets =
         [
           ("none", Scenario.default_probes);
           ("audit", { Scenario.default_probes with Scenario.audit = true });
-          ("every sink", every_sink dir);
-          ("audit + every sink", { (every_sink dir) with Scenario.audit = true });
+          ("report", report dir);
+          ("audit + report", { (report dir) with Scenario.audit = true });
         ]
       in
       List.iter
@@ -195,20 +181,17 @@ let test_probes_never_perturb () =
 let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
 
 (* An output that cannot be opened must not leak the ones opened before
-   it: the trace sink is open when the metrics file fails. *)
+   it: the trace sink is open when the metrics file fails, because a
+   directory squats on its name. *)
 let test_failed_open_leaks_nothing () =
   let cfg = Scenario.config micro in
-  with_temp_dir (fun dir ->
-      let probes =
-        {
-          Scenario.default_probes with
-          Scenario.trace_out = Some (Filename.concat dir "trace.jsonl");
-          metrics_out = Some (Filename.concat dir "missing/metrics.csv");
-        }
-      in
+  Trace_gen.with_report_dir (fun dir ->
+      let probes = report dir in
+      Unix.mkdir (Filename.concat dir "seed3") 0o755;
+      Unix.mkdir (Filename.concat dir "seed3/metrics.csv") 0o755;
       let attempt () =
         match Scenario.run ~probes ~cfg ~seed:3 ~years:0.1 Scenario.No_attack with
-        | _ -> Alcotest.fail "opening a metrics file in a missing directory succeeded"
+        | _ -> Alcotest.fail "opening a metrics file over a directory succeeded"
         | exception Sys_error _ -> ()
       in
       if Sys.file_exists "/proc/self/fd" then begin
@@ -221,7 +204,7 @@ let test_failed_open_leaks_nothing () =
 
 (* Every deterministic file of a paired, audited Debug run under the
    chaos mix, pinned by MD5 on both sides of the comparison: the lock
-   on what the run's outputs contain. *)
+   on what a run report contains. *)
 let test_outputs_pinned () =
   let scale = { micro with Scenario.years = 0.5 } in
   let cfg =
@@ -230,40 +213,37 @@ let test_outputs_pinned () =
       Lockss.Config.faults = Some (Chaos.faults_config Chaos.default_mix);
     }
   in
-  with_temp_dir (fun dir ->
-      let probes = { (every_sink dir) with Scenario.audit = true } in
+  Trace_gen.with_report_dir (fun dir ->
+      let probes = { (report dir) with Scenario.audit = true } in
       ignore (Scenario.compare ~probes ~cfg scale flood);
-      (* [side/file] names the file of the no-attack side. *)
+      (* A trace is pinned by its JSONL rendering. *)
       let digest file =
-        let path =
-          match String.split_on_char '/' file with
-          | [ "baseline"; file ] ->
-            Filename.remove_extension file ^ ".baseline" ^ Filename.extension file
-          | _ -> file
-        in
-        Digest.to_hex (Digest.file (Scenario.seeded_path (Filename.concat dir path) ~seed:5))
+        let path = Filename.concat dir file in
+        if Filename.check_suffix file ".ntrace" then
+          Digest.to_hex (Digest.string (Trace_gen.jsonl path))
+        else Digest.to_hex (Digest.file path)
       in
       List.iter
         (fun (file, md5) -> Alcotest.(check string) file md5 (digest file))
         [
-          ("metrics.csv", "1aa6433abf30e4342eec694a3d9ca6b6");
-          ("spans.jsonl", "c2643ec52d766a6dc35897c2323f2e90");
-          ("ledger.json", "bec18ed8ea302133c9b047be7d1daf91");
-          ("trace.jsonl", "db4a805d5146dab96379cf2da9b8ce58");
-          ("baseline/metrics.csv", "9a847e53563bd814015efe9e3595b9d3");
-          ("baseline/spans.jsonl", "33e1095eef44682c6ac141a77a432db9");
-          ("baseline/ledger.json", "6544e0ba26daca139dc0ac2a64c0e4e1");
-          ("baseline/trace.jsonl", "3e1155be1ed2971d1fd225d053e967de");
+          ("seed5/metrics.csv", "1aa6433abf30e4342eec694a3d9ca6b6");
+          ("seed5/spans.jsonl", "c2643ec52d766a6dc35897c2323f2e90");
+          ("seed5/ledger.json", "bec18ed8ea302133c9b047be7d1daf91");
+          ("seed5/trace.ntrace", "db4a805d5146dab96379cf2da9b8ce58");
+          ("baseline/seed5/metrics.csv", "9a847e53563bd814015efe9e3595b9d3");
+          ("baseline/seed5/spans.jsonl", "33e1095eef44682c6ac141a77a432db9");
+          ("baseline/seed5/ledger.json", "6544e0ba26daca139dc0ac2a64c0e4e1");
+          ("baseline/seed5/trace.ntrace", "3e1155be1ed2971d1fd225d053e967de");
         ])
 
-let test_profile_out () =
+let test_report_profile () =
   let cfg = Scenario.config micro in
-  with_temp_dir (fun dir ->
-      let path = Filename.concat dir "profile.json" in
-      let probes = { Scenario.default_probes with Scenario.profile_out = Some path } in
+  Trace_gen.with_report_dir (fun dir ->
+      let probes = { Scenario.default_probes with Scenario.report = Some dir } in
       let r = Scenario.run ~probes ~cfg ~seed:3 ~years:0.25 Scenario.No_attack in
       let lines =
-        In_channel.with_open_text (Scenario.seeded_path path ~seed:3) In_channel.input_lines
+        In_channel.with_open_text (Filename.concat dir "seed3/profile.json")
+          In_channel.input_lines
       in
       match lines with
       | [ line ] -> (
@@ -406,7 +386,7 @@ let () =
           quick "averaging" test_sweep_averages;
           quick "probes never perturb a run" test_probes_never_perturb;
           quick "failed output open leaks nothing" test_failed_open_leaks_nothing;
-          quick "profile_out" test_profile_out;
+          quick "report profile" test_report_profile;
           quick "run outputs pinned" test_outputs_pinned;
           quick "aggregation" test_mean_summaries_aggregation;
           quick "identity ratios" test_ratios_baseline_is_one;

@@ -251,8 +251,7 @@ let read_lines path =
 let test_series_csv () =
   with_temp_file (fun path ->
       let series =
-        Series.create ~format:Series.Csv ~columns:[ "t"; "x"; "label" ]
-          (Obs.Sink.open_file path)
+        Series.create ~columns:[ "t"; "x"; "label" ] (Obs.Sink.open_file path)
       in
       Series.append series [ Json.Float 1.5; Json.Int 2; Json.String "plain" ];
       Series.append series [ Json.Float 2.5; Json.Int 3; Json.String "needs,\"quoting\"" ];
@@ -263,30 +262,6 @@ let test_series_csv () =
         Alcotest.(check string) "row" "1.5,2,plain" row1;
         Alcotest.(check string) "quoted row" "2.5,3,\"needs,\"\"quoting\"\"\"" row2
       | lines -> Alcotest.failf "expected 3 lines, got %d" (List.length lines))
-
-let test_series_jsonl () =
-  with_temp_file (fun path ->
-      let series =
-        Series.create ~format:Series.Jsonl ~columns:[ "t"; "x" ]
-          (Obs.Sink.open_file path)
-      in
-      Series.append series [ Json.Float 1.; Json.Int 10 ];
-      Series.append series [ Json.Float 2.; Json.Int 20 ];
-      Series.close series;
-      let rows =
-        List.map
-          (fun line -> Result.get_ok (Json.of_string line))
-          (read_lines path)
-      in
-      Alcotest.(check int) "rows" 2 (List.length rows);
-      Alcotest.(check (option int)) "column value" (Some 20)
-        (Option.bind (Json.member "x" (List.nth rows 1)) Json.to_int))
-
-let test_series_format_of_path () =
-  Alcotest.(check bool) "jsonl" true (Series.format_of_path "a/b.jsonl" = Series.Jsonl);
-  Alcotest.(check bool) "json" true (Series.format_of_path "B.JSON" = Series.Jsonl);
-  Alcotest.(check bool) "csv" true (Series.format_of_path "out.csv" = Series.Csv);
-  Alcotest.(check bool) "other" true (Series.format_of_path "out.dat" = Series.Csv)
 
 (* -- Sampler ------------------------------------------------------------- *)
 
@@ -329,10 +304,7 @@ let test_sampler_sees_metric_changes () =
 
 let test_sampler_series_writer_deltas () =
   with_temp_file (fun path ->
-      let series =
-        Series.create ~format:Series.Jsonl ~columns:Sampler.columns
-          (Obs.Sink.open_file path)
-      in
+      let series = Series.create ~columns:Sampler.columns (Obs.Sink.open_file path) in
       let writer = Sampler.series_writer ~seed:3 series in
       let metrics = Metrics.create ~replicas:10 ~start:0. in
       Metrics.on_invitation_considered metrics;
@@ -341,14 +313,16 @@ let test_sampler_series_writer_deltas () =
       Metrics.on_invitation_considered metrics;
       writer (Metrics.sample metrics ~now:(2. *. Duration.day));
       Series.close series;
-      let rows = List.map (fun l -> Result.get_ok (Json.of_string l)) (read_lines path) in
-      let considered row =
-        Option.get (Option.bind (Json.member "invitations_considered" row) Json.to_int)
+      let header, rows =
+        match List.map (String.split_on_char ',') (read_lines path) with
+        | header :: rows -> (header, rows)
+        | [] -> Alcotest.fail "no header row"
       in
+      let column name row = int_of_string (List.assoc name (List.combine header row)) in
       (* Cumulative 2 then 3 -> per-interval deltas 2 then 1. *)
-      Alcotest.(check (list int)) "deltas" [ 2; 1 ] (List.map considered rows);
-      Alcotest.(check (option int)) "seed column" (Some 3)
-        (Option.bind (Json.member "seed" (List.hd rows)) Json.to_int))
+      Alcotest.(check (list int)) "deltas" [ 2; 1 ]
+        (List.map (column "invitations_considered") rows);
+      Alcotest.(check int) "seed column" 3 (column "seed" (List.hd rows)))
 
 (* -- Engine stats -------------------------------------------------------- *)
 
@@ -408,17 +382,10 @@ let test_duration_of_string () =
 (* -- End to end: Scenario observability ---------------------------------- *)
 
 let test_scenario_observability_end_to_end () =
-  let trace_path = Filename.temp_file "obs_trace" ".jsonl" in
-  let metrics_path = Filename.temp_file "obs_metrics" ".csv" in
   let seeds = [ 5; 6 ] in
-  let seeded path seed = Experiments.Scenario.seeded_path path ~seed in
-  let per_seed path = List.map (fun seed -> seeded path seed) seeds in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> if Sys.file_exists p then Sys.remove p)
-        ((trace_path :: metrics_path :: per_seed trace_path) @ per_seed metrics_path))
-    (fun () ->
+  Trace_gen.with_report_dir (fun dir ->
+      let run_dir seed = Filename.concat dir (Printf.sprintf "seed%d" seed) in
+      let file seed name = Filename.concat (run_dir seed) name in
       let scale =
         {
           Experiments.Scenario.peers = 10;
@@ -436,33 +403,35 @@ let test_scenario_observability_end_to_end () =
       let probes =
         {
           Experiments.Scenario.default_probes with
-          Experiments.Scenario.trace_out = Some trace_path;
-          metrics_out = Some metrics_path;
+          Experiments.Scenario.report = Some dir;
           sample_interval = Duration.of_days 7.;
         }
       in
-      (* Two runs; each writes its own seed-suffixed trace and metrics file. *)
+      (* Two runs; each writes its own trace and metrics file. *)
       ignore
         (Experiments.Scenario.sweep ~probes ~cfg scale
            Experiments.Scenario.No_attack);
       List.iter
         (fun seed ->
-          (* Trace file: every line parses back to a typed event. *)
-          let trace_lines = read_lines (seeded trace_path seed) in
+          (* Below Debug the report holds no spans and no ledger. *)
+          Alcotest.(check (list string))
+            (Printf.sprintf "files at info (seed %d)" seed)
+            [ "metrics.csv"; "profile.json"; "trace.ntrace" ]
+            (List.sort compare
+               (Array.to_list (Sys.readdir (run_dir seed))));
+          (* Trace file: every record parses back to a typed event. *)
+          let records = ref 0 in
+          ignore
+            (Obs.Trace_file.iter (file seed "trace.ntrace") ~f:(fun ~line result ->
+                 incr records;
+                 match Result.bind result Trace.of_json with
+                 | Ok _ -> ()
+                 | Error msg -> Alcotest.failf "trace record %d: %s" line msg));
           Alcotest.(check bool)
             (Printf.sprintf "trace nonempty (seed %d)" seed)
-            true
-            (List.length trace_lines > 10);
-          List.iter
-            (fun line ->
-              match
-                Result.bind (Json.of_string line) (fun json -> Trace.of_json json)
-              with
-              | Ok _ -> ()
-              | Error msg -> Alcotest.failf "trace line %S: %s" line msg)
-            trace_lines;
+            true (!records > 10);
           (* Metrics file: one header plus 13 weekly samples for this run. *)
-          match read_lines (seeded metrics_path seed) with
+          match read_lines (file seed "metrics.csv") with
           | [] -> Alcotest.failf "empty metrics file (seed %d)" seed
           | header :: rows ->
             Alcotest.(check string) "header" (String.concat "," Sampler.columns) header;
@@ -769,8 +738,6 @@ let () =
       ( "series",
         [
           quick "csv" test_series_csv;
-          quick "jsonl" test_series_jsonl;
-          quick "format by path" test_series_format_of_path;
         ] );
       ( "sampler",
         [

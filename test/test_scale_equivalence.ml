@@ -36,11 +36,20 @@ let digest s = Digest.to_hex (Digest.string s)
 
 let summary_string s = Format.asprintf "%a" Lockss.Metrics.pp_summary s
 
-let with_temp_file f =
-  let path = Filename.temp_file "scale-equiv" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
+(* [traced_run ~cfg ~seed ~years attack] runs with a Debug report and
+   returns the result and the digest of its trace's JSONL rendering. *)
+let traced_run ~cfg ~seed ~years attack =
+  Trace_gen.with_report_dir (fun dir ->
+      let probes =
+        {
+          Scenario.default_probes with
+          Scenario.report = Some dir;
+          trace_level = Lockss.Trace.Debug;
+        }
+      in
+      let r = Scenario.run ~probes ~cfg ~seed ~years attack in
+      let trace = Filename.concat dir (Printf.sprintf "seed%d/trace.ntrace" seed) in
+      (r, digest (Trace_gen.jsonl trace)))
 
 (* -- Cases --------------------------------------------------------------- *)
 
@@ -49,21 +58,8 @@ let with_temp_file f =
    whole reference list) and every payload byte. *)
 let case_run_trace () =
   let cfg = Scenario.config paper_short in
-  with_temp_file (fun path ->
-      let probes =
-        {
-          Scenario.default_probes with
-          Scenario.trace_out = Some path;
-          trace_level = Lockss.Trace.Debug;
-        }
-      in
-      let { Scenario.summary; _ } =
-        Scenario.run ~probes ~cfg ~seed:1 ~years:0.05 Scenario.No_attack
-      in
-      let trace_path = Scenario.seeded_path path ~seed:1 in
-      let trace_digest = Digest.to_hex (Digest.file trace_path) in
-      Sys.remove trace_path;
-      summary_string summary ^ "\ntrace:" ^ trace_digest)
+  let r, trace_digest = traced_run ~cfg ~seed:1 ~years:0.05 Scenario.No_attack in
+  summary_string r.Scenario.summary ^ "\ntrace:" ^ trace_digest
 
 (* The same multi-run sweep with 1 and 2 worker domains must agree with
    each other and with the pinned golden (the Runner determinism
@@ -191,25 +187,13 @@ let case_attack ~faults attack () =
       { base with Lockss.Config.faults = Some (Chaos.faults_config Chaos.default_mix) }
     else base
   in
-  with_temp_file (fun path ->
-      let probes =
-        {
-          Scenario.default_probes with
-          Scenario.trace_out = Some path;
-          trace_level = Lockss.Trace.Debug;
-        }
-      in
-      let r =
-        Scenario.run ~probes ~cfg ~seed:micro.Scenario.seed ~years:micro.Scenario.years
-          attack
-      in
-      let trace_path = Scenario.seeded_path path ~seed:micro.Scenario.seed in
-      let trace_digest = Digest.to_hex (Digest.file trace_path) in
-      Sys.remove trace_path;
-      String.concat "\n"
-        ((summary_string r.Scenario.summary
-         :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.Scenario.adversary)
-        @ [ "trace:" ^ trace_digest ]))
+  let r, trace_digest =
+    traced_run ~cfg ~seed:micro.Scenario.seed ~years:micro.Scenario.years attack
+  in
+  String.concat "\n"
+    ((summary_string r.Scenario.summary
+     :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.Scenario.adversary)
+    @ [ "trace:" ^ trace_digest ])
 
 let attack_cases =
   List.concat_map

@@ -98,8 +98,7 @@ let test_sink_append_reopen () =
 let test_series_buffers_rows () =
   with_temp_file (fun path ->
       let series =
-        Obs.Series.create ~format:Obs.Series.Csv ~columns:[ "t"; "x" ]
-          (Sink.open_file path)
+        Obs.Series.create ~columns:[ "t"; "x" ] (Sink.open_file path)
       in
       Obs.Series.append series [ Json.Float 1.5; Json.Int 2 ];
       Obs.Series.append series [ Json.Float 2.5; Json.Int 3 ];
@@ -291,17 +290,6 @@ let test_view_agrees_with_json =
           View.of_json (Trace.to_json ~time event) = Some (Trace.to_view ~time event))
         stream)
 
-let test_write_jsonl_byte_parity =
-  (* The direct serializer emits exactly the bytes of the generic JSON
-     path, escape-needing text included. *)
-  qcheck ~name:"write_jsonl byte parity" (fun stream ->
-      List.for_all
-        (fun (time, event) ->
-          let buf = Buffer.create 256 in
-          Trace.write_jsonl buf ~time event;
-          String.equal (Buffer.contents buf) (Json.to_string (Trace.to_json ~time event)))
-        stream)
-
 let write_file path emit = Sink.with_file path (fun sink -> emit sink)
 
 let test_binary_sink_byte_parity =
@@ -336,7 +324,8 @@ let read_events path =
   (format, List.rev !acc)
 
 let test_typed_reader_round_trip =
-  (* Both sinks' files read back through the typed reader as the very
+  (* The binary sink's file and the JSONL encoding ({!Trace.to_json},
+     one object per line) read back through the typed reader as the very
      events written. *)
   qcheck ~name:"typed reader round-trips both encodings" ~count:50 (fun stream ->
       with_temp_file (fun path ->
@@ -348,7 +337,9 @@ let test_typed_reader_round_trip =
             format = expected_format && events = stream
           in
           check (fun sink -> Trace.binary_sink (Btrace.writer sink)) Trace_file.Binary
-          && check (fun sink -> Trace.buffered_jsonl_sink sink) Trace_file.Jsonl))
+          && check
+               (fun sink ~time e -> Sink.write_line sink (Json.to_string (Trace.to_json ~time e)))
+               Trace_file.Jsonl))
 
 let test_typed_reader_any_key_order () =
   (* A binary record whose keys are not in schema order, or that spells
@@ -409,28 +400,22 @@ let test_involves_and_au_of =
 
 (* MD5s of every encoding of a fixed seeded sample over all kinds,
    recorded from the hand-written codecs the schema replaced: the
-   schema-derived codecs must reproduce them byte for byte. *)
+   schema-derived codecs must reproduce them byte for byte. "jsonl" is
+   the binary file's JSONL rendering, as [trace-convert] writes it. *)
 let sample_digests () =
   let sample = Trace_gen.fixed_sample ~n:2000 in
   let lines f = String.concat "" (List.map f sample) in
   let digest s = Digest.to_hex (Digest.string s) in
-  let binary =
+  let binary, jsonl =
     with_temp_file (fun path ->
         Sink.with_file path (fun sink ->
             let emit = Trace.binary_sink (Btrace.writer sink) in
             List.iter (fun (time, e) -> emit ~time e) sample);
-        read_all path)
-  in
-  let buffered =
-    with_temp_file (fun path ->
-        Sink.with_file path (fun sink ->
-            let emit = Trace.buffered_jsonl_sink sink in
-            List.iter (fun (time, e) -> emit ~time e) sample);
-        read_all path)
+        (read_all path, Trace_gen.jsonl path))
   in
   [
     ("json", digest (lines (fun (time, e) -> Json.to_string (Trace.to_json ~time e) ^ "\n")));
-    ("jsonl", digest buffered);
+    ("jsonl", digest jsonl);
     ("binary", digest binary);
     ("pretty", digest (lines (fun (_, e) -> Format.asprintf "%a\n" Trace.pp_event e)));
     ( "taxonomy",
@@ -566,107 +551,66 @@ let test_emit_severity_parity () =
 
 (* -- Scenario trace files: jsonl and binary agree ----------------------- *)
 
+(* [report_trace ~scale ~seed ~years dir] runs a Debug report into [dir]
+   and returns its trace, with the trace's JSONL rendering written next
+   to it. *)
+let report_trace ~scale ~seed ~years dir =
+  let probes =
+    { Scenario.default_probes with Scenario.report = Some dir; trace_level = Trace.Debug }
+  in
+  ignore (Scenario.run ~probes ~cfg:(Scenario.config scale) ~seed ~years Scenario.No_attack);
+  let binary = Filename.concat dir (Printf.sprintf "seed%d/trace.ntrace" seed) in
+  let jsonl = Filename.concat dir "trace.jsonl" in
+  Out_channel.with_open_bin jsonl (fun oc ->
+      Out_channel.output_string oc (Trace_gen.jsonl binary));
+  (jsonl, binary)
+
 let test_run_trace_encodings_agree () =
-  with_temp_file (fun jsonl_path ->
-      with_temp_file (fun ntrace_stub ->
-          let binary_path = ntrace_stub ^ ".ntrace" in
-          Fun.protect
-            ~finally:(fun () ->
-              List.iter
-                (fun p ->
-                  let seeded = Scenario.seeded_path p ~seed:5 in
-                  if Sys.file_exists seeded then Sys.remove seeded)
-                [ jsonl_path; binary_path ])
-            (fun () ->
-              let cfg = Scenario.config tiny_scale in
-              let probes trace_out =
-                {
-                  Scenario.default_probes with
-                  Scenario.trace_out = Some trace_out;
-                  trace_level = Lockss.Trace.Debug;
-                }
-              in
-              let s1 =
-                (Scenario.run
-                   ~probes:(probes jsonl_path)
-                   ~cfg ~seed:5 ~years:0.1 Scenario.No_attack)
-                  .Scenario.summary
-              in
-              let s2 =
-                (Scenario.run
-                   ~probes:(probes binary_path)
-                   ~cfg ~seed:5 ~years:0.1 Scenario.No_attack)
-                  .Scenario.summary
-              in
-              (* [compare], not [=]: empirical_read_failure is [nan] when
-                 the short run saw no reads, and [nan = nan] is false. *)
-              Alcotest.(check bool) "same summary" true (compare s1 s2 = 0);
-              let jsonl_file = Scenario.seeded_path jsonl_path ~seed:5 in
-              let binary_file = Scenario.seeded_path binary_path ~seed:5 in
-              Alcotest.(check bool) "binary format selected by extension" true
-                (Trace_file.detect binary_file = Trace_file.Binary);
-              (* The two encodings of the same run must analyze
-                 byte-identically. *)
-              let report path =
-                let analyzer = Obs.Analyze.create () in
-                Obs.Analyze.read_file analyzer path;
-                Json.to_string (Obs.Analyze.report_json analyzer)
-              in
-              Alcotest.(check string) "identical trace-report" (report jsonl_file)
-                (report binary_file);
-              (* And converting jsonl -> binary reproduces the stream. *)
-              let reencoded = ref [] in
-              ignore
-                (Trace_file.iter jsonl_file ~f:(fun ~line:_ result ->
-                     match result with
-                     | Ok json -> reencoded := json :: !reencoded
-                     | Error msg -> Alcotest.failf "jsonl record: %s" msg));
-              let from_binary = ref [] in
-              ignore
-                (Trace_file.iter binary_file ~f:(fun ~line:_ result ->
-                     match result with
-                     | Ok json -> from_binary := json :: !from_binary
-                     | Error msg -> Alcotest.failf "binary record: %s" msg));
-              Alcotest.(check bool) "identical json streams" true
-                (List.rev !reencoded = List.rev !from_binary))))
+  Trace_gen.with_report_dir (fun dir ->
+      let jsonl_file, binary_file = report_trace ~scale:tiny_scale ~seed:5 ~years:0.1 dir in
+      Alcotest.(check bool) "the report's trace is binary" true
+        (Trace_file.detect binary_file = Trace_file.Binary);
+      (* The two encodings of the same run must analyze
+         byte-identically. *)
+      let report path =
+        let analyzer = Obs.Analyze.create () in
+        Obs.Analyze.read_file analyzer path;
+        Json.to_string (Obs.Analyze.report_json analyzer)
+      in
+      Alcotest.(check string) "identical trace-report" (report jsonl_file)
+        (report binary_file);
+      (* And reading the JSONL back reproduces the stream. *)
+      let records path =
+        let acc = ref [] in
+        ignore
+          (Trace_file.iter path ~f:(fun ~line:_ result ->
+               match result with
+               | Ok json -> acc := json :: !acc
+               | Error msg -> Alcotest.failf "%s record: %s" path msg));
+        List.rev !acc
+      in
+      Alcotest.(check bool) "identical json streams" true
+        (records jsonl_file = records binary_file))
 
 (* -- Offline reports pinned ------------------------------------------------ *)
 
-(* A seeded 0.3-year Debug run traced in both encodings, plus a copy of
-   each cut mid-record, read by the offline analyzer and replayed
+(* A seeded 0.3-year Debug run's report trace and its JSONL rendering,
+   plus a copy of each cut mid-record, read by the offline analyzer and replayed
    through the auditor. The two digests pin both reports over all four
    files, so a change to how traces are read — or how malformed records
    are counted — shows up here. *)
 let offline_report_digests () =
-  let dir = Filename.temp_dir "offline_reports" "" in
-  let files = ref [] in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) !files;
-      Sys.rmdir dir)
-    (fun () ->
+  Trace_gen.with_report_dir (fun dir ->
       let scale = { Scenario.bench with Scenario.years = 0.3 } in
-      let traced ext =
-        let path = Filename.concat dir ("t" ^ ext) in
-        let probes =
-          {
-            Scenario.default_probes with
-            Scenario.trace_out = Some path;
-            trace_level = Trace.Debug;
-          }
-        in
-        ignore
-          (Scenario.run ~probes ~cfg:(Scenario.config scale) ~seed:1 ~years:0.3
-             Scenario.No_attack);
-        let seeded = Scenario.seeded_path path ~seed:1 in
-        let whole = read_all seeded in
-        let cut = Filename.concat dir ("cut" ^ ext) in
+      let jsonl, binary = report_trace ~scale ~seed:1 ~years:0.3 dir in
+      let with_cut path =
+        let whole = read_all path in
+        let cut = Filename.concat dir ("cut" ^ Filename.extension path) in
         Out_channel.with_open_bin cut (fun oc ->
             Out_channel.output_string oc (String.sub whole 0 (String.length whole / 2)));
-        files := seeded :: cut :: !files;
-        [ seeded; cut ]
+        [ path; cut ]
       in
-      let paths = traced ".jsonl" @ traced ".ntrace" in
+      let paths = with_cut jsonl @ with_cut binary in
       let analysis path =
         let analyzer = Obs.Analyze.create () in
         Obs.Analyze.read_file analyzer path;
@@ -1137,7 +1081,6 @@ let () =
       ( "view fast path",
         [
           test_view_agrees_with_json;
-          test_write_jsonl_byte_parity;
           test_binary_sink_byte_parity;
           tc "analyzer parity json vs view" `Quick test_analyzer_parity_json_vs_view;
           tc "of_json takes a key's first binding" `Quick test_view_of_json_first_binding;

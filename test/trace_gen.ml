@@ -1,5 +1,6 @@
 (* One QCheck generator over every trace event kind, shared by the
-   observability and trace-pipeline suites. Identities and AUs mostly
+   observability and trace-pipeline suites, and the two helpers the
+   suites that read a run report share. Identities and AUs mostly
    come from a small range, so [involves]/[au_of] probes hit often, and
    sometimes from a wide one, so the binary encoding's varints and the
    intern table see multi-byte values. Floats stay finite: a non-finite
@@ -121,7 +122,7 @@ let by_kind : Trace.event t list =
 let event = oneof by_kind
 
 (* A timed event stream, times non-decreasing like a real trace, with
-   runs of equal timestamps (the JSONL sink memoizes the last one). *)
+   runs of equal timestamps. *)
 let stream =
   let step = frequency [ (2, return 0.); (3, float_bound_inclusive 5e4) ] in
   map
@@ -143,3 +144,32 @@ let print_stream s =
 let fixed_sample ~n =
   generate ~rand:(Random.State.make [| 20_051_005 |]) ~n
     (pair (float_bound_inclusive 3e7) event)
+
+(* -- Run reports ---------------------------------------------------------- *)
+
+(* [with_report_dir f] runs [f dir] on a fresh directory and removes it,
+   with everything a run report wrote into it, afterwards. *)
+let with_report_dir f =
+  let dir = Filename.temp_dir "report" "" in
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun name -> remove (Filename.concat path name)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> remove dir) (fun () -> f dir)
+
+(* [jsonl path] is the JSONL rendering of a trace file in either
+   encoding, one [Obs.Json.write] line per record: the bytes
+   [lockss_sim trace-convert] writes. *)
+let jsonl path =
+  let buf = Buffer.create 4096 in
+  ignore
+    (Obs.Trace_file.iter path ~f:(fun ~line result ->
+         match result with
+         | Ok json ->
+           Obs.Json.write buf json;
+           Buffer.add_char buf '\n'
+         | Error msg -> failwith (Printf.sprintf "%s:%d: %s" path line msg)));
+  Buffer.contents buf
