@@ -52,23 +52,64 @@ type writer = {
   sink : Sink.t;
   intern : (string, int) Hashtbl.t;
   mutable next_id : int;
-  mutable atom_ids : int array;
+  atom_ids : int array;  (* intern id per atom slot, -1 until first use *)
   payload : Buffer.t;
   header : Buffer.t;
   mutable records : int;
 }
 
-(* Module-initialisation-time registration counter for {!atom}; see the
-   direct-encoding section below. *)
-let atom_slots = ref 0
+(* Atoms: strings registered once (at module-initialisation time) and
+   resolved per writer through a flat array, so a hot encoder pays an
+   array load per recurring string instead of a hashtable lookup. An
+   atom's first use in a writer goes through {!encode_string}, sharing
+   the one intern id-space with the generic {!write} path — mixing the
+   two on one writer stays byte-compatible in either order.
+
+   The first [writer] freezes the registry: from then on it is
+   immutable and [atom] raises, so writers on any domain read a registry
+   nobody writes, and every writer's cache covers every atom. The
+   open/frozen switch and each registration are one compare-and-set on
+   the same atomic, so a registration racing the first [writer] either
+   lands before the freeze or raises. *)
+type atom = { str : string; slot : int }
+
+(* Newest first; an atom's slot is the number registered before it. *)
+type registry = Open of atom list | Frozen of int
+
+let registry = Atomic.make (Open [])
+
+let rec atom str =
+  match Atomic.get registry with
+  | Frozen _ ->
+    invalid_arg
+      (Printf.sprintf
+         "Btrace.atom %S: a writer already exists (register atoms at module \
+          initialisation)"
+         str)
+  | Open atoms as seen -> (
+    match List.find_opt (fun a -> String.equal a.str str) atoms with
+    | Some a -> a
+    | None ->
+      let a = { str; slot = List.length atoms } in
+      if Atomic.compare_and_set registry seen (Open (a :: atoms)) then a else atom str)
+
+(* The number of atom slots, freezing the registry. *)
+let rec freeze_registry () =
+  match Atomic.get registry with
+  | Frozen slots -> slots
+  | Open atoms as seen ->
+    let slots = List.length atoms in
+    if Atomic.compare_and_set registry seen (Frozen slots) then slots
+    else freeze_registry ()
 
 let writer sink =
+  let slots = freeze_registry () in
   Sink.write sink magic;
   {
     sink;
     intern = Hashtbl.create 256;
     next_id = 0;
-    atom_ids = Array.make (max 1 !atom_slots) (-1);
+    atom_ids = Array.make (max 1 slots) (-1);
     payload = Buffer.create 256;
     header = Buffer.create 10;
     records = 0;
@@ -141,34 +182,9 @@ let count w = w.records
 
 (* -- Direct record encoding ---------------------------------------------- *)
 
-(* Atoms: strings registered once (at module-initialisation time) and
-   resolved per writer through a flat array, so a hot encoder pays an
-   array load per recurring string instead of a hashtable lookup. An
-   atom's first use in a writer goes through {!encode_string}, sharing
-   the one intern id-space with the generic {!write} path — mixing the
-   two on one writer stays byte-compatible in either order. *)
-
-type atom = { str : string; slot : int }
-
-(* One atom per string, however many encoders register it. *)
-let registered : (string, atom) Hashtbl.t = Hashtbl.create 64
-
-let atom str =
-  match Hashtbl.find_opt registered str with
-  | Some a -> a
-  | None ->
-    let a = { str; slot = !atom_slots } in
-    incr atom_slots;
-    Hashtbl.add registered str a;
-    a
-
+(* Every atom was registered before the registry froze, so its slot is
+   within every writer's cache. *)
 let put_atom w a =
-  (if a.slot >= Array.length w.atom_ids then begin
-     (* The writer predates this atom's registration; grow the cache. *)
-     let bigger = Array.make (a.slot + 1) (-1) in
-     Array.blit w.atom_ids 0 bigger 0 (Array.length w.atom_ids);
-     w.atom_ids <- bigger
-   end);
   let id = Array.unsafe_get w.atom_ids a.slot in
   if id >= 0 then begin
     add_tag w.payload tag_string_ref;

@@ -37,7 +37,8 @@ type writer
 
 (** [writer sink] writes {!magic} immediately and returns a writer that
     frames every subsequent {!write} into [sink]. Closing [sink]
-    finalises the file; the writer holds no state needing a footer. *)
+    finalises the file; the writer holds no state needing a footer. The
+    first call freezes the atom registry (see {!atom}). *)
 val writer : Sink.t -> writer
 
 (** [write w ?now json] appends one record. [?now] is forwarded to the
@@ -61,10 +62,13 @@ val count : writer -> int
 (** An interned-string handle. Register atoms once at
     module-initialisation time (keys, kind names, enum tokens); each
     writer resolves them through a flat array, skipping the per-field
-    hashtable lookup of the generic path. Registering a string again
-    returns its existing atom. *)
+    hashtable lookup of the generic path. *)
 type atom
 
+(** [atom s] registers [s]; registering a string again returns its
+    existing atom. The first {!writer} freezes the registry, so writers
+    on any domain only read it: from then on [atom] raises
+    [Invalid_argument]. *)
 val atom : string -> atom
 
 (** [begin_record w] starts assembling a record in the writer's scratch

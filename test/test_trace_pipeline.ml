@@ -154,6 +154,14 @@ let test_btrace_smaller_than_jsonl () =
           if not (bin * 2 < jsonl) then
             Alcotest.failf "binary %d bytes not < half of JSONL %d bytes" bin jsonl))
 
+(* Atoms are registered at module initialisation; the first writer
+   freezes the registry, so writers on other domains only read it. *)
+let test_btrace_late_atom_raises () =
+  with_temp_file (fun path -> Sink.with_file path (fun sink -> ignore (Btrace.writer sink)));
+  match Btrace.atom "registered after a writer" with
+  | _ -> Alcotest.fail "Btrace.atom after the first writer must raise"
+  | exception Invalid_argument _ -> ()
+
 let test_btrace_truncation_detected () =
   with_temp_file (fun path ->
       ignore (write_binary path sample_jsons);
@@ -1065,6 +1073,7 @@ let () =
           tc "taxonomy round-trip" `Quick test_btrace_round_trip_taxonomy;
           tc "smaller than jsonl" `Quick test_btrace_smaller_than_jsonl;
           tc "truncation detected" `Quick test_btrace_truncation_detected;
+          tc "late atom registration raises" `Quick test_btrace_late_atom_raises;
           tc "bad magic rejected" `Quick test_btrace_bad_magic;
           tc "dangling intern ref rejected" `Quick test_btrace_bad_intern_ref;
           tc "trailing record bytes rejected" `Quick test_btrace_trailing_bytes_in_record;
