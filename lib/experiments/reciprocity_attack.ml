@@ -9,22 +9,28 @@ type row = {
   delay_ratio : float;
 }
 
+(* Each row sweeps the baseline's seeds, so its ratios compare like with
+   like; its counters average over those runs, rounded, as
+   {!Scenario.mean_summaries} does for counts. *)
 let sweep ?(scale = Scenario.bench) ?(fractions = [ 0.1; 0.2; 0.3 ]) ?(rate = 5.) () =
   let cfg = Scenario.config scale in
-  let baseline, runs =
+  let baseline, sweeps =
     Runner.both
       (fun () -> (Scenario.sweep ~cfg scale Scenario.No_attack).Scenario.mean)
       (fun () ->
         Runner.map
-          (fun fraction ->
-            Scenario.run ~cfg ~seed:scale.Scenario.seed ~years:scale.Scenario.years
-              (Scenario.Reciprocity { fraction; rate }))
+          (fun fraction -> Scenario.sweep ~cfg scale (Scenario.Reciprocity { fraction; rate }))
           fractions)
   in
   List.map2
-    (fun fraction r ->
-      let counter name = List.assoc name r.Scenario.adversary in
-      let c = Scenario.ratios ~baseline ~attack:r.Scenario.summary in
+    (fun fraction (s : Scenario.sweep) ->
+      let counter name =
+        let total =
+          List.fold_left (fun acc r -> acc + List.assoc name r.Scenario.adversary) 0 s.runs
+        in
+        int_of_float (Float.round (float_of_int total /. float_of_int (List.length s.runs)))
+      in
+      let c = Scenario.ratios ~baseline ~attack:s.mean in
       {
         fraction;
         defections = counter "defections";
@@ -33,7 +39,7 @@ let sweep ?(scale = Scenario.bench) ?(fractions = [ 0.1; 0.2; 0.3 ]) ?(rate = 5.
         cost_ratio = c.Scenario.cost_ratio;
         delay_ratio = c.Scenario.delay_ratio;
       })
-    fractions runs
+    fractions sweeps
 
 let brute_force_reference ?(scale = Scenario.bench) () =
   let cfg = Scenario.config scale in

@@ -18,6 +18,11 @@ type row = {
   delay_ratio : float;
 }
 
+(** [sweep ?scale ?fractions ?rate ()] is one row per compromised
+    fraction. Each row sweeps the scale's seeds ({!Scenario.sweep}), as
+    the no-attack baseline does: its ratios are {!Scenario.ratios} of
+    the two sweeps' means, and its counters average over the runs,
+    rounded. *)
 val sweep :
   ?scale:Scenario.scale -> ?fractions:float list -> ?rate:float -> unit -> row list
 

@@ -173,6 +173,54 @@ let test_reciprocity_less_effective_than_brute_force () =
       (r.Experiments.Reciprocity_attack.delay_ratio < 1.2)
   | _ -> Alcotest.fail "expected one row")
 
+(* A row at two runs is the mean of its two single-seed runs: counters
+   averaged and rounded, ratios of the attack runs' mean against the
+   baseline runs' mean over the same seeds. *)
+let test_reciprocity_row_averages_seeds () =
+  let module Scenario = Experiments.Scenario in
+  let scale =
+    {
+      Scenario.peers = 15;
+      aus = 2;
+      quorum = 4;
+      max_disagree = 1;
+      outer_circle = 3;
+      reference_target = 8;
+      years = 0.5;
+      runs = 2;
+      seed = 5;
+    }
+  in
+  let fraction = 0.2 and rate = 5. in
+  let row =
+    match Experiments.Reciprocity_attack.sweep ~scale ~fractions:[ fraction ] ~rate () with
+    | [ r ] -> r
+    | _ -> Alcotest.fail "expected one row"
+  in
+  let cfg = Scenario.config scale in
+  let runs attack =
+    List.map
+      (fun seed -> Scenario.run ~cfg ~seed ~years:scale.Scenario.years attack)
+      [ 5; 6 ]
+  in
+  let attacked = runs (Scenario.Reciprocity { fraction; rate }) in
+  let mean rs = Scenario.mean_summaries (List.map (fun r -> r.Scenario.summary) rs) in
+  let c =
+    Scenario.ratios ~baseline:(mean (runs Scenario.No_attack)) ~attack:(mean attacked)
+  in
+  let counter name =
+    let total =
+      List.fold_left (fun acc r -> acc + List.assoc name r.Scenario.adversary) 0 attacked
+    in
+    int_of_float (Float.round (float_of_int total /. 2.))
+  in
+  let open Experiments.Reciprocity_attack in
+  Alcotest.(check int) "defections" (counter "defections") row.defections;
+  Alcotest.(check int) "honest votes" (counter "honest_votes") row.honest_votes;
+  Alcotest.(check (float 0.)) "friction" c.Scenario.friction row.friction;
+  Alcotest.(check (float 0.)) "cost ratio" c.Scenario.cost_ratio row.cost_ratio;
+  Alcotest.(check (float 0.)) "delay ratio" c.Scenario.delay_ratio row.delay_ratio
+
 let test_reciprocity_grade_burned_on_defection () =
   (* After a defection the minion's standing at that victim drops at
      vote-supply time, so back-to-back extractions from one grade are
@@ -384,6 +432,7 @@ let () =
       ( "grade recovery",
         [
           slow "less effective than brute force" test_reciprocity_less_effective_than_brute_force;
+          quick "row averages its seeds" test_reciprocity_row_averages_seeds;
           slow "grade burned on defection" test_reciprocity_grade_burned_on_defection;
           slow "one open poll per lane" test_reciprocity_one_open_poll_per_lane;
         ] );

@@ -125,7 +125,7 @@ let test_experiment_tables_pinned () =
   in
   check "subversion" "f36611ee4d7a25e5e2c31aec73c8b98d"
     Experiments.Subversion_attack.(to_table (sweep ()));
-  check "reciprocity" "7adb6b33566440df2bb2da8f0f6802a6"
+  check "reciprocity" "f32553e98e7af18c3bab7c498a2e7bb0"
     Experiments.Reciprocity_attack.(to_table (sweep ()))
 
 let () =
