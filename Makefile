@@ -11,46 +11,50 @@ test:
 check:
 	dune build @all && dune runtest
 
-# End-to-end smoke: short run with tracing + metric sampling, then assert
-# the trace JSONL parses (inspect exits non-zero on any bad line) and
-# the metrics CSV contains data rows beyond the header. Sink paths are
-# per-run: the requested path gains a .seedS suffix (default seed is 1).
+# End-to-end smoke: short run writing a run report, then assert its
+# trace parses (inspect exits non-zero on any bad record) and its
+# metrics CSV contains data rows beyond the header. Each run reports
+# into DIR/seed<N>/ (default seed 1).
 smoke: build
-	rm -f /tmp/t.seed1.jsonl /tmp/m.seed1.csv
+	rm -rf /tmp/smoke-report
 	dune exec bin/lockss_sim.exe -- run --years 0.1 \
-	  --trace-out /tmp/t.jsonl --metrics-out /tmp/m.csv --sample-interval 7d
-	dune exec bin/lockss_sim.exe -- inspect /tmp/t.seed1.jsonl
-	@test "$$(wc -l < /tmp/m.seed1.csv)" -gt 1 || \
-	  { echo "smoke: /tmp/m.seed1.csv has no sample rows" >&2; exit 1; }
+	  --report /tmp/smoke-report --sample-interval 7d
+	dune exec bin/lockss_sim.exe -- inspect /tmp/smoke-report/seed1/trace.ntrace
+	@test "$$(wc -l < /tmp/smoke-report/seed1/metrics.csv)" -gt 1 || \
+	  { echo "smoke: /tmp/smoke-report/seed1/metrics.csv has no sample rows" >&2; exit 1; }
+	@test -s /tmp/smoke-report/manifest.json || \
+	  { echo "smoke: no manifest written" >&2; exit 1; }
 	@echo "smoke: OK"
 
-# Offline-analyzer smoke: a short fault-free baseline traced at debug
+# Offline-analyzer smoke: a short fault-free baseline reported at debug
 # level must reconstruct into spans and a ledger with zero anomalies
 # (inspect exits non-zero on any invalid record, anomaly or violation).
-# The trace is then round-tripped through the binary encoding: inspect
-# must pass on it too and its --json report must match the JSONL one
-# byte-for-byte, and converting back must reproduce the original JSONL
+# The binary trace is then converted to JSONL: inspect must pass on it
+# too and its --json report must match the binary one byte-for-byte,
+# and ntrace -> jsonl -> ntrace -> jsonl must reproduce the first JSONL
 # exactly.
 trace-report-smoke: build
-	rm -f /tmp/tr-smoke.seed1.jsonl /tmp/tr-smoke-spans.seed1.jsonl /tmp/tr-smoke-ledger.seed1.json \
-	  /tmp/tr-smoke.seed1.ntrace /tmp/tr-smoke-back.seed1.jsonl
-	dune exec bin/lockss_sim.exe -- run --years 0.2 \
-	  --trace-out /tmp/tr-smoke.jsonl --trace-level debug \
-	  --spans-out /tmp/tr-smoke-spans.jsonl --ledger-out /tmp/tr-smoke-ledger.json
-	dune exec bin/lockss_sim.exe -- inspect /tmp/tr-smoke.seed1.jsonl
-	@grep -q '"ok": *true' /tmp/tr-smoke-ledger.seed1.json || \
+	rm -rf /tmp/tr-smoke && mkdir -p /tmp/tr-smoke
+	dune exec bin/lockss_sim.exe -- run --years 0.2 --trace-level debug \
+	  --report /tmp/tr-smoke/report
+	dune exec bin/lockss_sim.exe -- inspect /tmp/tr-smoke/report/seed1/trace.ntrace
+	@grep -q '"ok": *true' /tmp/tr-smoke/report/seed1/ledger.json || \
 	  { echo "trace-report-smoke: ledger did not reconcile with metrics" >&2; exit 1; }
-	@test -s /tmp/tr-smoke-spans.seed1.jsonl || \
+	@test -s /tmp/tr-smoke/report/seed1/spans.jsonl || \
 	  { echo "trace-report-smoke: no spans written" >&2; exit 1; }
-	dune exec bin/lockss_sim.exe -- trace-convert /tmp/tr-smoke.seed1.jsonl /tmp/tr-smoke.seed1.ntrace
-	dune exec bin/lockss_sim.exe -- inspect /tmp/tr-smoke.seed1.ntrace
-	dune exec bin/lockss_sim.exe -- inspect --json /tmp/tr-smoke.seed1.jsonl > /tmp/tr-smoke-report-jsonl.json
-	dune exec bin/lockss_sim.exe -- inspect --json /tmp/tr-smoke.seed1.ntrace > /tmp/tr-smoke-report-binary.json
-	cmp /tmp/tr-smoke-report-jsonl.json /tmp/tr-smoke-report-binary.json || \
-	  { echo "trace-report-smoke: binary trace analyzed differently from JSONL" >&2; exit 1; }
-	dune exec bin/lockss_sim.exe -- trace-convert /tmp/tr-smoke.seed1.ntrace /tmp/tr-smoke-back.seed1.jsonl
-	cmp /tmp/tr-smoke.seed1.jsonl /tmp/tr-smoke-back.seed1.jsonl || \
-	  { echo "trace-report-smoke: jsonl -> binary -> jsonl is not the identity" >&2; exit 1; }
+	dune exec bin/lockss_sim.exe -- trace-convert /tmp/tr-smoke/report/seed1/trace.ntrace \
+	  /tmp/tr-smoke/trace.jsonl
+	dune exec bin/lockss_sim.exe -- inspect /tmp/tr-smoke/trace.jsonl
+	dune exec bin/lockss_sim.exe -- inspect --json /tmp/tr-smoke/report/seed1/trace.ntrace \
+	  > /tmp/tr-smoke/inspect-binary.json
+	dune exec bin/lockss_sim.exe -- inspect --json /tmp/tr-smoke/trace.jsonl \
+	  > /tmp/tr-smoke/inspect-jsonl.json
+	cmp /tmp/tr-smoke/inspect-binary.json /tmp/tr-smoke/inspect-jsonl.json || \
+	  { echo "trace-report-smoke: JSONL trace analyzed differently from binary" >&2; exit 1; }
+	dune exec bin/lockss_sim.exe -- trace-convert /tmp/tr-smoke/trace.jsonl /tmp/tr-smoke/back.ntrace
+	dune exec bin/lockss_sim.exe -- trace-convert /tmp/tr-smoke/back.ntrace /tmp/tr-smoke/back.jsonl
+	cmp /tmp/tr-smoke/trace.jsonl /tmp/tr-smoke/back.jsonl || \
+	  { echo "trace-report-smoke: ntrace -> jsonl -> ntrace -> jsonl is not the identity" >&2; exit 1; }
 	@echo "trace-report-smoke: OK"
 
 # Fault-injection smoke: a small deployment under the acceptance fault
@@ -133,18 +137,18 @@ experiments-smoke: build
 # make exactly its target invariant fire (inspect exits non-zero on any
 # violation).
 audit-smoke: build
-	rm -f /tmp/audit-smoke.seed1.jsonl
+	rm -rf /tmp/audit-smoke
 	dune exec bin/lockss_sim.exe -- run --years 0.3 --check \
-	  --trace-out /tmp/audit-smoke.jsonl --trace-level debug \
+	  --report /tmp/audit-smoke --trace-level debug \
 	  | grep -q '^violations: 0$$' || \
 	  { echo "audit-smoke: live auditor reported violations" >&2; exit 1; }
-	dune exec bin/lockss_sim.exe -- inspect /tmp/audit-smoke.seed1.jsonl \
-	  > /tmp/audit-smoke-clean.txt
-	grep -q '^violations: 0$$' /tmp/audit-smoke-clean.txt || \
+	dune exec bin/lockss_sim.exe -- inspect /tmp/audit-smoke/seed1/trace.ntrace \
+	  > /tmp/audit-smoke/clean.txt
+	grep -q '^violations: 0$$' /tmp/audit-smoke/clean.txt || \
 	  { echo "audit-smoke: offline audit reported violations" >&2; exit 1; }
-	! dune exec bin/lockss_sim.exe -- inspect /tmp/audit-smoke.seed1.jsonl \
-	  --mutate refractory-bypass > /tmp/audit-smoke-mutated.txt 2>&1
-	grep -q '^violations: 1$$' /tmp/audit-smoke-mutated.txt || \
+	! dune exec bin/lockss_sim.exe -- inspect /tmp/audit-smoke/seed1/trace.ntrace \
+	  --mutate refractory-bypass > /tmp/audit-smoke/mutated.txt 2>&1
+	grep -q '^violations: 1$$' /tmp/audit-smoke/mutated.txt || \
 	  { echo "audit-smoke: mutated trace did not raise exactly one violation" >&2; exit 1; }
 	@echo "audit-smoke: OK"
 
@@ -162,8 +166,8 @@ bench-parallel: build
 	dune exec bench/main.exe -- parallel --json BENCH_parallel.json \
 	  $(BENCH_PARALLEL_FLAGS)
 
-# Observability overhead: tracing disabled vs live span+ledger builders
-# vs full file sinks, recorded as JSON.
+# Observability overhead: tracing disabled vs a warn-level run report
+# vs the full debug report, recorded as JSON.
 bench-obs: build
 	dune exec bench/main.exe -- obs --json BENCH_obs.json
 
@@ -257,13 +261,14 @@ baseline-smoke: build
 
 # Engine profile of the baseline, pipe-stoppage and brute-force
 # scenarios at the CLI's default scale: event counts, queue pressure and
-# setup/run CPU per run, one profile-<attack>.seed1.json each (the
-# attacked runs also write their no-attack side as .baseline).
+# setup/run CPU per run, in a warn-level run report per attack
+# (profile-<attack>/seed1/profile.json; the attacked runs also profile
+# their no-attack side under profile-<attack>/baseline/).
 PROFILE_ATTACKS = none stoppage brute-remaining
 profile: build
 	for attack in $(PROFILE_ATTACKS); do \
-	  dune exec bin/lockss_sim.exe -- run --attack $$attack \
-	    --profile-out profile-$$attack.json || exit 1; \
+	  dune exec bin/lockss_sim.exe -- run --attack $$attack --trace-level warn \
+	    --report profile-$$attack || exit 1; \
 	done
 
 clean:
