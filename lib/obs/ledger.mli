@@ -1,7 +1,7 @@
 (** Per-peer provable-effort ledger, reconstructed from trace events.
 
     The ledger consumes the JSON representation of trace events (one
-    {!Json.t} object per event, as written by the trace JSONL sink) and
+    {!Json.t} object per event, as [Lockss.Trace.to_json] renders it) and
     accumulates, per peer, the provable effort it {e spent} and the
     effort other peers {e proved to it}, split by protocol phase. It
     also counts the poll/vote/invitation outcomes each peer was

@@ -5,7 +5,7 @@
     solicited, voted on, evaluated, repaired, concluded. The builder
     consumes trace events in JSON form (either live, by bridging the
     trace bus through the event serialiser, or offline from a trace
-    JSONL file) and maintains open and closed spans plus an anomaly
+    file) and maintains open and closed spans plus an anomaly
     list.
 
     Anomalies are trace shapes a healthy, fault-free run never
