@@ -586,27 +586,20 @@ let run_obs json_out =
   in
   let run probes () = overhead_run ~probes () in
   let measured =
-    Fun.protect
-      ~finally:(fun () ->
-        (* One run directory: [dir/seed<N>]. *)
-        Array.iter
-          (fun sub ->
-            let sub = Filename.concat dir sub in
-            Array.iter (fun f -> Sys.remove (Filename.concat sub f)) (Sys.readdir sub);
-            Sys.rmdir sub)
-          (Sys.readdir dir);
-        Sys.rmdir dir)
-      (fun () ->
-        best_of_rounds ~repeats
-          [
-            ("tracing disabled", fun () -> overhead_run ());
-            (* A warn-level report raises the bus's interest floor to
-               Warn, so nearly every emission skips its thunk: this
-               variant must stay within noise of "tracing disabled". *)
-            ("warn-level report", run (report Lockss.Trace.Warn));
-            ("report", run (report Lockss.Trace.Debug));
-          ])
+    best_of_rounds ~repeats
+      [
+        ("tracing disabled", fun () -> overhead_run ());
+        (* A warn-level report raises the bus's interest floor to Warn,
+           so nearly every emission skips its thunk: this variant must
+           stay within noise of "tracing disabled". *)
+        ("warn-level report", run (report Lockss.Trace.Warn));
+        ("report", run (report Lockss.Trace.Debug));
+      ]
   in
+  let run_dir = Filename.concat dir (Printf.sprintf "seed%d" micro_scale.Scenario.seed) in
+  Array.iter (fun name -> Sys.remove (Filename.concat run_dir name)) (Sys.readdir run_dir);
+  Sys.rmdir run_dir;
+  Sys.rmdir dir;
   let warn_overhead = (List.nth measured 1).overhead in
   if warn_overhead > 1.25 then
     Printf.printf
