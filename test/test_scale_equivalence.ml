@@ -180,12 +180,12 @@ let attacks =
       Scenario.Combined [ stoppage; brute Adversary.Brute_force.Full; vote_flood ] );
   ]
 
-let case_attack ~faults attack () =
-  let base = Scenario.config micro in
+let case_attack ?mix attack () =
   let cfg =
-    if faults then
-      { base with Lockss.Config.faults = Some (Chaos.faults_config Chaos.default_mix) }
-    else base
+    {
+      (Scenario.config micro) with
+      Lockss.Config.faults = Option.map Chaos.faults_config mix;
+    }
   in
   let r, trace_digest =
     traced_run ~cfg ~seed:micro.Scenario.seed ~years:micro.Scenario.years attack
@@ -195,14 +195,30 @@ let case_attack ~faults attack () =
      :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.Scenario.adversary)
     @ [ "trace:" ^ trace_digest ])
 
+(* Content faults at forty times the chaos mix's combined rate: late
+   (replayed, stale) acks and votes, forged poll ids and wrong-AU
+   replies all reach the brute-force minions, so these cases pin how
+   the adversary answers every reply it does and does not recognise. *)
+let content_heavy_mix =
+  { Chaos.default_mix with Chaos.corruption = 0.2; replay = 0.2; stale = 0.2; stray = 0.2 }
+
 let attack_cases =
   List.concat_map
     (fun (name, attack) ->
       [
-        ("attack-" ^ name, case_attack ~faults:false attack);
-        ("attack-" ^ name ^ "-chaos", case_attack ~faults:true attack);
+        ("attack-" ^ name, case_attack attack);
+        ("attack-" ^ name ^ "-chaos", case_attack ~mix:Chaos.default_mix attack);
       ])
     attacks
+  @ List.map
+      (fun (name, strategy) ->
+        ( "attack-brute-" ^ name ^ "-content-faults",
+          case_attack ~mix:content_heavy_mix (brute strategy) ))
+      [
+        ("intro", Adversary.Brute_force.Intro);
+        ("remaining", Adversary.Brute_force.Remaining);
+        ("none", Adversary.Brute_force.Full);
+      ]
 
 let cases =
   [
