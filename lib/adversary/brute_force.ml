@@ -3,7 +3,6 @@ module Rng = Repro_prelude.Rng
 module Duration = Repro_prelude.Duration
 module Proof = Effort.Proof
 module Cost_model = Effort.Cost_model
-module Session_tbl = Repro_prelude.Keyed_tbl.Int2
 
 type strategy = Intro | Remaining | Full
 
@@ -16,7 +15,8 @@ let pp_strategy ppf s =
    collide at the victims. *)
 let identity_space = 2_000_000
 
-type session = { victim : Narses.Topology.node; identity : Lockss.Ids.Identity.t }
+(* The cell of an invitation a reply has closed. *)
+let answered = -1
 
 type t = {
   population : Lockss.Population.t;
@@ -24,10 +24,14 @@ type t = {
   minions : Narses.Topology.node array;
   strategy : strategy;
   identities : Lockss.Ids.Identity.t array;
+  aus : int;
   period : float;
-  mutable next_identity_index : int;
   mutable next_poll_id : int;
-  sessions : session Session_tbl.t;  (* (au, poll id) -> invitation *)
+  (* Cell [poll_id - 1] is invitation [poll_id]'s victim and AU, packed
+     as [victim * aus + au], or [answered]. Most invitations are dropped
+     at admission and never answered, so each one costs a word here for
+     the rest of the run. *)
+  mutable invitations : int array;
   mutable sent : int;
   mutable admissions : int;
   mutable votes_received : int;
@@ -36,10 +40,34 @@ type t = {
 let ctx t = Lockss.Population.ctx t.population
 let cfg t = (ctx t).Lockss.Peer.cfg
 
-let next_identity t =
-  let id = t.identities.(t.next_identity_index mod Array.length t.identities) in
-  t.next_identity_index <- t.next_identity_index + 1;
-  id
+(* Poll ids are issued from 1, one per invitation, and each invitation
+   takes the next identity round-robin, so an invitation's identity is
+   its poll id's, not something to store. *)
+let identity_of t poll_id = t.identities.((poll_id - 1) mod Array.length t.identities)
+
+let open_invitation t ~victim ~au =
+  let poll_id = t.next_poll_id in
+  let n = Array.length t.invitations in
+  if poll_id > n then begin
+    let grown = Array.make (2 * n) answered in
+    Array.blit t.invitations 0 grown 0 n;
+    t.invitations <- grown
+  end;
+  t.invitations.(poll_id - 1) <- (victim * t.aus) + au;
+  t.next_poll_id <- poll_id + 1;
+  poll_id
+
+(* The victim of the open invitation [poll_id] on [au]. A reply naming
+   an id never issued, another AU or an invitation already answered —
+   stray, corrupted or late — finds none. *)
+let find_victim t ~au ~poll_id =
+  if poll_id < 1 || poll_id >= t.next_poll_id then None
+  else begin
+    let cell = t.invitations.(poll_id - 1) in
+    if cell = answered || cell mod t.aus <> au then None else Some (cell / t.aus)
+  end
+
+let close t ~poll_id = t.invitations.(poll_id - 1) <- answered
 
 let send t ~minion ~identity ~dst ~au payload =
   Minions.send (ctx t) ~src:minion ~dst ~identity ~au payload;
@@ -62,11 +90,9 @@ let oracle_accepts t ~victim ~au =
 let shot t victim au =
   if oracle_accepts t ~victim ~au then begin
     let cfg = cfg t in
-    let identity = next_identity t in
     let minion = Rng.pick t.rng t.minions in
-    let poll_id = t.next_poll_id in
-    t.next_poll_id <- poll_id + 1;
-    Session_tbl.replace t.sessions (au, poll_id) { victim; identity };
+    let poll_id = open_invitation t ~victim ~au in
+    let identity = identity_of t poll_id in
     let intro_cost = Lockss.Config.intro_effort cfg in
     (* All adversary work is booked through [Peer.charge_adversary] so the
        trace-derived effort ledger attributes it to the spending identity
@@ -89,37 +115,37 @@ let shot t victim au =
   end
 
 let on_poll_ack t ~minion ~au ~poll_id ~accepted =
-  match Session_tbl.find_opt t.sessions (au, poll_id) with
+  match find_victim t ~au ~poll_id with
   | None -> ()
-  | Some session ->
-    if not accepted then Session_tbl.remove t.sessions (au, poll_id)
+  | Some victim ->
+    if not accepted then close t ~poll_id
     else begin
       t.admissions <- t.admissions + 1;
       match t.strategy with
       | Intro ->
         (* Reservation attack: desert after the accepted Poll. *)
-        Session_tbl.remove t.sessions (au, poll_id)
+        close t ~poll_id
       | Remaining | Full ->
         let cfg = cfg t in
+        let identity = identity_of t poll_id in
         let remaining_cost = Lockss.Config.remaining_effort cfg in
         let remaining =
           if cfg.Lockss.Config.effort_balancing_enabled then begin
-            Lockss.Peer.charge_adversary (ctx t) ~who:session.identity
-              ~phase:Lockss.Trace.Solicitation ~poller:session.identity ~au ~poll_id
-              remaining_cost;
+            Lockss.Peer.charge_adversary (ctx t) ~who:identity
+              ~phase:Lockss.Trace.Solicitation ~poller:identity ~au ~poll_id remaining_cost;
             Proof.generate ~rng:t.rng ~cost:remaining_cost
           end
           else Proof.forged ~claimed_cost:remaining_cost
         in
         let nonce = Rng.bits64 t.rng in
-        send t ~minion ~identity:session.identity ~dst:session.victim ~au
+        send t ~minion ~identity ~dst:victim ~au
           (Lockss.Message.Poll_proof { poll_id; remaining; nonce })
     end
 
 let on_vote t ~minion ~au ~poll_id ~(vote : Lockss.Vote.t) =
-  match Session_tbl.find_opt t.sessions (au, poll_id) with
+  match find_victim t ~au ~poll_id with
   | None -> ()
-  | Some session ->
+  | Some victim ->
     t.votes_received <- t.votes_received + 1;
     (match t.strategy with
     | Intro | Remaining ->
@@ -132,16 +158,17 @@ let on_vote t ~minion ~au ~poll_id ~(vote : Lockss.Vote.t) =
          incorruptible, and any disagreeing blocks are the victim's own
          damage, not its problem. *)
       let cfg = cfg t in
+      let identity = identity_of t poll_id in
       let eval_cost =
         Cost_model.mbf_verify_seconds cfg.Lockss.Config.cost
           ~generation_cost:(Lockss.Config.vote_proof_cost cfg)
       in
-      Lockss.Peer.charge_adversary (ctx t) ~who:session.identity
-        ~phase:Lockss.Trace.Evaluation ~poller:session.identity ~au ~poll_id eval_cost;
-      send t ~minion ~identity:session.identity ~dst:session.victim ~au
+      Lockss.Peer.charge_adversary (ctx t) ~who:identity ~phase:Lockss.Trace.Evaluation
+        ~poller:identity ~au ~poll_id eval_cost;
+      send t ~minion ~identity ~dst:victim ~au
         (Lockss.Message.Evaluation_receipt
            { poll_id; receipt = Lockss.Vote.expected_receipt vote }));
-    Session_tbl.remove t.sessions (au, poll_id)
+    close t ~poll_id
 
 let minion_handler t minion ~src:_ (msg : Lockss.Message.t) =
   let au = msg.Lockss.Message.au in
@@ -168,10 +195,10 @@ let attach population ~minions ~strategy ~identities ~attempts_per_victim_au_per
       minions = Array.of_list minions;
       strategy;
       identities = ids;
+      aus = (Lockss.Population.ctx population).Lockss.Peer.cfg.Lockss.Config.aus;
       period = Duration.day /. attempts_per_victim_au_per_day;
-      next_identity_index = 0;
       next_poll_id = 1;
-      sessions = Session_tbl.create 256;
+      invitations = Array.make 256 answered;
       sent = 0;
       admissions = 0;
       votes_received = 0;

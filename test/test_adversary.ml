@@ -374,6 +374,32 @@ let test_brute_force_preservation_survives () =
   Alcotest.(check bool) "access failure stays small" true
     (s.Metrics.access_failure_probability < 0.01)
 
+(* Most invitations are dropped at admission and never answered, so
+   whatever the adversary keeps per invitation stays for the whole run.
+   That record must stay a few words: the growth in the population's
+   reachable heap between half a year and a year, per invitation sent
+   in between, bounds it (a per-invitation hashtable entry costs about
+   eight). *)
+let test_brute_force_memory_per_invitation () =
+  let population = Population.create ~seed:5 ~extra_nodes:2 tiny_cfg in
+  let attack =
+    Adversary.Brute_force.attach population
+      ~minions:(Population.extra_nodes population)
+      ~strategy:Adversary.Brute_force.Full ~identities:20 ~attempts_per_victim_au_per_day:5.
+  in
+  let sample years =
+    Population.run population ~until:(Duration.of_years years);
+    ( Obj.reachable_words (Obj.repr population),
+      Adversary.Brute_force.invitations_sent attack )
+  in
+  let words0, sent0 = sample 0.5 in
+  let words1, sent1 = sample 1. in
+  Alcotest.(check bool) "invitations keep coming" true (sent1 - sent0 > 1000);
+  let per_invitation = float_of_int (words1 - words0) /. float_of_int (sent1 - sent0) in
+  Printf.printf "%.2f words retained per invitation sent\n" per_invitation;
+  if per_invitation > 4. then
+    Alcotest.failf "%.2f words retained per invitation sent (bound 4)" per_invitation
+
 (* -- Compromised voter role --------------------------------------------- *)
 
 (* Peer 1 invites minion 0 and sends the PollProof, so the role schedules
@@ -445,5 +471,6 @@ let () =
           slow "NONE cheapest" test_brute_force_full_is_cheapest_per_admission;
           slow "preservation survives" test_brute_force_preservation_survives;
           slow "repeat runs deterministic" test_brute_force_repeat_runs_deterministic;
+          quick "memory per invitation" test_brute_force_memory_per_invitation;
         ] );
     ]
