@@ -14,7 +14,8 @@ check:
 # End-to-end smoke: short run writing a run report, then assert its
 # trace parses (inspect exits non-zero on any bad record) and its
 # metrics CSV contains data rows beyond the header. Each run reports
-# into DIR/seed<N>/ (default seed 1).
+# into DIR/seed<N>/ (default seed 1). --trace-level or
+# --sample-interval without --report must be a usage error (124).
 smoke: build
 	rm -rf /tmp/smoke-report
 	dune exec bin/lockss_sim.exe -- run --years 0.1 \
@@ -24,6 +25,12 @@ smoke: build
 	  { echo "smoke: /tmp/smoke-report/seed1/metrics.csv has no sample rows" >&2; exit 1; }
 	@test -s /tmp/smoke-report/manifest.json || \
 	  { echo "smoke: no manifest written" >&2; exit 1; }
+	@for opt in "--trace-level info" "--sample-interval 1d"; do \
+	  dune exec bin/lockss_sim.exe -- run --years 0.01 $$opt 2>/tmp/smoke-usage.err; \
+	  status=$$?; \
+	  test $$status -eq 124 && grep -q -- '--report' /tmp/smoke-usage.err || \
+	    { echo "smoke: run $$opt without --report exited $$status, want a usage error (124) naming --report" >&2; exit 1; }; \
+	done
 	@echo "smoke: OK"
 
 # Offline-analyzer smoke: a short fault-free baseline reported at debug

@@ -237,27 +237,33 @@ let report =
            --attack the no-attack side writes $(docv)/baseline/seed$(i,N)/. \
            Directories are created as needed.")
 
+(* The two report options are optional so that giving either without
+   --report can be told from leaving it at its default. *)
+let default_trace_level = Lockss.Trace.Debug
+let default_sample_interval = Duration.of_days 7.
+
 let trace_level =
   let levels =
     [ ("debug", Lockss.Trace.Debug); ("info", Lockss.Trace.Info); ("warn", Lockss.Trace.Warn) ]
   in
   Arg.(
     value
-    & opt (enum levels) Lockss.Trace.Debug
+    & opt (some' ~none:default_trace_level (enum levels)) None
     & info [ "trace-level" ] ~docv:"LEVEL"
         ~doc:
           "Minimum severity written to the report's trace: $(b,debug) (all protocol \
            chatter; the report also holds spans and the effort ledger), $(b,info) \
-           (poll lifecycle, drops, repairs), $(b,warn) (inquorate/alarmed polls only).")
+           (poll lifecycle, drops, repairs), $(b,warn) (inquorate/alarmed polls only). \
+           Requires --report.")
 
 let sample_interval =
   Arg.(
     value
-    & opt duration_arg (Duration.of_days 7.)
+    & opt (some' ~none:default_sample_interval duration_arg) None
     & info [ "sample-interval" ] ~docv:"DUR"
         ~doc:
           "Simulated time between metric samples, e.g. $(b,7d), $(b,12h), $(b,1mo) \
-           (default 7d).")
+           (default 7d). Requires --report.")
 
 let check_flag =
   Arg.(
@@ -272,9 +278,19 @@ let check_flag =
 
 let probes_term =
   let make report trace_level sample_interval audit =
-    { Experiments.Scenario.report; trace_level; sample_interval; audit }
+    match (report, trace_level, sample_interval) with
+    | None, Some _, _ -> `Error (true, "--trace-level requires --report")
+    | None, _, Some _ -> `Error (true, "--sample-interval requires --report")
+    | _ ->
+      `Ok
+        {
+          Experiments.Scenario.report;
+          trace_level = Option.value trace_level ~default:default_trace_level;
+          sample_interval = Option.value sample_interval ~default:default_sample_interval;
+          audit;
+        }
   in
-  Term.(const make $ report $ trace_level $ sample_interval $ check_flag)
+  Term.(ret (const make $ report $ trace_level $ sample_interval $ check_flag))
 
 (* -- Manifest + baseline options --------------------------------------- *)
 
