@@ -23,53 +23,41 @@ let sweep ?(scale = Scenario.bench) ?collections ?(rate = default_rate)
     | Some c -> c
     | None -> [ scale.Scenario.aus; 3 * scale.Scenario.aus ]
   in
-  (* One job per (collection, attack) cell, the per-collection baseline
-     included, all fanned out over Runner workers at once. *)
-  let cells =
-    List.concat_map
-      (fun collection ->
-        let cfg = { (Scenario.config scale) with Lockss.Config.aus = collection } in
-        (collection, cfg, None)
-        :: List.map (fun strategy -> (collection, cfg, Some strategy)) strategies)
-      collections
+  (* One job per (collection, attack) cell, each collection's baseline
+     first, all fanned out over Runner workers at once; results come
+     back in job order, so each baseline is found by position. *)
+  let attacks =
+    Scenario.No_attack
+    :: List.map (fun strategy -> Scenario.Brute_force { strategy; rate; identities }) strategies
   in
   let summaries =
-    Runner.map
-      (fun (_, cfg, strategy) ->
-        let attack =
-          match strategy with
-          | None -> Scenario.No_attack
-          | Some strategy -> Scenario.Brute_force { strategy; rate; identities }
-        in
-        (Scenario.sweep ~cfg scale attack).Scenario.mean)
-      cells
+    Array.of_list
+      (Runner.map
+         (fun (cfg, attack) -> (Scenario.sweep ~cfg scale attack).Scenario.mean)
+         (List.concat_map
+            (fun collection ->
+              let cfg = { (Scenario.config scale) with Lockss.Config.aus = collection } in
+              List.map (fun attack -> (cfg, attack)) attacks)
+            collections))
   in
-  let by_cell = List.combine cells summaries in
-  List.filter_map
-    (fun ((collection, _, strategy), summary) ->
-      match strategy with
-      | None -> None
-      | Some strategy ->
-        let baseline =
-          match
-            List.find_opt
-              (fun ((c, _, s), _) -> c = collection && s = None)
-              by_cell
-          with
-          | Some (_, baseline) -> baseline
-          | None -> assert false
-        in
-        let c = Scenario.ratios ~baseline ~attack:summary in
-        Some
-          {
-            strategy;
-            collection;
-            friction = c.Scenario.friction;
-            cost_ratio = c.Scenario.cost_ratio;
-            delay_ratio = c.Scenario.delay_ratio;
-            access_failure = c.Scenario.access_failure;
-          })
-    by_cell
+  List.concat
+    (List.mapi
+       (fun i collection ->
+         let first = i * List.length attacks in
+         let baseline = summaries.(first) in
+         List.mapi
+           (fun j strategy ->
+             let c = Scenario.ratios ~baseline ~attack:summaries.(first + 1 + j) in
+             {
+               strategy;
+               collection;
+               friction = c.Scenario.friction;
+               cost_ratio = c.Scenario.cost_ratio;
+               delay_ratio = c.Scenario.delay_ratio;
+               access_failure = c.Scenario.access_failure;
+             })
+           strategies)
+       collections)
 
 let to_table rows =
   let table =
