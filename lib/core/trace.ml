@@ -752,8 +752,14 @@ let rec decode_json : type k. Json.t -> k F.t -> k -> (event, string) result =
   | [] -> Ok make
   | f :: rest -> Result.bind (json_field json f) (fun v -> decode_json json rest (make v))
 
-let by_name = Hashtbl.create 32
-let () = Array.iter (fun (Schema s as schema) -> Hashtbl.replace by_name s.name schema) schemas
+(* Built once from [schemas] and never mutated, so pool domains decoding
+   traces at once share it without a race. *)
+module Name_map = Map.Make (String)
+
+let by_name =
+  Array.fold_left
+    (fun by_name (Schema s as schema) -> Name_map.add s.name schema by_name)
+    Name_map.empty schemas
 
 let of_json json =
   match
@@ -763,7 +769,7 @@ let of_json json =
   | None, _ -> missing "t"
   | _, None -> missing "kind"
   | Some time, Some name -> (
-    match Hashtbl.find_opt by_name name with
+    match Name_map.find_opt name by_name with
     | None -> Error (Printf.sprintf "unknown event kind %S" name)
     | Some (Schema s) -> Result.map (fun e -> (time, e)) (decode_json json s.fields s.make))
 
