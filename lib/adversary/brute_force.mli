@@ -21,7 +21,17 @@
 
     All proof generation and (for {!Full}) vote evaluation is charged as
     adversary effort, which the cost-ratio metric compares with the
-    defenders' total. *)
+    defenders' total.
+
+    The adversary remembers each invitation it sends in one word (the
+    victim and AU, packed) until an ack or vote answers it; the
+    invitation's identity follows from its poll id. Most invitations
+    are dropped at admission and never answered, so the record grows by
+    about a word per invitation sent for the whole run. Nothing purges
+    it: under replay and stale-delivery faults an ack or vote can arrive
+    arbitrarily late, and the adversary must answer it as it would have
+    on time, drawing from its RNG as it would have, or the victims'
+    seeded runs would change. *)
 
 type strategy = Intro | Remaining | Full
 

@@ -195,10 +195,11 @@ let case_attack ?mix attack () =
      :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.Scenario.adversary)
     @ [ "trace:" ^ trace_digest ])
 
-(* Content faults at forty times the chaos mix's combined rate: late
-   (replayed, stale) acks and votes, forged poll ids and wrong-AU
-   replies all reach the brute-force minions, so these cases pin how
-   the adversary answers every reply it does and does not recognise. *)
+(* Each content fault at 0.2, together about eighteen times the chaos
+   mix's rate: late (replayed, stale) acks and votes, unissued poll ids
+   and wrong-AU replies all reach the brute-force minions, so these
+   cases pin how the adversary answers every reply it does and does not
+   recognise. *)
 let content_heavy_mix =
   { Chaos.default_mix with Chaos.corruption = 0.2; replay = 0.2; stale = 0.2; stray = 0.2 }
 
