@@ -428,10 +428,12 @@ let sample_digests () =
     ("pretty", digest (lines (fun (_, e) -> Format.asprintf "%a\n" Trace.pp_event e)));
     ( "taxonomy",
       digest
-        (lines (fun (_, e) ->
+        (lines (fun (time, e) ->
              Printf.sprintf "%s %s %s\n" (Trace.kind e)
                (Trace.severity_to_string (Trace.severity e))
-               (match Trace.au_of e with Some a -> string_of_int a | None -> "-"))) );
+               (match Option.bind (Json.member "au" (Trace.to_json ~time e)) Json.to_int with
+               | Some a -> string_of_int a
+               | None -> "-"))) );
   ]
 
 let pinned_digests =
