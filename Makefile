@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke reproduce-smoke attack-smoke experiments-smoke audit-smoke baseline-smoke bench bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
+.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke reproduce-smoke attack-smoke experiments-smoke examples-smoke audit-smoke baseline-smoke bench bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
 
 all: build
 
@@ -137,6 +137,16 @@ experiments-smoke: build
 	dune exec bin/lockss_sim.exe -- extensions $(ATTACK_SCALE) > /dev/null
 	dune exec bin/lockss_sim.exe -- chaos --ablation $(ATTACK_SCALE) > /dev/null
 	@echo "experiments-smoke: OK"
+
+# Examples smoke: every program under examples/ must run to completion
+# (exit 0); `dune build` only compiles them.
+examples-smoke: build
+	@for name in quickstart pipe_stoppage_demo brute_force_demo library_farm \
+	    poll_timeline attrition_gauntlet observability_demo; do \
+	  dune exec examples/$$name.exe > /dev/null || \
+	    { echo "examples-smoke: examples/$$name.exe failed" >&2; exit 1; }; \
+	done
+	@echo "examples-smoke: OK"
 
 # Invariant-audit smoke: a fault-free run with the online auditor
 # attached must report zero violations (in-sim and on offline replay of

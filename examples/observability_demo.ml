@@ -1,13 +1,12 @@
 (* Observability tour: one small deployment under an admission flood,
    watched three ways at once --
 
-     1. a warn-level pretty sink narrating troubled polls to stdout,
-     2. an Obs.Registry fed from the trace (event counts by kind, plus a
-        histogram of votes gathered per evaluation),
-     3. a Sampler emitting a weekly CSV time series of the metrics,
-
-   which is the same machinery behind `lockss_sim run --report DIR` and
-   every Experiments.Scenario run's report. *)
+     1. a warn-level subscriber narrating troubled polls to stdout,
+     2. event counts by kind, plus how many votes each evaluation
+        gathered, tallied from the trace into local tables,
+     3. a Sampler emitting a four-weekly CSV time series of the metrics,
+        the same writer behind each run's metrics.csv under
+        `lockss_sim run --report DIR`. *)
 
 module Duration = Repro_prelude.Duration
 module Population = Lockss.Population
@@ -35,18 +34,21 @@ let () =
        ~invitations_per_victim_au_per_day:24.);
   let trace = Population.trace population in
 
-  (* 1. Pretty sink: only warn-severity events (inquorate/alarmed polls). *)
-  print_endline "-- troubled polls (warn-level pretty sink) --";
-  Trace.subscribe trace (Trace.pretty_sink ~min_severity:Trace.Warn Format.std_formatter);
+  (* 1. Only warn-severity events (inquorate/alarmed polls). *)
+  print_endline "-- troubled polls (warn-level subscriber) --";
+  Trace.subscribe ~interest:Trace.Warn trace (fun ~time event ->
+      if Trace.severity event = Trace.Warn then
+        Format.printf "[%a] [warn] %a@." Duration.pp time Trace.pp_event event);
 
-  (* 2. Registry fed from the trace. *)
-  let registry = Obs.Registry.create () in
-  let votes_per_eval = Obs.Registry.histogram registry "votes_per_evaluation" in
+  (* 2. Counts tallied from the trace. *)
+  let bump tbl key =
+    Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+  in
+  let events_by_kind = Hashtbl.create 32 and evaluations_by_votes = Hashtbl.create 16 in
   Trace.subscribe trace (fun ~time:_ event ->
-      Obs.Registry.Counter.incr (Obs.Registry.counter registry ("events." ^ Trace.kind event));
+      bump events_by_kind (Trace.kind event);
       match event with
-      | Trace.Evaluation_started { votes; _ } ->
-        Obs.Registry.Histogram.observe votes_per_eval (float_of_int votes)
+      | Trace.Evaluation_started { votes; _ } -> bump evaluations_by_votes votes
       | _ -> ());
 
   (* 3. Four-weekly metric samples as CSV on stdout. *)
@@ -67,10 +69,13 @@ let () =
   Lockss.Sampler.stop sampler;
   Obs.Series.close series;
 
-  print_endline "\n-- registry snapshot --";
-  List.iter
-    (fun (name, value) -> Printf.printf "%-28s %s\n" name (Obs.Json.to_string value))
-    (Obs.Registry.snapshot registry);
+  let print_sorted title pp tbl =
+    Printf.printf "\n-- %s --\n" title;
+    List.iter (fun (key, n) -> Printf.printf "%-28s %d\n" (pp key) n)
+      (List.sort compare (List.of_seq (Hashtbl.to_seq tbl)))
+  in
+  print_sorted "events by kind" Fun.id events_by_kind;
+  print_sorted "evaluations by votes gathered" string_of_int evaluations_by_votes;
 
   print_endline "\n-- end-of-run summary --";
   Format.printf "%a@." Lockss.Metrics.pp_summary (Population.summary population)

@@ -13,5 +13,3 @@ module Au_id = struct
   let equal = Int.equal
   let pp ppf id = Format.fprintf ppf "au-%d" id
 end
-
-let poll_key ~identity ~au ~poll_id = (identity, au, poll_id)

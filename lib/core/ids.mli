@@ -23,7 +23,3 @@ module Au_id : sig
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end
-
-(** [poll_key ~identity ~au ~poll_id] is a unique key for one poll as seen
-    by one peer; used to index per-poll voter sessions. *)
-val poll_key : identity:Identity.t -> au:Au_id.t -> poll_id:int -> int * int * int

@@ -268,17 +268,12 @@ let emit ?(bound = Warn) t ~now thunk =
 (* -- The schema ---------------------------------------------------------- *)
 
 (* Every kind is described once, in [schemas], as a list of typed
-   fields. Each codec — JSON value, binary, decoding, the
-   analyzer view — and the [involves]/[au_of] projections walk that
-   description; none names a kind. The field order is the encoding
-   order. *)
-
-(* What an integer names: [involves] matches identities, [au_of] reads
-   the AU. *)
-type role = Num | Peer | Au
+   fields. Each codec — JSON value, binary, decoding and the analyzer
+   view — walks that description; none names a kind. The field order is
+   the encoding order. *)
 
 type _ ty =
-  | Int : role -> int ty
+  | Int : int ty
   | Float : float ty
   | Bool : bool ty
   | Text : string ty  (** free text, escaped in JSON *)
@@ -319,24 +314,23 @@ let field shape key get =
 
 let req ty = field (Req ty)
 let opt ty = field (Opt ty)
-let int key get = req (Int Num) key get
-let peer key get = req (Int Peer) key get
-let au get = req (Int Au) "au" get
+let int key get = req Int key get
+let au get = int "au" get
 let always severity _ = severity
 let wrong () = invalid_arg "Trace: field read from another kind"
 
 (* The eight message-fault kinds share two shapes. *)
-let link name src dst make = kind name (always Debug) F.[ peer "src" src; peer "dst" dst ] make
+let link name src dst make = kind name (always Debug) F.[ int "src" src; int "dst" dst ] make
 
 let delayed name src dst extra make =
-  kind name (always Debug) F.[ peer "src" src; peer "dst" dst; req Float "extra" extra ] make
+  kind name (always Debug) F.[ int "src" src; int "dst" dst; req Float "extra" extra ] make
 
 let schemas =
   [|
     kind "poll_started" (always Info)
       F.
         [
-          peer "poller" (function Poll_started r -> r.poller | _ -> wrong ());
+          int "poller" (function Poll_started r -> r.poller | _ -> wrong ());
           au (function Poll_started r -> r.au | _ -> wrong ());
           int "poll_id" (function Poll_started r -> r.poll_id | _ -> wrong ());
           int "inner_candidates" (function Poll_started r -> r.inner_candidates | _ -> wrong ());
@@ -346,8 +340,8 @@ let schemas =
     kind "solicitation_sent" (always Debug)
       F.
         [
-          peer "poller" (function Solicitation_sent r -> r.poller | _ -> wrong ());
-          peer "voter" (function Solicitation_sent r -> r.voter | _ -> wrong ());
+          int "poller" (function Solicitation_sent r -> r.poller | _ -> wrong ());
+          int "voter" (function Solicitation_sent r -> r.voter | _ -> wrong ());
           au (function Solicitation_sent r -> r.au | _ -> wrong ());
           int "poll_id" (function Solicitation_sent r -> r.poll_id | _ -> wrong ());
           int "attempt" (function Solicitation_sent r -> r.attempt | _ -> wrong ());
@@ -357,8 +351,8 @@ let schemas =
     kind "invitation_dropped" (always Info)
       F.
         [
-          peer "voter" (function Invitation_dropped r -> r.voter | _ -> wrong ());
-          peer "claimed" (function Invitation_dropped r -> r.claimed | _ -> wrong ());
+          int "voter" (function Invitation_dropped r -> r.voter | _ -> wrong ());
+          int "claimed" (function Invitation_dropped r -> r.claimed | _ -> wrong ());
           au (function Invitation_dropped r -> r.au | _ -> wrong ());
           int "poll_id" (function Invitation_dropped r -> r.poll_id | _ -> wrong ());
           req (Enum drop_enum) "reason" (function Invitation_dropped r -> r.reason | _ -> wrong ());
@@ -368,10 +362,10 @@ let schemas =
     kind "invitation_admitted" (always Debug)
       F.
         [
-          peer "voter" (function Invitation_admitted r -> r.voter | _ -> wrong ());
-          peer "claimed" (function Invitation_admitted r -> r.claimed | _ -> wrong ());
+          int "voter" (function Invitation_admitted r -> r.voter | _ -> wrong ());
+          int "claimed" (function Invitation_admitted r -> r.claimed | _ -> wrong ());
           au (function Invitation_admitted r -> r.au | _ -> wrong ());
-          opt (Int Num) "poll_id" (function Invitation_admitted r -> r.poll_id | _ -> wrong ());
+          opt Int "poll_id" (function Invitation_admitted r -> r.poll_id | _ -> wrong ());
           req (Enum path_enum) "path" (function Invitation_admitted r -> r.path | _ -> wrong ());
         ]
       (fun voter claimed au poll_id path ->
@@ -379,8 +373,8 @@ let schemas =
     kind "invitation_refused" (always Debug)
       F.
         [
-          peer "voter" (function Invitation_refused r -> r.voter | _ -> wrong ());
-          peer "poller" (function Invitation_refused r -> r.poller | _ -> wrong ());
+          int "voter" (function Invitation_refused r -> r.voter | _ -> wrong ());
+          int "poller" (function Invitation_refused r -> r.poller | _ -> wrong ());
           au (function Invitation_refused r -> r.au | _ -> wrong ());
           int "poll_id" (function Invitation_refused r -> r.poll_id | _ -> wrong ());
         ]
@@ -388,8 +382,8 @@ let schemas =
     kind "invitation_accepted" (always Debug)
       F.
         [
-          peer "voter" (function Invitation_accepted r -> r.voter | _ -> wrong ());
-          peer "poller" (function Invitation_accepted r -> r.poller | _ -> wrong ());
+          int "voter" (function Invitation_accepted r -> r.voter | _ -> wrong ());
+          int "poller" (function Invitation_accepted r -> r.poller | _ -> wrong ());
           au (function Invitation_accepted r -> r.au | _ -> wrong ());
           int "poll_id" (function Invitation_accepted r -> r.poll_id | _ -> wrong ());
         ]
@@ -397,8 +391,8 @@ let schemas =
     kind "vote_sent" (always Debug)
       F.
         [
-          peer "voter" (function Vote_sent r -> r.voter | _ -> wrong ());
-          peer "poller" (function Vote_sent r -> r.poller | _ -> wrong ());
+          int "voter" (function Vote_sent r -> r.voter | _ -> wrong ());
+          int "poller" (function Vote_sent r -> r.poller | _ -> wrong ());
           au (function Vote_sent r -> r.au | _ -> wrong ());
           int "poll_id" (function Vote_sent r -> r.poll_id | _ -> wrong ());
         ]
@@ -406,7 +400,7 @@ let schemas =
     kind "poll_sampled" (always Debug)
       F.
         [
-          peer "poller" (function Poll_sampled r -> r.poller | _ -> wrong ());
+          int "poller" (function Poll_sampled r -> r.poller | _ -> wrong ());
           au (function Poll_sampled r -> r.au | _ -> wrong ());
           int "poll_id" (function Poll_sampled r -> r.poll_id | _ -> wrong ());
           req Peers "invited" (function Poll_sampled r -> r.invited | _ -> wrong ());
@@ -417,7 +411,7 @@ let schemas =
     kind "evaluation_started" (always Debug)
       F.
         [
-          peer "poller" (function Evaluation_started r -> r.poller | _ -> wrong ());
+          int "poller" (function Evaluation_started r -> r.poller | _ -> wrong ());
           au (function Evaluation_started r -> r.au | _ -> wrong ());
           int "poll_id" (function Evaluation_started r -> r.poll_id | _ -> wrong ());
           int "votes" (function Evaluation_started r -> r.votes | _ -> wrong ());
@@ -426,7 +420,7 @@ let schemas =
     kind "repair_applied" (always Info)
       F.
         [
-          peer "poller" (function Repair_applied r -> r.poller | _ -> wrong ());
+          int "poller" (function Repair_applied r -> r.poller | _ -> wrong ());
           au (function Repair_applied r -> r.au | _ -> wrong ());
           int "poll_id" (function Repair_applied r -> r.poll_id | _ -> wrong ());
           int "block" (function Repair_applied r -> r.block | _ -> wrong ());
@@ -439,7 +433,7 @@ let schemas =
       (function Poll_concluded { outcome = Metrics.Success; _ } -> Info | _ -> Warn)
       F.
         [
-          peer "poller" (function Poll_concluded r -> r.poller | _ -> wrong ());
+          int "poller" (function Poll_concluded r -> r.poller | _ -> wrong ());
           au (function Poll_concluded r -> r.au | _ -> wrong ());
           int "poll_id" (function Poll_concluded r -> r.poll_id | _ -> wrong ());
           req (Enum outcome_enum) "outcome" (function
@@ -450,12 +444,12 @@ let schemas =
     kind "effort_charged" (always Debug)
       F.
         [
-          peer "peer" (function Effort_charged r -> r.peer | _ -> wrong ());
+          int "peer" (function Effort_charged r -> r.peer | _ -> wrong ());
           req (Enum role_enum) "role" (function Effort_charged r -> r.role | _ -> wrong ());
           req (Enum phase_enum) "phase" (function Effort_charged r -> r.phase | _ -> wrong ());
-          opt (Int Peer) "poller" (function Effort_charged r -> r.poller | _ -> wrong ());
-          opt (Int Au) "au" (function Effort_charged r -> r.au | _ -> wrong ());
-          opt (Int Num) "poll_id" (function Effort_charged r -> r.poll_id | _ -> wrong ());
+          opt Int "poller" (function Effort_charged r -> r.poller | _ -> wrong ());
+          opt Int "au" (function Effort_charged r -> r.au | _ -> wrong ());
+          opt Int "poll_id" (function Effort_charged r -> r.poll_id | _ -> wrong ());
           req Float "seconds" (function Effort_charged r -> r.seconds | _ -> wrong ());
         ]
       (fun peer role phase poller au poll_id seconds ->
@@ -463,8 +457,8 @@ let schemas =
     kind "effort_received" (always Debug)
       F.
         [
-          peer "peer" (function Effort_received r -> r.peer | _ -> wrong ());
-          peer "from" (function Effort_received r -> r.from_ | _ -> wrong ());
+          int "peer" (function Effort_received r -> r.peer | _ -> wrong ());
+          int "from" (function Effort_received r -> r.from_ | _ -> wrong ());
           req (Enum phase_enum) "phase" (function Effort_received r -> r.phase | _ -> wrong ());
           au (function Effort_received r -> r.au | _ -> wrong ());
           int "poll_id" (function Effort_received r -> r.poll_id | _ -> wrong ());
@@ -475,10 +469,10 @@ let schemas =
     kind "message_rejected" (always Debug)
       F.
         [
-          peer "peer" (function Message_rejected r -> r.peer | _ -> wrong ());
-          peer "from" (function Message_rejected r -> r.from_ | _ -> wrong ());
+          int "peer" (function Message_rejected r -> r.peer | _ -> wrong ());
+          int "from" (function Message_rejected r -> r.from_ | _ -> wrong ());
           au (function Message_rejected r -> r.au | _ -> wrong ());
-          opt (Int Num) "poll_id" (function Message_rejected r -> r.poll_id | _ -> wrong ());
+          opt Int "poll_id" (function Message_rejected r -> r.poll_id | _ -> wrong ());
           req Text "msg_kind" (function Message_rejected r -> r.msg_kind | _ -> wrong ());
           req (Enum reject_enum) "reason" (function Message_rejected r -> r.reason | _ -> wrong ());
         ]
@@ -520,18 +514,18 @@ let schemas =
       (function Fault_stray r -> r.dst | _ -> wrong ())
       (fun src dst -> Fault_stray { src; dst });
     kind "node_crashed" (always Info)
-      F.[ peer "node" (function Node_crashed r -> r.node | _ -> wrong ()) ]
+      F.[ int "node" (function Node_crashed r -> r.node | _ -> wrong ()) ]
       (fun node -> Node_crashed { node });
     kind "node_restarted" (always Info)
-      F.[ peer "node" (function Node_restarted r -> r.node | _ -> wrong ()) ]
+      F.[ int "node" (function Node_restarted r -> r.node | _ -> wrong ()) ]
       (fun node -> Node_restarted { node });
     kind "invariant_violated" (always Warn)
       F.
         [
           req Text "invariant" (function Invariant_violated r -> r.invariant | _ -> wrong ());
-          opt (Int Peer) "peer" (function Invariant_violated r -> r.peer | _ -> wrong ());
-          opt (Int Au) "au" (function Invariant_violated r -> r.au | _ -> wrong ());
-          opt (Int Num) "poll_id" (function Invariant_violated r -> r.poll_id | _ -> wrong ());
+          opt Int "peer" (function Invariant_violated r -> r.peer | _ -> wrong ());
+          opt Int "au" (function Invariant_violated r -> r.au | _ -> wrong ());
+          opt Int "poll_id" (function Invariant_violated r -> r.poll_id | _ -> wrong ());
           req Text "detail" (function Invariant_violated r -> r.detail | _ -> wrong ());
         ]
       (fun invariant peer au poll_id detail ->
@@ -666,34 +660,11 @@ let kind event = match schema_of event with Schema s -> s.name
 let severity event = match schema_of event with Schema s -> s.severity event
 let all_kinds = Array.to_list (Array.map (fun (Schema s) -> s.name) schemas)
 
-let mentions (type a) id (shape : a shape) (v : a) =
-  match shape with
-  | Req (Int Peer) -> Ids.Identity.equal id v
-  | Opt (Int Peer) -> Option.equal Ids.Identity.equal (Some id) v
-  | Req Peers -> List.exists (Ids.Identity.equal id) v
-  | _ -> false
-
-let rec involves_in : type k. event -> Ids.Identity.t -> k F.t -> bool =
- fun event id -> function
-  | [] -> false
-  | f :: rest -> mentions id f.shape (f.get event) || involves_in event id rest
-
-let involves event id = match schema_of event with Schema s -> involves_in event id s.fields
-
-let rec au_in : type k. event -> k F.t -> Ids.Au_id.t option =
- fun event -> function
-  | [] -> None
-  | { shape = Req (Int Au); get; _ } :: _ -> Some (get event)
-  | { shape = Opt (Int Au); get; _ } :: _ -> get event
-  | _ :: rest -> au_in event rest
-
-let au_of event = match schema_of event with Schema s -> au_in event s.fields
-
 (* -- JSON values ----------------------------------------------------- *)
 
 let json_value (type a) (ty : a ty) (v : a) =
   match ty with
-  | Int _ -> Json.Int v
+  | Int -> Json.Int v
   | Float -> Json.Float v
   | Bool -> Json.Bool v
   | Text -> Json.String v
@@ -720,7 +691,7 @@ let to_json ~time event =
 
 let of_json_value (type a) (ty : a ty) json : a option =
   match ty with
-  | Int _ -> Json.to_int json
+  | Int -> Json.to_int json
   | Float -> Json.to_float json
   | Bool -> Json.to_bool json
   | Text -> Json.string_value json
@@ -787,8 +758,8 @@ type _ slot = Num_slot : int slot | Float_slot : float slot | Token_slot : strin
 let view_value : type a b. b slot -> a shape -> (event -> a) -> (event -> b option) option =
  fun slot shape get ->
   match (slot, shape) with
-  | Num_slot, Req (Int _) -> Some (fun e -> Some (get e))
-  | Num_slot, Opt (Int _) -> Some get
+  | Num_slot, Req Int -> Some (fun e -> Some (get e))
+  | Num_slot, Opt Int -> Some get
   | Float_slot, Req Float -> Some (fun e -> Some (get e))
   | Token_slot, Req (Enum en) -> Some (fun e -> Some (en.spell (get e)))
   | _ -> None
@@ -838,12 +809,6 @@ type sink = time:float -> event -> unit
 
 let severity_at_least min s = severity_rank s >= severity_rank min
 
-let pretty_sink ?(min_severity = Debug) ppf ~time event =
-  if severity_at_least min_severity (severity event) then
-    Format.fprintf ppf "[%a] [%s] %a@." pp_duration time
-      (severity_to_string (severity event))
-      pp_event event
-
 (* The binary writer assembles the record field by field, byte-identical
    to [Btrace.write (to_json ~time event)] — intern ids included — with
    every recurring string resolved through an atom. *)
@@ -860,7 +825,7 @@ let rec bin_ids w = function
 let bin_value (type a) w key (ty : a ty) (v : a) =
   Btrace.put_atom w key;
   match ty with
-  | Int _ -> Btrace.put_int w v
+  | Int -> Btrace.put_int w v
   | Float -> Btrace.put_float w v
   | Bool -> Btrace.put_bool w v
   | Text -> Btrace.put_string w v
@@ -902,43 +867,3 @@ let write_binary w ~time event =
 
 let binary_sink ?(min_severity = Debug) writer ~time event =
   if severity_at_least min_severity (severity event) then write_binary writer ~time event
-
-let filter_sink ?min_severity ?peer ?au ?kinds inner ~time event =
-  let pass =
-    (match min_severity with
-    | None -> true
-    | Some min -> severity_at_least min (severity event))
-    && (match peer with None -> true | Some id -> involves event id)
-    && (match au with
-       | None -> true
-       | Some a -> (
-         match au_of event with
-         | Some event_au -> Ids.Au_id.equal a event_au
-         | None -> false))
-    && match kinds with None -> true | Some ks -> List.mem (kind event) ks
-  in
-  if pass then inner ~time event
-
-(* -- Recording --------------------------------------------------------- *)
-
-type record = { events : (float * event) list; dropped : int }
-
-let recorder ?(capacity = 65_536) t =
-  if capacity <= 0 then invalid_arg "Trace.recorder: capacity must be positive";
-  let ring = Array.make capacity None in
-  let next = ref 0 in
-  let total = ref 0 in
-  subscribe t (fun ~time event ->
-      ring.(!next) <- Some (time, event);
-      next := (!next + 1) mod capacity;
-      incr total);
-  fun () ->
-    let retained = min !total capacity in
-    let start = (!next - retained + capacity) mod capacity in
-    let events =
-      List.init retained (fun i ->
-          match ring.((start + i) mod capacity) with
-          | Some entry -> entry
-          | None -> assert false)
-    in
-    { events; dropped = !total - retained }

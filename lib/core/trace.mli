@@ -13,10 +13,8 @@
     or offline from a trace file ({!Obs.Span}, {!Obs.Analyze}).
 
     Beyond raw subscription, this module provides an event taxonomy
-    ({!kind}, {!severity}), composable {{!sinks} sinks} (pretty-printing,
-    binary, filtering), a lossless JSON round-trip ({!to_json} /
-    {!of_json}) and a bounded-ring {!recorder} that counts what it had
-    to drop instead of losing it silently. Each kind's fields are
+    ({!kind}, {!severity}), a {{!sinks} binary sink} and a lossless JSON
+    round-trip ({!to_json} / {!of_json}). Each kind's fields are
     described once, as a typed field list, and every encoding and
     decoding is derived from that description, so the encodings cannot
     disagree about a kind. *)
@@ -32,8 +30,6 @@
     adversary (mirrors [Metrics.charge_loyal] / [charge_adversary]). *)
 type effort_role = Loyal | Adversary
 
-val effort_role_to_string : effort_role -> string
-
 (** The protocol phase an effort charge belongs to:
     - [Admission]: a voter's consideration and introductory-proof
       verification cost (including garbage invitations);
@@ -44,8 +40,6 @@ val effort_role_to_string : effort_role -> string
     - [Evaluation]: a poller's vote-proof verification and AU hashing;
     - [Repair]: block hashing on either side of a repair. *)
 type effort_phase = Admission | Solicitation | Voting | Evaluation | Repair
-
-val effort_phase_to_string : effort_phase -> string
 
 (** All effort phases, in declaration order. *)
 val all_effort_phases : effort_phase list
@@ -275,41 +269,16 @@ val kind : event -> string
 (** All kind names, in declaration order. *)
 val all_kinds : string list
 
-(** [involves e id] is [true] when [id] appears in any role of [e]
-    (poller, voter, claimed identity, effort spender or prover). *)
-val involves : event -> Ids.Identity.t -> bool
-
-(** [au_of e] is the archival unit the event concerns; [None] for fault
-    and churn events, which are not tied to any AU, and for effort
-    charges without a correlated AU. *)
-val au_of : event -> Ids.Au_id.t option
-
 (** {2:sinks Sinks} *)
 
 (** A sink is just an observer; every sink can be passed to
     {!subscribe}. *)
 type sink = time:float -> event -> unit
 
-(** [pretty_sink ?min_severity ppf] renders events human-readably, one
-    per line: [\[time\] \[severity\] description]. *)
-val pretty_sink : ?min_severity:severity -> Format.formatter -> sink
-
 (** [binary_sink ?min_severity w] writes events in the compact binary
     trace format ({!Obs.Btrace}); decoding yields exactly the
     {!to_json} value, so binary and JSONL traces analyze identically. *)
 val binary_sink : ?min_severity:severity -> Obs.Btrace.writer -> sink
-
-(** [filter_sink ?min_severity ?peer ?au ?kinds inner] forwards only
-    matching events: severity at least [min_severity], involving [peer],
-    concerning [au], with {!kind} listed in [kinds]. Omitted criteria
-    admit everything. *)
-val filter_sink :
-  ?min_severity:severity ->
-  ?peer:Ids.Identity.t ->
-  ?au:Ids.Au_id.t ->
-  ?kinds:string list ->
-  sink ->
-  sink
 
 (** {2 JSON round-trip} *)
 
@@ -327,17 +296,3 @@ val of_json : Obs.Json.t -> (float * event, string) result
     building JSON. The live span/ledger bridges feed this to
     [Obs.Analyze.feed_view]. *)
 val to_view : time:float -> event -> Obs.View.t
-
-(** {2 Recording} *)
-
-type record = {
-  events : (float * event) list;  (** oldest first; at most [capacity] *)
-  dropped : int;  (** events evicted from the ring because it was full *)
-}
-
-(** [recorder ?capacity t] subscribes a bounded ring recorder and returns
-    a function producing what is currently retained. Once more than
-    [capacity] (default 65536) events arrive, the oldest are evicted and
-    counted in [dropped] — the tail of a run is usually the interesting
-    part, and nothing disappears without a trace. *)
-val recorder : ?capacity:int -> t -> unit -> record

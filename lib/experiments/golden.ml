@@ -17,6 +17,8 @@ let sweeps ~scale =
     effort = lazy (Effort_attack.sweep ~scale ());
   }
 
+(* Every scale field: a diff against a pin made at another scale fails
+   on this before any metric is compared. *)
 let config_fingerprint (scale : Scenario.scale) =
   [
     ("peers", Json.Int scale.Scenario.peers);

@@ -38,11 +38,6 @@ val figures : figure list
     [fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1]. *)
 val targets : string list
 
-(** The fingerprint {!capture} embeds: every {!Scenario.scale} field as
-    a JSON value. A diff against a pin made at a different scale fails
-    on the fingerprint before any metric is compared. *)
-val config_fingerprint : Scenario.scale -> (string * Obs.Json.t) list
-
 (** [capture_figure ?tolerance_pct sweeps ~scale figure] runs (or
     reuses) the figure's sweep and captures its baseline document.
     [tolerance_pct] overrides the per-metric drift allowance

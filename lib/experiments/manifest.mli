@@ -15,9 +15,6 @@ type t
 (** [start ~command ()] opens a manifest for the named (sub)command. *)
 val start : command:string -> unit -> t
 
-(** Best-effort source revision; never raises. *)
-val git_describe : unit -> string
-
 (** [finish t ~seeds ?targets ?fault_mix ()] closes the manifest —
     stamping wall seconds and process-CPU seconds since {!start} — and
     renders it. [seeds] is the full seed list the command consumed;

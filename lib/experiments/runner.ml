@@ -14,9 +14,9 @@
    - Workers claim *chunks* of [max 1 (n / (k * 4))] indices per cursor
      bump — at most ~4k cursor operations per map instead of n, while
      still leaving enough chunks for the tail to balance.
-   - Each helper enlarges its minor heap once at spawn (the simulation
-     engine's hot path allocates closures at a rate that makes the
-     default 256k-word nursery thrash), tunable via [LOCKSS_MINOR_HEAP].
+   - Each helper enlarges its minor heap to 2^20 words once at spawn
+     (the simulation engine's hot path allocates closures at a rate
+     that makes the default 256k-word nursery thrash).
 
    Determinism is unchanged: jobs are keyed by their index in the input
    list, workers write results into per-index slots, and the merge is an
@@ -50,11 +50,12 @@ let jobs () =
    sub-batch would deadlock the pool). *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-(* Optional run-wide profiler. Set it from the main domain only; workers
-   never touch it — they report effort through a per-slot cell and the
-   calling domain folds those into the profiler after the batch. *)
-let profiler : Obs.Profiler.t option ref = ref None
-let set_profiler p = profiler := p
+(* Optional run-wide profiler. Workers never touch it — they report
+   effort through a per-slot cell, and [submit] folds those into the
+   profiler after the batch, still holding [submit_lock], so two
+   coordinating domains never update it at once. *)
+let profiler : Obs.Profiler.t option Atomic.t = Atomic.make None
+let set_profiler p = Atomic.set profiler p
 
 (* ---- Per-slot effort accounting ------------------------------------ *)
 
@@ -107,7 +108,7 @@ let measured st f =
   Fun.protect ~finally:finish f
 
 let note_efforts efforts =
-  match !profiler with
+  match Atomic.get profiler with
   | None -> ()
   | Some p ->
     Array.iteri
@@ -176,15 +177,7 @@ let submit_lock = Mutex.create ()
 (* Grow the nursery once per helper: parallel simulation batches
    allocate fast enough that the 256k-word default causes a minor
    collection every few simulated seconds per domain. *)
-let minor_heap_words () =
-  match Sys.getenv_opt "LOCKSS_MINOR_HEAP" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-    | Some n when n >= 16_384 -> n
-    | Some _ | None -> 1 lsl 20)
-  | None -> 1 lsl 20
-
-let gc_tune () = Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words () }
+let gc_tune () = Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 20 }
 
 let helper_body slot =
   Domain.DLS.set in_worker true;
@@ -250,14 +243,16 @@ let ensure_capacity wanted =
   done
 
 (* [submit ~helpers mk] runs one batch: ensures [helpers] pool slots
-   exist, lets [mk slots] build the work function (sized to the pool's
-   current slot count, which only grows), publishes it, runs the
-   caller's share inline as slot 0 and waits for every joined helper to
-   retire. Returns whatever [mk] stashed via its closure. *)
+   exist, lets [mk efforts] build the work function over one effort
+   cell per slot (sized to the pool's current slot count, which only
+   grows), publishes it, runs the caller's share inline as slot 0,
+   waits for every joined helper to retire and folds the efforts into
+   the profiler. *)
 let submit ~helpers mk =
   Mutex.protect submit_lock @@ fun () ->
   ensure_capacity helpers;
-  let work = mk (pool.capacity + 1) in
+  let efforts = Array.init (pool.capacity + 1) (fun _ -> fresh_effort ()) in
+  let work = mk efforts in
   Mutex.lock pool.mutex;
   pool.ticket <- pool.ticket + 1;
   pool.work <- Some work;
@@ -278,19 +273,17 @@ let submit ~helpers mk =
       done;
       pool.work <- None;
       Mutex.unlock pool.mutex)
-    (fun () -> work 0)
+    (fun () -> work 0);
+  note_efforts efforts
 
 (* ---- map ----------------------------------------------------------- *)
 
 type 'b slot = Done of 'b | Failed of exn * Printexc.raw_backtrace | Pending
 
-let map ?jobs:requested f items =
+let map f items =
   let items = Array.of_list items in
   let n = Array.length items in
-  let k =
-    let j = match requested with Some j -> max 1 j | None -> jobs () in
-    min j n
-  in
+  let k = min (jobs ()) n in
   if n = 0 then []
   else if k <= 1 || Domain.DLS.get in_worker then
     Array.to_list (Array.map f items)
@@ -301,24 +294,19 @@ let map ?jobs:requested f items =
        word cold, enough slack for a slow chunk to be absorbed by the
        others finishing early. *)
     let chunk = max 1 (n / (k * 4)) in
-    let efforts = ref [||] in
-    submit ~helpers:(k - 1) (fun slots ->
-        let st = Array.init slots (fun _ -> fresh_effort ()) in
-        efforts := st;
-        fun slot ->
-          measured st.(slot) @@ fun () ->
-          let claimed = ref (Atomic.fetch_and_add cursor chunk) in
-          while !claimed < n do
-            let stop = min n (!claimed + chunk) in
-            for i = !claimed to stop - 1 do
-              results.(i) <-
-                (try Done (f items.(i))
-                 with e -> Failed (e, Printexc.get_raw_backtrace ()))
-            done;
-            st.(slot).tasks <- st.(slot).tasks + (stop - !claimed);
-            claimed := Atomic.fetch_and_add cursor chunk
-          done);
-    note_efforts !efforts;
+    submit ~helpers:(k - 1) (fun st slot ->
+        measured st.(slot) @@ fun () ->
+        let claimed = ref (Atomic.fetch_and_add cursor chunk) in
+        while !claimed < n do
+          let stop = min n (!claimed + chunk) in
+          for i = !claimed to stop - 1 do
+            results.(i) <-
+              (try Done (f items.(i))
+               with e -> Failed (e, Printexc.get_raw_backtrace ()))
+          done;
+          st.(slot).tasks <- st.(slot).tasks + (stop - !claimed);
+          claimed := Atomic.fetch_and_add cursor chunk
+        done);
     Array.to_list
       (Array.map
          (function
@@ -344,10 +332,7 @@ let both f g =
        has one core, instead of blocking on a domain that may never be
        scheduled promptly. *)
     let g_claimed = Atomic.make false in
-    let efforts = ref [||] in
-    submit ~helpers:1 (fun slots ->
-        let st = Array.init slots (fun _ -> fresh_effort ()) in
-        efforts := st;
+    submit ~helpers:1 (fun st ->
         let run_g slot =
           if Atomic.compare_and_set g_claimed false true then
             measured st.(slot) @@ fun () ->
@@ -368,7 +353,6 @@ let both f g =
             run_g 0
           end
           else run_g slot);
-    note_efforts !efforts;
     (* [g]'s exception takes precedence over [f]'s, as it did when
        [Domain.join] re-raised it first. *)
     match !b_res with

@@ -12,9 +12,8 @@
     (an [at_exit] hook tears the pool down). Helpers keep a persistent
     slot id — 1, 2, ... with 0 always the calling domain — so profiler
     attribution is stable across the whole run. Each helper enlarges its
-    minor heap once at spawn ([LOCKSS_MINOR_HEAP] words, default 2^20)
-    because simulation batches allocate fast enough to thrash the
-    default nursery.
+    minor heap to 2^20 words once at spawn because simulation batches
+    allocate fast enough to thrash the default nursery.
 
     Determinism contract: {!map} applies [f] to each element exactly
     once, in any order and on any domain, and returns the results in
@@ -54,18 +53,18 @@ val jobs : unit -> int
     collections) into [p] via {!Obs.Profiler.note_domain}, keyed by pool
     slot (0 = the calling domain). Workers never touch the profiler
     themselves — effort is collected per slot and folded in by the
-    calling domain after the batch barrier, so no synchronisation is
-    needed. Call from the main domain only; [set_profiler None]
-    detaches. *)
+    calling domain after the batch barrier, one batch at a time, so
+    coordinating domains that map concurrently share one profiler
+    safely. [set_profiler None] detaches. *)
 val set_profiler : Obs.Profiler.t option -> unit
 
-(** [map ?jobs f items] applies [f] to every element of [items] on up to
-    [jobs] domains (default {!val-jobs}[ ()], clamped to the job count)
-    and returns the results in input order. Work is claimed in chunks of
+(** [map f items] applies [f] to every element of [items] on up to
+    {!val-jobs}[ ()] domains (clamped to the job count) and returns the
+    results in input order. Work is claimed in chunks of
     [max 1 (n / (jobs * 4))] indices per atomic cursor bump — a long
     chunk never blocks the rest of the grid because idle workers drain
     the remaining chunks. *)
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+val map : ('a -> 'b) -> 'a list -> 'b list
 
 (** [both f g] runs the two thunks concurrently when {!val-jobs}[ () >
     1] and not already inside a worker: the caller runs [f] as pool slot

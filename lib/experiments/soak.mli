@@ -35,9 +35,6 @@ type report = {
   seeds : seed_report list;  (** in seed order *)
 }
 
-(** A seed is clean per the criteria above. *)
-val seed_clean : seed_report -> bool
-
 val all_clean : report -> bool
 
 (** [run ?scale ?attack ~seeds mix] soaks one configuration across

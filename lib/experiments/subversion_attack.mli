@@ -24,8 +24,6 @@ type row = {
   access_failure : float;
 }
 
-val default_fractions : float list
-
 val sweep :
   ?scale:Scenario.scale -> ?fractions:float list -> unit -> row list
 

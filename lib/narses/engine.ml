@@ -283,8 +283,3 @@ let stats (t : t) =
     pending = t.live_count;
     max_heap_depth = t.max_heap_depth;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "events: %d executed, %d scheduled, %d cancelled, %d pending; heap high-water: %d"
-    s.executed s.scheduled s.cancelled s.pending s.max_heap_depth

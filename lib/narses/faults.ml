@@ -75,7 +75,6 @@ type t = {
   mutable delayed : int;
   mutable crashes : int;
   mutable restarts : int;
-  mutable partition_blocked : int;
   mutable corrupted : int;
   mutable replayed : int;
   mutable stales : int;
@@ -104,7 +103,6 @@ let create ~engine ~nodes cfg =
     delayed = 0;
     crashes = 0;
     restarts = 0;
-    partition_blocked = 0;
     corrupted = 0;
     replayed = 0;
     stales = 0;
@@ -185,9 +183,7 @@ let note_down_drop t ~src ~dst =
   t.dropped <- t.dropped + 1;
   emit t (Dropped { src; dst })
 
-let note_partition_block t ~src ~dst =
-  t.partition_blocked <- t.partition_blocked + 1;
-  emit t (Partition_blocked { src; dst })
+let note_partition_block t ~src ~dst = emit t (Partition_blocked { src; dst })
 
 let note_corrupted t ~src ~dst =
   t.corrupted <- t.corrupted + 1;
@@ -238,7 +234,6 @@ let duplicated_count t = t.duplicated
 let delayed_count t = t.delayed
 let crash_count t = t.crashes
 let restart_count t = t.restarts
-let partition_blocked_count t = t.partition_blocked
 let corrupted_count t = t.corrupted
 let replayed_count t = t.replayed
 let stale_count t = t.stales

@@ -171,7 +171,6 @@ val duplicated_count : t -> int
 val delayed_count : t -> int
 val crash_count : t -> int
 val restart_count : t -> int
-val partition_blocked_count : t -> int
 val corrupted_count : t -> int
 val replayed_count : t -> int
 val stale_count : t -> int

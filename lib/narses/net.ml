@@ -15,8 +15,6 @@ type 'msg t = {
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
-  mutable partition_dropped : int;
-  mutable fault_dropped : int;
   mutable injected : int;
   mutable bytes_delivered : int;
   mutable tamper : ('msg -> salt:int64 -> 'msg) option;
@@ -39,8 +37,6 @@ let create ?(model = Delay_only) ?faults ~engine ~topology ~partition () =
     sent = 0;
     delivered = 0;
     dropped = 0;
-    partition_dropped = 0;
-    fault_dropped = 0;
     injected = 0;
     bytes_delivered = 0;
     tamper = None;
@@ -75,14 +71,11 @@ let endpoint_down t ~src ~dst =
 
 let note_partition_drop t ~src ~dst =
   t.dropped <- t.dropped + 1;
-  t.partition_dropped <- t.partition_dropped + 1;
   match t.faults with
   | None -> ()
   | Some f -> Faults.note_partition_block f ~src ~dst
 
-let note_fault_drop t =
-  t.dropped <- t.dropped + 1;
-  t.fault_dropped <- t.fault_dropped + 1
+let note_fault_drop t = t.dropped <- t.dropped + 1
 
 let ring_push t ~src ~dst ~bytes msg =
   t.ring.(t.ring_next) <- Some (src, dst, bytes, msg);
@@ -114,7 +107,6 @@ let schedule_copy t ~src ~dst ~bytes ~extra msg =
     else if endpoint_down t ~src ~dst then begin
       (* Crashed mid-flight: the copy reaches a dead process. *)
       Faults.note_down_drop (Option.get t.faults) ~src ~dst;
-      t.fault_dropped <- t.fault_dropped + 1;
       t.dropped <- t.dropped + 1
     end
     else begin
@@ -183,8 +175,6 @@ let send t ~src ~dst ~bytes msg =
 let sent_count t = t.sent
 let delivered_count t = t.delivered
 let dropped_count t = t.dropped
-let partition_dropped_count t = t.partition_dropped
-let fault_dropped_count t = t.fault_dropped
 let injected_count t = t.injected
 let bytes_delivered t = t.bytes_delivered
 let active_transfers t node = t.active.(node)

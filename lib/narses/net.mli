@@ -75,17 +75,8 @@ val delivered_count : 'msg t -> int
 
 (** [dropped_count t] is the total copies lost for any reason —
     partition blockage, injected loss, crashed endpoints, or a missing
-    handler. The first two are broken out below; the split satisfies
-    [partition_dropped + fault_dropped <= dropped]. *)
+    handler. *)
 val dropped_count : 'msg t -> int
-
-(** [partition_dropped_count t] counts copies suppressed by a
-    {!Partition} stoppage (at send or delivery time). *)
-val partition_dropped_count : 'msg t -> int
-
-(** [fault_dropped_count t] counts copies lost to the {!Faults} injector:
-    probabilistic loss and crashed endpoints. *)
-val fault_dropped_count : 'msg t -> int
 
 (** [injected_count t] counts replay/stale copies re-injected from the
     delivery ring; these are extra deliveries that are not logical

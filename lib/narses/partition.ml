@@ -20,6 +20,5 @@ let restore_all t =
   Array.iteri (fun i _ -> t.stopped.(i) <- false) t.stopped;
   t.count <- 0
 
-let is_stopped t n = t.stopped.(n)
 let blocked t ~src ~dst = t.stopped.(src) || t.stopped.(dst)
 let stopped_count t = t.count

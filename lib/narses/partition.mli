@@ -20,8 +20,6 @@ val restore : t -> Topology.node -> unit
 (** [restore_all t] reconnects every node. *)
 val restore_all : t -> unit
 
-val is_stopped : t -> Topology.node -> bool
-
 (** [blocked t ~src ~dst] holds when a message between the two nodes would
     be suppressed. *)
 val blocked : t -> src:Topology.node -> dst:Topology.node -> bool

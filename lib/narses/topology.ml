@@ -13,7 +13,6 @@ let create ~rng ~nodes =
 
 let node_count t = Array.length t.bandwidth
 let bandwidth_bps t n = t.bandwidth.(n)
-let access_latency t n = t.latency.(n)
 let path_latency t ~src ~dst = t.latency.(src) +. t.latency.(dst)
 
 let transfer_time t ~src ~dst ~bytes =

@@ -20,9 +20,6 @@ val node_count : t -> int
 (** [bandwidth_bps t n] is node [n]'s access-link bandwidth in bits/s. *)
 val bandwidth_bps : t -> node -> float
 
-(** [access_latency t n] is node [n]'s access latency in seconds. *)
-val access_latency : t -> node -> float
-
 (** [path_latency t ~src ~dst] is the one-way propagation delay. *)
 val path_latency : t -> src:node -> dst:node -> float
 

@@ -1,11 +1,10 @@
 (** Offline (and live) trace analysis: poll spans, per-peer effort
     ledger, per-phase latency distributions and anomaly detection, from
-    a stream of trace events in JSON form.
+    a stream of trace events.
 
     Feed events one of three ways:
-    - {!feed} with already-parsed JSON values — this is how the live
-      builders attach: bridge the trace bus through the trace
-      serialiser into [feed];
+    - {!feed_view} with events projected to a {!View.t} — this is how
+      the live builders attach to the trace bus;
     - {!feed_record} with one record as {!Trace_file.iter} delivers it
       (malformed records become anomalies, never exceptions);
     - {!read_file} for a whole trace file.
@@ -21,12 +20,8 @@ val create : unit -> t
 val span_builder : t -> Span.t
 val ledger : t -> Ledger.t
 
-(** [feed t json] routes one trace event to the span builder and the
+(** [feed_view t v] routes one trace event to the span builder and the
     ledger. *)
-val feed : t -> Json.t -> unit
-
-(** [feed_view t v] is {!feed} on a pre-projected event — the zero-JSON
-    path the live bridges use. *)
 val feed_view : t -> View.t -> unit
 
 (** [feed_record t ~line result] counts one trace record and feeds it;
@@ -45,27 +40,6 @@ val lines : t -> int
 
 val anomalies : t -> Span.anomaly list
 val anomaly_count : t -> int
-
-(** {2 Latency distributions} *)
-
-type dist = {
-  label : string;
-  count : int;
-  mean : float;
-  p50 : float;
-  p90 : float;
-  max : float;
-}
-
-(** [phase_latencies t] summarises, over all spans that reached the
-    phase: solicitation (start to evaluation), evaluation (to first
-    repair or conclusion), repair (to conclusion), first_vote (start to
-    first vote) and total (start to conclusion). *)
-val phase_latencies : t -> dist list
-
-(** [duration_histogram t] buckets total poll durations into
-    human-scale ranges ([<1h] … [>=30d]); returns [(label, count)]. *)
-val duration_histogram : t -> (string * int) list
 
 (** {2 Reports} *)
 

@@ -87,8 +87,6 @@ let tracked_of_path path =
   | "words_per_event" -> Some (Higher_is_worse, None)
   | _ -> None
 
-let direction_of_path path = Option.map fst (tracked_of_path path)
-
 let change_pct ~baseline ~current =
   if Float.is_finite baseline && baseline <> 0. && Float.is_finite current then
     (current -. baseline) /. Float.abs baseline *. 100.

@@ -80,9 +80,6 @@ val flatten : Json.t -> (string * float) list
     segment; [None] when the path is informational. *)
 val tracked_of_path : string -> (direction * float option) option
 
-(** Tracked direction for a flattened path, from its last segment. *)
-val direction_of_path : string -> direction option
-
 (** [compare_json ?threshold_pct ?allow_degenerate_current ~baseline
     ~current ()] — threshold defaults to 25 (percent);
     [allow_degenerate_current] (default [false]) demotes

@@ -197,8 +197,6 @@ let put_atom w a =
     | None -> () (* intern table full: the atom stays inline *)
   end
 
-let put_null w = add_tag w.payload tag_null
-
 let put_bool w b = add_tag w.payload (if b then tag_true else tag_false)
 
 let put_int w n =

@@ -80,7 +80,6 @@ val begin_record : writer -> unit
 val end_record : writer -> ?now:float -> unit -> unit
 
 val put_atom : writer -> atom -> unit
-val put_null : writer -> unit
 val put_bool : writer -> bool -> unit
 val put_int : writer -> int -> unit
 val put_float : writer -> float -> unit

@@ -25,7 +25,10 @@ val to_string : t -> string
 val write : Buffer.t -> t -> unit
 
 (** [float_literal f] is the numeric literal {!write} emits for
-    [Float f]. Non-finite floats render as ["null"]. *)
+    [Float f]: for every finite [f], negative zero included, a literal
+    that [Float.of_string] maps back to [f] bit for bit, though not
+    always the one [%.16g] would print (see {!Dtoa.to_literal}).
+    Non-finite floats render as ["null"]. *)
 val float_literal : float -> string
 
 val pp : Format.formatter -> t -> unit

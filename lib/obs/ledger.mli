@@ -1,7 +1,6 @@
 (** Per-peer provable-effort ledger, reconstructed from trace events.
 
-    The ledger consumes the JSON representation of trace events (one
-    {!Json.t} object per event, as [Lockss.Trace.to_json] renders it) and
+    The ledger consumes trace events as {!View.t} projections and
     accumulates, per peer, the provable effort it {e spent} and the
     effort other peers {e proved to it}, split by protocol phase. It
     also counts the poll/vote/invitation outcomes each peer was
@@ -12,16 +11,13 @@
     ledger over all peers reconstructs the [Metrics] aggregates exactly
     (up to float addition order); {!reconcile} checks that invariant.
 
-    This module deliberately speaks only JSON: it lives below the
+    This module deliberately speaks only views: it lives below the
     protocol library so it can be reused offline on trace files without
     linking the simulator. *)
 
 type phase = Admission | Solicitation | Voting | Evaluation | Repair
 
-val all_phases : phase list
 val phase_index : phase -> int
-val phase_to_string : phase -> string
-val phase_of_string : string -> phase option
 
 type entry = {
   peer : int;
@@ -49,13 +45,8 @@ type t
 
 val create : unit -> t
 
-(** [feed t json] consumes one trace event. Events that carry no ledger
-    information (faults, crashes) and values of unexpected shape are
-    ignored. *)
-val feed : t -> Json.t -> unit
-
-(** [feed_view t v] is {!feed} without the JSON detour — the live
-    analyzers build a {!View.t} straight from the typed event. *)
+(** [feed_view t v] consumes one trace event. Events that carry no
+    ledger information (faults, crashes) are ignored. *)
 val feed_view : t -> View.t -> unit
 
 (** [entries t] is every peer seen so far, sorted by peer id. *)
@@ -118,7 +109,6 @@ val reconcile :
 val pp_reconciliation : Format.formatter -> reconciliation -> unit
 val reconciliation_to_json : reconciliation -> Json.t
 
-val entry_to_json : entry -> Json.t
 val to_json : t -> Json.t
 
 (** [pp] renders the per-peer table (efforts as humanised durations). *)

@@ -73,11 +73,6 @@ let write_line t ?now s =
   Buffer.add_char t.buf '\n';
   maybe_flush t now
 
-let write_char t ?now c =
-  check_open t;
-  Buffer.add_char t.buf c;
-  maybe_flush t now
-
 let write_buffer t ?now b =
   check_open t;
   Buffer.add_buffer t.buf b;

@@ -39,8 +39,6 @@ val write : t -> ?now:float -> string -> unit
 (** [write_line t ?now s] appends [s] and a newline. *)
 val write_line : t -> ?now:float -> string -> unit
 
-val write_char : t -> ?now:float -> char -> unit
-
 (** [write_buffer t ?now b] appends the contents of [b] (which is left
     untouched) without going through an intermediate string. *)
 val write_buffer : t -> ?now:float -> Buffer.t -> unit

@@ -3,10 +3,9 @@
     A span is one poll's lifecycle, keyed by the [(poller, au, poll_id)]
     correlation triple every poll-scoped trace event carries: started,
     solicited, voted on, evaluated, repaired, concluded. The builder
-    consumes trace events in JSON form (either live, by bridging the
-    trace bus through the event serialiser, or offline from a trace
-    file) and maintains open and closed spans plus an anomaly
-    list.
+    consumes trace events as {!View.t} projections (either live,
+    straight from the typed event, or offline from a trace file) and
+    maintains open and closed spans plus an anomaly list.
 
     Anomalies are trace shapes a healthy, fault-free run never
     produces: malformed lines, events for polls whose start was never
@@ -21,9 +20,6 @@
     informational "late" events instead. *)
 
 type outcome = Success | Inquorate | Alarmed
-
-val outcome_to_string : outcome -> string
-val outcome_of_string : string -> outcome option
 
 type span = {
   poller : int;
@@ -82,13 +78,8 @@ type t
 
 val create : unit -> t
 
-(** [feed t json] consumes one trace event (timestamp read from its
-    ["t"] field). Events without poll correlation are ignored. *)
-val feed : t -> Json.t -> unit
-
-(** [feed_view t v] is {!feed} without the JSON detour — the live
-    analyzers build a {!View.t} straight from the typed event. [feed]
-    is [of_json] composed with this, so both paths stay in lockstep. *)
+(** [feed_view t v] consumes one trace event. Events without poll
+    correlation are ignored. *)
 val feed_view : t -> View.t -> unit
 
 (** [note_malformed t ~line ~error] records a {!Malformed_line} anomaly

@@ -1,12 +1,10 @@
-(* Tests for the observability layer: JSON round-trips, trace sinks and
-   the ring recorder, the metrics registry, the time-series writer, the
-   periodic sampler, engine profiling stats and the hardened metric
-   transitions. *)
+(* Tests for the observability layer: JSON round-trips, trace fan-out,
+   the time-series writer, the periodic sampler, engine profiling stats
+   and the hardened metric transitions. *)
 
 module Duration = Repro_prelude.Duration
 module Engine = Narses.Engine
 module Json = Obs.Json
-module Registry = Obs.Registry
 module Series = Obs.Series
 open Lockss
 
@@ -80,6 +78,35 @@ let test_json_deep_nesting () =
   | Ok parsed -> Alcotest.(check bool) "deep structure" true (parsed = v)
   | Error msg -> Alcotest.failf "parse: %s" msg
 
+(* Every finite double, negative zero included, must survive its
+   literal bit for bit; non-finite values render as null. Bit patterns
+   are drawn uniformly, from a band of exponents around 1 (where the
+   fast decimal path renders), and from the edge cases. *)
+let test_float_literal_round_trips =
+  let open QCheck2.Gen in
+  let near_one =
+    map3
+      (fun negative exponent mantissa ->
+        Int64.(
+          logor
+            (shift_left (of_int (exponent + if negative then 2048 else 0)) 52)
+            (logand mantissa 0xF_FFFF_FFFF_FFFFL)))
+      bool (int_range (1023 - 110) (1023 + 110)) int64
+  in
+  let edges =
+    oneofl
+      [ 0L; Int64.min_int; 1L; 0x7FEF_FFFF_FFFF_FFFFL; Int64.bits_of_float infinity;
+        Int64.bits_of_float nan; Int64.bits_of_float 2e16; Int64.bits_of_float 0.1 ]
+  in
+  QCheck2.Test.make ~name:"float literals round-trip every finite double" ~count:50_000
+    ~print:(fun bits -> Printf.sprintf "%Ld (%h)" bits (Int64.float_of_bits bits))
+    (frequency [ (3, int64); (3, near_one); (1, edges) ])
+    (fun bits ->
+      let f = Int64.float_of_bits bits in
+      let literal = Json.float_literal f in
+      if Float.is_finite f then Int64.equal (Int64.bits_of_float (Float.of_string literal)) bits
+      else String.equal literal "null")
+
 (* Trace sinks render floats on every Runner domain at once: literals
    rendered concurrently must match the serial ones. *)
 let test_float_literal_domain_safe () =
@@ -124,23 +151,6 @@ let test_trace_sink_fanout () =
   Alcotest.(check int) "first sink" (List.length sample_events) !seen_a;
   Alcotest.(check int) "second sink" (List.length sample_events) !seen_b
 
-let test_trace_filter_sink () =
-  let trace = Trace.create () in
-  let warns = ref 0 and peer5 = ref 0 and drops = ref 0 in
-  Trace.subscribe trace
-    (Trace.filter_sink ~min_severity:Trace.Warn (fun ~time:_ _ -> incr warns));
-  Trace.subscribe trace (Trace.filter_sink ~peer:5 (fun ~time:_ _ -> incr peer5));
-  Trace.subscribe trace
-    (Trace.filter_sink ~kinds:[ "invitation_dropped" ] (fun ~time:_ _ -> incr drops));
-  List.iter (fun e -> Trace.emit trace ~now:2. (fun () -> e)) sample_events;
-  let count p = List.length (List.filter p sample_events) in
-  let warn = count (fun e -> Trace.severity e = Trace.Warn) in
-  let dropped = count (fun e -> Trace.kind e = "invitation_dropped") in
-  Alcotest.(check bool) "the sample exercises each filter" true (warn > 0 && dropped > 0);
-  Alcotest.(check int) "warn filter" warn !warns;
-  Alcotest.(check int) "peer filter" (count (fun e -> Trace.involves e 5)) !peer5;
-  Alcotest.(check int) "kind filter" dropped !drops
-
 let test_trace_severity_order () =
   Alcotest.(check bool) "debug below info" true (Trace.Debug < Trace.Info);
   Alcotest.(check bool) "info below warn" true (Trace.Info < Trace.Warn);
@@ -150,86 +160,6 @@ let test_trace_severity_order () =
       Alcotest.(check bool) ("round trip " ^ name) true
         (Trace.severity_of_string name = Some s))
     [ Trace.Debug; Trace.Info; Trace.Warn ]
-
-let test_recorder_counts_drops () =
-  let trace = Trace.create () in
-  let get = Trace.recorder ~capacity:10 trace in
-  for i = 1 to 25 do
-    Trace.emit trace ~now:(float_of_int i) (fun () ->
-        Trace.Poll_started { poller = i; au = 0; poll_id = i; inner_candidates = 0 })
-  done;
-  let record = get () in
-  Alcotest.(check int) "retained" 10 (List.length record.Trace.events);
-  Alcotest.(check int) "dropped" 15 record.Trace.dropped;
-  (* The ring keeps the most recent events: 16..25. *)
-  let times = List.map fst record.Trace.events in
-  Alcotest.(check (list (float 1e-9))) "newest retained"
-    (List.init 10 (fun i -> float_of_int (16 + i)))
-    times
-
-let test_recorder_under_capacity_drops_nothing () =
-  let trace = Trace.create () in
-  let get = Trace.recorder ~capacity:100 trace in
-  for i = 1 to 7 do
-    Trace.emit trace ~now:(float_of_int i) (fun () ->
-        Trace.Vote_sent { voter = 1; poller = 2; au = 0; poll_id = i })
-  done;
-  let record = get () in
-  Alcotest.(check int) "retained" 7 (List.length record.Trace.events);
-  Alcotest.(check int) "dropped" 0 record.Trace.dropped
-
-(* -- Registry ------------------------------------------------------------ *)
-
-let test_registry_counters_and_gauges () =
-  let registry = Registry.create () in
-  let c = Registry.counter registry "polls" in
-  Registry.Counter.incr c;
-  Registry.Counter.incr ~by:4 c;
-  Alcotest.(check int) "counter" 5 (Registry.Counter.value c);
-  Alcotest.(check int) "same instrument" 5
-    (Registry.Counter.value (Registry.counter registry "polls"));
-  let g = Registry.gauge registry "damaged" in
-  Registry.Gauge.set g 3.;
-  Registry.Gauge.add g 1.5;
-  Alcotest.(check (float 1e-9)) "gauge" 4.5 (Registry.Gauge.value g);
-  Alcotest.check_raises "kind clash" (Invalid_argument "Registry: \"polls\" already registered as a counter")
-    (fun () -> ignore (Registry.gauge registry "polls"))
-
-let test_registry_histogram_quantiles () =
-  let registry = Registry.create () in
-  let h = Registry.histogram ~window:2048 registry "gap" in
-  for i = 1 to 1000 do
-    Registry.Histogram.observe h (float_of_int i)
-  done;
-  Alcotest.(check int) "count" 1000 (Registry.Histogram.count h);
-  Alcotest.(check (float 1.)) "median" 500.5 (Registry.Histogram.quantile h 0.5);
-  Alcotest.(check (float 1.5)) "p90" 900. (Registry.Histogram.quantile h 0.9);
-  Alcotest.(check (float 0.)) "min" 1. (Registry.Histogram.min h);
-  Alcotest.(check (float 0.)) "max" 1000. (Registry.Histogram.max h);
-  Alcotest.(check (float 1e-6)) "mean" 500.5 (Registry.Histogram.mean h)
-
-let test_registry_histogram_window_evicts () =
-  let registry = Registry.create () in
-  let h = Registry.histogram ~window:10 registry "w" in
-  for i = 1 to 30 do
-    Registry.Histogram.observe h (float_of_int i)
-  done;
-  Alcotest.(check int) "lifetime count" 30 (Registry.Histogram.count h);
-  Alcotest.(check (float 0.)) "window min is recent" 21. (Registry.Histogram.min h);
-  Alcotest.(check (float 0.)) "window max" 30. (Registry.Histogram.max h)
-
-let test_registry_snapshot () =
-  let registry = Registry.create () in
-  Registry.Counter.incr (Registry.counter registry "b_counter");
-  Registry.Gauge.set (Registry.gauge registry "a_gauge") 2.;
-  Registry.Histogram.observe (Registry.histogram registry "c_hist") 7.;
-  let snapshot = Registry.snapshot registry in
-  Alcotest.(check (list string)) "sorted names" [ "a_gauge"; "b_counter"; "c_hist" ]
-    (List.map fst snapshot);
-  match List.assoc "c_hist" snapshot with
-  | Json.Assoc fields ->
-    Alcotest.(check bool) "hist has p50" true (List.mem_assoc "p50" fields)
-  | _ -> Alcotest.fail "histogram snapshot shape"
 
 (* -- Series -------------------------------------------------------------- *)
 
@@ -449,10 +379,12 @@ let test_scenario_observability_end_to_end () =
 
 (* -- Span reconstruction -------------------------------------------------- *)
 
+(* The offline path: an event serialised to JSON, then projected back
+   to the view the analyzers consume. *)
+let json_view ~time event = Option.get (Obs.View.of_json (Trace.to_json ~time event))
+
 let feed_events analyzer events =
-  List.iter
-    (fun (time, event) -> Obs.Analyze.feed analyzer (Trace.to_json ~time event))
-    events
+  List.iter (fun (time, event) -> Obs.Analyze.feed_view analyzer (json_view ~time event)) events
 
 (* One complete, healthy poll lifecycle for poll (1, 0, 42). *)
 let poll_lifecycle_events =
@@ -521,7 +453,7 @@ let test_span_reconstruction () =
 
 let test_span_anomalies () =
   let builder = Obs.Span.create () in
-  let feed time event = Obs.Span.feed builder (Trace.to_json ~time event) in
+  let feed time event = Obs.Span.feed_view builder (json_view ~time event) in
   (* Two events for a poll whose start was never seen: one anomaly per
      orphan key, both events counted. *)
   feed 1. (Trace.Vote_sent { voter = 9; poller = 8; au = 0; poll_id = 5 });
@@ -582,7 +514,7 @@ let test_truncated_trace_is_not_fatal () =
 
 let test_ledger_accumulates () =
   let ledger = Obs.Ledger.create () in
-  let feed time event = Obs.Ledger.feed ledger (Trace.to_json ~time event) in
+  let feed time event = Obs.Ledger.feed_view ledger (json_view ~time event) in
   let charge peer role phase seconds =
     Trace.Effort_charged
       { peer; role; phase; poller = Some 1; au = Some 0; poll_id = Some 1; seconds }
@@ -654,7 +586,7 @@ let reconciled_run attack =
   let population = Experiments.Scenario.build ~cfg ~seed:11 attack in
   let analyzer = Obs.Analyze.create () in
   Trace.subscribe (Population.trace population) (fun ~time event ->
-      Obs.Analyze.feed analyzer (Trace.to_json ~time event));
+      Obs.Analyze.feed_view analyzer (json_view ~time event));
   Population.run population ~until:(Duration.of_years scale.Experiments.Scenario.years);
   (analyzer, Population.summary population)
 
@@ -718,22 +650,13 @@ let () =
           quick "non-finite floats" test_json_non_finite_floats;
           quick "deep nesting" test_json_deep_nesting;
           quick "float literals are domain-safe" test_float_literal_domain_safe;
+          QCheck_alcotest.to_alcotest test_float_literal_round_trips;
         ] );
       ( "trace",
         [
           QCheck_alcotest.to_alcotest test_trace_jsonl_round_trip;
           quick "sink fan-out" test_trace_sink_fanout;
-          quick "filter sink" test_trace_filter_sink;
           quick "severity order" test_trace_severity_order;
-          quick "ring recorder counts drops" test_recorder_counts_drops;
-          quick "recorder under capacity" test_recorder_under_capacity_drops_nothing;
-        ] );
-      ( "registry",
-        [
-          quick "counters and gauges" test_registry_counters_and_gauges;
-          quick "histogram quantiles" test_registry_histogram_quantiles;
-          quick "histogram window" test_registry_histogram_window_evicts;
-          quick "snapshot" test_registry_snapshot;
         ] );
       ( "series",
         [

@@ -178,11 +178,11 @@ let test_reader_estimator_matches_integral () =
 
 let test_trace_captures_poll_lifecycle () =
   let population = Population.create ~seed:5 tiny_cfg in
-  let get_events = Trace.recorder (Population.trace population) in
+  let recorded = ref [] in
+  Trace.subscribe (Population.trace population) (fun ~time e ->
+      recorded := (time, e) :: !recorded);
   Population.run population ~until:(Duration.of_months 8.);
-  let record = get_events () in
-  let events = record.Trace.events in
-  Alcotest.(check int) "ring not exceeded" 0 record.Trace.dropped;
+  let events = List.rev !recorded in
   Alcotest.(check bool) "events recorded" true (List.length events > 100);
   let count p = List.length (List.filter (fun (_, e) -> p e) events) in
   let starts = count (function Trace.Poll_started _ -> true | _ -> false) in
@@ -210,10 +210,9 @@ let test_trace_free_when_unobserved () =
   let run ~observe =
     let population = Population.create ~seed:9 tiny_cfg in
     (if observe then
-       let (_ : unit -> Trace.record) =
-         Trace.recorder (Population.trace population)
-       in
-       ());
+       let recorded = ref [] in
+       Trace.subscribe (Population.trace population) (fun ~time e ->
+           recorded := (time, e) :: !recorded));
     Population.run population ~until:(Duration.of_months 6.);
     Population.summary population
   in

@@ -37,12 +37,13 @@ let test_map_preserves_order () =
       Alcotest.(check (list int))
         (Printf.sprintf "squares in order (%d jobs)" jobs)
         (List.map (fun x -> x * x) items)
-        (Runner.map ~jobs (fun x -> x * x) items))
+        (with_jobs jobs (fun () -> Runner.map (fun x -> x * x) items)))
     [ 1; 2; 4; 7 ]
 
 let test_map_empty_and_singleton () =
-  Alcotest.(check (list int)) "empty" [] (Runner.map ~jobs:4 succ []);
-  Alcotest.(check (list int)) "singleton" [ 2 ] (Runner.map ~jobs:4 succ [ 1 ])
+  with_jobs 4 (fun () ->
+      Alcotest.(check (list int)) "empty" [] (Runner.map succ []);
+      Alcotest.(check (list int)) "singleton" [ 2 ] (Runner.map succ [ 1 ]))
 
 exception Boom of int
 
@@ -50,8 +51,8 @@ let test_map_reraises_lowest_index () =
   List.iter
     (fun jobs ->
       match
-        Runner.map ~jobs (fun x -> if x >= 3 then raise (Boom x) else x)
-          [ 0; 1; 2; 3; 4; 5 ]
+        with_jobs jobs (fun () ->
+            Runner.map (fun x -> if x >= 3 then raise (Boom x) else x) [ 0; 1; 2; 3; 4; 5 ])
       with
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom x ->
@@ -64,9 +65,10 @@ let test_map_nested_runs_serially () =
   (* A map inside a worker must not spawn further domains — it runs
      inline, so the nested call still returns correct, ordered results. *)
   let result =
-    Runner.map ~jobs:4
-      (fun outer -> Runner.map ~jobs:4 (fun inner -> (outer * 10) + inner) [ 0; 1; 2 ])
-      [ 1; 2; 3 ]
+    with_jobs 4 (fun () ->
+        Runner.map
+          (fun outer -> Runner.map (fun inner -> (outer * 10) + inner) [ 0; 1; 2 ])
+          [ 1; 2; 3 ])
   in
   Alcotest.(check (list (list int)))
     "nested results intact"
@@ -163,7 +165,9 @@ let test_pool_reuse_byte_identical () =
   for round = 1 to 3 do
     (* Vary the interleaved map width so chunk striping differs between
        rounds — the rendered bytes must not. *)
-    ignore (Runner.map ~jobs:(1 + round) (fun x -> x * x) (List.init (16 * round) Fun.id));
+    ignore
+      (with_jobs (1 + round) (fun () ->
+           Runner.map (fun x -> x * x) (List.init (16 * round) Fun.id)));
     let rendered = with_jobs 4 render_stoppage_tables in
     Alcotest.(check string)
       (Printf.sprintf "round %d through warm pool" round)
@@ -184,7 +188,7 @@ let test_chunked_claiming_determinism () =
           Alcotest.(check (list int))
             (Printf.sprintf "n=%d jobs=%d" n jobs)
             expected
-            (Runner.map ~jobs (fun x -> (x * 7) mod 13) items))
+            (with_jobs jobs (fun () -> Runner.map (fun x -> (x * 7) mod 13) items)))
         [ 1; 2; 3; 5; 8 ])
     [ 1; 2; 3; 7; 16; 33; 100 ]
 
@@ -192,23 +196,24 @@ let test_nested_map_through_warm_pool () =
   (* Nested maps must stay serial on a pool that has already run
      batches, and [both] must compose with maps before and after — the
      parked helpers may not claim a nested batch recursively. *)
-  ignore (Runner.map ~jobs:3 succ (List.init 10 Fun.id));
+  ignore (with_jobs 3 (fun () -> Runner.map succ (List.init 10 Fun.id)));
   let nested =
-    Runner.map ~jobs:3
-      (fun outer ->
-        let a, b =
-          Runner.both
-            (fun () -> Runner.map ~jobs:3 (fun i -> (outer * 100) + i) [ 0; 1 ])
-            (fun () -> outer * 1000)
-        in
-        (a, b))
-      [ 1; 2 ]
+    with_jobs 3 (fun () ->
+        Runner.map
+          (fun outer ->
+            let a, b =
+              Runner.both
+                (fun () -> Runner.map (fun i -> (outer * 100) + i) [ 0; 1 ])
+                (fun () -> outer * 1000)
+            in
+            (a, b))
+          [ 1; 2 ])
   in
   Alcotest.(check (list (pair (list int) int)))
     "nested both+map through warm pool"
     [ ([ 100; 101 ], 1000); ([ 200; 201 ], 2000) ]
     nested;
-  ignore (Runner.map ~jobs:2 succ (List.init 5 Fun.id))
+  ignore (with_jobs 2 (fun () -> Runner.map succ (List.init 5 Fun.id)))
 
 let test_profiler_slots_stable () =
   (* Slots are persistent pool positions: slot 0 is the caller, helpers
@@ -238,6 +243,28 @@ let test_profiler_slots_stable () =
         (Printf.sprintf "slot %d id sane" d.Obs.Profiler.domain)
         true (d.Obs.Profiler.domain >= 0))
     stats
+
+let test_profiler_concurrent_coordinators () =
+  (* Two domains coordinating batches at once, with one profiler
+     attached: every task of every batch must be counted exactly once,
+     which a read-then-write of a slot's cell from both coordinators
+     would not guarantee. *)
+  let prof = Obs.Profiler.create () in
+  Runner.set_profiler (Some prof);
+  Fun.protect
+    ~finally:(fun () -> Runner.set_profiler None)
+    (fun () ->
+      with_jobs 2 (fun () ->
+          let coordinate () =
+            for _ = 1 to 200 do
+              ignore (Runner.map succ (List.init 8 Fun.id))
+            done
+          in
+          List.iter Domain.join [ Domain.spawn coordinate; Domain.spawn coordinate ]));
+  let total_tasks =
+    List.fold_left (fun acc d -> acc + d.Obs.Profiler.tasks) 0 (Obs.Profiler.domain_stats prof)
+  in
+  Alcotest.(check int) "2 coordinators x 200 maps x 8 jobs" 3200 total_tasks
 
 (* -- Race-freedom: each population owns its bootstrap buffer ----------- *)
 
@@ -275,7 +302,7 @@ let build_and_run seed =
 let test_concurrent_builds_match_serial () =
   let seeds = [ 3; 5; 8; 13 ] in
   let serial = List.map build_and_run seeds in
-  let concurrent = with_jobs 2 (fun () -> Runner.map ~jobs:2 build_and_run seeds) in
+  let concurrent = with_jobs 2 (fun () -> Runner.map build_and_run seeds) in
   List.iter2
     (fun seed ((lists, summary), (lists', summary')) ->
       Alcotest.(check string) (Printf.sprintf "seed %d bootstrap lists" seed) lists lists';
@@ -302,6 +329,8 @@ let () =
           quick "chunked claiming deterministic" test_chunked_claiming_determinism;
           quick "nested map through warm pool" test_nested_map_through_warm_pool;
           quick "profiler slots stable" test_profiler_slots_stable;
+          quick "concurrent coordinators share the profiler"
+            test_profiler_concurrent_coordinators;
           slow "pool reuse byte-identical" test_pool_reuse_byte_identical;
         ] );
       ( "determinism",

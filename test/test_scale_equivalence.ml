@@ -68,7 +68,9 @@ let case_run_trace () =
 let case_run_parallel () =
   let cfg = Scenario.config paper_short in
   let sweep jobs =
-    Runner.map ~jobs
+    Runner.set_jobs jobs;
+    Fun.protect ~finally:(fun () -> Runner.set_jobs 0) @@ fun () ->
+    Runner.map
       (fun i ->
         summary_string
           (Scenario.run ~cfg ~seed:(1 + i) ~years:paper_short.Scenario.years

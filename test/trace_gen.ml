@@ -1,9 +1,9 @@
 (* One QCheck generator over every trace event kind, shared by the
    observability and trace-pipeline suites, and the two helpers the
    suites that read a run report share. Identities and AUs mostly
-   come from a small range, so [involves]/[au_of] probes hit often, and
-   sometimes from a wide one, so the binary encoding's varints and the
-   intern table see multi-byte values. Floats stay finite: a non-finite
+   come from a small range, so the same peers and AUs recur across
+   events, and sometimes from a wide one, so the binary encoding's
+   varints and the intern table see multi-byte values. Floats stay finite: a non-finite
    float renders as JSON null, which no event field accepts. *)
 
 module Trace = Lockss.Trace
