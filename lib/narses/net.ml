@@ -75,8 +75,6 @@ let note_partition_drop t ~src ~dst =
   | None -> ()
   | Some f -> Faults.note_partition_block f ~src ~dst
 
-let note_fault_drop t = t.dropped <- t.dropped + 1
-
 let ring_push t ~src ~dst ~bytes msg =
   t.ring.(t.ring_next) <- Some (src, dst, bytes, msg);
   t.ring_next <- (t.ring_next + 1) mod replay_ring_capacity;
@@ -141,14 +139,14 @@ let send t ~src ~dst ~bytes msg =
   else if endpoint_down t ~src ~dst then begin
     (* A crashed endpoint can neither transmit nor receive. *)
     Faults.note_down_drop (Option.get t.faults) ~src ~dst;
-    note_fault_drop t
+    t.dropped <- t.dropped + 1
   end
   else begin
     (match t.faults with
     | None -> schedule_copy t ~src ~dst ~bytes ~extra:0. msg
     | Some faults ->
       (match Faults.plan faults ~src ~dst with
-      | [] -> note_fault_drop t  (* lost to injected message loss *)
+      | [] -> t.dropped <- t.dropped + 1  (* lost to injected message loss *)
       | extras -> List.iter (fun extra -> schedule_copy t ~src ~dst ~bytes ~extra msg) extras));
     (* Content-fault triggers ride on live sends so injection pressure
        scales with traffic; partition-blocked and dead-endpoint sends
