@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke reproduce-smoke attack-smoke experiments-smoke examples-smoke audit-smoke baseline-smoke bench bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
+.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke reproduce-smoke attack-smoke experiments-smoke examples-smoke audit-smoke baseline-smoke bench bench-parallel bench-overhead bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
 
 all: build
 
@@ -171,7 +171,7 @@ audit-smoke: build
 
 # Every gated benchmark, each writing its BENCH_*.json artifact; the
 # paper's figures and tables are `lockss_sim reproduce`, not a bench.
-bench: bench-parallel bench-obs bench-check bench-chaos bench-scale
+bench: bench-parallel bench-overhead bench-scale
 
 # Serial vs parallel wall-clock for the heavier sweeps, recorded as JSON.
 # CI arms the multicore criteria through BENCH_PARALLEL_FLAGS:
@@ -183,20 +183,11 @@ bench-parallel: build
 	dune exec bench/main.exe -- parallel --json BENCH_parallel.json \
 	  $(BENCH_PARALLEL_FLAGS)
 
-# Observability overhead: tracing disabled vs a warn-level run report
-# vs the full debug report, recorded as JSON.
-bench-obs: build
-	dune exec bench/main.exe -- obs --json BENCH_obs.json
-
-# Invariant-auditor overhead: the same micro simulation with the online
-# auditor detached vs attached, recorded as JSON.
-bench-check: build
-	dune exec bench/main.exe -- check --json BENCH_check.json
-
-# Byzantine-fault overhead: the same micro simulation fault-free vs
-# under the full default chaos mix, recorded as JSON.
-bench-chaos: build
-	dune exec bench/main.exe -- chaos --json BENCH_chaos.json
+# Probe overhead in one loop: the same micro simulation untouched vs a
+# warn-level run report, the full debug report, the online auditor and
+# the full Byzantine fault mix, recorded as JSON.
+bench-overhead: build
+	dune exec bench/main.exe -- overhead --json BENCH_overhead.json
 
 # Population scale sweep, CI shape: 100 -> 1k peers only, skipping the
 # ~29s 10k-peer setup. The full sweep lives in bench-scale-full.
@@ -216,19 +207,18 @@ bench-scale-full: build
 # gate steps (`make diff-bench-only`).
 BENCH_PAIRS = \
   BENCH_parallel.baseline.json BENCH_parallel.json \
-  BENCH_obs.baseline.json BENCH_obs.json \
-  BENCH_check.baseline.json BENCH_check.json \
-  BENCH_chaos.baseline.json BENCH_chaos.json
+  BENCH_overhead.baseline.json BENCH_overhead.json
 BENCH_SCALE_PAIR = BENCH_scale.baseline.json BENCH_scale.json
 BENCH_SCALE_FULL_PAIR = BENCH_scale_full.baseline.json BENCH_scale_full.json
 
 # Bench regression gate: re-run the benchmarks and diff the fresh JSON
 # against the pinned baselines; exits non-zero on any >25% regression in
-# a tracked (overhead/speedup/slowdown) metric. The scale pair gates at
+# a tracked (overhead/speedup/slowdown/words_per_event) metric, or on a
+# tracked metric missing from either side of a pair. The scale pair gates at
 # a looser 75%: its slowdown ratios fold in cache-hierarchy effects that
 # vary across machines, while a genuine per-event cost-curve regression
 # (O(peers) work per event) overshoots any plausible threshold.
-diff-bench: bench-parallel bench-obs bench-check bench-chaos bench-scale diff-bench-only
+diff-bench: bench-parallel bench-overhead bench-scale diff-bench-only
 
 # The gate alone, against artifacts produced earlier (CI runs the bench
 # targets as separate steps so their logs stay attributable).

@@ -1,16 +1,15 @@
 (* Measurement harness: what the simulator costs, never what it
    reproduces. The paper's tables and figures are `lockss_sim
    reproduce`, `ablate`, `subversion`, `reciprocity` and `extensions`;
-   a profiled run is `lockss_sim run --profile-out`.
+   a profiled run is `lockss_sim run --report DIR` (its profile.json).
 
    Usage:
      dune exec bench/main.exe -- parallel --json BENCH_parallel.json
                                               # serial vs parallel timings
      dune exec bench/main.exe -- scale --points 100,1000
                                               # skip the 10k point (CI)
-     dune exec bench/main.exe -- obs --json BENCH_obs.json
-                                              # also: check, chaos
-     dune exec bench/main.exe -- micro        # Bechamel kernel benches
+     dune exec bench/main.exe -- overhead --json BENCH_overhead.json
+                                              # tracing, auditor, faults
      dune exec bench/main.exe -- diff-bench BASELINE CURRENT ...
                                               # offline regression gate
 
@@ -43,103 +42,6 @@ let emit_doc json_out doc =
         output_string oc (Obs.Json.to_string doc);
         output_char oc '\n');
     Printf.printf "wrote %s\n" path
-
-(* -- Bechamel micro-benchmarks ---------------------------------------- *)
-
-let micro_scale =
-  {
-    Scenario.peers = 15;
-    aus = 2;
-    quorum = 4;
-    max_disagree = 1;
-    outer_circle = 3;
-    reference_target = 8;
-    years = 0.25;
-    runs = 1;
-    seed = 7;
-  }
-
-let run_micro_simulation attack () =
-  let cfg = Scenario.config micro_scale in
-  ignore (Scenario.run ~cfg ~seed:7 ~years:micro_scale.Scenario.years attack)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let quarter_year attack = Staged.stage (run_micro_simulation attack) in
-  [
-    (* Substrate kernels. *)
-    Test.make ~name:"engine: 10k timer events"
-      (Staged.stage (fun () ->
-           let engine = Narses.Engine.create () in
-           for i = 1 to 10_000 do
-             ignore (Narses.Engine.schedule engine ~at:(float_of_int i) ignore)
-           done;
-           Narses.Engine.run engine));
-    Test.make ~name:"rng: 100k draws"
-      (Staged.stage (fun () ->
-           let rng = Repro_prelude.Rng.create 1 in
-           for _ = 1 to 100_000 do
-             ignore (Repro_prelude.Rng.bits64 rng)
-           done));
-    (* One Test.make per reproduced table/figure: a quarter-year micro
-       simulation of the corresponding scenario. *)
-    Test.make ~name:"fig2: baseline quarter-year" (quarter_year Scenario.No_attack);
-    Test.make ~name:"fig3-5: pipe stoppage quarter-year"
-      (quarter_year
-         (Scenario.Pipe_stoppage
-            {
-              coverage = 0.5;
-              duration = Duration.of_days 30.;
-              recuperation = Duration.of_days 30.;
-            }));
-    Test.make ~name:"fig6-8: admission flood quarter-year"
-      (quarter_year
-         (Scenario.Admission_flood
-            {
-              coverage = 1.0;
-              duration = Duration.of_days 60.;
-              recuperation = Duration.of_days 30.;
-              rate = 4.;
-            }));
-    Test.make ~name:"table1: brute force quarter-year"
-      (quarter_year
-         (Scenario.Brute_force
-            { strategy = Adversary.Brute_force.Full; rate = 5.; identities = 20 }));
-  ]
-
-let run_micro () =
-  section "Bechamel micro-benchmarks (simulation kernel throughput)";
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) ~kde:None () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let table = Table.create [ "benchmark"; "time/run" ] in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let samples = Benchmark.run cfg [ instance ] elt in
-          let analysis =
-            Analyze.one
-              (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| "run" |])
-              instance samples
-          in
-          let nanos =
-            match Analyze.OLS.estimates analysis with
-            | Some [ ns ] -> ns
-            | Some _ | None -> nan
-          in
-          let human =
-            if Float.is_nan nanos then "n/a"
-            else if nanos > 1e9 then Printf.sprintf "%.2f s" (nanos /. 1e9)
-            else if nanos > 1e6 then Printf.sprintf "%.2f ms" (nanos /. 1e6)
-            else if nanos > 1e3 then Printf.sprintf "%.2f us" (nanos /. 1e3)
-            else Printf.sprintf "%.0f ns" nanos
-          in
-          Table.add_row table [ Test.Elt.name elt; human ])
-        (Test.elements test))
-    (bechamel_tests ());
-  Table.print table;
-  0
 
 (* -- Parallel runner speedup ------------------------------------------- *)
 
@@ -308,7 +210,7 @@ let scale_bigs = [ (1_000, 0.5); (10_000, 0.15) ]
      population and the two advance in interleaved sim-time chunks, so
      the slowdown ratio compares measurements taken seconds apart on
      the same machine state (the round-robin trick the overhead
-     benches use);
+     loop uses);
    - the per-event cost per population is the best chunk's, the robust
      estimator for short runs. *)
 let scale_chunks = 4
@@ -499,14 +401,27 @@ let run_scale json_out points =
 
 (* -- Overhead loop ------------------------------------------------------- *)
 
-(* The obs, check and chaos targets each price one kind of
-   instrumentation: the same one-year micro simulation per variant,
-   every variant against the first. A full year, not the quarter-year
-   of the micro benches: the runs are compared as ratios, and sub-10ms
+(* Every probe is priced against one shared untouched run, as each
+   attack is measured against one no-attack run at the same seeds: the
+   same one-year micro simulation per variant, every variant against the
+   first. A full year: the runs are compared as ratios, and sub-10ms
    runs drown the ratio in scheduler noise. *)
+let micro_scale =
+  {
+    Scenario.peers = 15;
+    aus = 2;
+    quorum = 4;
+    max_disagree = 1;
+    outer_circle = 3;
+    reference_target = 8;
+    years = 1.0;
+    runs = 1;
+    seed = 7;
+  }
+
 let overhead_run ?probes ?(cfg = Scenario.config micro_scale) () =
-  Scenario.run ?probes ~cfg ~seed:micro_scale.Scenario.seed ~years:1.0
-    Scenario.No_attack
+  Scenario.run ?probes ~cfg ~seed:micro_scale.Scenario.seed
+    ~years:micro_scale.Scenario.years Scenario.No_attack
 
 type measured = {
   name : string;
@@ -566,35 +481,78 @@ let best_of_rounds ~repeats variants =
   Table.print table;
   best
 
-(* -- Observability overhead --------------------------------------------- *)
+(* The auditor subscribes to the same bus as the run report and
+   evaluates every invariant online; an untouched run must not trip
+   one. *)
+let audit_leaves (audited : Scenario.run) =
+  let violations = List.length audited.Scenario.violations in
+  Printf.printf "violations on the audited baseline: %d (must be 0)\n" violations;
+  [ ("violations", Obs.Json.Int violations) ]
+
+(* The content-fault layer (corruption, replay, stale, stray) rides the
+   per-send hot path and the hardened handlers pay validation on every
+   delivery; one counted run profiles what the mix injects. *)
+let fault_leaves cfg (_ : Scenario.run) =
+  let population = Scenario.build ~cfg ~seed:micro_scale.Scenario.seed Scenario.No_attack in
+  Lockss.Population.run population ~until:(Duration.of_years micro_scale.Scenario.years);
+  let transport, content =
+    match Lockss.Population.faults population with
+    | None -> (0, 0)
+    | Some f ->
+      ( Narses.Faults.dropped_count f + Narses.Faults.duplicated_count f
+        + Narses.Faults.delayed_count f,
+        Narses.Faults.corrupted_count f + Narses.Faults.replayed_count f
+        + Narses.Faults.stale_count f + Narses.Faults.stray_count f )
+  in
+  Printf.printf "injected per run: %d transport faults, %d content faults\n" transport
+    content;
+  [
+    ("transport_faults", Obs.Json.Int transport);
+    ("content_faults", Obs.Json.Int content);
+  ]
 
 (* The trace bus is pay-for-what-you-watch: emission takes a thunk and
-   does nothing without subscribers. This target quantifies "nothing",
-   a warn-level run report and the full Debug report. *)
-let run_obs json_out =
-  section "Observability overhead (trace bus, run report)";
+   does nothing without subscribers. The loop prices "nothing", a
+   warn-level and a full Debug run report, the online auditor and the
+   full Byzantine fault mix, each variant adding its own leaves from
+   its measured result. *)
+let run_overhead json_out =
+  section "Overhead (trace bus, run report, auditor, Byzantine faults)";
   note "Same one-year micro simulation per variant; overhead is the";
-  note "best-of-repeats CPU-time ratio against the no-subscribers run.";
+  note "best-of-repeats CPU-time ratio against the untouched run.";
   (* Eight rounds, not five: on a shared machine the heavier variants
      need more draws to land a quiet scheduling window — with too few
      rounds the ratio noise floor sits above the regression gate's
      threshold. *)
   let repeats = 8 in
-  let dir = Filename.temp_dir "bench_obs" "" in
+  let dir = Filename.temp_dir "bench_overhead" "" in
+  let with_probes probes () = overhead_run ~probes () in
   let report trace_level =
     { Scenario.default_probes with Scenario.report = Some dir; trace_level }
   in
-  let run probes () = overhead_run ~probes () in
+  let faulted =
+    {
+      (Scenario.config micro_scale) with
+      Lockss.Config.faults = Some (Chaos.faults_config Chaos.default_mix);
+    }
+  in
+  let no_leaves _ = [] in
+  let variants =
+    [
+      ("tracing disabled", (fun () -> overhead_run ()), no_leaves);
+      (* A warn-level report raises the bus's interest floor to Warn,
+         so nearly every emission skips its thunk: this variant must
+         stay within noise of "tracing disabled". *)
+      ("warn-level report", with_probes (report Lockss.Trace.Warn), no_leaves);
+      ("report", with_probes (report Lockss.Trace.Debug), no_leaves);
+      ( "auditor on",
+        with_probes { Scenario.default_probes with Scenario.audit = true },
+        audit_leaves );
+      ("full Byzantine mix", (fun () -> overhead_run ~cfg:faulted ()), fault_leaves faulted);
+    ]
+  in
   let measured =
-    best_of_rounds ~repeats
-      [
-        ("tracing disabled", fun () -> overhead_run ());
-        (* A warn-level report raises the bus's interest floor to Warn,
-           so nearly every emission skips its thunk: this variant must
-           stay within noise of "tracing disabled". *)
-        ("warn-level report", run (report Lockss.Trace.Warn));
-        ("report", run (report Lockss.Trace.Debug));
-      ]
+    best_of_rounds ~repeats (List.map (fun (name, run, _) -> (name, run)) variants)
   in
   let run_dir = Filename.concat dir (Printf.sprintf "seed%d" micro_scale.Scenario.seed) in
   Array.iter (fun name -> Sys.remove (Filename.concat run_dir name)) (Sys.readdir run_dir);
@@ -609,101 +567,23 @@ let run_obs json_out =
   else
     Printf.printf "warn-level report within noise of disabled (%.2fx <= 1.25x)\n"
       warn_overhead;
+  let entries =
+    List.map2
+      (fun m (_, _, leaves) ->
+        Obs.Json.Assoc
+          ([
+             ("variant", Obs.Json.String m.name);
+             ("cpu_s", Obs.Json.Float m.cpu_s);
+             ("overhead", Obs.Json.Float m.overhead);
+             ("words_per_event", Obs.Json.Float m.words_per_event);
+           ]
+          @ leaves m.result))
+      measured variants
+  in
   emit_doc json_out
     (Obs.Json.Assoc
-       [
-         ("repeats", Obs.Json.Int repeats);
-         ( "variants",
-           Obs.Json.List
-             (List.map
-                (fun m ->
-                  Obs.Json.Assoc
-                    [
-                      ("variant", Obs.Json.String m.name);
-                      ("cpu_s", Obs.Json.Float m.cpu_s);
-                      ("overhead", Obs.Json.Float m.overhead);
-                      ("words_per_event", Obs.Json.Float m.words_per_event);
-                    ])
-                measured) );
-       ]);
+       [ ("repeats", Obs.Json.Int repeats); ("variants", Obs.Json.List entries) ]);
   0
-
-(* The check and chaos targets: the plain run ([off]) against one
-   instrumented variant, recorded as [off_s]/[on_s]/[overhead] plus the
-   leaves [extra] derives from the variant's result. *)
-let off_on ~repeats ~json_out ~off on_ extra =
-  match best_of_rounds ~repeats [ (off, fun () -> overhead_run ()); on_ ] with
-  | [ off; on_ ] ->
-    emit_doc json_out
-      (Obs.Json.Assoc
-         ([
-            ("repeats", Obs.Json.Int repeats);
-            ("off_s", Obs.Json.Float off.cpu_s);
-            ("on_s", Obs.Json.Float on_.cpu_s);
-            ("overhead", Obs.Json.Float on_.overhead);
-          ]
-         @ extra on_.result));
-    0
-  | _ -> assert false
-
-(* -- Invariant auditor overhead ----------------------------------------- *)
-
-(* The auditor subscribes to the same bus as the observability sinks and
-   evaluates every invariant online; this target prices that against the
-   unobserved run, and reports how much trace the audit digested. *)
-let run_check json_out =
-  section "Invariant auditor overhead (lib/check online evaluation)";
-  note "Same one-year micro simulation, auditor detached vs attached;";
-  note "overhead is the best-of-repeats CPU-time ratio against the";
-  note "unchecked run.";
-  let probes = { Scenario.default_probes with Scenario.audit = true } in
-  off_on ~repeats:5 ~json_out ~off:"auditor off"
-    ("auditor on", fun () -> overhead_run ~probes ())
-    (fun audited ->
-      let violations = List.length audited.Scenario.violations in
-      Printf.printf "violations on the audited baseline: %d (must be 0)\n" violations;
-      [ ("violations", Obs.Json.Int violations) ])
-
-(* -- Byzantine fault-injection overhead --------------------------------- *)
-
-(* The content-fault layer (corruption, replay, stale, stray) rides the
-   per-send hot path and the hardened handlers pay validation on every
-   delivery; this target prices the full Byzantine mix against the
-   fault-free run and profiles what was injected. *)
-let run_chaos_bench json_out =
-  section "Byzantine fault-injection overhead (content faults + hardened handlers)";
-  note "Same one-year micro simulation, faults off vs the full Byzantine";
-  note "mix (loss, jitter, duplication, churn, corruption, replay, stale,";
-  note "stray); overhead is the best-of-repeats CPU-time ratio.";
-  let cfg =
-    {
-      (Scenario.config micro_scale) with
-      Lockss.Config.faults = Some (Chaos.faults_config Chaos.default_mix);
-    }
-  in
-  off_on ~repeats:5 ~json_out ~off:"faults off"
-    ("full Byzantine mix", fun () -> overhead_run ~cfg ())
-    (fun _ ->
-      (* One counted run for the injected-fault profile. *)
-      let population =
-        Scenario.build ~cfg ~seed:micro_scale.Scenario.seed Scenario.No_attack
-      in
-      Lockss.Population.run population ~until:(Duration.of_years 1.0);
-      let transport, content =
-        match Lockss.Population.faults population with
-        | None -> (0, 0)
-        | Some f ->
-          ( Narses.Faults.dropped_count f + Narses.Faults.duplicated_count f
-            + Narses.Faults.delayed_count f,
-            Narses.Faults.corrupted_count f + Narses.Faults.replayed_count f
-            + Narses.Faults.stale_count f + Narses.Faults.stray_count f )
-      in
-      Printf.printf "injected per run: %d transport faults, %d content faults\n"
-        transport content;
-      [
-        ("transport_faults", Obs.Json.Int transport);
-        ("content_faults", Obs.Json.Int content);
-      ])
 
 (* -- Offline regression gate -------------------------------------------- *)
 
@@ -716,8 +596,8 @@ let load_json path =
       (Obs.Json.of_string (String.trim contents))
 
 (* Diff pinned baseline/current artifact pairs without re-running any
-   benchmark: 1 on a regression or a missing tracked metric, 2 on
-   unusable input. *)
+   benchmark: 1 on a regression or a missing or unpinned tracked
+   metric, 2 on unusable input. *)
 let run_diff_bench threshold_pct allow_degenerate_current files =
   let rec pairs = function
     | baseline :: current :: rest ->
@@ -815,7 +695,7 @@ let () =
   let cmd name doc term = Cmd.v (Cmd.info name ~doc) term in
   let info =
     Cmd.info "bench"
-      ~doc:"Measure the LOCKSS simulator's cost: speedup, scale, overheads, kernels."
+      ~doc:"Measure the LOCKSS simulator's cost: speedup, scale, overheads."
   in
   exit
     (Cmd.eval'
@@ -825,14 +705,9 @@ let () =
               Term.(const run_parallel $ json_out $ require_parallel $ min_speedup);
             cmd "scale" "Per-event cost and resident memory from 100 to 10k peers."
               Term.(const run_scale $ json_out $ points);
-            cmd "obs" "Trace bus and run-report overhead."
-              Term.(const run_obs $ json_out);
-            cmd "check" "Online invariant-auditor overhead."
-              Term.(const run_check $ json_out);
-            cmd "chaos" "Full Byzantine fault-mix overhead."
-              Term.(const run_chaos_bench $ json_out);
-            cmd "micro" "Bechamel micro-benchmarks of the simulation kernels."
-              Term.(const run_micro $ const ());
+            cmd "overhead"
+              "Trace bus, run-report, online-auditor and Byzantine fault-mix overhead."
+              Term.(const run_overhead $ json_out);
             cmd "diff-bench"
               "Diff BASELINE CURRENT artifact pairs; exit 1 on a tracked regression."
               Term.(const run_diff_bench $ threshold $ allow_degenerate $ files);

@@ -1,12 +1,16 @@
 (* Observability tour: one small deployment under an admission flood,
    watched three ways at once --
 
-     1. a warn-level subscriber narrating troubled polls to stdout,
-     2. event counts by kind, plus how many votes each evaluation
-        gathered, tallied from the trace into local tables,
-     3. a Sampler emitting a four-weekly CSV time series of the metrics,
+     1. a Sampler emitting a four-weekly CSV time series of the metrics,
         the same writer behind each run's metrics.csv under
-        `lockss_sim run --report DIR`. *)
+        `lockss_sim run --report DIR`,
+     2. a warn-level subscriber narrating troubled polls,
+     3. event counts by kind, plus how many votes each evaluation
+        gathered, tallied from the trace into local tables.
+
+   Only the CSV streams to stdout during the run; the other two are
+   held and printed after it, so each section's lines sit under its own
+   heading. *)
 
 module Duration = Repro_prelude.Duration
 module Population = Lockss.Population
@@ -34,25 +38,8 @@ let () =
        ~invitations_per_victim_au_per_day:24.);
   let trace = Population.trace population in
 
-  (* 1. Only warn-severity events (inquorate/alarmed polls). *)
-  print_endline "-- troubled polls (warn-level subscriber) --";
-  Trace.subscribe ~interest:Trace.Warn trace (fun ~time event ->
-      if Trace.severity event = Trace.Warn then
-        Format.printf "[%a] [warn] %a@." Duration.pp time Trace.pp_event event);
-
-  (* 2. Counts tallied from the trace. *)
-  let bump tbl key =
-    Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-  in
-  let events_by_kind = Hashtbl.create 32 and evaluations_by_votes = Hashtbl.create 16 in
-  Trace.subscribe trace (fun ~time:_ event ->
-      bump events_by_kind (Trace.kind event);
-      match event with
-      | Trace.Evaluation_started { votes; _ } -> bump evaluations_by_votes votes
-      | _ -> ());
-
-  (* 3. Four-weekly metric samples as CSV on stdout. *)
-  print_endline "\n-- four-weekly metric samples (CSV) --";
+  (* 1. Four-weekly metric samples as CSV on stdout. *)
+  print_endline "-- four-weekly metric samples (CSV) --";
   let series =
     Obs.Series.create ~columns:Lockss.Sampler.columns (Obs.Sink.of_channel stdout)
   in
@@ -65,9 +52,31 @@ let () =
       (Lockss.Sampler.series_writer ~seed:11 series)
   in
 
+  (* 2. Only warn-severity events (inquorate/alarmed polls). *)
+  let troubled = Buffer.create 256 in
+  Trace.subscribe ~interest:Trace.Warn trace (fun ~time event ->
+      if Trace.severity event = Trace.Warn then
+        Buffer.add_string troubled
+          (Format.asprintf "[%a] [warn] %a\n" Duration.pp time Trace.pp_event event));
+
+  (* 3. Counts tallied from the trace. *)
+  let bump tbl key =
+    Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+  in
+  let events_by_kind = Hashtbl.create 32 and evaluations_by_votes = Hashtbl.create 16 in
+  Trace.subscribe trace (fun ~time:_ event ->
+      bump events_by_kind (Trace.kind event);
+      match event with
+      | Trace.Evaluation_started { votes; _ } -> bump evaluations_by_votes votes
+      | _ -> ());
+
+
   Population.run population ~until:(Duration.of_years 0.5);
   Lockss.Sampler.stop sampler;
   Obs.Series.close series;
+
+  print_endline "\n-- troubled polls (warn-level subscriber) --";
+  print_string (Buffer.contents troubled);
 
   let print_sorted title pp tbl =
     Printf.printf "\n-- %s --\n" title;

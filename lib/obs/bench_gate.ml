@@ -12,6 +12,7 @@ type delta = {
 type report = {
   deltas : delta list;
   missing_tracked : string list;
+  unpinned_tracked : string list;
   skipped : string list;
   degenerate_current : string list;
   added : string list;
@@ -171,10 +172,22 @@ let compare_json ?(threshold_pct = default_threshold_pct)
       (fun (path, _) -> if Hashtbl.mem base_tbl path then None else Some path)
       cur
   in
+  (* The mirror of [missing_tracked]: a tracked leaf the current artifact
+     measures but the baseline never pinned gates nothing, so a pin that
+     misses a variant must not pass. Under a degenerate prefix on either
+     side there is no live measurement to pin. *)
+  let unpinned_tracked =
+    List.filter
+      (fun path ->
+        tracked_of_path path <> None
+        && not (base_degenerate path || under cur_deg path))
+      added
+  in
   let degenerate_subtrees = List.sort_uniq String.compare (base_deg @ cur_deg) in
   {
     deltas = List.sort (fun a b -> compare a.path b.path) deltas;
     missing_tracked = List.rev missing_tracked;
+    unpinned_tracked;
     skipped = List.rev skipped;
     degenerate_current = List.rev degenerate_current;
     added;
@@ -188,6 +201,7 @@ let regressions report = List.filter (fun d -> d.regressed) report.deltas
 let ok report =
   regressions report = []
   && report.missing_tracked = []
+  && report.unpinned_tracked = []
   && (report.allow_degenerate_current || report.degenerate_current = [])
 
 let direction_to_json = function
@@ -214,6 +228,8 @@ let report_json report =
       ("regressions", Json.List (List.map delta_to_json (regressions report)));
       ( "missing_tracked",
         Json.List (List.map (fun p -> Json.String p) report.missing_tracked) );
+      ( "unpinned_tracked",
+        Json.List (List.map (fun p -> Json.String p) report.unpinned_tracked) );
       ("skipped", Json.List (List.map (fun p -> Json.String p) report.skipped));
       ( "degenerate_current",
         Json.List (List.map (fun p -> Json.String p) report.degenerate_current) );
@@ -259,6 +275,9 @@ let pp_report ppf report =
   List.iter
     (fun path -> Format.fprintf ppf "  %-50s MISSING (tracked in baseline)@," path)
     report.missing_tracked;
+  List.iter
+    (fun path -> Format.fprintf ppf "  %-50s UNPINNED (absent from baseline)@," path)
+    report.unpinned_tracked;
   let info = List.filter (fun d -> d.direction = None) report.deltas in
   let shown = List.filteri (fun i _ -> i < 20) info in
   if shown <> [] then begin

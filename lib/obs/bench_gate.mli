@@ -26,7 +26,9 @@
     member when present (so reordering a bench's variant list does not
     shuffle the diff), by index otherwise. A tracked path present in
     the baseline but missing from the current artifact is itself a
-    failure: silently dropping a gated metric must not pass CI.
+    failure: silently dropping a gated metric must not pass CI. So is
+    the reverse, a tracked path the current artifact measures but the
+    baseline never pinned: a pin that misses a variant gates nothing.
 
     An object containing [("degenerate", true)] marks its whole subtree
     degenerate: the environment could not exercise what the tracked
@@ -57,6 +59,9 @@ type delta = {
 type report = {
   deltas : delta list;  (** every shared numeric path, sorted *)
   missing_tracked : string list;  (** tracked in baseline, absent now *)
+  unpinned_tracked : string list;
+      (** tracked in current, absent from the baseline, and under no
+          degenerate prefix on either side *)
   skipped : string list;
       (** tracked, but under a degenerate prefix in the baseline *)
   degenerate_current : string list;
@@ -95,7 +100,7 @@ val compare_json :
 
 val regressions : report -> delta list
 
-(** No regressed deltas, no missing tracked paths, and — unless
+(** No regressed deltas, no missing or unpinned tracked paths, and — unless
     [allow_degenerate_current] — no tracked path that went degenerate
     while its baseline pin was live. *)
 val ok : report -> bool

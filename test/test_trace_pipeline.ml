@@ -772,6 +772,34 @@ let test_gate_missing_tracked_fails () =
   Alcotest.(check bool) "reported as missing" true
     (List.mem "variants.full file sinks.overhead" report.Obs.Bench_gate.missing_tracked)
 
+let test_gate_unpinned_tracked_fails () =
+  (* A pin that misses a variant gates nothing for it: the tracked leaf
+     the current artifact adds fails the gate, an untracked one does
+     not. *)
+  let report =
+    Obs.Bench_gate.compare_json ~baseline:(Json.Assoc [ ("repeats", Json.Int 5) ])
+      ~current:(obs_doc 2.0) ()
+  in
+  Alcotest.(check bool) "unpinned tracked metric fails" false (Obs.Bench_gate.ok report);
+  Alcotest.(check (list string))
+    "reported as unpinned"
+    [ "variants.tracing disabled.overhead"; "variants.full file sinks.overhead" ]
+    report.Obs.Bench_gate.unpinned_tracked;
+  let with_extra extra =
+    Json.Assoc [ ("repeats", Json.Int 5); ("extra", Json.Assoc extra) ]
+  in
+  Alcotest.(check bool) "an added untracked leaf passes" true
+    (Obs.Bench_gate.ok
+       (Obs.Bench_gate.compare_json ~baseline:(with_extra [])
+          ~current:(with_extra [ ("cpu_s", Json.Float 0.1) ])
+          ()));
+  Alcotest.(check bool) "an added tracked leaf under a degenerate subtree passes" true
+    (Obs.Bench_gate.ok
+       (Obs.Bench_gate.compare_json ~baseline:(with_extra [])
+          ~current:
+            (with_extra [ ("degenerate", Json.Bool true); ("speedup", Json.Float 1.) ])
+          ()))
+
 let test_gate_absolutes_informational () =
   (* Wall-clock absolutes may drift arbitrarily without failing. *)
   let base = obs_doc 2.0 in
@@ -1097,6 +1125,7 @@ let () =
           tc "regression fails" `Quick test_gate_fails_on_regression;
           tc "speedup is lower-is-worse" `Quick test_gate_speedup_lower_is_worse;
           tc "missing tracked metric fails" `Quick test_gate_missing_tracked_fails;
+          tc "unpinned tracked metric fails" `Quick test_gate_unpinned_tracked_fails;
           tc "absolutes are informational" `Quick test_gate_absolutes_informational;
           tc "neutral slackens lucky baselines" `Quick
             test_gate_neutral_slackens_lucky_baseline;
