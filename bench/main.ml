@@ -291,7 +291,8 @@ let run_scale json_out points =
   note "100 -> 1k -> 10k peers, 2 AUs each, full coverage; reports run-phase";
   note "throughput and resident population memory per point. The tracked";
   note "[slowdown] ratios are per-event cost relative to the 100-peer point";
-  note "(1.0 = flat; the gate fails past neutral + threshold).";
+  note "(1.0 = flat; the gate fails past neutral + threshold); [live_words]";
+  note "per point is tracked too and fails when it grows past the threshold.";
   let bigs =
     match points with
     | None -> scale_bigs

@@ -51,6 +51,48 @@ type voter_session = {
 
 module Session_tbl = Repro_prelude.Keyed_tbl.Int3
 
+module Closed_set = struct
+  (* [ring] holds the keys in insertion order. While the set is filling,
+     they sit at [0, length) and [next] stays 0; once [capacity] keys are
+     held, [ring] has exactly [capacity] slots and [next] indexes the
+     oldest key, which the next new key overwrites. *)
+  type t = {
+    keys : unit Session_tbl.t;
+    mutable ring : Session_tbl.key array;
+    mutable next : int;
+    capacity : int;
+  }
+
+  (* First ring size; later growth doubles, up to [capacity]. *)
+  let initial_slots = 8
+
+  let create ~capacity =
+    if capacity < 1 then invalid_arg "Peer.Closed_set.create: capacity < 1";
+    { keys = Session_tbl.create 1; ring = [||]; next = 0; capacity }
+
+  let mem t key = Session_tbl.mem t.keys key
+  let length t = Session_tbl.length t.keys
+
+  let add t key =
+    if not (Session_tbl.mem t.keys key) then begin
+      let n = Session_tbl.length t.keys in
+      if n < t.capacity then begin
+        if n = Array.length t.ring then begin
+          let grown = Array.make (min t.capacity (max initial_slots (2 * n))) key in
+          Array.blit t.ring 0 grown 0 n;
+          t.ring <- grown
+        end;
+        t.ring.(n) <- key
+      end
+      else begin
+        Session_tbl.remove t.keys t.ring.(t.next);
+        t.ring.(t.next) <- key;
+        t.next <- (t.next + 1) mod t.capacity
+      end;
+      Session_tbl.replace t.keys key ()
+    end
+end
+
 type au_state = {
   au : Ids.Au_id.t;
   held : bool;
@@ -70,9 +112,7 @@ type t = {
   aus : au_state array;
   mutable poll_counter : int;
   voter_sessions : voter_session Session_tbl.t;
-  closed_sessions : unit Session_tbl.t;
-  closed_ring : (Ids.Identity.t * Ids.Au_id.t * int) option array;
-  mutable closed_next : int;
+  closed_sessions : Closed_set.t;
   mutable active : bool;
 }
 
@@ -151,17 +191,8 @@ let session_key session = (session.vs_poller, session.vs_au, session.vs_poll_id)
 
 let closed_session_capacity = 512
 
-let note_session_closed peer key =
-  if not (Session_tbl.mem peer.closed_sessions key) then begin
-    (match peer.closed_ring.(peer.closed_next) with
-    | Some evicted -> Session_tbl.remove peer.closed_sessions evicted
-    | None -> ());
-    peer.closed_ring.(peer.closed_next) <- Some key;
-    peer.closed_next <- (peer.closed_next + 1) mod Array.length peer.closed_ring;
-    Session_tbl.replace peer.closed_sessions key ()
-  end
-
-let session_recently_closed peer key = Session_tbl.mem peer.closed_sessions key
+let note_session_closed peer key = Closed_set.add peer.closed_sessions key
+let session_recently_closed peer key = Closed_set.mem peer.closed_sessions key
 
 let fallback_identities peer st ~now =
   (* Friends come from the per-AU reference list, which was filtered to

@@ -63,6 +63,31 @@ type voter_session = {
     would. *)
 module Session_tbl = Repro_prelude.Keyed_tbl.Int3
 
+(** Recently closed voter-session keys: a bounded FIFO set. It holds at
+    most [capacity] keys; adding a key already held changes nothing (its
+    age is not refreshed), and adding a new key to a full set first
+    evicts the oldest. Storage starts empty and grows with the keys
+    actually added, so a peer that closes a few sessions holds a few
+    dozen words for them, not [capacity] slots. The set is only probed,
+    never iterated, so neither its hashing nor its size can reach a
+    seeded output. *)
+module Closed_set : sig
+  type t
+
+  (** [create ~capacity] is an empty set. Raises [Invalid_argument] when
+      [capacity < 1]. *)
+  val create : capacity:int -> t
+
+  val mem : t -> Session_tbl.key -> bool
+
+  (** [add t key] inserts [key] unless held, evicting the oldest key
+      when the set is full. *)
+  val add : t -> Session_tbl.key -> unit
+
+  (** [length t] is the number of keys held. *)
+  val length : t -> int
+end
+
 type au_state = {
   au : Ids.Au_id.t;
   held : bool;  (** whether this peer preserves the AU (collection diversity) *)
@@ -82,12 +107,10 @@ type t = {
   aus : au_state array;
   mutable poll_counter : int;
   voter_sessions : voter_session Session_tbl.t;
-  closed_sessions : unit Session_tbl.t;
+  closed_sessions : Closed_set.t;
       (** recently closed voter-session keys, so duplicate deliveries of
           an already-handled Poll are dropped instead of opening a ghost
-          session (bounded by [closed_ring]) *)
-  closed_ring : (Ids.Identity.t * Ids.Au_id.t * int) option array;
-  mutable closed_next : int;
+          session *)
   mutable active : bool;
       (** dormant peers (churn experiments) ignore all traffic and call no
           polls until activated; fault-injected crashes also clear it *)
@@ -210,7 +233,8 @@ val closed_session_capacity : int
 
 (** [note_session_closed peer key] remembers that the voter session [key]
     has been handled to completion; the memory holds the most recent
-    {!closed_session_capacity} keys. *)
+    {!closed_session_capacity} distinct keys (noting a key already held
+    does not refresh its age). *)
 val note_session_closed : t -> Ids.Identity.t * Ids.Au_id.t * int -> unit
 
 (** [session_recently_closed peer key] is [true] when a duplicate Poll

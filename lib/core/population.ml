@@ -142,9 +142,7 @@ let make_peer cfg rng holdings ~scratch node =
     aus;
     poll_counter = 0;
     voter_sessions = Peer.Session_tbl.create 64;
-    closed_sessions = Peer.Session_tbl.create Peer.closed_session_capacity;
-    closed_ring = Array.make Peer.closed_session_capacity None;
-    closed_next = 0;
+    closed_sessions = Peer.Closed_set.create ~capacity:Peer.closed_session_capacity;
     active = true;
   }
 

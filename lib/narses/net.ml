@@ -83,7 +83,8 @@ let ring_push t ~src ~dst ~bytes msg =
 (* Deliver one copy of [msg] from [src] to [dst] after the model delay
    plus [extra]. Under corruption faults, each copy independently rolls
    for a single-field mutation applied through the registered tamper
-   hook. Delivered copies are remembered in the replay ring. *)
+   hook. Under a fault layer, delivered copies are remembered in the
+   replay ring. *)
 let schedule_copy t ~src ~dst ~bytes ~extra msg =
   let delay = transfer_delay t ~src ~dst ~bytes in
   let msg =
@@ -113,7 +114,9 @@ let schedule_copy t ~src ~dst ~bytes ~extra msg =
       | Some handler ->
         t.delivered <- t.delivered + 1;
         t.bytes_delivered <- t.bytes_delivered + bytes;
-        ring_push t ~src ~dst ~bytes msg;
+        (* Only the fault layer re-injects from the ring; without one,
+           filling it would allocate a tuple per delivery for nothing. *)
+        if Option.is_some t.faults then ring_push t ~src ~dst ~bytes msg;
         handler ~src msg
     end
   in

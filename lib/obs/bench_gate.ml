@@ -86,6 +86,9 @@ let tracked_of_path path =
      seconds it is safe to gate. No neutral: any growth past the
      threshold is a genuine allocation regression. *)
   | "words_per_event" -> Some (Higher_is_worse, None)
+  (* Resident words around a seeded population build: deterministic for
+     the same reason, and gated the same way. *)
+  | "live_words" -> Some (Higher_is_worse, None)
   | _ -> None
 
 let change_pct ~baseline ~current =

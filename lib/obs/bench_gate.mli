@@ -4,12 +4,13 @@
     Bench artifacts mix machine-dependent absolutes (mean seconds) with
     machine-independent ratios ([overhead], [speedup], [slowdown]).
     Only machine-independent leaves are {e tracked}, and each tracked
-    metric carries an explicit bad direction: [overhead], [slowdown]
-    and [words_per_event] (allocation per simulated event — the
+    metric carries an explicit bad direction: [overhead], [slowdown],
+    [words_per_event] (allocation per simulated event — the
     simulation is deterministic, so this is as portable as a ratio)
-    fail when they grow, [speedup] when it shrinks. Absolute leaves are
-    still diffed and reported, but informationally — CI machines are
-    too noisy to gate wall-clock.
+    and [live_words] (resident words of a seeded population build,
+    deterministic likewise) fail when they grow, [speedup] when it
+    shrinks. Absolute leaves are still diffed and reported, but
+    informationally — CI machines are too noisy to gate wall-clock.
 
     Ratio metrics with a natural no-effect point also carry a {e
     neutral} (1.0 for [overhead] and [slowdown]). The gate's reference

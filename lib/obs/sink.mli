@@ -1,9 +1,8 @@
 (** Buffered byte sink for trace and metrics output.
 
     Observability output used to [flush] the underlying channel after
-    every event, which cost ~9x wall-clock on the [obs] bench. A sink
-    instead accumulates bytes in a {!Buffer.t} and hands them to the
-    channel only when
+    every event, a syscall per trace record. A sink instead accumulates
+    bytes in a {!Buffer.t} and hands them to the channel only when
 
     - the buffer reaches [buffer_bytes] (size bound), or
     - a write carries a simulation time [?now] at least

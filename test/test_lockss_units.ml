@@ -846,6 +846,120 @@ let prop_session_tbl_iterates_like_hashtbl =
          listed = expected && !iterated = expected
          && Peer.Session_tbl.length tbl = Hashtbl.length model))
 
+(* -- Closed-session memory ---------------------------------------------- *)
+
+(* A peer's recently closed sessions, model-checked against a plain list
+   FIFO (oldest first) of the same capacity: a held key is not re-added
+   and keeps its age; a new key to a full set evicts the oldest. Each
+   step compares the probe answers, the size and the key the model
+   evicts; the end compares membership of every key seen. Keys take
+   every shape a voter can close or probe: loyal pollers, identities
+   pushed past the population by a corrupted [identity + delta]
+   (Message.mutate's deltas are 1..7), forged stray identities just past
+   the node count, the adversaries' identity blocks, and poll ids and
+   AUs shifted by the same deltas. The universe is small enough that
+   sequences repeat keys while held and overflow the capacity. *)
+let closed_key_gen =
+  let open QCheck2.Gen in
+  let peers = 100 in
+  let delta = int_range 1 7 in
+  let identity =
+    frequency
+      [
+        (4, int_range 0 5);
+        (1, map2 ( + ) (int_range (peers - 3) (peers - 1)) delta);
+        (1, map (( + ) peers) (int_range 0 3));
+        (* admission-flood, brute-force (one block per instance) and
+           vote-flood identity blocks *)
+        (1, map (( + ) 1_000_000) (int_range 0 2));
+        (1, map (( + ) 2_000_000) (int_range 0 2));
+        (1, map (( + ) 2_100_000) (int_range 0 2));
+        (1, map (( + ) 3_000_000) (int_range 0 2));
+      ]
+  in
+  let au = frequency [ (4, int_range 0 1); (1, map2 ( + ) (int_range 0 1) delta) ] in
+  let poll_id = frequency [ (4, int_range 1 30); (1, map2 ( + ) (int_range 1 30) delta) ] in
+  triple identity au poll_id
+
+(* [op = 0] probes, anything else adds. *)
+let closed_set_agrees_with_model cap ops =
+  let set = Peer.Closed_set.create ~capacity:cap in
+  (* oldest first *)
+  let model = ref [] in
+  let ok = ref true in
+  List.iter
+    (fun (op, key) ->
+      if op = 0 then ok := !ok && Peer.Closed_set.mem set key = List.mem key !model
+      else begin
+        let evicted =
+          if List.mem key !model then None
+          else begin
+            model := !model @ [ key ];
+            if List.length !model > cap then begin
+              let oldest = List.hd !model in
+              model := List.tl !model;
+              Some oldest
+            end
+            else None
+          end
+        in
+        Peer.Closed_set.add set key;
+        ok :=
+          !ok
+          && Peer.Closed_set.mem set key
+          && Peer.Closed_set.length set = List.length !model
+          && match evicted with Some k -> not (Peer.Closed_set.mem set k) | None -> true
+      end)
+    ops;
+  !ok && List.for_all (fun (_, key) -> Peer.Closed_set.mem set key = List.mem key !model) ops
+
+(* At the peers' own capacity. Not shrunk: a counterexample needs over
+   512 distinct keys, so shrinking cannot make it short, only slow. *)
+let prop_closed_set_matches_fifo_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"closed-session set matches a list FIFO model" ~count:40
+       QCheck2.Gen.(no_shrink (list_size (int_range 0 1800) (pair (int_range 0 3) closed_key_gen)))
+       (closed_set_agrees_with_model Peer.closed_session_capacity))
+
+(* At small capacities, which cross the storage's growth steps and
+   shrink to short counterexamples. Keys come from a small drawn pool,
+   so short sequences still repeat keys while they are held. *)
+let prop_closed_set_small_capacity_matches_fifo_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"small closed-session sets match a list FIFO model" ~count:300
+       QCheck2.Gen.(
+         let* cap = int_range 1 20 in
+         let* pool = list_size (int_range 1 40) closed_key_gen in
+         let+ ops = list_size (int_range 0 150) (pair (int_range 0 3) (oneofl pool)) in
+         (cap, ops))
+       (fun (cap, ops) -> closed_set_agrees_with_model cap ops))
+
+(* Retained memory of a fresh population in large-population's shape
+   (2 AUs, reference lists of 15), per peer. Reserving the closed-session
+   memory at full capacity up front cost ~1000 words a peer on its own
+   (~1690 in all); growing it on demand leaves ~690. Deterministic:
+   [Obj.reachable_words] counts the seeded build's heap graph. *)
+let test_population_retained_words_per_peer () =
+  let peers = 1000 in
+  let scale =
+    {
+      Experiments.Scenario.peers;
+      aus = 2;
+      quorum = 5;
+      max_disagree = 1;
+      outer_circle = 3;
+      reference_target = 15;
+      years = 0.25;
+      runs = 1;
+      seed = 1;
+    }
+  in
+  let cfg = Experiments.Scenario.config scale in
+  let pop = Experiments.Scenario.build ~cfg ~seed:1 Experiments.Scenario.No_attack in
+  let per_peer = Obj.reachable_words (Obj.repr pop) / peers in
+  if per_peer > 900 then
+    Alcotest.failf "fresh population retains %d words per peer (bound 900)" per_peer
+
 let prop_merged_with_friends_is_sort_uniq =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"fallback merge equals sort_uniq of concat" ~count:300
@@ -1096,6 +1210,12 @@ let () =
           prop_known_peers_sorted_ids_model;
           prop_known_peers_lanes_match_model;
           prop_session_tbl_iterates_like_hashtbl;
+        ] );
+      ( "closed sessions",
+        [
+          prop_closed_set_matches_fifo_model;
+          prop_closed_set_small_capacity_matches_fifo_model;
+          quick "retained words per peer" test_population_retained_words_per_peer;
         ] );
       ( "introductions",
         [

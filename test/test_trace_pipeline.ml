@@ -870,6 +870,23 @@ let test_gate_words_per_event_tracked () =
     (Obs.Bench_gate.ok
        (Obs.Bench_gate.compare_json ~baseline:(doc 400.) ~current:(doc 150.) ()))
 
+let test_gate_live_words_regression_fails () =
+  (* Resident words around a seeded population build are deterministic,
+     so they gate with no neutral, like allocation per event. *)
+  let doc v = Json.Assoc [ ("live_words", Json.Int v) ] in
+  Alcotest.(check bool) "within threshold passes" true
+    (Obs.Bench_gate.ok
+       (Obs.Bench_gate.compare_json ~baseline:(doc 1_000_000) ~current:(doc 1_200_000) ()));
+  let report =
+    Obs.Bench_gate.compare_json ~baseline:(doc 1_000_000) ~current:(doc 1_500_000) ()
+  in
+  Alcotest.(check bool) "resident bloat regresses" false (Obs.Bench_gate.ok report);
+  Alcotest.(check int) "one regression reported" 1
+    (List.length (Obs.Bench_gate.regressions report));
+  Alcotest.(check bool) "resident reduction passes" true
+    (Obs.Bench_gate.ok
+       (Obs.Bench_gate.compare_json ~baseline:(doc 1_000_000) ~current:(doc 400_000) ()))
+
 let parallel_doc ~degenerate ~speedup =
   Json.Assoc
     ([ ("requested_jobs", Json.Int 4); ("effective_jobs", Json.Int 1) ]
@@ -970,7 +987,7 @@ let gate_lists = [ ("variants", "variant"); ("targets", "target"); ("ratios", "n
 (* [`Higher of neutral] or [`Lower] (no neutral). *)
 let gate_metric_rule = function
   | "overhead" | "slowdown" -> `Higher (Some 1.0)
-  | "words_per_event" -> `Higher None
+  | "words_per_event" | "live_words" -> `Higher None
   | _ -> `Lower
 
 let render_gate_doc ?(edit = fun _ _ _ v -> Some v) doc =
@@ -1000,7 +1017,7 @@ let gate_case_gen =
   let entry =
     let* metrics =
       list_size (int_range 1 4)
-        (pair (oneofl [ "overhead"; "speedup"; "slowdown"; "words_per_event" ])
+        (pair (oneofl [ "overhead"; "speedup"; "slowdown"; "words_per_event"; "live_words" ])
            (float_range 0.1 10.))
     in
     let metrics = List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) metrics in
@@ -1131,6 +1148,7 @@ let () =
             test_gate_neutral_slackens_lucky_baseline;
           tc "slowdown is tracked" `Quick test_gate_slowdown_tracked;
           tc "words_per_event is tracked" `Quick test_gate_words_per_event_tracked;
+          tc "live_words regression fails" `Quick test_gate_live_words_regression_fails;
           tc "degenerate prefixes skip the gate" `Quick
             test_gate_degenerate_skips_tracked;
           QCheck_alcotest.to_alcotest test_gate_qcheck_generated;
