@@ -1211,7 +1211,7 @@ let () =
           prop_known_peers_lanes_match_model;
           prop_session_tbl_iterates_like_hashtbl;
         ] );
-      ( "closed sessions",
+      ( "closed set",
         [
           prop_closed_set_matches_fifo_model;
           prop_closed_set_small_capacity_matches_fifo_model;
