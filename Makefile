@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke reproduce-smoke attack-smoke experiments-smoke examples-smoke audit-smoke baseline-smoke bench bench-parallel bench-overhead bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
+.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke reproduce-smoke attack-smoke experiments-smoke examples-smoke audit-smoke baseline-smoke perfbench-smoke bench bench-parallel bench-overhead bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
 
 all: build
 
@@ -168,6 +168,22 @@ audit-smoke: build
 	grep -q '^violations: 1$$' /tmp/audit-smoke/mutated.txt || \
 	  { echo "audit-smoke: mutated trace did not raise exactly one violation" >&2; exit 1; }
 	@echo "audit-smoke: OK"
+
+# Benchmark correctness smoke: one short operation of each perfbench
+# workload at seeds 1 and 2; the result line must say "correct": true,
+# i.e. each run's outputs match perfbench/digests.json.
+PERFBENCH_WORKLOADS = figure-suite large-population byzantine-soak
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do for s in 1 2; do \
+	  python3 perfbench/run.py --workload $$w --seed $$s --seconds 1 --trace 0 \
+	    > /tmp/perfbench-smoke.out || \
+	    { echo "perfbench-smoke: $$w seed $$s exited non-zero" >&2; exit 1; }; \
+	  tail -n 1 /tmp/perfbench-smoke.out | grep -q '"correct": *true' || \
+	    { echo "perfbench-smoke: $$w seed $$s is not correct" >&2; \
+	      tail -n 1 /tmp/perfbench-smoke.out >&2; exit 1; }; \
+	  echo "perfbench-smoke: $$w seed $$s correct"; \
+	done; done
+	@echo "perfbench-smoke: OK"
 
 # Every gated benchmark, each writing its BENCH_*.json artifact; the
 # paper's figures and tables are `lockss_sim reproduce`, not a bench.

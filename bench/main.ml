@@ -428,7 +428,7 @@ type measured = {
   name : string;
   cpu_s : float;  (* best process CPU seconds over the rounds *)
   overhead : float;  (* [cpu_s] over the first variant's *)
-  words_per_event : float;  (* minor words per executed event, exact *)
+  words_per_event : float;  (* run-phase minor words per executed event *)
   result : Scenario.run;
 }
 
@@ -443,16 +443,16 @@ type measured = {
    dominated by preemption and GC pauses. Variants are interleaved
    round-robin rather than measured in sequence: CPU frequency ramps
    over the process lifetime, and sequential measurement would charge
-   the ramp to whichever variant ran first. Minor words are exact and
-   deterministic, so every round reads the same figure. *)
+   the ramp to whichever variant ran first. Minor words are counted
+   around the event loop only ([Scenario.run_minor_words]), so setup and
+   file handling stay out and every round reads the same figure. *)
 let best_of_rounds ~repeats variants =
   let measure (name, run) =
-    let w0 = Gc.minor_words () in
     let t0 = Sys.time () in
     let result = run () in
     let cpu_s = Sys.time () -. t0 in
     let events = max 1 result.Scenario.engine.Narses.Engine.executed in
-    let words_per_event = (Gc.minor_words () -. w0) /. float_of_int events in
+    let words_per_event = result.Scenario.run_minor_words /. float_of_int events in
     { name; cpu_s; overhead = nan; words_per_event; result }
   in
   List.iter (fun (_, run) -> ignore (run ())) variants;

@@ -15,8 +15,69 @@ let pp_strategy ppf s =
    collide at the victims. *)
 let identity_space = 2_000_000
 
-(* The cell of an invitation a reply has closed. *)
-let answered = -1
+module Invitations = struct
+  (* Cell [poll_id - 1] of the paged byte store holds invitation
+     [poll_id]'s [victim * aus + au], little-endian in [cell_bytes]
+     bytes, or [closed]. Pages are created uninitialised and never
+     copied: every cell below [issued] has been written. *)
+  type t = {
+    victims : int;
+    aus : int;
+    cell_bytes : int;
+    closed : int;
+    mutable pages : Bytes.t array;
+    mutable issued : int;
+  }
+
+  let page_bits = 16
+  let page_cells = 1 lsl page_bits
+
+  let create ~victims ~aus =
+    if victims < 1 || aus < 1 then
+      invalid_arg "Brute_force.Invitations.create: needs a victim and an AU";
+    let codes = victims * aus in
+    (* Codes run [0, codes); the all-ones cell above them marks [closed]. *)
+    let cell_bytes, closed =
+      if codes <= 0xFFFF then (2, 0xFFFF)
+      else if codes <= 0xFFFF_FFFF then (4, 0xFFFF_FFFF)
+      else invalid_arg "Brute_force.Invitations.create: too many victim-AU pairs"
+    in
+    { victims; aus; cell_bytes; closed; pages = [||]; issued = 0 }
+
+  let cell_bytes t = t.cell_bytes
+
+  let get t i =
+    let page = t.pages.(i lsr page_bits) in
+    let at = (i land (page_cells - 1)) * t.cell_bytes in
+    if t.cell_bytes = 2 then Bytes.get_uint16_le page at
+    else Int32.to_int (Bytes.get_int32_le page at) land 0xFFFF_FFFF
+
+  let set t i cell =
+    let page = t.pages.(i lsr page_bits) in
+    let at = (i land (page_cells - 1)) * t.cell_bytes in
+    if t.cell_bytes = 2 then Bytes.set_uint16_le page at cell
+    else Bytes.set_int32_le page at (Int32.of_int cell)
+
+  let open_invitation t ~victim ~au =
+    if victim < 0 || victim >= t.victims || au < 0 || au >= t.aus then
+      invalid_arg "Brute_force.Invitations.open_invitation: victim or AU out of range";
+    let i = t.issued in
+    if i lsr page_bits = Array.length t.pages then
+      t.pages <- Array.append t.pages [| Bytes.create (t.cell_bytes * page_cells) |];
+    set t i ((victim * t.aus) + au);
+    t.issued <- i + 1;
+    i + 1
+
+  let find_victim t ~au ~poll_id =
+    if poll_id < 1 || poll_id > t.issued then None
+    else begin
+      let cell = get t (poll_id - 1) in
+      if cell = t.closed || cell mod t.aus <> au then None else Some (cell / t.aus)
+    end
+
+  let close t ~poll_id =
+    if poll_id >= 1 && poll_id <= t.issued then set t (poll_id - 1) t.closed
+end
 
 type t = {
   population : Lockss.Population.t;
@@ -24,14 +85,10 @@ type t = {
   minions : Narses.Topology.node array;
   strategy : strategy;
   identities : Lockss.Ids.Identity.t array;
-  aus : int;
   period : float;
-  mutable next_poll_id : int;
-  (* Cell [poll_id - 1] is invitation [poll_id]'s victim and AU, packed
-     as [victim * aus + au], or [answered]. Most invitations are dropped
-     at admission and never answered, so each one costs a word here for
-     the rest of the run. *)
-  mutable invitations : int array;
+  (* Most invitations are dropped at admission and never answered, so
+     each one keeps its cell here for the rest of the run. *)
+  invitations : Invitations.t;
   mutable sent : int;
   mutable admissions : int;
   mutable votes_received : int;
@@ -44,30 +101,6 @@ let cfg t = (ctx t).Lockss.Peer.cfg
    takes the next identity round-robin, so an invitation's identity is
    its poll id's, not something to store. *)
 let identity_of t poll_id = t.identities.((poll_id - 1) mod Array.length t.identities)
-
-let open_invitation t ~victim ~au =
-  let poll_id = t.next_poll_id in
-  let n = Array.length t.invitations in
-  if poll_id > n then begin
-    let grown = Array.make (2 * n) answered in
-    Array.blit t.invitations 0 grown 0 n;
-    t.invitations <- grown
-  end;
-  t.invitations.(poll_id - 1) <- (victim * t.aus) + au;
-  t.next_poll_id <- poll_id + 1;
-  poll_id
-
-(* The victim of the open invitation [poll_id] on [au]. A reply naming
-   an id never issued, another AU or an invitation already answered —
-   stray, corrupted or late — finds none. *)
-let find_victim t ~au ~poll_id =
-  if poll_id < 1 || poll_id >= t.next_poll_id then None
-  else begin
-    let cell = t.invitations.(poll_id - 1) in
-    if cell = answered || cell mod t.aus <> au then None else Some (cell / t.aus)
-  end
-
-let close t ~poll_id = t.invitations.(poll_id - 1) <- answered
 
 let send t ~minion ~identity ~dst ~au payload =
   Minions.send (ctx t) ~src:minion ~dst ~identity ~au payload;
@@ -91,7 +124,7 @@ let shot t victim au =
   if oracle_accepts t ~victim ~au then begin
     let cfg = cfg t in
     let minion = Rng.pick t.rng t.minions in
-    let poll_id = open_invitation t ~victim ~au in
+    let poll_id = Invitations.open_invitation t.invitations ~victim ~au in
     let identity = identity_of t poll_id in
     let intro_cost = Lockss.Config.intro_effort cfg in
     (* All adversary work is booked through [Peer.charge_adversary] so the
@@ -115,16 +148,16 @@ let shot t victim au =
   end
 
 let on_poll_ack t ~minion ~au ~poll_id ~accepted =
-  match find_victim t ~au ~poll_id with
+  match Invitations.find_victim t.invitations ~au ~poll_id with
   | None -> ()
   | Some victim ->
-    if not accepted then close t ~poll_id
+    if not accepted then Invitations.close t.invitations ~poll_id
     else begin
       t.admissions <- t.admissions + 1;
       match t.strategy with
       | Intro ->
         (* Reservation attack: desert after the accepted Poll. *)
-        close t ~poll_id
+        Invitations.close t.invitations ~poll_id
       | Remaining | Full ->
         let cfg = cfg t in
         let identity = identity_of t poll_id in
@@ -143,7 +176,7 @@ let on_poll_ack t ~minion ~au ~poll_id ~accepted =
     end
 
 let on_vote t ~minion ~au ~poll_id ~(vote : Lockss.Vote.t) =
-  match find_victim t ~au ~poll_id with
+  match Invitations.find_victim t.invitations ~au ~poll_id with
   | None -> ()
   | Some victim ->
     t.votes_received <- t.votes_received + 1;
@@ -168,7 +201,7 @@ let on_vote t ~minion ~au ~poll_id ~(vote : Lockss.Vote.t) =
       send t ~minion ~identity ~dst:victim ~au
         (Lockss.Message.Evaluation_receipt
            { poll_id; receipt = Lockss.Vote.expected_receipt vote }));
-    close t ~poll_id
+    Invitations.close t.invitations ~poll_id
 
 let minion_handler t minion ~src:_ (msg : Lockss.Message.t) =
   let au = msg.Lockss.Message.au in
@@ -187,6 +220,7 @@ let attach population ~minions ~strategy ~identities ~attempts_per_victim_au_per
   if attempts_per_victim_au_per_day <= 0. then
     invalid_arg "Brute_force.attach: rate must be positive";
   let instance = Lockss.Population.next_adversary_instance population in
+  let ctx' = Lockss.Population.ctx population in
   let ids = Array.init identities (fun i -> identity_space + (100_000 * instance) + i) in
   let t =
     {
@@ -195,16 +229,15 @@ let attach population ~minions ~strategy ~identities ~attempts_per_victim_au_per
       minions = Array.of_list minions;
       strategy;
       identities = ids;
-      aus = (Lockss.Population.ctx population).Lockss.Peer.cfg.Lockss.Config.aus;
       period = Duration.day /. attempts_per_victim_au_per_day;
-      next_poll_id = 1;
-      invitations = Array.make 256 answered;
+      invitations =
+        Invitations.create ~victims:(Array.length ctx'.Lockss.Peer.peers)
+          ~aus:ctx'.Lockss.Peer.cfg.Lockss.Config.aus;
       sent = 0;
       admissions = 0;
       votes_received = 0;
     }
   in
-  let ctx' = ctx t in
   (* Replies to any adversary identity route to a minion node; total
      information awareness makes every minion interchangeable. *)
   Array.iteri

@@ -23,21 +23,55 @@
     adversary effort, which the cost-ratio metric compares with the
     defenders' total.
 
-    The adversary remembers each invitation it sends in one word (the
-    victim and AU, packed) until an ack or vote answers it; the
-    invitation's identity follows from its poll id. Most invitations
-    are dropped at admission and never answered, so the record grows by
-    about a word per invitation sent for the whole run. Nothing purges
-    it: under replay and stale-delivery faults an ack or vote can arrive
-    arbitrarily late, and the adversary must answer it as it would have
-    on time, drawing from its RNG as it would have, or the victims'
-    seeded runs would change. *)
+    The adversary remembers each invitation it sends in one 2-byte cell
+    (the victim and AU, packed; 4 bytes when the population's peers ×
+    AUs do not fit below the 2-byte closed marker) until an ack or vote
+    answers it; the invitation's identity follows from its poll id.
+    Most invitations are dropped at admission and never answered, so
+    the record grows by a cell per invitation sent for the whole run.
+    Nothing purges it: under replay and stale-delivery faults an ack or
+    vote can arrive arbitrarily late, and the adversary must answer it
+    as it would have on time, drawing from its RNG as it would have, or
+    the victims' seeded runs would change. *)
 
 type strategy = Intro | Remaining | Full
 
 (** [pp_strategy] prints the paper's row labels: INTRO, REMAINING,
     NONE. *)
 val pp_strategy : Format.formatter -> strategy -> unit
+
+(** The invitation record: poll ids issued from 1, each mapped to the
+    victim and AU it was sent to until a reply closes it. Cells live in
+    fixed pages of {!page_cells} cells, so growth never copies them. *)
+module Invitations : sig
+  type t
+
+  (** Cells per page: 2^16. *)
+  val page_cells : int
+
+  (** [create ~victims ~aus] is an empty record for victims
+      [0, victims) and AUs [0, aus). Raises [Invalid_argument] when
+      [victims] or [aus] is below 1 or [victims * aus] exceeds
+      [2^32 - 1]. *)
+  val create : victims:int -> aus:int -> t
+
+  (** [cell_bytes t] is 2 when [victims * aus <= 0xFFFF], else 4. *)
+  val cell_bytes : t -> int
+
+  (** [open_invitation t ~victim ~au] records an invitation and returns
+      its poll id, one above the last issued. Raises [Invalid_argument]
+      for a victim or AU out of range. *)
+  val open_invitation : t -> victim:int -> au:int -> int
+
+  (** [find_victim t ~au ~poll_id] is the victim of the open invitation
+      [poll_id] on [au]; [None] for an id below 1 or not yet issued,
+      another AU, or a closed invitation. *)
+  val find_victim : t -> au:int -> poll_id:int -> int option
+
+  (** [close t ~poll_id] closes an issued invitation; other ids are
+      ignored. *)
+  val close : t -> poll_id:int -> unit
+end
 
 type t
 

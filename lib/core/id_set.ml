@@ -1,51 +1,53 @@
-module Bitset = Repro_prelude.Bitset
-
 (* The elements live in [elts.(0 .. len-1)] in REVERSE logical order:
    the logical head is [elts.(len - 1)], so a logical prepend is an
    O(1) append at the end of the array. Keeping the logical order
    list-compatible matters twice over: member order feeds Fisher-Yates
    shuffles (so it determines seeded draw results) and is emitted
    verbatim in Poll_sampled trace events. *)
-type t = { mutable elts : int array; mutable len : int; bits : Bitset.t }
+type t = { mutable elts : int array; mutable len : int }
+
+(* The slot of [x] in [elts.(lo .. i)], or -1. Membership scans the few
+   dozen members instead of keeping an index sized by the largest
+   identity ever held; the loop is top-level so a probe allocates
+   nothing. *)
+let rec slot_in (elts : int array) (x : int) ~lo i =
+  if i < lo then -1 else if elts.(i) = x then i else slot_in elts x ~lo (i - 1)
+
+let slot t x = slot_in t.elts x ~lo:0 (t.len - 1)
 
 let of_ordered_list xs =
   let n = List.length xs in
   let elts = Array.make (max 8 n) 0 in
-  let bits = Bitset.create () in
   let i = ref (n - 1) in
   List.iter
     (fun x ->
-      if Bitset.mem bits x then invalid_arg "Id_set.of_ordered_list: duplicate";
+      (* Members placed so far sit above [!i]. *)
+      if slot_in elts x ~lo:(!i + 1) (n - 1) >= 0 then
+        invalid_arg "Id_set.of_ordered_list: duplicate";
       elts.(!i) <- x;
-      Bitset.add bits x;
       decr i)
     xs;
-  { elts; len = n; bits }
+  { elts; len = n }
 
 let size t = t.len
-let mem t x = Bitset.mem t.bits x
+let mem t x = slot t x >= 0
 
 let prepend t x =
-  if not (Bitset.mem t.bits x) then begin
+  if slot t x < 0 then begin
     if t.len = Array.length t.elts then begin
       let elts = Array.make (2 * t.len) 0 in
       Array.blit t.elts 0 elts 0 t.len;
       t.elts <- elts
     end;
     t.elts.(t.len) <- x;
-    t.len <- t.len + 1;
-    Bitset.add t.bits x
+    t.len <- t.len + 1
   end
 
 let remove t x =
-  if Bitset.mem t.bits x then begin
-    let i = ref 0 in
-    while t.elts.(!i) <> x do
-      incr i
-    done;
-    Array.blit t.elts (!i + 1) t.elts !i (t.len - !i - 1);
-    t.len <- t.len - 1;
-    Bitset.remove t.bits x
+  let i = slot t x in
+  if i >= 0 then begin
+    Array.blit t.elts (i + 1) t.elts i (t.len - i - 1);
+    t.len <- t.len - 1
   end
 
 let to_list t =

@@ -1,8 +1,10 @@
 (** Order-preserving compact set of interned identities.
 
-    Semantically a duplicate-free [Ids.Identity.t list] with O(1)
-    membership, size and prepend, and O(n) remove (a shift within a
-    flat int array, cache-friendly at reference-list sizes). The
+    Semantically a duplicate-free [Ids.Identity.t list], held in one
+    flat int array. Size is O(1). Membership, prepend and remove scan
+    the members: O(n) in the few dozen a reference list holds, with no
+    allocation. Memory follows the members; there is no index sized by
+    the largest identity ever held. The
     logical order is exactly the list order the callers used to
     maintain by hand — creation order, new members prepended, removal
     order-preserving — because that order is observable: it feeds

@@ -45,7 +45,7 @@ type voter_session = {
   mutable vs_reservation : Effort.Task_schedule.reservation option;
   mutable vs_finish : float;
   mutable vs_nonce : int64;
-  mutable vs_vote : Vote.t option;
+  mutable vs_receipt : (int64 * int64) option;
   mutable vs_state : voter_state;
 }
 
@@ -148,11 +148,12 @@ let send ctx ~from ~to_node msg =
   Narses.Net.send ctx.net ~src:from.node ~dst:to_node ~bytes msg
 
 let emit_charged ctx ~who ~role ~phase ?poller ?au ?poll_id work =
-  Trace.emit ~bound:Trace.Debug ctx.trace
-    ~now:(Narses.Engine.now ctx.engine)
-    (fun () ->
-      Trace.Effort_charged
-        { peer = who; role; phase; poller; au; poll_id; seconds = work })
+  if Trace.enabled ctx.trace ~bound:Trace.Debug then
+    Trace.emit ~bound:Trace.Debug ctx.trace
+      ~now:(Narses.Engine.now ctx.engine)
+      (fun () ->
+        Trace.Effort_charged
+          { peer = who; role; phase; poller; au; poll_id; seconds = work })
 
 let charge ctx ~who ~phase ?poller ?au ?poll_id work =
   Metrics.charge_loyal ctx.metrics work;
@@ -169,9 +170,10 @@ let charge_adversary ctx ~who ~phase ?poller ?au ?poll_id work =
   emit_charged ctx ~who ~role:Trace.Adversary ~phase ?poller ?au ?poll_id work
 
 let note_effort_received ctx ~peer ~from_ ~phase ~au ~poll_id ~seconds =
-  Trace.emit ~bound:Trace.Debug ctx.trace
-    ~now:(Narses.Engine.now ctx.engine)
-    (fun () -> Trace.Effort_received { peer; from_; phase; au; poll_id; seconds })
+  if Trace.enabled ctx.trace ~bound:Trace.Debug then
+    Trace.emit ~bound:Trace.Debug ctx.trace
+      ~now:(Narses.Engine.now ctx.engine)
+      (fun () -> Trace.Effort_received { peer; from_; phase; au; poll_id; seconds })
 
 (* Engine event classes for every protocol timer, so the end-of-run leak
    audit can cross-check live timer counts against owner state. *)
@@ -182,10 +184,11 @@ let cls_receipt_timeout = Narses.Engine.register_class "receipt_timeout"
 let cls_repair_timeout = Narses.Engine.register_class "repair_timeout"
 
 let reject_message ctx peer ~from_ ~au ?poll_id ~msg_kind reason =
-  Trace.emit ~bound:Trace.Debug ctx.trace
-    ~now:(Narses.Engine.now ctx.engine)
-    (fun () ->
-      Trace.Message_rejected { peer = peer.identity; from_; au; poll_id; msg_kind; reason })
+  if Trace.enabled ctx.trace ~bound:Trace.Debug then
+    Trace.emit ~bound:Trace.Debug ctx.trace
+      ~now:(Narses.Engine.now ctx.engine)
+      (fun () ->
+        Trace.Message_rejected { peer = peer.identity; from_; au; poll_id; msg_kind; reason })
 
 let session_key session = (session.vs_poller, session.vs_au, session.vs_poll_id)
 

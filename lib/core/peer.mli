@@ -53,7 +53,9 @@ type voter_session = {
   mutable vs_reservation : Effort.Task_schedule.reservation option;
   mutable vs_finish : float;  (** quoted completion time of the vote work *)
   mutable vs_nonce : int64;
-  mutable vs_vote : Vote.t option;  (** kept for the expected receipt *)
+  mutable vs_receipt : (int64 * int64) option;
+      (** the sent vote's proof byproduct, which the evaluation receipt
+          must echo; the vote itself is not kept *)
   mutable vs_state : voter_state;
 }
 

@@ -50,16 +50,17 @@ let rec attempt_solicitation ctx (peer : Peer.t) (st : Peer.au_state) (poll : Pe
       match (poll.Peer.phase, cand.Peer.status) with
       | Peer.Soliciting, Peer.Not_invited ->
         let intro = Proof.generate ~rng:peer.Peer.rng ~cost:intro_cost in
-        Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now:(Engine.now ctx.Peer.engine)
-          (fun () ->
-            Trace.Solicitation_sent
-              {
-                poller = peer.Peer.identity;
-                voter = cand.Peer.cand_identity;
-                au = st.Peer.au;
-                poll_id = poll.Peer.poll_id;
-                attempt = cand.Peer.attempts;
-              });
+        if Trace.enabled ctx.Peer.trace ~bound:Trace.Debug then
+          Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now:(Engine.now ctx.Peer.engine)
+            (fun () ->
+              Trace.Solicitation_sent
+                {
+                  poller = peer.Peer.identity;
+                  voter = cand.Peer.cand_identity;
+                  au = st.Peer.au;
+                  poll_id = poll.Peer.poll_id;
+                  attempt = cand.Peer.attempts;
+                });
         send_to ctx peer ~identity:cand.Peer.cand_identity ~au:st.Peer.au
           (Message.Poll { poll_id = poll.Peer.poll_id; intro });
         let timeout =
@@ -222,9 +223,10 @@ let conclude ctx (peer : Peer.t) (st : Peer.au_state) (poll : Peer.poll) ~votes 
   let conclusion_bound =
     match outcome with Metrics.Success -> Trace.Info | _ -> Trace.Warn
   in
-  Trace.emit ~bound:conclusion_bound ctx.Peer.trace ~now (fun () ->
-      Trace.Poll_concluded
-        { poller = peer.Peer.identity; au = st.Peer.au; poll_id = poll.Peer.poll_id; outcome });
+  if Trace.enabled ctx.Peer.trace ~bound:conclusion_bound then
+    Trace.emit ~bound:conclusion_bound ctx.Peer.trace ~now (fun () ->
+        Trace.Poll_concluded
+          { poller = peer.Peer.identity; au = st.Peer.au; poll_id = poll.Peer.poll_id; outcome });
   Metrics.on_poll_concluded ctx.Peer.metrics ~peer:peer.Peer.identity ~au:st.Peer.au ~now
     outcome
 
@@ -319,15 +321,16 @@ let begin_evaluation ctx (peer : Peer.t) (st : Peer.au_state) (poll : Peer.poll)
       (fun ((cand : Peer.candidate), vote) -> if cand.Peer.inner then Some vote else None)
       votes
   in
-  Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now:(Engine.now ctx.Peer.engine)
-    (fun () ->
-      Trace.Evaluation_started
-        {
-          poller = peer.Peer.identity;
-          au = st.Peer.au;
-          poll_id = poll.Peer.poll_id;
-          votes = List.length votes;
-        });
+  if Trace.enabled ctx.Peer.trace ~bound:Trace.Debug then
+    Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now:(Engine.now ctx.Peer.engine)
+      (fun () ->
+        Trace.Evaluation_started
+          {
+            poller = peer.Peer.identity;
+            au = st.Peer.au;
+            poll_id = poll.Peer.poll_id;
+            votes = List.length votes;
+          });
   if votes = [] then conclude ctx peer st poll ~votes Metrics.Inquorate
   else begin
     (* One pass over the local replica computes, in parallel, every hash
@@ -426,23 +429,25 @@ let rec start_poll ctx (peer : Peer.t) (st : Peer.au_state) =
         inner_ids
     in
     poll.Peer.candidates <- inner;
-    Trace.emit ~bound:Trace.Info ctx.Peer.trace ~now (fun () ->
-        Trace.Poll_started
-          {
-            poller = peer.Peer.identity;
-            au = st.Peer.au;
-            poll_id = poll.Peer.poll_id;
-            inner_candidates = List.length inner;
-          });
-    Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
-        Trace.Poll_sampled
-          {
-            poller = peer.Peer.identity;
-            au = st.Peer.au;
-            poll_id = poll.Peer.poll_id;
-            invited = inner_ids;
-            reference = Reference_list.members st.Peer.reference;
-          });
+    if Trace.enabled ctx.Peer.trace ~bound:Trace.Info then
+      Trace.emit ~bound:Trace.Info ctx.Peer.trace ~now (fun () ->
+          Trace.Poll_started
+            {
+              poller = peer.Peer.identity;
+              au = st.Peer.au;
+              poll_id = poll.Peer.poll_id;
+              inner_candidates = List.length inner;
+            });
+    if Trace.enabled ctx.Peer.trace ~bound:Trace.Debug then
+      Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
+          Trace.Poll_sampled
+            {
+              poller = peer.Peer.identity;
+              au = st.Peer.au;
+              poll_id = poll.Peer.poll_id;
+              invited = inner_ids;
+              reference = Reference_list.members st.Peer.reference;
+            });
     schedule_solicitations ctx peer st poll inner ~window_start:now
       ~window_end:poll.Peer.inner_deadline;
     ignore
@@ -567,17 +572,18 @@ let on_repair ctx (peer : Peer.t) ~identity ~au ~poll_id ~block ~version =
         let was_damaged = Replica.is_damaged st.Peer.replica in
         let became_clean = Replica.write st.Peer.replica ~block ~version in
         let now_damaged = Replica.is_damaged st.Peer.replica in
-        Trace.emit ~bound:Trace.Info ctx.Peer.trace ~now:(Engine.now ctx.Peer.engine)
-          (fun () ->
-            Trace.Repair_applied
-              {
-                poller = peer.Peer.identity;
-                au = st.Peer.au;
-                poll_id;
-                block;
-                version;
-                clean = not now_damaged;
-              });
+        if Trace.enabled ctx.Peer.trace ~bound:Trace.Info then
+          Trace.emit ~bound:Trace.Info ctx.Peer.trace ~now:(Engine.now ctx.Peer.engine)
+            (fun () ->
+              Trace.Repair_applied
+                {
+                  poller = peer.Peer.identity;
+                  au = st.Peer.au;
+                  poll_id;
+                  block;
+                  version;
+                  clean = not now_damaged;
+                });
         if became_clean then
           Metrics.on_replica_repaired ctx.Peer.metrics ~now:(Engine.now ctx.Peer.engine)
         else if (not was_damaged) && now_damaged then

@@ -347,22 +347,23 @@ let create ?(seed = 42) ?(extra_nodes = 0) ?(dormant = 0) cfg =
           | Narses.Faults.Crashed _ | Narses.Faults.Restarted _ -> Trace.Info
           | _ -> Trace.Debug
         in
-        Trace.emit ~bound ctx.Peer.trace ~now:time (fun () ->
-            match event with
-            | Narses.Faults.Dropped { src; dst } -> Trace.Fault_dropped { src; dst }
-            | Narses.Faults.Duplicated { src; dst } -> Trace.Fault_duplicated { src; dst }
-            | Narses.Faults.Delayed { src; dst; extra } ->
-              Trace.Fault_delayed { src; dst; extra }
-            | Narses.Faults.Crashed { node } -> Trace.Node_crashed { node }
-            | Narses.Faults.Restarted { node } -> Trace.Node_restarted { node }
-            | Narses.Faults.Partition_blocked { src; dst } ->
-              Trace.Partition_dropped { src; dst }
-            | Narses.Faults.Corrupted { src; dst } -> Trace.Fault_corrupted { src; dst }
-            | Narses.Faults.Replayed { src; dst; extra } ->
-              Trace.Fault_replayed { src; dst; extra }
-            | Narses.Faults.Stale { src; dst; extra } ->
-              Trace.Fault_stale { src; dst; extra }
-            | Narses.Faults.Stray { src; dst } -> Trace.Fault_stray { src; dst }));
+        if Trace.enabled ctx.Peer.trace ~bound then
+          Trace.emit ~bound ctx.Peer.trace ~now:time (fun () ->
+              match event with
+              | Narses.Faults.Dropped { src; dst } -> Trace.Fault_dropped { src; dst }
+              | Narses.Faults.Duplicated { src; dst } -> Trace.Fault_duplicated { src; dst }
+              | Narses.Faults.Delayed { src; dst; extra } ->
+                Trace.Fault_delayed { src; dst; extra }
+              | Narses.Faults.Crashed { node } -> Trace.Node_crashed { node }
+              | Narses.Faults.Restarted { node } -> Trace.Node_restarted { node }
+              | Narses.Faults.Partition_blocked { src; dst } ->
+                Trace.Partition_dropped { src; dst }
+              | Narses.Faults.Corrupted { src; dst } -> Trace.Fault_corrupted { src; dst }
+              | Narses.Faults.Replayed { src; dst; extra } ->
+                Trace.Fault_replayed { src; dst; extra }
+              | Narses.Faults.Stale { src; dst; extra } ->
+                Trace.Fault_stale { src; dst; extra }
+              | Narses.Faults.Stray { src; dst } -> Trace.Fault_stray { src; dst }));
     (* Byzantine content faults: the network layer decides *when* (on its
        split content stream); the protocol layer supplies the concrete
        mutator and forger. *)

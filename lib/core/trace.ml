@@ -256,14 +256,16 @@ let subscribe ?(interest = Debug) t f =
    something stricter the thunk is never run and the emit allocates
    nothing. The default [Warn] (the top severity) disables skipping,
    which is always sound. *)
-let emit ?(bound = Warn) t ~now thunk =
+let enabled t ~bound =
   match t.subscribers with
-  | [] -> ()
-  | subscribers ->
-    if severity_rank bound >= severity_rank t.min_interest then begin
-      let event = thunk () in
-      List.iter (fun f -> f ~time:now event) subscribers
-    end
+  | [] -> false
+  | _ -> severity_rank bound >= severity_rank t.min_interest
+
+let emit ?(bound = Warn) t ~now thunk =
+  if enabled t ~bound then begin
+    let event = thunk () in
+    List.iter (fun f -> f ~time:now event) t.subscribers
+  end
 
 (* -- The schema ---------------------------------------------------------- *)
 

@@ -254,6 +254,11 @@ val subscribe : ?interest:severity -> t -> (time:float -> event -> unit) -> unit
     in-tree call sites. *)
 val emit : ?bound:severity -> t -> now:float -> (unit -> event) -> unit
 
+(** [enabled t ~bound] holds exactly when [emit ~bound t] would run its
+    thunk. Hot call sites test it before emitting, so an unobserved
+    event does not even allocate its thunk's closure. *)
+val enabled : t -> bound:severity -> bool
+
 val pp_event : Format.formatter -> event -> unit
 
 (** {2 Taxonomy} *)

@@ -68,20 +68,22 @@ let on_poll ctx (peer : Peer.t) ~src ~identity ~au ~poll_id ~intro =
   with
   | Admission.Dropped reason ->
     Metrics.on_invitation_dropped ctx.Peer.metrics;
-    Trace.emit ~bound:Trace.Info ctx.Peer.trace ~now (fun () ->
-        Trace.Invitation_dropped
-          { voter = peer.Peer.identity; claimed = identity; au; poll_id; reason })
+    if Trace.enabled ctx.Peer.trace ~bound:Trace.Info then
+      Trace.emit ~bound:Trace.Info ctx.Peer.trace ~now (fun () ->
+          Trace.Invitation_dropped
+            { voter = peer.Peer.identity; claimed = identity; au; poll_id; reason })
   | Admission.Admitted path ->
     Metrics.on_invitation_considered ctx.Peer.metrics;
-    Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
-        Trace.Invitation_admitted
-          {
-            voter = peer.Peer.identity;
-            claimed = identity;
-            au;
-            poll_id = Some poll_id;
-            path = Trace.admission_path_of_decision path;
-          });
+    if Trace.enabled ctx.Peer.trace ~bound:Trace.Debug then
+      Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
+          Trace.Invitation_admitted
+            {
+              voter = peer.Peer.identity;
+              claimed = identity;
+              au;
+              poll_id = Some poll_id;
+              path = Trace.admission_path_of_decision path;
+            });
     Peer.charge ctx ~who:peer.Peer.identity ~phase:Trace.Admission ~poller:identity ~au
       ~poll_id (consideration_cost cfg);
     let effort_ok =
@@ -127,9 +129,10 @@ let on_poll ctx (peer : Peer.t) ~src ~identity ~au ~poll_id ~intro =
       let load = Float.min 1. (recent /. day_capacity) in
       Rng.bernoulli peer.Peer.rng load
     then begin
-      Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
-          Trace.Invitation_refused
-            { voter = peer.Peer.identity; poller = identity; au; poll_id });
+      if Trace.enabled ctx.Peer.trace ~bound:Trace.Debug then
+        Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
+            Trace.Invitation_refused
+              { voter = peer.Peer.identity; poller = identity; au; poll_id });
       reply ctx peer ~to_node:src ~au (Message.Poll_ack { poll_id; accepted = false })
     end
     else begin
@@ -144,9 +147,10 @@ let on_poll ctx (peer : Peer.t) ~src ~identity ~au ~poll_id ~intro =
       in
       match Task_schedule.reserve peer.Peer.schedule ~now ~work ~deadline with
       | None ->
-        Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
-            Trace.Invitation_refused
-              { voter = peer.Peer.identity; poller = identity; au; poll_id });
+        if Trace.enabled ctx.Peer.trace ~bound:Trace.Debug then
+          Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
+              Trace.Invitation_refused
+                { voter = peer.Peer.identity; poller = identity; au; poll_id });
         reply ctx peer ~to_node:src ~au (Message.Poll_ack { poll_id; accepted = false })
       | Some (reservation, finish) ->
         let session =
@@ -158,7 +162,7 @@ let on_poll ctx (peer : Peer.t) ~src ~identity ~au ~poll_id ~intro =
             vs_reservation = Some reservation;
             vs_finish = finish;
             vs_nonce = 0L;
-            vs_vote = None;
+            vs_receipt = None;
             vs_state = Peer.Closed (* replaced below *);
           }
         in
@@ -169,9 +173,10 @@ let on_poll ctx (peer : Peer.t) ~src ~identity ~au ~poll_id ~intro =
         in
         session.Peer.vs_state <- Peer.Awaiting_proof timeout;
         Peer.Session_tbl.replace peer.Peer.voter_sessions (identity, au, poll_id) session;
-        Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
-            Trace.Invitation_accepted
-              { voter = peer.Peer.identity; poller = identity; au; poll_id });
+        if Trace.enabled ctx.Peer.trace ~bound:Trace.Debug then
+          Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
+              Trace.Invitation_accepted
+                { voter = peer.Peer.identity; poller = identity; au; poll_id });
         reply ctx peer ~to_node:src ~au (Message.Poll_ack { poll_id; accepted = true })
     end
     end
@@ -203,7 +208,7 @@ let deliver_vote ctx (peer : Peer.t) (session : Peer.voter_session) () =
         bogus = false;
       }
     in
-    session.Peer.vs_vote <- Some vote;
+    session.Peer.vs_receipt <- Some (Vote.expected_receipt vote);
     (* The vote balance changes the moment we supply the vote: the poller
        has now consumed one, so its standing drops a step toward debt. A
        valid receipt later merely settles the exchange; a missing or bad
@@ -217,14 +222,15 @@ let deliver_vote ctx (peer : Peer.t) (session : Peer.voter_session) () =
         (on_receipt_timeout ctx peer session)
     in
     session.Peer.vs_state <- Peer.Voted_waiting_receipt timeout;
-    Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
-        Trace.Vote_sent
-          {
-            voter = peer.Peer.identity;
-            poller = session.Peer.vs_poller;
-            au = session.Peer.vs_au;
-            poll_id = session.Peer.vs_poll_id;
-          });
+    if Trace.enabled ctx.Peer.trace ~bound:Trace.Debug then
+      Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
+          Trace.Vote_sent
+            {
+              voter = peer.Peer.identity;
+              poller = session.Peer.vs_poller;
+              au = session.Peer.vs_au;
+              poll_id = session.Peer.vs_poll_id;
+            });
     reply ctx peer ~to_node:session.Peer.vs_poller_node ~au:session.Peer.vs_au
       (Message.Vote_msg { poll_id = session.Peer.vs_poll_id; vote })
   | Peer.Awaiting_proof _ | Peer.Voted_waiting_receipt _ | Peer.Closed -> ()
@@ -310,9 +316,9 @@ let on_receipt ctx (peer : Peer.t) ~identity ~au ~poll_id ~receipt =
       let now = Engine.now ctx.Peer.engine in
       let st = Peer.au_state peer au in
       let valid =
-        match session.Peer.vs_vote with
-        | None -> false
-        | Some vote -> Proof.receipt_matches vote.Vote.proof ~receipt
+        match (session.Peer.vs_receipt, receipt) with
+        | None, _ -> false
+        | Some (a, b), (a', b') -> Int64.equal a a' && Int64.equal b b'
       in
       if not valid then Known_peers.punish st.Peer.known ~now identity;
       close_session peer session
@@ -332,15 +338,16 @@ let on_garbage ctx (peer : Peer.t) ~identity ~au =
     (* The garbage got through the cheap filters; rejecting it costs one
        consideration plus one (failing) introductory-effort check. *)
     Metrics.on_invitation_considered ctx.Peer.metrics;
-    Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
-        Trace.Invitation_admitted
-          {
-            voter = peer.Peer.identity;
-            claimed = identity;
-            au;
-            poll_id = None;
-            path = Trace.admission_path_of_decision path;
-          });
+    if Trace.enabled ctx.Peer.trace ~bound:Trace.Debug then
+      Trace.emit ~bound:Trace.Debug ctx.Peer.trace ~now (fun () ->
+          Trace.Invitation_admitted
+            {
+              voter = peer.Peer.identity;
+              claimed = identity;
+              au;
+              poll_id = None;
+              path = Trace.admission_path_of_decision path;
+            });
     Peer.charge ctx ~who:peer.Peer.identity ~phase:Trace.Admission ~poller:identity ~au
       (consideration_cost cfg);
     if cfg.Config.effort_balancing_enabled then

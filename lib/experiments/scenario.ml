@@ -286,6 +286,7 @@ type run = {
   adversary : (string * int) list;
   setup_cpu_s : float;
   run_cpu_s : float;
+  run_minor_words : float;
 }
 
 (* The run's profile: setup/run CPU seconds as phases, a GC sample of
@@ -337,7 +338,9 @@ let run ?(probes = default_probes) ~cfg ~seed ~years attack =
   let result =
     Fun.protect ~finally:cleanup (fun () ->
         let t1 = cpu () in
+        let w1 = Gc.minor_words () in
         Lockss.Population.run population ~until:(Duration.of_years years);
+        let w2 = Gc.minor_words () in
         let t2 = cpu () in
         let summary = Lockss.Population.summary population in
         let violations =
@@ -355,6 +358,7 @@ let run ?(probes = default_probes) ~cfg ~seed ~years attack =
           adversary = adversary ();
           setup_cpu_s = t1 -. t0;
           run_cpu_s = t2 -. t1;
+          run_minor_words = w2 -. w1;
         })
   in
   Option.iter (fun dir -> write_profile (Filename.concat dir "profile.json") result) dir;

@@ -157,6 +157,9 @@ type run = {
   setup_cpu_s : float;
       (** CPU seconds building the population and attaching the probes *)
   run_cpu_s : float;  (** CPU seconds executing events *)
+  run_minor_words : float;
+      (** minor words the running domain allocated executing events: with
+          [engine.executed], the exact words per event *)
 }
 
 (** [run ?probes ~cfg ~seed ~years attack] builds a population, attaches

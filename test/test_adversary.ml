@@ -400,6 +400,141 @@ let test_brute_force_memory_per_invitation () =
   if per_invitation > 4. then
     Alcotest.failf "%.2f words retained per invitation sent (bound 4)" per_invitation
 
+(* What a REMAINING attack leaves resident, beyond an unattacked run of
+   the same population, per invitation sent. A 2-byte invitation cell
+   and voter sessions that keep the expected receipt instead of the
+   whole vote retain ~3.2 words here; an 8-byte cell per invitation and
+   the kept votes retained ~4.6. Deterministic: [Obj.reachable_words]
+   counts the seeded run's heap graph. *)
+let test_brute_force_remaining_retained_words () =
+  let retained population =
+    Population.run population ~until:(Duration.of_years 1.);
+    Obj.reachable_words (Obj.repr population)
+  in
+  let population = Population.create ~seed:5 ~extra_nodes:2 tiny_cfg in
+  let attack =
+    Adversary.Brute_force.attach population
+      ~minions:(Population.extra_nodes population)
+      ~strategy:Adversary.Brute_force.Remaining ~identities:20
+      ~attempts_per_victim_au_per_day:5.
+  in
+  let attacked = retained population in
+  let unattacked = retained (Population.create ~seed:5 ~extra_nodes:2 tiny_cfg) in
+  let sent = Adversary.Brute_force.invitations_sent attack in
+  let per_invitation = float_of_int (attacked - unattacked) /. float_of_int sent in
+  Printf.printf "%.2f words retained per invitation sent\n" per_invitation;
+  if per_invitation > 4. then
+    Alcotest.failf "REMAINING retains %.2f words per invitation sent (bound 4)"
+      per_invitation
+
+module Invitations = Adversary.Brute_force.Invitations
+
+(* The invitation record against an [int array] reference holding each
+   issued invitation's [victim * aus + au], or -1 once closed. Shapes
+   sit on both sides of the 2-byte cell limit (peers x AUs of 0xFFFF
+   and 0x10000, the paper's 100 x 600 and a population past it). Each
+   case first issues all but the last few cells of the first page, so
+   its random opens cross into the second. Each op draws its numbers
+   raw and reads them against the record's current state, so finds and
+   closes probe ids below 1, not yet issued, on the wrong AU and
+   already closed. *)
+let prop_invitations_match_array_model =
+  let shapes = [| (100, 600, 2); (0xFFFF, 1, 2); (1, 0x10000, 4); (300, 600, 4) |] in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"invitations vs array model" ~count:200
+       QCheck2.Gen.(
+         triple
+           (pair (int_range 0 (Array.length shapes - 1)) (int_range 0 100))
+           (list_size (int_range 0 300) (int_range 0 3))
+           (list_size (int_range 0 300) (pair (int_bound 1_000_000) (int_bound 1_000_000))))
+       (fun ((shape, short), kinds, draws) ->
+         let victims, aus, cell_bytes = shapes.(shape) in
+         let t = Invitations.create ~victims ~aus in
+         let prefill = Invitations.page_cells - short in
+         let model = Array.make (prefill + List.length kinds) (-1) in
+         let issued = ref 0 in
+         let open_ ~victim ~au =
+           let poll_id = Invitations.open_invitation t ~victim ~au in
+           model.(!issued) <- (victim * aus) + au;
+           incr issued;
+           poll_id = !issued
+         in
+         for i = 0 to prefill - 1 do
+           let code = i * 7919 mod (victims * aus) in
+           ignore (open_ ~victim:(code / aus) ~au:(code mod aus))
+         done;
+         (* A victim or AU drawn at either end of its range or inside it. *)
+         let pick n r = match r mod 3 with 0 -> 0 | 1 -> n - 1 | _ -> r / 3 mod n in
+         (* An id from -2 to 0, anywhere issued, or near the last issued. *)
+         let pick_id r =
+           match r mod 4 with
+           | 0 -> -(r / 4 mod 3)
+           | 1 -> 1 + (r / 4 mod !issued)
+           | _ -> !issued + 3 - (r / 4 mod 400)
+         in
+         let model_find ~au ~poll_id =
+           if poll_id < 1 || poll_id > !issued then None
+           else begin
+             let cell = model.(poll_id - 1) in
+             if cell < 0 || cell mod aus <> au then None else Some (cell / aus)
+           end
+         in
+         let step kind (a, b) =
+           match kind with
+           | 0 -> open_ ~victim:(pick victims a) ~au:(pick aus b)
+           | 1 ->
+             (* The AU an open cell was sent to, or any other. *)
+             let poll_id = pick_id a in
+             let au =
+               if b mod 2 = 0 && poll_id >= 1 && poll_id <= !issued
+                  && model.(poll_id - 1) >= 0
+               then model.(poll_id - 1) mod aus
+               else pick aus b
+             in
+             Invitations.find_victim t ~au ~poll_id = model_find ~au ~poll_id
+           | _ ->
+             let poll_id = pick_id a in
+             Invitations.close t ~poll_id;
+             if poll_id >= 1 && poll_id <= !issued then model.(poll_id - 1) <- -1;
+             true
+         in
+         let rec go kinds draws =
+           match (kinds, draws) with
+           | kind :: kinds, draw :: draws -> step kind draw && go kinds draws
+           | _ -> true
+         in
+         (* Every id near either end, and a stride through the rest. *)
+         let swept =
+           List.init 5 (fun i -> i - 2)
+           @ List.init 410 (fun i -> !issued + 4 - i)
+           @ List.init (!issued / 97) (fun i -> 97 * (i + 1))
+         in
+         Invitations.cell_bytes t = cell_bytes
+         && go kinds draws
+         && List.for_all
+              (fun poll_id ->
+                List.for_all
+                  (fun au ->
+                    Invitations.find_victim t ~au ~poll_id = model_find ~au ~poll_id)
+                  [ 0; 1; aus - 1 ])
+              swept))
+
+(* A victim-AU pair outside the record's shape would alias another
+   pair's cell, so it is refused, as is a shape too wide for 4 bytes. *)
+let test_invitations_refuse_out_of_range () =
+  let t = Invitations.create ~victims:100 ~aus:600 in
+  let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "victim past the last" true
+    (refused (fun () -> Invitations.open_invitation t ~victim:100 ~au:0));
+  Alcotest.(check bool) "AU past the last" true
+    (refused (fun () -> Invitations.open_invitation t ~victim:0 ~au:600));
+  Alcotest.(check bool) "negative victim" true
+    (refused (fun () -> Invitations.open_invitation t ~victim:(-1) ~au:0));
+  Alcotest.(check bool) "more than 2^32 - 1 pairs" true
+    (refused (fun () -> Invitations.create ~victims:0x10000 ~aus:0x10000));
+  Alcotest.(check (option int)) "nothing issued by refusals" None
+    (Invitations.find_victim t ~au:0 ~poll_id:1)
+
 (* -- Compromised voter role --------------------------------------------- *)
 
 (* Peer 1 invites minion 0 and sends the PollProof, so the role schedules
@@ -472,5 +607,8 @@ let () =
           slow "preservation survives" test_brute_force_preservation_survives;
           slow "repeat runs deterministic" test_brute_force_repeat_runs_deterministic;
           quick "memory per invitation" test_brute_force_memory_per_invitation;
+          quick "REMAINING retained words" test_brute_force_remaining_retained_words;
+          prop_invitations_match_array_model;
+          quick "invitation range" test_invitations_refuse_out_of_range;
         ] );
     ]

@@ -568,8 +568,59 @@ let test_reference_list_empty_friends_update () =
         (List.mem m [ 3; 4; 5; 6; 7; 9 ]))
     (Reference_list.members rl)
 
-(* The compact representation (flat int arrays + bitset membership) must
-   be observationally identical to the plain-list bookkeeping it
+(* [Id_set] against the duplicate-free list it stands for: prepend adds
+   a new member at the head, remove keeps the others' order, and [mem],
+   [size] and every read-out agree with the list after each step. Ids
+   reach past two million (the adversaries' identity blocks), which the
+   scan-based membership must handle like small ones. *)
+let prop_id_set_matches_list_model =
+  let id_gen = QCheck2.Gen.(oneof [ int_range 0 40; int_range 2_000_000 2_000_010 ]) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"id set matches a list model" ~count:500
+       QCheck2.Gen.(
+         pair (list_size (int_range 0 20) id_gen)
+           (list_size (int_range 0 80) (pair (int_range 0 2) id_gen)))
+       (fun (initial, ops) ->
+         (* Any duplicate-free order is a valid starting order. *)
+         let initial =
+           List.rev
+             (List.fold_left
+                (fun acc x -> if List.mem x acc then acc else x :: acc)
+                [] initial)
+         in
+         let set = Id_set.of_ordered_list initial in
+         let model = ref initial in
+         let agrees () =
+           Id_set.to_list set = !model
+           && Array.to_list (Id_set.to_ordered_array set) = !model
+           && Array.to_list (Id_set.filtered_ordered_array set ~keep:(fun x -> x mod 2 = 0))
+              = List.filter (fun x -> x mod 2 = 0) !model
+           && Id_set.size set = List.length !model
+         in
+         List.for_all
+           (fun (op, x) ->
+             match op with
+             | 0 ->
+               Id_set.prepend set x;
+               if not (List.mem x !model) then model := x :: !model;
+               agrees ()
+             | 1 ->
+               Id_set.remove set x;
+               model := List.filter (fun m -> m <> x) !model;
+               agrees ()
+             | _ -> Id_set.mem set x = List.mem x !model)
+           ops
+         && agrees ()
+         &&
+         match initial with
+         | [] -> true
+         | first :: _ -> (
+           match Id_set.of_ordered_list (initial @ [ first ]) with
+           | _ -> false
+           | exception Invalid_argument _ -> true)))
+
+(* The compact representation (a flat int array) must be
+   observationally identical to the plain-list bookkeeping it
    replaced: same member order after any prepend/remove interleaving,
    and same seeded sample results. The model below IS the old
    implementation, element for element. *)
@@ -1249,6 +1300,7 @@ let () =
           quick "empty friends update" test_reference_list_empty_friends_update;
           prop_reference_list_update_invariants;
           prop_id_set_models_list;
+          prop_id_set_matches_list_model;
           prop_merged_with_friends_is_sort_uniq;
         ] );
       ( "holdings",

@@ -99,6 +99,13 @@ let test_forged_remaining_rejected () =
 let test_full_voter_exchange_produces_vote () =
   let population, ctx = make_world () in
   let voter = ctx.Peer.peers.(0) in
+  (* The session keeps only the expected receipt, so read the vote where
+     the poller's node receives it. *)
+  let received = ref [] in
+  Narses.Net.register ctx.Peer.net 1 (fun ~src:_ msg ->
+      match msg.Message.payload with
+      | Message.Vote_msg { poll_id; vote } -> received := (poll_id, vote) :: !received
+      | _ -> ());
   Voter.on_poll ctx voter ~src:1 ~identity:1 ~au:0 ~poll_id:77 ~intro:(genuine_intro ());
   Voter.on_poll_proof ctx voter ~identity:1 ~au:0 ~poll_id:77
     ~remaining:(genuine_remaining ()) ~nonce:42L;
@@ -106,11 +113,13 @@ let test_full_voter_exchange_produces_vote () =
   Engine.run_until ctx.Peer.engine ~limit:(Duration.of_days 1.);
   (match find_session voter (1, 0, 77) with
   | Some session ->
-    (match (session.Peer.vs_state, session.Peer.vs_vote) with
-    | Peer.Voted_waiting_receipt _, Some vote ->
+    (match (session.Peer.vs_state, session.Peer.vs_receipt, !received) with
+    | Peer.Voted_waiting_receipt _, Some receipt, [ (77, vote) ] ->
       Alcotest.(check int64) "vote echoes nonce" 42L vote.Vote.nonce;
-      Alcotest.(check bool) "vote honest" false vote.Vote.bogus
-    | _ -> Alcotest.fail "expected a sent vote awaiting receipt")
+      Alcotest.(check bool) "vote honest" false vote.Vote.bogus;
+      Alcotest.(check (pair int64 int64))
+        "session keeps the vote's receipt" (Vote.expected_receipt vote) receipt
+    | _ -> Alcotest.fail "expected one sent vote awaiting receipt")
   | None -> Alcotest.fail "session missing");
   let s = Population.summary population in
   Alcotest.(check int) "vote counted" 1 s.Metrics.votes_supplied
@@ -132,9 +141,8 @@ let with_voted_session () =
 let test_valid_receipt_settles () =
   let _population, ctx, voter, session = with_voted_session () in
   let st = Peer.au_state voter 0 in
-  let vote = Option.get session.Peer.vs_vote in
   Voter.on_receipt ctx voter ~identity:1 ~au:0 ~poll_id:77
-    ~receipt:(Vote.expected_receipt vote);
+    ~receipt:(Option.get session.Peer.vs_receipt);
   Alcotest.(check (option unit)) "session closed" None
     (Option.map (fun _ -> ()) (find_session voter (1, 0, 77)));
   (* Normal settlement: one step toward debt from Even. *)
@@ -425,7 +433,7 @@ let test_duplicate_poll_after_close_rejected_stale () =
   Engine.run_until ctx.Peer.engine ~limit:(Duration.of_days 1.);
   let session = Option.get (find_session voter (1, 0, 77)) in
   Voter.on_receipt ctx voter ~identity:1 ~au:0 ~poll_id:77
-    ~receipt:(Vote.expected_receipt (Option.get session.Peer.vs_vote));
+    ~receipt:(Option.get session.Peer.vs_receipt);
   Alcotest.(check (option unit)) "session closed" None
     (Option.map (fun _ -> ()) (find_session voter (1, 0, 77)));
   let stale = count_rejections ~reason:Trace.Stale_closed population in

@@ -469,8 +469,11 @@ let test_analyzer_parity_json_vs_view () =
 
 let test_emit_bound_skips_thunk () =
   let bus = Trace.create () in
+  Alcotest.(check bool) "nobody listens" false (Trace.enabled bus ~bound:Trace.Warn);
   let delivered = ref 0 in
   Trace.subscribe ~interest:Trace.Warn bus (fun ~time:_ _ -> incr delivered);
+  Alcotest.(check (pair bool bool)) "enabled from the interest up" (false, true)
+    (Trace.enabled bus ~bound:Trace.Info, Trace.enabled bus ~bound:Trace.Warn);
   let built = ref 0 in
   let make () =
     incr built;
@@ -484,6 +487,8 @@ let test_emit_bound_skips_thunk () =
   Alcotest.(check int) "delivered regardless of actual severity" 1 !delivered;
   (* A lower-interest subscriber reopens the bus. *)
   Trace.subscribe ~interest:Trace.Debug bus (fun ~time:_ _ -> ());
+  Alcotest.(check bool) "debug interest enables debug" true
+    (Trace.enabled bus ~bound:Trace.Debug);
   Trace.emit ~bound:Trace.Debug bus ~now:0. make;
   Alcotest.(check int) "debug interest restores construction" 2 !built
 
