@@ -865,7 +865,7 @@ let write_binary w ~time event =
     Btrace.put_atom w a_kind;
     Btrace.put_atom w s.atom;
     bin_fields w event s.fields;
-    Btrace.end_record w ~now:time ()
+    Btrace.end_record w ~now:time
 
 let binary_sink ?(min_severity = Debug) writer ~time event =
   if severity_at_least min_severity (severity event) then write_binary writer ~time event

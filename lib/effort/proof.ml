@@ -10,9 +10,5 @@ let cost t = t.cost
 let byproduct t = t.byproduct
 let meets t ~required = t.genuine && t.cost >= required
 
-let receipt_matches t ~receipt =
-  let a, b = t.byproduct and a', b' = receipt in
-  t.genuine && Int64.equal a a' && Int64.equal b b'
-
 let forged ~claimed_cost = { cost = claimed_cost; byproduct = (0L, 0L); genuine = false }
 let is_genuine t = t.genuine

@@ -30,11 +30,6 @@ val byproduct : t -> int64 * int64
     [required] effort. *)
 val meets : t -> required:float -> bool
 
-(** [receipt_matches t ~receipt] holds when [receipt] equals the proof's
-    byproduct — i.e. the counterparty truly consumed the proof's work
-    product. *)
-val receipt_matches : t -> receipt:int64 * int64 -> bool
-
 (** [forged ~claimed_cost] is an invalid proof claiming [claimed_cost]
     effort without any generation work: its byproduct is zeroed and it
     never satisfies {!meets} for positive requirements. Used by

@@ -21,15 +21,19 @@ let feed_view t view =
 let feed t json =
   match View.of_json json with None -> () | Some view -> feed_view t view
 
-let feed_record t ~line result =
+let count_record t ~line feed result =
   t.lines <- t.lines + 1;
   match result with
-  | Ok json -> feed t json
+  | Ok x -> feed x
   | Error error ->
     t.malformed <- t.malformed + 1;
     Span.note_malformed t.span_builder ~line ~error
 
-let read_file t path = ignore (Trace_file.iter path ~f:(feed_record t))
+let feed_record t ~line result = count_record t ~line (feed t) result
+
+let read_file t path =
+  let feed = function Some view -> feed_view t view | None -> () in
+  Trace_file.iter_views path ~f:(fun ~line result -> count_record t ~line feed result)
 
 let lines t = t.lines
 let anomalies t = Span.anomalies t.span_builder

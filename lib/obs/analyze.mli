@@ -30,8 +30,10 @@ val feed_view : t -> View.t -> unit
     [line]. *)
 val feed_record : t -> line:int -> (Json.t, string) result -> unit
 
-(** [read_file t path] is {!feed_record} over {!Trace_file.iter} of
-    [path], in either encoding. *)
+(** [read_file t path] feeds a whole trace file, in either encoding,
+    through {!Trace_file.iter_views}: the counts and anomalies of
+    {!feed_record} over {!Trace_file.iter}, without building the JSON
+    tree of a binary trace. *)
 val read_file : t -> string -> unit
 
 (** Records seen by {!feed_record}: non-blank JSONL lines or binary

@@ -42,7 +42,7 @@ type writer
 val writer : Sink.t -> writer
 
 (** [write w ?now json] appends one record. [?now] is forwarded to the
-    sink for time-bounded flushing. *)
+    sink for time-bounded flushing ({!Sink.write_bytes}). *)
 val write : writer -> ?now:float -> Json.t -> unit
 
 (** Records written so far. *)
@@ -57,7 +57,9 @@ val count : writer -> int
     well-formed value (one root, header counts matching the values that
     follow) — {!end_record} frames whatever was assembled. Bytes are
     identical to {!write} of the equivalent [Json.t], including intern
-    ids: both paths share one intern table per writer. *)
+    ids: both paths share one intern table per writer. A record is
+    assembled in the writer's own byte buffer and reaches the sink in
+    one call, so a steady-state record allocates nothing. *)
 
 (** An interned-string handle. Register atoms once at
     module-initialisation time (keys, kind names, enum tokens); each
@@ -75,9 +77,10 @@ val atom : string -> atom
     payload. Discards any unfinished previous record. *)
 val begin_record : writer -> unit
 
-(** [end_record w ?now ()] length-prefixes the assembled payload and
-    hands it to the sink ([?now] forwarded for time-bounded flushing). *)
-val end_record : writer -> ?now:float -> unit -> unit
+(** [end_record w ~now] length-prefixes the assembled payload and hands
+    the framed record to the sink ([now], the event's simulated time,
+    drives time-bounded flushing; see {!Sink.write_bytes}). *)
+val end_record : writer -> now:float -> unit
 
 val put_atom : writer -> atom -> unit
 val put_bool : writer -> bool -> unit
@@ -93,12 +96,29 @@ val put_list_header : writer -> int -> unit
     (key, value) [put_*] pairs are its members. *)
 val put_assoc_header : writer -> int -> unit
 
-(** {2 Reading} *)
+(** {2 Reading}
 
-(** [iter_records path ~f] validates the magic, then decodes records in
-    order and calls [f ~index json] with a 1-based record index and the
-    value {!write} was given. It stops at the first malformed record —
-    [Error] describes the record index and failure — or returns [Ok ()]
-    at a clean end of stream. Raises [Sys_error] if the file cannot be
+    Both readers stream the file through one refill buffer (64 KiB,
+    grown only for a longer record), so memory does not grow with the
+    trace. They share the framing and the intern table, and report
+    errors identically: each validates the magic, then decodes records
+    in order, calling [f] with a 1-based record index. They stop at the
+    first malformed record — [Error] describes the record index and
+    failure (a record that ends mid-varint or mid-payload, references an
+    unknown intern id, or carries trailing bytes) — or return [Ok ()] at
+    a clean end of stream. Both raise [Sys_error] if the file cannot be
     opened. *)
+
+(** [iter_records path ~f] calls [f ~index json] with the value {!write}
+    was given. *)
 val iter_records : string -> f:(index:int -> Json.t -> unit) -> (unit, string) result
+
+(** [iter_views path ~f] calls [f ~index view] with what
+    [View.of_json] would make of that value, decoded straight from the
+    bytes without building the {!Json.t} tree: values of projected keys
+    are read in place, every other value is skipped but validated (and
+    strings defined inside it still enter the intern table), so the
+    index, the views and any [Error] message equal those of
+    {!iter_records} followed by [View.of_json]. A key's view slot is
+    resolved once per intern id, not once per record. *)
+val iter_views : string -> f:(index:int -> View.t option -> unit) -> (unit, string) result

@@ -46,11 +46,13 @@ let drain t =
     t.flushed_bytes <- t.flushed_bytes + n
   end
 
-let maybe_flush t now =
+(* The size bound, then the time bound at simulated time [now] ([nan]:
+   no time). *)
+let flush_at t now =
   if Buffer.length t.buf >= t.limit then drain t
   else
-    match (t.flush_interval, now) with
-    | Some interval, Some now -> (
+    match t.flush_interval with
+    | Some interval when not (Float.is_nan now) -> (
       match t.last_mark with
       | None -> t.last_mark <- Some now
       | Some mark ->
@@ -59,6 +61,8 @@ let maybe_flush t now =
           t.last_mark <- Some now
         end)
     | _ -> ()
+
+let maybe_flush t now = flush_at t (match now with Some now -> now | None -> Float.nan)
 
 let check_open t = if t.is_closed then invalid_arg "Sink: write after close"
 
@@ -77,6 +81,11 @@ let write_buffer t ?now b =
   check_open t;
   Buffer.add_buffer t.buf b;
   maybe_flush t now
+
+let write_bytes t ~now b pos len =
+  check_open t;
+  Buffer.add_subbytes t.buf b pos len;
+  flush_at t now
 
 let pending t = Buffer.length t.buf
 let written t = t.flushed_bytes

@@ -42,6 +42,11 @@ val write_line : t -> ?now:float -> string -> unit
     untouched) without going through an intermediate string. *)
 val write_buffer : t -> ?now:float -> Buffer.t -> unit
 
+(** [write_bytes t ~now b pos len] appends [len] bytes of [b] from
+    [pos]. [now] is {!write}'s [?now] without the option, for callers
+    that write once per event: a NaN [now] carries no time. *)
+val write_bytes : t -> now:float -> Bytes.t -> int -> int -> unit
+
 (** Bytes accepted but not yet handed to the channel. *)
 val pending : t -> int
 

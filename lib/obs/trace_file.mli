@@ -29,3 +29,9 @@ val detect : string -> format
     ordinal (binary). Returns the detected format. Raises [Sys_error]
     if the file cannot be opened. *)
 val iter : string -> f:(line:int -> (Json.t, string) result -> unit) -> format
+
+(** [iter_views path ~f] is [iter] with each record projected by
+    {!View.of_json}, with the same line numbers and errors. A binary
+    trace is decoded straight into views ({!Btrace.iter_views}), never
+    building the {!Json.t} tree. *)
+val iter_views : string -> f:(line:int -> (View.t option, string) result -> unit) -> unit

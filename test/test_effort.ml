@@ -47,22 +47,6 @@ let test_forged_proof_never_meets () =
   Alcotest.(check bool) "forged fails" false (Proof.meets p ~required:1.);
   Alcotest.(check bool) "not genuine" false (Proof.is_genuine p)
 
-let test_receipt_matching () =
-  let rng = Rng.create 5 in
-  let p = Proof.generate ~rng ~cost:1. in
-  Alcotest.(check bool) "byproduct matches itself" true
-    (Proof.receipt_matches p ~receipt:(Proof.byproduct p));
-  Alcotest.(check bool) "wrong receipt rejected" false
-    (Proof.receipt_matches p ~receipt:(1L, 2L));
-  let q = Proof.generate ~rng ~cost:1. in
-  Alcotest.(check bool) "other proof's byproduct rejected" false
-    (Proof.receipt_matches p ~receipt:(Proof.byproduct q))
-
-let test_forged_receipt_never_matches () =
-  let p = Proof.forged ~claimed_cost:1. in
-  Alcotest.(check bool) "forged byproduct is unusable" false
-    (Proof.receipt_matches p ~receipt:(Proof.byproduct p))
-
 let prop_byproducts_unique =
   QCheck2.Test.make ~name:"byproducts are effectively unique" ~count:50
     QCheck2.Gen.small_int (fun seed ->
@@ -285,8 +269,6 @@ let () =
           quick "meets" test_proof_meets;
           quick "negative cost" test_proof_negative_cost_rejected;
           quick "forged never meets" test_forged_proof_never_meets;
-          quick "receipt matching" test_receipt_matching;
-          quick "forged receipt" test_forged_receipt_never_matches;
           QCheck_alcotest.to_alcotest prop_byproducts_unique;
         ] );
       ( "memory-bound function",

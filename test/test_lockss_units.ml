@@ -367,6 +367,54 @@ let test_introductions_forget_introducer () =
   Alcotest.(check bool) "1's introductions gone" false (Introductions.consume intros ~introducee:2);
   Alcotest.(check bool) "3's remain" true (Introductions.consume intros ~introducee:4)
 
+(* The list implementation [Introductions] replaced, as the model:
+   pairs newest first, [consume] honouring the oldest introduction of
+   its introducee. *)
+module Intro_model = struct
+  type t = { cap : int; mutable pairs : (int * int) list }
+
+  let add t a b =
+    if (not (List.mem (a, b) t.pairs)) && List.length t.pairs < t.cap then
+      t.pairs <- (a, b) :: t.pairs
+
+  let consume t b =
+    match List.rev (List.filter (fun (_, b') -> b' = b) t.pairs) with
+    | [] -> false
+    | (a, _) :: _ ->
+      t.pairs <- List.filter (fun (a', b') -> a' <> a && b' <> b) t.pairs;
+      true
+
+  let forget t a = t.pairs <- List.filter (fun (a', _) -> a' <> a) t.pairs
+end
+
+(* Ops: 0-1 add, 2 consume, 3 forget, over identities from a small pool
+   so pairs repeat and collide; every result and count is compared. *)
+let prop_introductions_match_list_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"introductions match the list model" ~count:500
+       QCheck2.Gen.(
+         pair (int_range 0 12)
+           (list_size (int_range 0 120) (triple (int_range 0 3) (int_range 0 6) (int_range 0 6))))
+       (fun (cap, ops) ->
+         let t = Introductions.create ~max_outstanding:cap in
+         let m = { Intro_model.cap; pairs = [] } in
+         List.for_all
+           (fun (op, a, b) ->
+             let same =
+               match op with
+               | 0 | 1 ->
+                 Introductions.add t ~introducer:a ~introducee:b;
+                 Intro_model.add m a b;
+                 true
+               | 2 -> Introductions.consume t ~introducee:b = Intro_model.consume m b
+               | _ ->
+                 Introductions.forget_introducer t a;
+                 Intro_model.forget m a;
+                 true
+             in
+             same && Introductions.outstanding t = List.length m.Intro_model.pairs)
+           ops))
+
 (* -- Admission -------------------------------------------------------- *)
 
 let admission_cfg =
@@ -1275,6 +1323,7 @@ let () =
           quick "cap" test_introductions_cap;
           quick "duplicates" test_introductions_duplicate_ignored;
           quick "forget introducer" test_introductions_forget_introducer;
+          prop_introductions_match_list_model;
         ] );
       ( "admission",
         [

@@ -200,6 +200,32 @@ let test_btrace_trailing_bytes_in_record () =
       | Ok _ -> Alcotest.fail "trailing bytes inside a record accepted"
       | Error _ -> ())
 
+(* A corrupt length is an [Error], on both readers: the reader used to
+   allocate whatever a record or string length claimed, and raised
+   [Out_of_memory] or [Invalid_argument] instead. *)
+let test_btrace_corrupt_lengths () =
+  let cases =
+    [
+      ("record length 2^40", "\x80\x80\x80\x80\x80\x20\x00", "record 1: truncated mid-record");
+      ( "record length 2^61",
+        "\x80\x80\x80\x80\x80\x80\x80\x80\x20\x00",
+        "record 1: truncated mid-record" );
+      ( "string length 2^62 - 1",
+        "\x0b\x06\xff\xff\xff\xff\xff\xff\xff\xff\x3f\x00",
+        "string length 4611686018427387903 exceeds record at byte 10" );
+    ]
+  in
+  with_temp_file (fun path ->
+      List.iter
+        (fun (label, bytes, expected) ->
+          write_raw path (Btrace.magic ^ bytes);
+          let error = function Error msg -> msg | Ok () -> "ok" in
+          Alcotest.(check string) (label ^ ", records") expected
+            (error (Btrace.iter_records path ~f:(fun ~index:_ _ -> ())));
+          Alcotest.(check string) (label ^ ", views") expected
+            (error (Btrace.iter_views path ~f:(fun ~index:_ _ -> ()))))
+        cases)
+
 (* Random JSON round-trip battery. *)
 let json_gen =
   let open QCheck2.Gen in
@@ -239,6 +265,215 @@ let test_btrace_qcheck_round_trip =
           match read_binary path with
           | Error msg -> QCheck2.Test.fail_reportf "decode failed: %s" msg
           | Ok decoded -> decoded = jsons))
+
+(* -- Direct view decoding ------------------------------------------------- *)
+
+(* Each record's index and view, and the iteration's result, through
+   the JSON tree ([iter_records] then [View.of_json]) and straight from
+   the bytes ([iter_views]). *)
+let views_via_json path =
+  let acc = ref [] in
+  let result =
+    Btrace.iter_records path ~f:(fun ~index json -> acc := (index, View.of_json json) :: !acc)
+  in
+  (List.rev !acc, result)
+
+let views_direct path =
+  let acc = ref [] in
+  let result = Btrace.iter_views path ~f:(fun ~index view -> acc := (index, view) :: !acc) in
+  (List.rev !acc, result)
+
+(* Records longer than the reader's 64 KiB refill buffer, between and
+   across ordinary ones, so the buffer both compacts and grows. *)
+let test_btrace_records_longer_than_buffer () =
+  let long n = Json.List (List.init n (fun i -> Json.String (Printf.sprintf "%070d" i))) in
+  let jsons =
+    List.concat
+      [ sample_jsons; [ Json.Assoc [ ("kind", Json.String "big"); ("rows", long 3000) ] ]; sample_jsons; [ long 9000 ]; sample_jsons ]
+  in
+  with_temp_file (fun path ->
+      ignore (write_binary path jsons);
+      (match read_binary path with
+      | Ok decoded -> Alcotest.(check bool) "round-trips" true (decoded = jsons)
+      | Error msg -> Alcotest.failf "decode failed: %s" msg);
+      Alcotest.(check bool) "views as of_json" true
+        (views_direct path = (List.mapi (fun i json -> (i + 1, View.of_json json)) jsons, Ok ())))
+
+(* The view's keys, listed here independently of [View]'s table. *)
+let view_keys =
+  [
+    "kind"; "t"; "poller"; "voter"; "claimed"; "peer"; "from"; "au"; "poll_id";
+    "inner_candidates"; "votes"; "seconds"; "role"; "phase"; "outcome";
+  ]
+
+(* Streams built to reach every branch of the direct decoder: object and
+   non-object roots; keys from a small pool, so duplicates are common;
+   view keys bound to values of every type, negative ints included;
+   strings over the 64-byte intern cut-off (written inline); a bulk
+   record of 300 distinct strings anywhere in the stream, so the intern
+   table grows past 256 entries between or before the view keys' first
+   definitions; and a primer whose
+   skipped nested values define view keys as strings, which later
+   records then use as keys by reference. *)
+let view_stream_gen =
+  let open QCheck2.Gen in
+  let long = string_size ~gen:printable (int_range 65 90) in
+  let key =
+    frequency
+      [
+        (8, oneofl view_keys);
+        (2, oneofl [ "extra"; "detail"; "x" ]);
+        (1, long);
+        (1, string_size ~gen:printable (int_bound 6));
+      ]
+  in
+  let str =
+    frequency
+      [
+        (3, oneofl view_keys);
+        (3, string_size ~gen:printable (int_bound 10));
+        (1, long);
+        (1, map (Printf.sprintf "s%d") (int_bound 500));
+      ]
+  in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun i -> Json.Int i) (int_range (-300) 300);
+        map (fun f -> Json.Float f) (float_bound_inclusive 1e9);
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  let rec value depth =
+    if depth = 0 then scalar
+    else
+      frequency
+        [
+          (5, scalar);
+          (1, map (fun l -> Json.List l) (list_size (int_bound 4) (value (depth - 1))));
+          (1, map (fun l -> Json.Assoc l) (list_size (int_bound 4) (pair key (value (depth - 1)))));
+        ]
+  in
+  let record =
+    frequency
+      [
+        (8, map (fun l -> Json.Assoc l) (list_size (int_bound 12) (pair key (value 2))));
+        (1, value 2);
+      ]
+  in
+  let bulk =
+    map
+      (fun base ->
+        let strings = List.init 300 (fun i -> Json.String (Printf.sprintf "b%d.%d" base i)) in
+        [ Json.Assoc [ ("bulk", Json.List strings) ] ])
+      (int_bound 1000)
+  in
+  let primer =
+    Json.Assoc
+      [
+        ("extra", Json.List [ Json.String "poller"; Json.Assoc [ ("voter", Json.Int 1) ] ]);
+        ("detail", Json.Assoc [ ("x", Json.String "seconds"); ("role", Json.Null) ]);
+      ]
+  in
+  let* records = list_size (int_range 1 30) record in
+  let* bulk_at = option (int_bound (List.length records)) and* bulk = bulk in
+  let+ primed = bool in
+  let records =
+    match bulk_at with
+    | None -> records
+    | Some at -> List.filteri (fun i _ -> i < at) records @ bulk @ List.filteri (fun i _ -> i >= at) records
+  in
+  if primed then primer :: records else records
+
+let test_views_match_json_path =
+  QCheck2.Test.make ~name:"direct views equal of_json over iter_records" ~count:300
+    ~print:(fun jsons -> String.concat "\n" (List.map Json.to_string jsons))
+    view_stream_gen (fun jsons ->
+      with_temp_file (fun path ->
+          ignore (write_binary path jsons);
+          views_direct path = views_via_json path))
+
+(* A short real-kind trace, cut at every byte and with every byte
+   replaced by eight values (tags, continuation bits, flipped bits). *)
+let damaged_traces () =
+  with_temp_file (fun path ->
+      ignore (write_binary path (List.filteri (fun i _ -> i < 12) sample_jsons));
+      let whole = read_all path in
+      let cuts = List.init (String.length whole) (fun cut -> String.sub whole 0 cut) in
+      let replaced i c =
+        List.map
+          (fun b ->
+            let damaged = Bytes.of_string whole in
+            Bytes.set damaged i (Char.chr b);
+            Bytes.to_string damaged)
+          [ 0x00; 0x07; 0x08; 0x0a; 0x80; 0xff; Char.code c lxor 0x01; Char.code c lxor 0x40 ]
+      in
+      cuts @ List.concat (List.mapi replaced (List.of_seq (String.to_seq whole))))
+
+let render_view (v : View.t) =
+  let i = function None -> "-" | Some n -> string_of_int n in
+  let s = function None -> "-" | Some s -> s in
+  String.concat " "
+    [
+      v.kind; Printf.sprintf "%h" v.time; i v.poller; i v.voter; i v.claimed; i v.peer;
+      i v.from_; i v.au; i v.poll_id; i v.inner_candidates; i v.votes;
+      (match v.seconds with None -> "-" | Some f -> Printf.sprintf "%h" f);
+      s v.role; s v.phase; s v.outcome;
+    ]
+
+let render_views (views, result) =
+  String.concat "\n"
+    (List.map
+       (fun (index, view) ->
+         Printf.sprintf "%d %s" index (match view with None -> "none" | Some v -> render_view v))
+       views
+    @ [ (match result with Ok () -> "ok" | Error msg -> "error " ^ msg) ])
+
+(* On every damaged trace the direct path gives the JSON path's
+   records, views and error message, and the analyzer the report it
+   gives through [Trace_file.iter], malformed records and anomalies
+   included. The digest pins the JSON path's views, messages and
+   reports over all of them as the reader before the direct path gave
+   them. *)
+let test_damaged_views_match_json_path () =
+  let digest = Buffer.create (1 lsl 20) in
+  with_temp_file (fun path ->
+      List.iteri
+        (fun case bytes ->
+          write_raw path bytes;
+          let via_json = views_via_json path in
+          if views_direct path <> via_json then
+            Alcotest.failf "damaged trace %d: direct views differ from the JSON path" case;
+          let report read =
+            let analyzer = Obs.Analyze.create () in
+            read analyzer;
+            Json.to_string (Obs.Analyze.report_json analyzer)
+          in
+          let direct = report (fun a -> Obs.Analyze.read_file a path) in
+          if direct <> report (fun a -> ignore (Trace_file.iter path ~f:(Obs.Analyze.feed_record a)))
+          then Alcotest.failf "damaged trace %d: reports differ" case;
+          Buffer.add_string digest (render_views via_json);
+          Buffer.add_string digest direct)
+        (damaged_traces ()));
+  Alcotest.(check string) "damaged-trace digest" "a67184c61fd43c766c2bf44b521d9d17"
+    (Digest.to_hex (Digest.string (Buffer.contents digest)))
+
+(* Reading a trace back allocates per record only the view and what
+   the analyzer keeps: the JSON tree took ~320 words a record. Minor
+   words are an exact count, so the bound holds on any host. *)
+let test_read_file_minor_words () =
+  with_temp_file (fun path ->
+      let records = write_binary path sample_jsons in
+      let analyzer = Obs.Analyze.create () in
+      let before = Gc.minor_words () in
+      Obs.Analyze.read_file analyzer path;
+      let per_record = (Gc.minor_words () -. before) /. float_of_int records in
+Alcotest.(check int) "every record read" records (Obs.Analyze.lines analyzer);
+      if per_record > 100. then
+        Alcotest.failf "read_file allocated %.1f minor words per record (bound 100)" per_record)
 
 (* -- Trace_file ---------------------------------------------------------- *)
 
@@ -1105,6 +1340,8 @@ let () =
           tc "bad magic rejected" `Quick test_btrace_bad_magic;
           tc "dangling intern ref rejected" `Quick test_btrace_bad_intern_ref;
           tc "trailing record bytes rejected" `Quick test_btrace_trailing_bytes_in_record;
+          tc "records longer than the read buffer" `Quick test_btrace_records_longer_than_buffer;
+          tc "corrupt lengths are errors" `Quick test_btrace_corrupt_lengths;
           QCheck_alcotest.to_alcotest test_btrace_qcheck_round_trip;
         ] );
       ( "trace files",
@@ -1121,6 +1358,9 @@ let () =
           test_binary_sink_byte_parity;
           tc "analyzer parity json vs view" `Quick test_analyzer_parity_json_vs_view;
           tc "of_json takes a key's first binding" `Quick test_view_of_json_first_binding;
+          QCheck_alcotest.to_alcotest test_views_match_json_path;
+          tc "damaged traces read alike" `Quick test_damaged_views_match_json_path;
+          tc "read_file minor words per record" `Quick test_read_file_minor_words;
         ] );
       ( "schema",
         [
